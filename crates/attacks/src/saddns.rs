@@ -213,16 +213,11 @@ impl SadDnsAttack {
         u64::from(space)
     }
 
-    /// Runs the attack.
-    pub fn run(&self, sim: &mut Simulator, env: &VictimEnv) -> AttackReport {
-        self.run_recorded(sim, env, None)
-    }
-
     /// Runs the attack, optionally recording phase spans (mute, scan, spray)
-    /// into a flight recorder at sim-time resolution. With `None` this is
-    /// exactly [`SadDnsAttack::run`] — the recording branches compile to a
+    /// into a flight recorder at sim-time resolution. Recording never
+    /// changes the attack: with `None` the recording branches compile to a
     /// cheap `Option` check per phase, not per packet.
-    pub fn run_recorded(
+    pub fn run(
         &self,
         sim: &mut Simulator,
         env: &VictimEnv,
@@ -397,7 +392,7 @@ mod tests {
     #[test]
     fn full_attack_poisons_vulnerable_resolver() {
         let (mut sim, env) = saddns_env(false, false, true);
-        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, None);
         assert!(report.success, "SadDNS failed: {:?}", report.notes);
         assert!(env.poisoned(&sim, &"www.vict.im".parse().unwrap(), addrs::ATTACKER));
         // The attack is traffic-heavy: tens of thousands of packets (the
@@ -410,7 +405,7 @@ mod tests {
     fn recorded_run_counts_probes_and_spans_phases() {
         let (mut sim, env) = saddns_env(false, false, true);
         let mut rec = telemetry::FlightRecorder::new(64);
-        let report = SadDnsAttack::new(attack_cfg()).run_recorded(&mut sim, &env, Some(&mut rec));
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, Some(&mut rec));
         assert!(report.success, "SadDNS failed: {:?}", report.notes);
         assert!(report.probes_sent > 0, "scan probes are accounted");
         assert_eq!(report.probes_sent % (u64::from(ICMP_PROBE_BATCH) + 1), 0, "probes come in batch+verify sets");
@@ -426,12 +421,12 @@ mod tests {
     }
 
     #[test]
-    fn run_and_run_recorded_agree() {
+    fn recording_does_not_perturb_the_attack() {
         let (mut sim_a, env_a) = saddns_env(false, false, true);
-        let plain = SadDnsAttack::new(attack_cfg()).run(&mut sim_a, &env_a);
+        let plain = SadDnsAttack::new(attack_cfg()).run(&mut sim_a, &env_a, None);
         let (mut sim_b, env_b) = saddns_env(false, false, true);
         let mut rec = telemetry::FlightRecorder::default();
-        let recorded = SadDnsAttack::new(attack_cfg()).run_recorded(&mut sim_b, &env_b, Some(&mut rec));
+        let recorded = SadDnsAttack::new(attack_cfg()).run(&mut sim_b, &env_b, Some(&mut rec));
         assert_eq!(plain, recorded, "recording must not perturb the attack");
     }
 
@@ -441,7 +436,7 @@ mod tests {
             VictimEnvConfig { nameserver: NameserverConfig::new(addrs::NAMESERVER).with_rrl(10), ..Default::default() };
         cfg.resolver = cfg.resolver.with_transport(UpstreamTransport::TcpOnly);
         let (mut sim, env) = cfg.build();
-        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, None);
         assert!(!report.success);
         assert!(matches!(report.failure, Some(FailureReason::PreconditionNotMet(_))));
         assert_eq!(report.attacker_packets, 0, "the attack fails before sending a single probe");
@@ -450,7 +445,7 @@ mod tests {
     #[test]
     fn per_destination_icmp_limit_closes_the_side_channel() {
         let (mut sim, env) = saddns_env(false, false, false);
-        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, None);
         assert!(!report.success);
         assert!(matches!(report.failure, Some(FailureReason::PreconditionNotMet(_))));
     }
@@ -460,7 +455,7 @@ mod tests {
         let mut cfg = VictimEnvConfig::default();
         cfg.resolver.port_range = (40000, 40255);
         let (mut sim, env) = cfg.build();
-        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, None);
         assert!(!report.success);
         assert!(matches!(report.failure, Some(FailureReason::PreconditionNotMet(_))));
     }
@@ -468,7 +463,7 @@ mod tests {
     #[test]
     fn x20_defeats_the_txid_sweep() {
         let (mut sim, env) = saddns_env(false, true, true);
-        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, None);
         assert!(!report.success, "0x20 should defeat SadDNS");
         assert!(env.resolver(&sim).stats.rejected_question > 0);
     }

@@ -7,7 +7,7 @@
 //! contents without consulting the nameserver again.
 
 use crate::report::TextTable;
-use attacks::prelude::{addrs, QueryTrigger, VictimEnvConfig};
+use attacks::prelude::{QueryTrigger, VictimEnvConfig};
 use dns::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -73,10 +73,6 @@ pub fn render_table5(rows: &[AnyCachingResult]) -> String {
     }
     t.render()
 }
-
-// Re-export the attacker address so callers comparing against poisoned caches
-// use the same constant as the environment builder.
-pub use addrs::ATTACKER as ATTACKER_ADDR;
 
 #[cfg(test)]
 mod tests {

@@ -193,26 +193,6 @@ pub trait Campaign: Sync {
             tally.observe(&self.draw(rng));
         }
     }
-
-    /// Like [`fold_shard`](Self::fold_shard), but with a per-shard metrics
-    /// snapshot the campaign may record into. The default ignores the
-    /// snapshot entirely, so campaigns that don't opt in pay nothing — the
-    /// hot fold paths keep running branch-free.
-    fn fold_shard_recorded(
-        &self,
-        rng: &mut ChaCha20Rng,
-        count: usize,
-        tally: &mut Self::Tally,
-        _metrics: &mut telemetry::MetricsSnapshot,
-    ) {
-        self.fold_shard(rng, count, tally);
-    }
-
-    /// Exports campaign-level metrics derived from the **final merged**
-    /// tally. Called exactly once per run (never per shard), so exported
-    /// values are pure functions of the deterministic tally and therefore
-    /// byte-identical at any worker count. The default exports nothing.
-    fn export_metrics(&self, _tally: &Self::Tally, _metrics: &mut telemetry::MetricsSnapshot) {}
 }
 
 /// Runs `job` for every shard id in `0..shards` across `workers` threads and
@@ -275,35 +255,20 @@ pub fn run_campaign<C: Campaign>(campaign: &C, n: usize, cfg: &CampaignConfig) -
     acc
 }
 
-/// Runs a campaign like [`run_campaign`] and additionally returns a merged
-/// [`telemetry::MetricsSnapshot`]. Per-shard snapshots (filled by
-/// [`Campaign::fold_shard_recorded`]) are merged in ascending shard order,
-/// then [`Campaign::export_metrics`] runs once over the final merged tally.
-/// Because snapshot merging is commutative and the shard fold order is
-/// fixed, the snapshot is byte-identical at any worker count.
+/// Runs a campaign like [`run_campaign`] and additionally returns a
+/// telemetry snapshot of the run's shape (`campaign.population`,
+/// `campaign.shards`). Shard folds record nothing, so the snapshot is a pure
+/// function of `n` and byte-identical at any worker count.
 pub fn run_campaign_with_metrics<C: Campaign>(
     campaign: &C,
     n: usize,
     cfg: &CampaignConfig,
 ) -> (C::Tally, telemetry::MetricsSnapshot) {
-    let stream = SeedStream::new(cfg.seed, campaign.salt());
-    let parts = run_shards(shard_count(n), cfg.workers, |shard| {
-        let mut rng = stream.shard(shard as u64);
-        let mut tally = campaign.new_tally();
-        let mut metrics = telemetry::MetricsSnapshot::new();
-        campaign.fold_shard_recorded(&mut rng, shard_range(n, shard).len(), &mut tally, &mut metrics);
-        (tally, metrics)
-    });
-    let mut acc = campaign.new_tally();
+    let tally = run_campaign(campaign, n, cfg);
     let mut metrics = telemetry::MetricsSnapshot::new();
-    for (tally, part_metrics) in parts {
-        acc.merge(tally);
-        metrics.merge(&part_metrics);
-    }
     metrics.incr("campaign.population", n as u64);
     metrics.incr("campaign.shards", shard_count(n) as u64);
-    campaign.export_metrics(&acc, &mut metrics);
-    (acc, metrics)
+    (tally, metrics)
 }
 
 /// A campaign over a grid whose element at `index` is a **pure function of
@@ -327,33 +292,28 @@ pub trait GridCampaign: Sync {
     fn eval(&self, index: usize) -> Self::Profile;
 
     /// Folds a contiguous block of indices into `tally`. The default calls
-    /// [`eval`](Self::eval) per index; campaigns whose consecutive indices
-    /// share expensive per-cell state (a prepared environment template, a
-    /// pre-built vector) override it. Overrides must tally exactly the
-    /// profiles `eval` would produce for the same indices — the grid's
-    /// worker-count determinism tests lock this.
-    fn eval_block(&self, indices: std::ops::Range<usize>, tally: &mut Self::Tally) {
+    /// [`eval`](Self::eval) per index and records nothing; campaigns whose
+    /// consecutive indices share expensive per-cell state (a prepared
+    /// environment template, a pre-built vector) override it. Overrides must
+    /// tally exactly the profiles `eval` would produce for the same indices —
+    /// the grid's worker-count determinism tests lock this. When `metrics`
+    /// is `Some`, an override may record each element's telemetry (simulator
+    /// counters, resolver stats) into this block's snapshot; recording must
+    /// never change what is tallied.
+    fn eval_block(
+        &self,
+        indices: std::ops::Range<usize>,
+        tally: &mut Self::Tally,
+        _metrics: Option<&mut telemetry::MetricsSnapshot>,
+    ) {
         for index in indices {
             tally.observe(&self.eval(index));
         }
     }
 
-    /// Like [`eval_block`](Self::eval_block), but with a per-block metrics
-    /// snapshot the campaign may record into (simulator counters, resolver
-    /// stats, attack aggregates). The default ignores the snapshot and
-    /// delegates, so non-instrumented grids pay nothing.
-    fn eval_block_recorded(
-        &self,
-        indices: std::ops::Range<usize>,
-        tally: &mut Self::Tally,
-        _metrics: &mut telemetry::MetricsSnapshot,
-    ) {
-        self.eval_block(indices, tally);
-    }
-
     /// Exports grid-level metrics derived from the **final merged** tally.
-    /// Called exactly once per run, after all blocks merged. The default
-    /// exports nothing.
+    /// Called exactly once per recorded [`run_grid`], after all blocks
+    /// merged. The default exports nothing.
     fn export_metrics(&self, _tally: &Self::Tally, _metrics: &mut telemetry::MetricsSnapshot) {}
 
     /// Creates an empty tally for one block.
@@ -366,47 +326,41 @@ pub trait GridCampaign: Sync {
 }
 
 /// Runs a grid campaign over `n` indices across `workers` threads.
-pub fn run_grid<C: GridCampaign>(campaign: &C, n: usize, workers: usize) -> C::Tally {
-    let block = campaign.block_size().max(1);
-    let parts = run_shards(n.div_ceil(block), workers, |b| {
-        let mut tally = campaign.new_tally();
-        campaign.eval_block((b * block)..((b + 1) * block).min(n), &mut tally);
-        tally
-    });
-    let mut acc = campaign.new_tally();
-    for part in parts {
-        acc.merge(part);
-    }
-    acc
-}
-
-/// Runs a grid campaign like [`run_grid`] and additionally returns a merged
-/// [`telemetry::MetricsSnapshot`]. Per-block snapshots (filled by
-/// [`GridCampaign::eval_block_recorded`]) are merged in ascending block
-/// order, then [`GridCampaign::export_metrics`] runs once over the final
-/// merged tally — so the snapshot is byte-identical at any worker count.
-pub fn run_grid_with_metrics<C: GridCampaign>(
+///
+/// With `Some(metrics)`, every block records into its own snapshot; the
+/// block snapshots are merged into `metrics` in ascending block order, then
+/// the grid's shape (`campaign.grid.cells`, `campaign.grid.blocks`) and
+/// [`GridCampaign::export_metrics`] over the final merged tally are added —
+/// so the snapshot, like the tally, is byte-identical at any worker count.
+/// With `None`, no snapshot is created at all.
+pub fn run_grid<C: GridCampaign>(
     campaign: &C,
     n: usize,
     workers: usize,
-) -> (C::Tally, telemetry::MetricsSnapshot) {
+    mut metrics: Option<&mut telemetry::MetricsSnapshot>,
+) -> C::Tally {
     let block = campaign.block_size().max(1);
-    let parts = run_shards(n.div_ceil(block), workers, |b| {
+    let blocks = n.div_ceil(block);
+    let record = metrics.is_some();
+    let parts = run_shards(blocks, workers, |b| {
         let mut tally = campaign.new_tally();
-        let mut metrics = telemetry::MetricsSnapshot::new();
-        campaign.eval_block_recorded((b * block)..((b + 1) * block).min(n), &mut tally, &mut metrics);
-        (tally, metrics)
+        let mut part = record.then(telemetry::MetricsSnapshot::new);
+        campaign.eval_block((b * block)..((b + 1) * block).min(n), &mut tally, part.as_mut());
+        (tally, part)
     });
     let mut acc = campaign.new_tally();
-    let mut metrics = telemetry::MetricsSnapshot::new();
-    for (tally, part_metrics) in parts {
+    for (tally, part) in parts {
         acc.merge(tally);
-        metrics.merge(&part_metrics);
+        if let (Some(m), Some(part)) = (metrics.as_deref_mut(), part) {
+            m.merge(&part);
+        }
     }
-    metrics.incr("campaign.grid.cells", n as u64);
-    metrics.incr("campaign.grid.blocks", n.div_ceil(block) as u64);
-    campaign.export_metrics(&acc, &mut metrics);
-    (acc, metrics)
+    if let Some(m) = metrics {
+        m.incr("campaign.grid.cells", n as u64);
+        m.incr("campaign.grid.blocks", blocks as u64);
+        campaign.export_metrics(&acc, m);
+    }
+    acc
 }
 
 /// Generates a population of `n` profiles on the sharded engine, preserving
@@ -525,6 +479,52 @@ mod tests {
         assert_eq!(reference.len(), 3 * SHARD_SIZE + 100);
         for workers in [2usize, 5, 16] {
             assert_eq!(generate_population(3 * SHARD_SIZE + 100, 7, 9, workers, draw), reference);
+        }
+    }
+
+    /// A toy grid: element `i` is `i² mod 97`, tallied into a histogram.
+    struct SquaresGrid;
+
+    impl Tally for Histogram {
+        type Profile = u32;
+
+        fn observe(&mut self, value: &u32) {
+            self.add(*value);
+        }
+
+        fn merge(&mut self, other: Self) {
+            Histogram::merge(self, other);
+        }
+    }
+
+    impl GridCampaign for SquaresGrid {
+        type Profile = u32;
+        type Tally = Histogram;
+
+        fn eval(&self, index: usize) -> u32 {
+            (index * index % 97) as u32
+        }
+
+        fn new_tally(&self) -> Histogram {
+            Histogram::default()
+        }
+
+        fn block_size(&self) -> usize {
+            5
+        }
+    }
+
+    #[test]
+    fn run_grid_tallies_the_same_with_and_without_metrics() {
+        let n = 23;
+        for workers in [1usize, 3] {
+            let plain = run_grid(&SquaresGrid, n, workers, None);
+            let mut m = telemetry::MetricsSnapshot::new();
+            let recorded = run_grid(&SquaresGrid, n, workers, Some(&mut m));
+            assert_eq!(plain, recorded, "workers={workers}: recording changed the tally");
+            assert_eq!(plain.total, n as u64);
+            assert_eq!(m.counter("campaign.grid.cells"), n as u64);
+            assert_eq!(m.counter("campaign.grid.blocks"), 5);
         }
     }
 

@@ -73,32 +73,16 @@ pub fn run_farm_campaign(cfg: &FarmCampaignConfig) -> FarmStats {
 }
 
 /// Runs the farm population like [`run_farm_campaign`] and additionally
-/// returns the merged telemetry snapshot (`dns.farm.*`). Per-shard snapshots
-/// are exported shard-locally and merged in shard order; because every
-/// exported farm counter is additive (and `dns.farm.sim_end_ns` is a max
-/// gauge, matching [`FarmStats::merge`]), the snapshot is byte-identical at
-/// any worker count.
+/// returns the telemetry snapshot (`dns.farm.*`) of the merged stats. Every
+/// farm counter is additive and `dns.farm.sim_end_ns` is a max gauge,
+/// matching [`FarmStats::merge`], so exporting once after the merge equals
+/// merging per-shard exports — and is byte-identical at any worker count.
 pub fn run_farm_campaign_with_metrics(cfg: &FarmCampaignConfig) -> (FarmStats, telemetry::MetricsSnapshot) {
-    let shards = cfg.shards.max(1) as usize;
-    let parts = run_shards(shards, cfg.workers, |shard| {
-        let shard_cfg = FarmConfig {
-            seed: derive_seed(cfg.seed, FARM_SALT, shard as u64),
-            clients: shard_clients(cfg.hosts, shards as u32, shard as u32),
-            ..cfg.shard.clone()
-        };
-        let stats = run_farm_shard(shard_cfg);
-        let mut metrics = telemetry::MetricsSnapshot::new();
-        stats.export_metrics(&mut metrics);
-        (stats, metrics)
-    });
-    let mut merged = FarmStats::default();
+    let stats = run_farm_campaign(cfg);
     let mut metrics = telemetry::MetricsSnapshot::new();
-    for (stats, part_metrics) in &parts {
-        merged.merge(stats);
-        metrics.merge(part_metrics);
-    }
-    metrics.incr("campaign.farm.shards", shards as u64);
-    (merged, metrics)
+    stats.export_metrics(&mut metrics);
+    metrics.incr("campaign.farm.shards", u64::from(cfg.shards.max(1)));
+    (stats, metrics)
 }
 
 /// The committed benchmark record: deterministic counters plus the measured
@@ -242,7 +226,7 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
     attack_cfg.max_iterations = 2;
     let baseline = env.resolver(&sim).stats.clone();
     let mut recorder = telemetry::FlightRecorder::new(256);
-    let report = SadDnsAttack::new(attack_cfg).run_recorded(&mut sim, &env, Some(&mut recorder));
+    let report = SadDnsAttack::new(attack_cfg).run(&mut sim, &env, Some(&mut recorder));
     let flight_log = if report.success { None } else { Some(recorder.dump_last(64)) };
 
     let mut metrics = telemetry::MetricsSnapshot::new();

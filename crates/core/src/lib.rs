@@ -57,8 +57,8 @@ pub mod prelude {
     pub use crate::anycache::{render_table5, run_table5, AnyCachingResult};
     pub use crate::campaign::{
         available_workers, derive_seed, generate_population, run_campaign, run_campaign_with_metrics, run_grid,
-        run_grid_with_metrics, run_shards, shard_count, shard_range, shard_ranges, shard_rng, Campaign, CampaignConfig,
-        GridCampaign, Histogram, SeedStream, Tally, SHARD_SIZE,
+        run_shards, shard_count, shard_range, shard_ranges, shard_rng, Campaign, CampaignConfig, GridCampaign,
+        Histogram, SeedStream, Tally, SHARD_SIZE,
     };
     pub use crate::countermeasures::{evaluate_cell, render_ablation, run_ablation, AblationCell, Defence};
     pub use crate::crosslayer::{

@@ -43,7 +43,7 @@
 //! assert_eq!(outcome.exploit, Some(ExploitVerdict::Web(WebAccess::AttackerSite)));
 //! ```
 
-use crate::campaign::{run_grid, run_grid_with_metrics, GridCampaign, SeedStream, Tally};
+use crate::campaign::{run_grid, GridCampaign, SeedStream, Tally};
 use crate::countermeasures::Defence;
 use crate::report::TextTable;
 use apps::prelude::*;
@@ -456,7 +456,7 @@ impl Scenario {
     pub fn run(self) -> ScenarioOutcome {
         let template = EnvTemplate::new(self.prepared_config());
         let seed = template.config().seed;
-        self.run_in(&template, seed)
+        self.run_in(&template, seed, None)
     }
 
     /// Runs the pipeline inside an already-prepared environment template,
@@ -467,18 +467,14 @@ impl Scenario {
     /// [`ScenarioOutcome`] never exposes it, and grid campaigns would
     /// otherwise pay a formatted trace entry per simulated packet.
     ///
+    /// With `Some(metrics)`, the run's telemetry — the victim resolver's
+    /// counters (`dns.*`) and the simulator's engine counters (`engine.*`) —
+    /// is exported into `metrics` after the pipeline completes. The export
+    /// is a pure read of counters the run maintained anyway, so the outcome
+    /// is the same either way and `None` costs nothing.
+    ///
     /// [`prepared_config`]: Self::prepared_config
-    pub fn run_in(self, template: &EnvTemplate, seed: u64) -> ScenarioOutcome {
-        self.run_in_recorded(template, seed, None)
-    }
-
-    /// Like [`run_in`](Self::run_in), but optionally exporting the run's
-    /// telemetry — the victim resolver's counters (`dns.*`) and the
-    /// simulator's engine counters (`engine.*`) — into `metrics` after the
-    /// pipeline completes. The outcome is byte-identical to `run_in`; the
-    /// export is a pure read of counters the run maintained anyway, so
-    /// passing `None` costs nothing.
-    pub fn run_in_recorded(
+    pub fn run_in(
         mut self,
         template: &EnvTemplate,
         seed: u64,
@@ -554,17 +550,16 @@ impl PreparedCell {
 
     /// Runs the cell at one seed.
     pub fn run_at(&self, seed: u64) -> ScenarioOutcome {
-        self.run_at_recorded(seed, None)
+        self.run(seed, None)
     }
 
-    /// Runs the cell at one seed, optionally exporting the run's resolver
-    /// and engine telemetry (see [`Scenario::run_in_recorded`]). The
-    /// outcome is byte-identical to [`run_at`](Self::run_at).
-    pub fn run_at_recorded(&self, seed: u64, metrics: Option<&mut telemetry::MetricsSnapshot>) -> ScenarioOutcome {
+    /// Runs the cell at one seed, exporting the run's resolver and engine
+    /// telemetry into `metrics` when given (see [`Scenario::run_in`]).
+    fn run(&self, seed: u64, metrics: Option<&mut telemetry::MetricsSnapshot>) -> ScenarioOutcome {
         Scenario::new(VictimEnvConfig { seed, ..Default::default() })
             .vector(attacks::vectors::quick_for(self.method))
             .defences(&[self.defence])
-            .run_in_recorded(&self.template, seed, metrics)
+            .run_in(&self.template, seed, metrics)
     }
 }
 
@@ -651,33 +646,14 @@ impl GridCampaign for ScenarioCampaign {
     /// Consecutive indices walk the runs of one cell, so the block fold
     /// prepares each cell once ([`PreparedCell`]) and stamps out its seeds
     /// from the shared template instead of re-deriving the environment per
-    /// run. Tallies exactly what the per-index `eval` would.
-    fn eval_block(&self, indices: std::ops::Range<usize>, tally: &mut MatrixTally) {
-        let mut prepared: Option<(usize, usize, PreparedCell, SeedStream)> = None;
-        for index in indices {
-            let (method_idx, defence_idx, run) = self.coords(index);
-            match &prepared {
-                Some((mi, di, ..)) if (*mi, *di) == (method_idx, defence_idx) => {}
-                _ => {
-                    let cell = PreparedCell::new(self.methods[method_idx], self.defences[defence_idx]);
-                    let stream = self.cell_stream(method_idx, defence_idx);
-                    prepared = Some((method_idx, defence_idx, cell, stream));
-                }
-            }
-            let (_, _, cell, stream) = prepared.as_ref().expect("cell prepared above");
-            let outcome = cell.run_at(stream.at(run));
-            tally.observe(&ScenarioRun { method_idx, defence_idx, report: outcome.report });
-        }
-    }
-
-    /// The recorded twin of [`eval_block`](Self::eval_block): same template
-    /// reuse, same tallied profiles, plus each run's resolver and engine
-    /// telemetry folded into the per-block snapshot.
-    fn eval_block_recorded(
+    /// run. Tallies exactly what the per-index `eval` would; with `metrics`,
+    /// each run's resolver and engine telemetry is folded into the block's
+    /// snapshot.
+    fn eval_block(
         &self,
         indices: std::ops::Range<usize>,
         tally: &mut MatrixTally,
-        metrics: &mut telemetry::MetricsSnapshot,
+        mut metrics: Option<&mut telemetry::MetricsSnapshot>,
     ) {
         let mut prepared: Option<(usize, usize, PreparedCell, SeedStream)> = None;
         for index in indices {
@@ -691,7 +667,7 @@ impl GridCampaign for ScenarioCampaign {
                 }
             }
             let (_, _, cell, stream) = prepared.as_ref().expect("cell prepared above");
-            let outcome = cell.run_at_recorded(stream.at(run), Some(metrics));
+            let outcome = cell.run(stream.at(run), metrics.as_deref_mut());
             tally.observe(&ScenarioRun { method_idx, defence_idx, report: outcome.report });
         }
     }
@@ -789,8 +765,7 @@ impl ScenarioCampaign {
 
     /// Evaluates the grid across `workers` threads.
     pub fn run(&self, workers: usize) -> ScenarioMatrix {
-        let tally = run_grid(self, self.population(), workers);
-        self.matrix_from(tally)
+        self.matrix_from(run_grid(self, self.population(), workers, None))
     }
 
     /// Evaluates the grid across `workers` threads and returns the merged
@@ -817,7 +792,8 @@ impl ScenarioCampaign {
     /// assert!(metrics.render().contains("dns.resolver.client_queries"));
     /// ```
     pub fn run_with_metrics(&self, workers: usize) -> (ScenarioMatrix, telemetry::MetricsSnapshot) {
-        let (tally, metrics) = run_grid_with_metrics(self, self.population(), workers);
+        let mut metrics = telemetry::MetricsSnapshot::new();
+        let tally = run_grid(self, self.population(), workers, Some(&mut metrics));
         (self.matrix_from(tally), metrics)
     }
 

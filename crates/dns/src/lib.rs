@@ -85,9 +85,7 @@ pub mod prelude {
     pub use crate::nameserver::{Nameserver, NameserverConfig, NameserverStats};
     pub use crate::profiles::ResolverImplementation;
     pub use crate::rdata::{RData, RecordType, ResourceRecord};
-    pub use crate::resolver::{
-        Delegation, PortPolicy, Resolver, ResolverConfig, ResolverStats, UpstreamTransport, RESOLVER_TCP_PORT,
-    };
+    pub use crate::resolver::{Delegation, PortPolicy, Resolver, ResolverConfig, ResolverStats, UpstreamTransport};
     pub use crate::well_known_ports;
     pub use crate::zone::{LookupResult, Zone};
 }

@@ -30,6 +30,7 @@ use crate::cache::{AnyCachingPolicy, Cache, SharedCache};
 use crate::message::{frame_tcp, Message, Question, Rcode, TcpFrameBuffer};
 use crate::name::DomainName;
 use crate::rdata::{RData, RecordType, ResourceRecord};
+use crate::well_known_ports::RESOLVER_TCP;
 use netsim::fasthash::FastHashMap;
 use netsim::ipv4::Protocol;
 use netsim::prelude::*;
@@ -65,12 +66,6 @@ pub enum UpstreamTransport {
     /// so FragDNS has nothing to poison.
     TcpOnly,
 }
-
-/// The local port of the resolver's upstream TCP connections — see
-/// [`well_known_ports::RESOLVER_TCP`](crate::well_known_ports::RESOLVER_TCP)
-/// for why it is fixed. Kept as a re-declaration-free alias so existing call
-/// sites (and the CA's vantage resolvers) all read the same registry entry.
-pub const RESOLVER_TCP_PORT: u16 = crate::well_known_ports::RESOLVER_TCP;
 
 /// A delegation entry: queries for names under `zone` are sent to one of the
 /// listed nameserver addresses. `signed` marks DNSSEC-signed zones.
@@ -284,8 +279,8 @@ pub struct Resolver {
     client_sock: Box<dyn Socket>,
     /// One ephemeral UDP socket per outstanding UDP upstream query.
     upstream_socks: FastHashMap<u16, Box<dyn Socket>>,
-    /// The upstream TCP client socket (all connections share
-    /// [`RESOLVER_TCP_PORT`]; one connection per nameserver, reused).
+    /// The upstream TCP client socket (all connections share the fixed
+    /// [`RESOLVER_TCP`] port; one connection per nameserver, reused).
     tcp: Box<dyn Socket>,
     /// Per-nameserver reassembly of length-prefixed TCP answers.
     tcp_rx: HashMap<Endpoint, TcpFrameBuffer>,
@@ -315,7 +310,7 @@ impl Resolver {
         };
         let mut stack = HostStack::new(vec![config.addr], stack_cfg);
         let client_sock = UdpTransport.bind(&mut stack, crate::well_known_ports::DNS);
-        let tcp = TcpTransport::client().bind(&mut stack, RESOLVER_TCP_PORT);
+        let tcp = TcpTransport::client().bind(&mut stack, RESOLVER_TCP);
         let next_sequential_port = match config.port_policy {
             PortPolicy::Sequential(start) => start,
             _ => 10_000,
@@ -480,7 +475,7 @@ impl Resolver {
         let txid: u16 = ctx.rng().gen();
         let tcp_only = self.config.transport_policy == UpstreamTransport::TcpOnly;
         let (transport, port) =
-            if tcp_only { (Protocol::Tcp, RESOLVER_TCP_PORT) } else { (Protocol::Udp, self.allocate_port(ctx.rng())) };
+            if tcp_only { (Protocol::Tcp, RESOLVER_TCP) } else { (Protocol::Udp, self.allocate_port(ctx.rng())) };
         let wire_name =
             if self.config.use_0x20 { question.name.randomize_case(ctx.rng()) } else { question.name.clone() };
         let wire_question = Question { name: wire_name, qtype: question.qtype };
@@ -673,7 +668,7 @@ impl Resolver {
                 if let Some(e) = self.outstanding.get_mut(&token) {
                     e.transport = Protocol::Tcp;
                     e.txid = new_txid;
-                    e.port = RESOLVER_TCP_PORT;
+                    e.port = RESOLVER_TCP;
                     // New generation: the UDP attempt's pending timer must
                     // not abort the TCP re-query it was superseded by.
                     e.attempt = e.attempt.wrapping_add(1);
@@ -931,7 +926,7 @@ mod tests {
     const RESOLVER_ADDR: Ipv4Addr = Ipv4Addr::new(30, 0, 0, 1);
     const NS_ADDR: Ipv4Addr = Ipv4Addr::new(123, 0, 0, 53);
     const CLIENT_ADDR: Ipv4Addr = Ipv4Addr::new(30, 0, 0, 25);
-    const ATTACKER_ADDR: Ipv4Addr = Ipv4Addr::new(6, 6, 6, 6);
+    const ATTACKER: Ipv4Addr = Ipv4Addr::new(6, 6, 6, 6);
 
     fn n(s: &str) -> DomainName {
         s.parse().unwrap()
@@ -1051,7 +1046,7 @@ mod tests {
         // Nameserver that never answers (so the race is trivially won).
         let ns = sim.add_node("ns", vec![NS_ADDR], SinkNode::default());
         let client = sim.add_node("client", vec![CLIENT_ADDR], SinkNode::default());
-        let attacker = sim.add_node("attacker", vec![ATTACKER_ADDR], SinkNode::default());
+        let attacker = sim.add_node("attacker", vec![ATTACKER], SinkNode::default());
         sim.connect(resolver, ns, Link::default());
         sim.connect(resolver, client, Link::default());
         sim.connect(attacker, resolver, Link::with_latency(Duration::from_millis(1)));
@@ -1067,26 +1062,22 @@ mod tests {
         // Wrong TXID: rejected.
         let mut forged = Message::query(txid.wrapping_add(1), n("www.vict.im"), RecordType::A);
         forged.header.is_response = true;
-        forged.answers.push(ResourceRecord::new(n("www.vict.im"), 300, RData::A(ATTACKER_ADDR)));
+        forged.answers.push(ResourceRecord::new(n("www.vict.im"), 300, RData::A(ATTACKER)));
         let pkt = UdpDatagram::new(NS_ADDR, RESOLVER_ADDR, 53, 33333, forged.encode()).into_packet(2, 64);
         sim.inject(attacker, pkt);
         sim.run_until(sim.now() + Duration::from_millis(10));
         assert_eq!(sim.node_ref::<Resolver>(resolver).unwrap().stats.rejected_txid, 1);
-        assert!(!sim.node_ref::<Resolver>(resolver).unwrap().is_poisoned_with(
-            &n("www.vict.im"),
-            ATTACKER_ADDR,
-            sim.now()
-        ));
+        assert!(!sim.node_ref::<Resolver>(resolver).unwrap().is_poisoned_with(&n("www.vict.im"), ATTACKER, sim.now()));
 
         // Correct TXID and port: accepted, cache poisoned.
         let mut forged = Message::query(txid, n("www.vict.im"), RecordType::A);
         forged.header.is_response = true;
-        forged.answers.push(ResourceRecord::new(n("www.vict.im"), 300, RData::A(ATTACKER_ADDR)));
+        forged.answers.push(ResourceRecord::new(n("www.vict.im"), 300, RData::A(ATTACKER)));
         let pkt = UdpDatagram::new(NS_ADDR, RESOLVER_ADDR, 53, 33333, forged.encode()).into_packet(3, 64);
         sim.inject(attacker, pkt);
         sim.run_until(sim.now() + Duration::from_millis(10));
         let r = sim.node_ref::<Resolver>(resolver).unwrap();
-        assert!(r.is_poisoned_with(&n("www.vict.im"), ATTACKER_ADDR, sim.now()));
+        assert!(r.is_poisoned_with(&n("www.vict.im"), ATTACKER, sim.now()));
     }
 
     #[test]
@@ -1106,7 +1097,7 @@ mod tests {
         let mut forged = Message::query(txid, n("www.vict.im"), RecordType::A);
         forged.header.is_response = true;
         forged.answers.push(ResourceRecord::new(n("www.vict.im"), 300, RData::A("30.0.0.80".parse().unwrap())));
-        forged.additionals.push(ResourceRecord::new(n("bank.example"), 300, RData::A(ATTACKER_ADDR)));
+        forged.additionals.push(ResourceRecord::new(n("bank.example"), 300, RData::A(ATTACKER)));
         let pkt = UdpDatagram::new(NS_ADDR, RESOLVER_ADDR, 53, 44444, forged.encode()).into_packet(3, 64);
         sim.inject(ns, pkt);
         sim.run();
@@ -1132,13 +1123,13 @@ mod tests {
         // question: 0x20 validation rejects it.
         let mut forged = Message::query(txid, n("verylongname.vict.im"), RecordType::A);
         forged.header.is_response = true;
-        forged.answers.push(ResourceRecord::new(n("verylongname.vict.im"), 300, RData::A(ATTACKER_ADDR)));
+        forged.answers.push(ResourceRecord::new(n("verylongname.vict.im"), 300, RData::A(ATTACKER)));
         let pkt = UdpDatagram::new(NS_ADDR, RESOLVER_ADDR, 53, 40000, forged.encode()).into_packet(3, 64);
         sim.inject(ns, pkt);
         sim.run();
         let r = sim.node_ref::<Resolver>(resolver).unwrap();
         assert_eq!(r.stats.rejected_question, 1);
-        assert!(!r.is_poisoned_with(&n("verylongname.vict.im"), ATTACKER_ADDR, sim.now()));
+        assert!(!r.is_poisoned_with(&n("verylongname.vict.im"), ATTACKER, sim.now()));
     }
 
     #[test]
@@ -1162,13 +1153,13 @@ mod tests {
         let txid = sim.node_ref::<Resolver>(resolver).unwrap().outstanding.values().next().unwrap().txid;
         let mut forged = Message::query(txid, n("www.vict.im"), RecordType::A);
         forged.header.is_response = true;
-        forged.answers.push(ResourceRecord::new(n("www.vict.im"), 300, RData::A(ATTACKER_ADDR)));
+        forged.answers.push(ResourceRecord::new(n("www.vict.im"), 300, RData::A(ATTACKER)));
         let pkt = UdpDatagram::new(NS_ADDR, RESOLVER_ADDR, 53, 41000, forged.encode()).into_packet(3, 64);
         sim.inject(ns, pkt);
         sim.run();
         let r = sim.node_ref::<Resolver>(resolver).unwrap();
         assert_eq!(r.stats.rejected_dnssec, 1);
-        assert!(!r.is_poisoned_with(&n("www.vict.im"), ATTACKER_ADDR, sim.now()));
+        assert!(!r.is_poisoned_with(&n("www.vict.im"), ATTACKER, sim.now()));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! no modelling gain (a TCP client's off-path protection is its 32-bit
 //! sequence number, not port secrecy). Before this module each node
 //! re-declared its own literals — the stub client's `5353`, the resolver's
-//! `RESOLVER_TCP_PORT`, and the CA's vantage resolvers would have grown a
+//! upstream TCP port, and the CA's vantage resolvers would have grown a
 //! third copy. Declaring them once keeps "who owns which fixed port" a
 //! single-screen fact and makes collisions (two nodes binding the same fixed
 //! port on one host) reviewable.

@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::pmtud::PathMtuCache;
     pub use crate::prefix::Prefix;
     pub use crate::ratelimit::{IcmpRateLimitPolicy, IcmpRateLimiter, ResponseRateLimiter, TokenBucket};
-    pub use crate::stack::{HostStack, IpIdPolicy, StackConfig, StackEvent, UdpStack};
+    pub use crate::stack::{HostStack, IpIdPolicy, StackConfig, StackEvent};
     pub use crate::stats::TrafficStats;
     pub use crate::tcp::{TcpConnection, TcpFlags, TcpSegment, TcpSocket, TcpState};
     pub use crate::time::{Duration, SimTime};

@@ -42,7 +42,7 @@ pub enum IpIdPolicy {
     Random,
 }
 
-/// Configuration for a [`UdpStack`].
+/// Configuration for a [`HostStack`].
 #[derive(Debug, Clone)]
 pub struct StackConfig {
     /// TTL placed in outgoing packets.
@@ -156,9 +156,9 @@ pub struct StackOutput {
 
 /// The per-host stack state.
 ///
-/// Historically named `UdpStack` (an alias is kept): since the transport
-/// refactor it also owns the TCP port table and the TCP packetisation path,
-/// with connection state living in [`crate::tcp::TcpSocket`].
+/// Besides the UDP/ICMP path it owns the TCP port table and the TCP
+/// packetisation path, with connection state living in
+/// [`crate::tcp::TcpSocket`].
 #[derive(Debug)]
 pub struct HostStack {
     /// Addresses owned by this host.
@@ -172,10 +172,6 @@ pub struct HostStack {
     global_ipid: u16,
     per_dest_ipid: std::collections::HashMap<Ipv4Addr, u16>,
 }
-
-/// Back-compat alias from before the transport-layer refactor, when the
-/// stack only spoke UDP/ICMP.
-pub type UdpStack = HostStack;
 
 impl HostStack {
     /// Creates a stack owning the given addresses.
@@ -478,8 +474,8 @@ mod tests {
         ChaCha20Rng::seed_from_u64(1)
     }
 
-    fn stack() -> UdpStack {
-        UdpStack::with_defaults(vec![HOST])
+    fn stack() -> HostStack {
+        HostStack::with_defaults(vec![HOST])
     }
 
     fn udp_to(stack_addr: Ipv4Addr, port: u16, payload: &[u8], id: u16) -> Ipv4Packet {
@@ -524,7 +520,7 @@ mod tests {
         let out = s.handle_packet(&ping, SimTime::ZERO, &mut rng());
         assert_eq!(out.replies.len(), 1);
         assert!(matches!(out.events[0], StackEvent::EchoRequest { .. }));
-        let mut silent = UdpStack::new(vec![HOST], StackConfig { respond_to_ping: false, ..Default::default() });
+        let mut silent = HostStack::new(vec![HOST], StackConfig { respond_to_ping: false, ..Default::default() });
         let ping2 = IcmpMessage::EchoRequest { id: 9, seq: 1, payload: vec![] }.into_packet(PEER, HOST, 7, 64);
         assert!(silent.handle_packet(&ping2, SimTime::ZERO, &mut rng()).replies.is_empty());
     }
@@ -549,7 +545,7 @@ mod tests {
     #[test]
     fn hardened_stack_ignores_tiny_ptb() {
         let cfg = StackConfig { min_accepted_mtu: 1280, ..Default::default() };
-        let mut s = UdpStack::new(vec![HOST], cfg);
+        let mut s = HostStack::new(vec![HOST], cfg);
         let mut r = rng();
         let pkts = s.send_udp(UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), SimTime::ZERO, &mut r);
         let ptb = IcmpMessage::fragmentation_needed(&pkts[0], 68).into_packet(PEER, HOST, 9, 64);
@@ -563,7 +559,7 @@ mod tests {
     fn ipid_policies_behave_as_documented() {
         let mut r = rng();
         let mut global =
-            UdpStack::new(vec![HOST], StackConfig { ipid_policy: IpIdPolicy::GlobalCounter, ..Default::default() });
+            HostStack::new(vec![HOST], StackConfig { ipid_policy: IpIdPolicy::GlobalCounter, ..Default::default() });
         let a: Ipv4Addr = "1.1.1.1".parse().unwrap();
         let b: Ipv4Addr = "2.2.2.2".parse().unwrap();
         let id1 = global.next_ipid(a, &mut r);
@@ -571,14 +567,14 @@ mod tests {
         assert_eq!(id2, id1.wrapping_add(1), "global counter shared across destinations");
 
         let mut per_dest =
-            UdpStack::new(vec![HOST], StackConfig { ipid_policy: IpIdPolicy::PerDestination, ..Default::default() });
+            HostStack::new(vec![HOST], StackConfig { ipid_policy: IpIdPolicy::PerDestination, ..Default::default() });
         let a1 = per_dest.next_ipid(a, &mut r);
         let _b1 = per_dest.next_ipid(b, &mut r);
         let a2 = per_dest.next_ipid(a, &mut r);
         assert_eq!(a2, a1.wrapping_add(1));
 
         let mut random =
-            UdpStack::new(vec![HOST], StackConfig { ipid_policy: IpIdPolicy::Random, ..Default::default() });
+            HostStack::new(vec![HOST], StackConfig { ipid_policy: IpIdPolicy::Random, ..Default::default() });
         let vals: Vec<u16> = (0..8).map(|_| random.next_ipid(a, &mut r)).collect();
         let increments = vals.windows(2).filter(|w| w[1] == w[0].wrapping_add(1)).count();
         assert!(increments < 7, "random IPIDs must not look like a counter");
@@ -587,7 +583,7 @@ mod tests {
     #[test]
     fn fragment_filtering_countermeasure() {
         let cfg = StackConfig { accept_fragments: false, ..Default::default() };
-        let mut s = UdpStack::new(vec![HOST], cfg);
+        let mut s = HostStack::new(vec![HOST], cfg);
         s.open_port(1000);
         let big = UdpDatagram::new(PEER, HOST, 53, 1000, vec![0u8; 1200]).into_packet(5, 64);
         let frags = fragment_packet(&big, 576);

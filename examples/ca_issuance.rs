@@ -11,19 +11,27 @@ use cross_layer_attacks::attacks::prelude::PoisonMethod;
 use cross_layer_attacks::ca::prelude::*;
 use cross_layer_attacks::xlayer_core::prelude::*;
 
+const USAGE: &str = "usage: ca_issuance [--seed N]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn parse_seed() -> u64 {
     let mut seed = 2021u64;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--seed" => {
-                seed = it
-                    .next()
-                    .unwrap_or_else(|| panic!("--seed requires a value"))
-                    .parse()
-                    .unwrap_or_else(|e| panic!("invalid --seed: {e}"));
+                let value = it.next().unwrap_or_else(|| usage_error("--seed requires a value"));
+                seed = value.parse().unwrap_or_else(|e| usage_error(&format!("invalid --seed: {value} ({e})")));
             }
-            other => panic!("unknown flag {other} (expected --seed)"),
+            "--help" => {
+                println!("{USAGE}");
+                std::process::exit(0)
+            }
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
     seed

@@ -36,6 +36,14 @@ struct Args {
     metrics: bool,
 }
 
+const USAGE: &str = "usage: campaign_perf [--seed N] [--cap N] [--runs N] [--repeats N] [--workers N]
+       [--check-workers N] [--write-bench PATH] [--metrics]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         seed: 2021,
@@ -50,13 +58,12 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         if flag == "--write-bench" {
-            args.write_bench = Some(it.next().expect("--write-bench requires a path"));
+            args.write_bench = Some(it.next().unwrap_or_else(|| usage_error("--write-bench requires a path")));
             continue;
         }
         let mut grab = |name: &str| {
-            it.next().unwrap_or_else(|| panic!("{name} requires a value")).parse::<u64>().unwrap_or_else(|e| {
-                panic!("invalid value for {name}: {e}");
-            })
+            let value = it.next().unwrap_or_else(|| usage_error(&format!("{name} requires a value")));
+            value.parse::<u64>().unwrap_or_else(|e| usage_error(&format!("invalid value for {name}: {value} ({e})")))
         };
         match flag.as_str() {
             "--seed" => args.seed = grab("--seed"),
@@ -66,10 +73,11 @@ fn parse_args() -> Args {
             "--workers" => args.workers = grab("--workers").max(1) as usize,
             "--check-workers" => args.check_workers = Some(grab("--check-workers").max(1) as usize),
             "--metrics" => args.metrics = true,
-            other => panic!(
-                "unknown flag {other} \
-                 (expected --seed/--cap/--runs/--repeats/--workers/--check-workers/--write-bench/--metrics)"
-            ),
+            "--help" => {
+                println!("{USAGE}");
+                std::process::exit(0)
+            }
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
     args

@@ -29,6 +29,15 @@ struct Args {
     metrics: bool,
 }
 
+const USAGE: &str = "usage: engine_farm [--seed N] [--hosts N] [--shards N] [--workers N] [--duration-ms N]
+       [--think-ms N] [--names N] [--resolvers N] [--check-workers N] [--loaded-saddns N]
+       [--write-bench PATH] [--metrics]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         cfg: FarmCampaignConfig { workers: available_workers(), ..Default::default() },
@@ -40,13 +49,12 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         if flag == "--write-bench" {
-            args.write_bench = Some(it.next().expect("--write-bench requires a path"));
+            args.write_bench = Some(it.next().unwrap_or_else(|| usage_error("--write-bench requires a path")));
             continue;
         }
         let mut grab = |name: &str| {
-            it.next().unwrap_or_else(|| panic!("{name} requires a value")).parse::<u64>().unwrap_or_else(|e| {
-                panic!("invalid value for {name}: {e}");
-            })
+            let value = it.next().unwrap_or_else(|| usage_error(&format!("{name} requires a value")));
+            value.parse::<u64>().unwrap_or_else(|e| usage_error(&format!("invalid value for {name}: {value} ({e})")))
         };
         match flag.as_str() {
             "--seed" => args.cfg.seed = grab("--seed"),
@@ -60,10 +68,11 @@ fn parse_args() -> Args {
             "--check-workers" => args.check_workers = Some(grab("--check-workers").max(1) as usize),
             "--loaded-saddns" => args.loaded_saddns = Some(grab("--loaded-saddns") as u32),
             "--metrics" => args.metrics = true,
-            other => panic!(
-                "unknown flag {other} (expected --seed/--hosts/--shards/--workers/--duration-ms/--think-ms/\
-                 --names/--resolvers/--check-workers/--loaded-saddns/--write-bench/--metrics)"
-            ),
+            "--help" => {
+                println!("{USAGE}");
+                std::process::exit(0)
+            }
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
     args

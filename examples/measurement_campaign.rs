@@ -23,21 +23,31 @@ struct Args {
     saddns_runs: u64,
 }
 
+const USAGE: &str = "usage: measurement_campaign [--seed N] [--cap N] [--workers N] [--saddns-runs N]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn parse_args() -> Args {
     let mut args = Args { seed: 2021, cap: 20_000, workers: available_workers(), saddns_runs: 1 };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut grab = |name: &str| {
-            it.next().unwrap_or_else(|| panic!("{name} requires a value")).parse::<u64>().unwrap_or_else(|e| {
-                panic!("invalid value for {name}: {e}");
-            })
+            let value = it.next().unwrap_or_else(|| usage_error(&format!("{name} requires a value")));
+            value.parse::<u64>().unwrap_or_else(|e| usage_error(&format!("invalid value for {name}: {value} ({e})")))
         };
         match flag.as_str() {
             "--seed" => args.seed = grab("--seed"),
             "--cap" => args.cap = grab("--cap"),
             "--workers" => args.workers = grab("--workers").max(1) as usize,
             "--saddns-runs" => args.saddns_runs = grab("--saddns-runs").max(1),
-            other => panic!("unknown flag {other} (expected --seed/--cap/--workers/--saddns-runs)"),
+            "--help" => {
+                println!("{USAGE}");
+                std::process::exit(0)
+            }
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
     args

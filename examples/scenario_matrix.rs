@@ -25,21 +25,31 @@ struct Args {
     metrics: bool,
 }
 
+const USAGE: &str = "usage: scenario_matrix [--seed N] [--runs N] [--workers N] [--metrics]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn parse_args() -> Args {
     let mut args = Args { seed: 2021, runs: 3, workers: available_workers(), metrics: false };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut grab = |name: &str| {
-            it.next().unwrap_or_else(|| panic!("{name} requires a value")).parse::<u64>().unwrap_or_else(|e| {
-                panic!("invalid value for {name}: {e}");
-            })
+            let value = it.next().unwrap_or_else(|| usage_error(&format!("{name} requires a value")));
+            value.parse::<u64>().unwrap_or_else(|e| usage_error(&format!("invalid value for {name}: {value} ({e})")))
         };
         match flag.as_str() {
             "--seed" => args.seed = grab("--seed"),
             "--runs" => args.runs = grab("--runs").max(1),
             "--workers" => args.workers = grab("--workers").max(1) as usize,
             "--metrics" => args.metrics = true,
-            other => panic!("unknown flag {other} (expected --seed/--runs/--workers/--metrics)"),
+            "--help" => {
+                println!("{USAGE}");
+                std::process::exit(0)
+            }
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
     args

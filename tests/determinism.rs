@@ -43,7 +43,7 @@ fn run_saddns(seed: u64) -> AttackReport {
     let mut cfg = SadDnsConfig::new(env.attacker_addr);
     cfg.scan_range = (40000, 40255);
     cfg.max_iterations = 2;
-    SadDnsAttack::new(cfg).run(&mut sim, &env)
+    SadDnsAttack::new(cfg).run(&mut sim, &env, None)
 }
 
 fn run_fragdns(seed: u64) -> AttackReport {

@@ -86,16 +86,19 @@ proptest! {
 /// End to end: a full scenario-matrix evaluation (every methodology × every
 /// defence, two seeds per cell) produces the byte-identical rendered
 /// snapshot for workers ∈ {1, 2, 8} — the telemetry layer inherits the
-/// campaign engine's determinism contract.
+/// campaign engine's determinism contract — and the unrecorded run
+/// (`metrics: None`) tallies the same matrix as the recorded one.
 #[test]
 fn scenario_matrix_snapshot_is_worker_invariant() {
     let campaign = ScenarioCampaign::full_grid(2021, 2);
     let (reference_matrix, reference) = campaign.run_with_metrics(1);
+    assert_eq!(campaign.run(1), reference_matrix, "workers=1: recording changed the matrix");
     assert!(reference.counter("dns.resolver.client_queries") > 0, "resolver telemetry folded in");
     assert!(reference.counter("engine.events.popped") > 0, "engine telemetry folded in");
     assert!(reference.counter("attacks.saddns.runs") > 0, "attack aggregates exported");
     for workers in [2usize, 8] {
         let (matrix, snapshot) = campaign.run_with_metrics(workers);
+        assert_eq!(campaign.run(workers), matrix, "workers={workers}: recording changed the matrix");
         assert_eq!(matrix, reference_matrix, "workers={workers} changed the matrix");
         assert_eq!(snapshot, reference, "workers={workers} changed the snapshot");
         assert_eq!(snapshot.render(), reference.render(), "workers={workers} changed the rendered bytes");

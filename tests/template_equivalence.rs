@@ -68,7 +68,7 @@ fn fresh_environment_phase_is_template_invariant() {
     };
     let template = EnvTemplate::new(make(0).prepared_config());
     for seed in [3u64, 0x05ad_d05e, 991] {
-        assert_eq!(make(seed).run_in(&template, seed), scratch(seed), "fresh-env rebuild diverged @ seed {seed}");
+        assert_eq!(make(seed).run_in(&template, seed, None), scratch(seed), "fresh-env rebuild diverged @ seed {seed}");
     }
 }
 
