@@ -201,14 +201,15 @@ impl SadDnsAttack {
         template.header.authoritative = true;
         template.answers.push(ResourceRecord::new(cfg.target_name.clone(), 3600, RData::A(cfg.malicious_addr)));
         let wire = template.encode();
-        for txid in 0..space {
+        // One train: each response is built only when it is delivered, so the
+        // spray's working set is one packet, not 2^16.
+        let (ns, resolver) = (env.nameserver_addr, env.resolver_addr);
+        sim.inject_train(env.attacker, space, move |txid| {
             let mut payload = netsim::pool::take(wire.len());
             payload.extend_from_slice(&wire);
             payload[..2].copy_from_slice(&(txid as u16).to_be_bytes());
-            let pkt = UdpDatagram::new(env.nameserver_addr, env.resolver_addr, 53, port, payload)
-                .into_packet(txid as u16, 64);
-            sim.inject(env.attacker, pkt);
-        }
+            UdpDatagram::new(ns, resolver, 53, port, payload).into_packet(txid as u16, 64)
+        });
         sim.run_for(Duration::from_millis(200));
         u64::from(space)
     }

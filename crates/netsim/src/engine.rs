@@ -26,6 +26,11 @@
 //! itself is a hierarchical [`TimeWheel`](crate::wheel::TimeWheel) keyed by
 //! `(SimTime, seq)` — identical pop order to the old binary heap, `O(1)`
 //! scheduling.
+//!
+//! A brute-force spray (SadDNS sends 2¹⁶ spoofed responses in one burst) is
+//! one [`Simulator::inject_train`] call: a single wheel entry that stands for
+//! the whole burst and builds each packet only when it is delivered, so the
+//! burst's working set is one packet rather than 2¹⁶.
 
 use crate::fasthash::FastHashMap;
 use crate::ipv4::{Ipv4Packet, Protocol};
@@ -335,6 +340,57 @@ enum EventKind {
     Deliver { to: HostRef, from: Origin, pkt: Ipv4Packet },
     Timer { node: NodeId, token: u64 },
     StubTimer { stub: StubId, timer: StubTimer },
+    Train(Box<Train>),
+}
+
+/// The fields every packet of a train shares with packet 0: everything the
+/// engine's verdict and accounting read at send time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TrainShape {
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    protocol: Protocol,
+    wire_len: usize,
+}
+
+impl TrainShape {
+    fn of(pkt: &Ipv4Packet) -> Self {
+        TrainShape { src: pkt.header.src, dst: pkt.header.dst, protocol: pkt.header.protocol, wire_len: pkt.wire_len() }
+    }
+
+    /// Panics when packet `i` does not share packet 0's shape: the train's
+    /// single verdict would then be wrong for it, a bug in the caller.
+    fn check(self, i: u32, pkt: &Ipv4Packet) {
+        let got = TrainShape::of(pkt);
+        assert!(got == self, "packet train shape mismatch: packet {i} is {got:?} but packet 0 is {self:?}");
+    }
+}
+
+/// The undelivered tail of a packet train (see [`Simulator::inject_train`]).
+struct Train {
+    to: HostRef,
+    from: Origin,
+    shape: TrainShape,
+    /// Packet 0, built at inject time to read the shape.
+    first: Option<Ipv4Packet>,
+    /// Index of the next packet to deliver.
+    next: u32,
+    count: u32,
+    make: Box<dyn FnMut(u32) -> Ipv4Packet>,
+}
+
+impl Train {
+    /// Builds (or, for packet 0, hands over) the next packet.
+    fn next_packet(&mut self) -> Ipv4Packet {
+        let i = self.next;
+        self.next += 1;
+        let pkt = match self.first.take() {
+            Some(pkt) => pkt,
+            None => (self.make)(i),
+        };
+        self.shape.check(i, &pkt);
+        pkt
+    }
 }
 
 /// Engine-level event and packet-verdict counters, updated on the same code
@@ -372,6 +428,9 @@ pub struct Simulator {
     stub_out_scratch: Vec<Ipv4Packet>,
     stub_timer_scratch: Vec<(Duration, StubTimer)>,
     events: TimeWheel<EventKind>,
+    /// Undelivered packets of queued trains beyond the one wheel entry each
+    /// train occupies, so [`Simulator::pending_events`] counts packets.
+    train_backlog: usize,
     now: SimTime,
     seq: u64,
     rng: ChaCha20Rng,
@@ -396,6 +455,7 @@ impl Simulator {
             stub_out_scratch: Vec::new(),
             stub_timer_scratch: Vec::new(),
             events: TimeWheel::new(),
+            train_backlog: 0,
             now: SimTime::ZERO,
             seq: 0,
             rng: ChaCha20Rng::seed_from_u64(seed),
@@ -608,7 +668,7 @@ impl Simulator {
     /// byte-identical-merge contract.
     pub fn export_metrics(&self, m: &mut telemetry::MetricsSnapshot) {
         m.incr("engine.events.popped", self.counters.events_popped);
-        m.gauge_max("engine.events.pending", self.events.len() as u64);
+        m.gauge_max("engine.events.pending", self.pending_events() as u64);
         for (level, occ) in self.events.level_occupancy().iter().enumerate() {
             m.gauge_max(&format!("engine.wheel.level{level}.occupancy"), u64::from(*occ));
         }
@@ -685,6 +745,52 @@ impl Simulator {
     /// Injects a packet as if `from` had sent it right now.
     pub fn inject(&mut self, from: NodeId, pkt: Ipv4Packet) {
         self.dispatch(from, pkt);
+    }
+
+    /// Injects `count` packets as if `from` had sent `make(0)`, `make(1)`, …
+    /// right now — exactly like `count` consecutive [`inject`](Self::inject)
+    /// calls: same delivery order, trace entries, stats and counters.
+    ///
+    /// When packet 0 would be delivered as-is (routable, not egress-filtered,
+    /// lossless link, within the MTU) the train is one wheel entry holding
+    /// `count` consecutive seqs, and packet `i` is built only when it is
+    /// delivered. Otherwise every packet takes the per-packet send path, so
+    /// loss draws, PTBs and drop traces are unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a packet's source, destination, protocol or wire length
+    /// differs from packet 0's: one verdict covers the whole train.
+    pub fn inject_train(&mut self, from: NodeId, count: u32, mut make: impl FnMut(u32) -> Ipv4Packet + 'static) {
+        if count == 0 {
+            return;
+        }
+        let first = make(0);
+        let shape = TrainShape::of(&first);
+        let slot = &self.nodes[from.0];
+        let filtered = slot.egress_filtering && !slot.addrs.contains(&shape.src);
+        let route = if filtered { None } else { self.host_lookup(shape.dst) };
+        let origin = Origin::Node(from);
+        let Some((to, link)) = route
+            .map(|to| (to, self.link_between(origin, to)))
+            .filter(|(_, link)| link.loss == 0.0 && shape.wire_len <= usize::from(link.mtu))
+        else {
+            self.dispatch(from, first);
+            for i in 1..count {
+                let pkt = make(i);
+                shape.check(i, &pkt);
+                self.dispatch(from, pkt);
+            }
+            return;
+        };
+        for _ in 0..count {
+            self.nodes[from.0].stats.record_sent(shape.protocol, shape.wire_len);
+        }
+        let seq = self.seq;
+        self.seq += u64::from(count);
+        self.train_backlog += count as usize - 1;
+        let train = Train { to, from: origin, shape, first: Some(first), next: 0, count, make: Box::new(make) };
+        self.events.push(self.now + link.latency, seq, EventKind::Train(Box::new(train)));
     }
 
     fn push_event(&mut self, time: SimTime, kind: EventKind) {
@@ -967,9 +1073,16 @@ impl Simulator {
     /// Processes a single event. Returns `false` when the event queue is empty.
     pub fn step(&mut self) -> bool {
         self.start_nodes();
-        let Some((time, _seq, kind)) = self.events.pop() else {
+        let Some((time, seq, kind)) = self.events.pop() else {
             return false;
         };
+        self.handle(time, seq, kind);
+        true
+    }
+
+    /// Processes one popped event. A train delivers one packet per pop and
+    /// re-queues its tail at the next of its reserved seqs.
+    fn handle(&mut self, time: SimTime, seq: u64, kind: EventKind) {
         self.counters.events_popped += 1;
         self.now = time;
         match kind {
@@ -980,8 +1093,16 @@ impl Simulator {
             EventKind::StubTimer { stub, timer } => {
                 self.with_stub_ctx(stub, |h, ctx| h.on_timer(ctx, timer));
             }
+            EventKind::Train(mut train) => {
+                let pkt = train.next_packet();
+                let (to, from) = (train.to, train.from);
+                if train.next < train.count {
+                    self.train_backlog -= 1;
+                    self.events.push(time, seq + 1, EventKind::Train(train));
+                }
+                self.deliver(to, from, pkt);
+            }
         }
-        true
     }
 
     /// Runs until the event queue is exhausted.
@@ -992,11 +1113,8 @@ impl Simulator {
     /// Runs until the event queue is exhausted or the clock passes `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start_nodes();
-        while let Some(t) = self.events.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
+        while let Some((time, seq, kind)) = self.events.pop_until(deadline) {
+            self.handle(time, seq, kind);
         }
         if self.now < deadline {
             self.now = deadline;
@@ -1009,9 +1127,10 @@ impl Simulator {
         self.run_until(deadline);
     }
 
-    /// Number of events still queued.
+    /// Number of events still queued, counting every undelivered packet of a
+    /// train.
     pub fn pending_events(&self) -> usize {
-        self.events.len()
+        self.events.len() + self.train_backlog
     }
 }
 
@@ -1283,6 +1402,142 @@ mod tests {
         assert_eq!(sim.pending_events(), 1);
         sim.run();
         assert_eq!(sim.stats(b).udp_received, 1);
+    }
+
+    #[test]
+    fn run_until_leaves_later_events_in_the_wheel() {
+        // A bounded run must not pin the wheel's clock at the next event past
+        // the deadline: an event scheduled afterwards then sits in a wheel
+        // slot of its own instead of the ready heap.
+        let mut sim = Simulator::new(14);
+        let a = sim.add_node("a", vec![A], SinkNode::default());
+        sim.schedule_timer(a, Duration::from_secs(30), 1);
+        sim.run_until(SimTime::from_secs(1));
+        sim.schedule_timer(a, Duration::from_millis(5), 2);
+        assert_eq!(sim.events.level_occupancy().iter().sum::<u32>(), 2);
+        assert_eq!(sim.pending_events(), 2);
+    }
+
+    /// Logs every packet (time, summary, IP ID) and timer it sees, and
+    /// echoes UDP back to the source so deliveries schedule more traffic.
+    #[derive(Default)]
+    struct LogNode {
+        log: Vec<String>,
+    }
+    impl Node for LogNode {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+            self.log.push(format!("{} {} id={}", ctx.now(), pkt.summary(), pkt.header.identification));
+            if let Ok(d) = UdpDatagram::from_packet(&pkt) {
+                let ipid = ctx.rng().gen();
+                ctx.send(UdpDatagram::new(d.dst, d.src, d.dst_port, d.src_port, d.payload).into_packet(ipid, 64));
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.log.push(format!("{} timer {token}", ctx.now()));
+        }
+    }
+
+    const SPRAY: u32 = 48;
+
+    /// Node `a` sprays `SPRAY` packets from `src` at `b`, either as one train
+    /// or as a loop of `inject` calls; `c` sends `b` one packet just before
+    /// and one just after the spray, arriving at the same time, and `b` has a
+    /// timer armed for that instant.
+    fn spray_world(link: Link, src: Ipv4Addr, filtered: bool, train: bool) -> (Simulator, [NodeId; 3]) {
+        let mut sim = Simulator::new(21);
+        let a = sim.add_node("a", vec![A], SinkNode::default());
+        let b = sim.add_node("b", vec![B], LogNode::default());
+        let c = sim.add_node("c", vec![C], SinkNode::default());
+        sim.connect(a, b, link);
+        sim.connect(c, b, Link::with_latency(link.latency));
+        sim.set_egress_filtering(a, filtered);
+        sim.inject(c, udp(C, B, 10));
+        let make = move |i: u32| UdpDatagram::new(src, B, 1111, 2222, vec![i as u8; 12]).into_packet(i as u16, 64);
+        if train {
+            sim.inject_train(a, SPRAY, make);
+        } else {
+            for i in 0..SPRAY {
+                sim.inject(a, make(i));
+            }
+        }
+        sim.inject(c, udp(C, B, 20));
+        sim.schedule_timer(b, link.latency, 7);
+        (sim, [a, b, c])
+    }
+
+    fn assert_same(looped: &Simulator, train: &Simulator, nodes: [NodeId; 3]) {
+        assert_eq!(looped.pending_events(), train.pending_events());
+        let pending = |sim: &Simulator| {
+            let mut m = telemetry::MetricsSnapshot::new();
+            sim.export_metrics(&mut m);
+            m.gauge("engine.events.pending")
+        };
+        assert_eq!(pending(looped), pending(train));
+        assert_eq!(looped.counters(), train.counters());
+        for n in nodes {
+            assert_eq!(looped.stats(n), train.stats(n), "stats of {}", looped.node_name(n));
+        }
+        assert_eq!(looped.trace().render(), train.trace().render());
+        let log = |sim: &Simulator| sim.node_ref::<LogNode>(nodes[1]).unwrap().log.clone();
+        assert_eq!(log(looped), log(train));
+    }
+
+    /// Runs the loop and the train side by side, comparing after the inject,
+    /// after every single step through the burst, and at the end. Returns the
+    /// train's simulator.
+    fn check_train_matches_inject_loop(link: Link, src: Ipv4Addr, filtered: bool) -> Simulator {
+        let (mut looped, nodes) = spray_world(link, src, filtered, false);
+        let (mut train, _) = spray_world(link, src, filtered, true);
+        assert_same(&looped, &train, nodes);
+        for _ in 0..SPRAY + 8 {
+            assert_eq!(looped.step(), train.step());
+            assert_same(&looped, &train, nodes);
+        }
+        looped.run();
+        train.run();
+        assert_same(&looped, &train, nodes);
+        train
+    }
+
+    #[test]
+    fn packet_train_matches_inject_loop() {
+        let link = Link::with_latency(Duration::from_millis(5));
+        let (looped, _) = spray_world(link, A, false, false);
+        let (mut train, _) = spray_world(link, A, false, true);
+        // One wheel entry stands for the whole burst, but it counts as SPRAY.
+        assert_eq!(train.events.len(), 4);
+        assert_eq!(looped.events.len() as u32, SPRAY + 3);
+        assert_eq!(train.pending_events(), looped.pending_events());
+        train.run();
+        assert_eq!(train.counters().delivered, 2 * u64::from(SPRAY) + 4, "spray, echoes, and c's two packets");
+        check_train_matches_inject_loop(link, A, false);
+    }
+
+    #[test]
+    fn packet_train_eager_paths_match_inject_loop() {
+        let spoofed = Ipv4Addr::new(10, 0, 0, 9);
+        let link = Link::with_latency(Duration::from_millis(5));
+        let filtered = check_train_matches_inject_loop(link, spoofed, true);
+        assert_eq!(filtered.counters().egress_filtered, u64::from(SPRAY));
+        let lossy = check_train_matches_inject_loop(link.loss(0.5), A, false);
+        let lost = lossy.counters().link_loss;
+        assert!(lost > 0 && lost < 2 * u64::from(SPRAY), "some of the spray and its echoes were lost: {lost}");
+        let oversized = check_train_matches_inject_loop(link.mtu(36).fragmenting(false), A, false);
+        assert_eq!(oversized.counters().mtu_exceeded, u64::from(SPRAY));
+        assert_eq!(oversized.stats(NodeId(0)).icmp_received, u64::from(SPRAY), "one PTB per sprayed packet");
+        let fragmented = check_train_matches_inject_loop(link.mtu(36), A, false);
+        assert!(fragmented.counters().delivered > 2 * u64::from(SPRAY), "fragments delivered separately");
+    }
+
+    #[test]
+    #[should_panic(expected = "packet train shape mismatch")]
+    fn packet_train_shape_mismatch_panics() {
+        let mut sim = Simulator::new(22);
+        let a = sim.add_node("a", vec![A], SinkNode::default());
+        let b = sim.add_node("b", vec![B], SinkNode::default());
+        sim.connect(a, b, Link::default());
+        sim.inject_train(a, 3, |i| udp(A, B, 10 + i as usize));
+        sim.run();
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! carry different nanosecond timestamps. Draining a slot therefore moves
 //! its events into a small "ready" heap that yields them in exact
 //! `(time, seq)` order; higher-level slots are cascaded down one level at a
-//! time as the clock enters their window.
+//! time as the clock enters their window. A bounded pop
+//! ([`TimeWheel::pop_until`]) never cascades a slot whose window starts past
+//! its limit, so the wheel's clock never runs ahead of the caller's deadline
+//! and later pushes still land in slots rather than the ready heap.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -135,9 +138,10 @@ impl<T> TimeWheel<T> {
     }
 
     /// Schedules an event. `time` must not precede the time of the last
-    /// popped event (the engine never schedules into the past); `seq` must be
-    /// unique and increase with insertion order so that simultaneous events
-    /// pop in insertion order.
+    /// popped event (the engine never schedules into the past). `seq` must be
+    /// unique, and simultaneous events pop in `seq` order; it need not
+    /// increase with insertion order (the engine re-pushes a packet train at
+    /// a seq it reserved earlier).
     pub fn push(&mut self, time: SimTime, seq: u64, value: T) {
         self.len += 1;
         let tick = tick_of(time);
@@ -167,28 +171,29 @@ impl<T> TimeWheel<T> {
         self.occupied[level] |= 1 << slot;
     }
 
-    /// The `(time, seq)` of the next event without removing it, or `None`.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.settle();
-        self.ready.peek().map(|Reverse(Key(e))| (e.time, e.seq))
-    }
-
-    /// The time of the next event without removing it, or `None`.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
     /// Removes and returns the earliest event by `(time, seq)`.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        self.settle();
+        self.pop_until(SimTime::from_nanos(u64::MAX))
+    }
+
+    /// Removes and returns the earliest event if its time is at most `limit`,
+    /// or `None`. The wheel's clock never moves past `limit`'s tick, so a
+    /// bounded run leaves later events in their slots: events pushed after
+    /// it still land in the wheel, not in the ready heap.
+    pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, u64, T)> {
+        self.settle(tick_of(limit));
+        if self.ready.peek().is_none_or(|Reverse(Key(e))| e.time > limit) {
+            return None;
+        }
         let Reverse(Key(e)) = self.ready.pop()?;
         self.len -= 1;
         Some((e.time, e.seq, e.value))
     }
 
-    /// Advances the wheel until the globally earliest event sits in `ready`
-    /// (or the wheel is empty). This is where cascading happens.
-    fn settle(&mut self) {
+    /// Advances the wheel until the globally earliest event sits in `ready`,
+    /// the wheel is empty, or reaching the next event would move the clock
+    /// past `limit_tick`. This is where cascading happens.
+    fn settle(&mut self, limit_tick: u64) {
         loop {
             if self.ready.is_empty() {
                 // Pull overflow events that have come within the horizon. If
@@ -196,7 +201,7 @@ impl<T> TimeWheel<T> {
                 // overflow head so it lands in `ready`.
                 while let Some(Reverse(Key(e))) = self.overflow.peek() {
                     let tick = tick_of(e.time);
-                    if self.occupied.iter().all(|&w| w == 0) {
+                    if self.occupied.iter().all(|&w| w == 0) && tick <= limit_tick {
                         self.now_tick = tick;
                     }
                     if tick - self.now_tick < HORIZON_TICKS {
@@ -247,6 +252,9 @@ impl<T> TimeWheel<T> {
             let Some((base, _)) = best else {
                 return; // wheel empty (overflow handled above)
             };
+            if base > limit_tick {
+                return;
+            }
             self.now_tick = base;
             // Cascade every level's slot that now contains `now_tick`,
             // skipping slots whose events belong to the next wrap-around of
@@ -367,15 +375,28 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn pop_until_stops_at_the_limit() {
         let mut w = TimeWheel::new();
         for (i, t) in [900u64, 100, 5000, 77].into_iter().enumerate() {
             w.push(SimTime::from_nanos(t), i as u64, i);
         }
-        while let Some(t) = w.peek_time() {
-            let (pt, _, _) = w.pop().unwrap();
-            assert_eq!(t, pt);
-        }
+        assert_eq!(w.pop_until(SimTime::from_nanos(76)).map(|e| e.2), None);
+        assert_eq!(w.pop_until(SimTime::from_nanos(100)).map(|e| e.2), Some(3));
+        assert_eq!(w.pop_until(SimTime::from_nanos(100)).map(|e| e.2), Some(1));
+        assert_eq!(w.pop_until(SimTime::from_nanos(899)).map(|e| e.2), None);
+        assert_eq!(drain(&mut w).into_iter().map(|(_, _, v)| v).collect::<Vec<_>>(), vec![0, 2]);
+    }
+
+    #[test]
+    fn pop_until_never_cascades_past_the_limit() {
+        // A far event must stay in its slot across a bounded pop, so an event
+        // pushed afterwards lands in the wheel rather than the ready heap.
+        let mut w = TimeWheel::new();
+        w.push(SimTime::from_secs(30), 0, 0);
+        assert!(w.pop_until(SimTime::from_secs(1)).is_none());
+        w.push(SimTime::from_nanos(1_005_000_000), 1, 1);
+        assert_eq!(w.level_occupancy().iter().sum::<u32>(), 2);
+        assert_eq!(drain(&mut w).into_iter().map(|(_, _, v)| v).collect::<Vec<_>>(), vec![1, 0]);
     }
 
     #[test]

@@ -193,3 +193,34 @@ fn golden_figure5_overlaps() {
     both.push_str(&render_venn("Figure 5b — vulnerable domains (overlap)", &figure5_domain_overlap_with(&cfg)));
     check("figure5", &both);
 }
+
+#[test]
+fn golden_saddns_trace() {
+    // The Figure 1 message flow: the quick SadDNS vector (mute, trigger,
+    // ICMP side-channel scan, 2^16 TXID spray) with the packet trace on.
+    // The trace holds ~70 000 entries, so the fixture keeps its size, the
+    // FNV-1a digest of the full rendering, and the first and last 20 lines.
+    use cross_layer_attacks::attacks::{vectors, PoisonMethod, VictimEnvConfig};
+    let vector = vectors::quick_for(PoisonMethod::SadDns);
+    let mut cfg = VictimEnvConfig { seed: GOLDEN_SEED, ..Default::default() };
+    vector.prepare_env(&mut cfg);
+    let (mut sim, env) = cfg.build();
+    let report = vector.execute(&mut sim, &env);
+    let trace = sim.trace();
+    let rendered = trace.render();
+    let digest =
+        rendered.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    let mut out = String::new();
+    let _ = writeln!(out, "success {} attacker_packets {}", report.success, report.attacker_packets);
+    let _ = writeln!(out, "entries {} dropped {} fnv1a {digest:016x}", trace.len(), trace.dropped());
+    let lines: Vec<&str> = rendered.lines().collect();
+    let _ = writeln!(out, "-- first 20 --");
+    for line in &lines[..20] {
+        let _ = writeln!(out, "{line}");
+    }
+    let _ = writeln!(out, "-- last 20 --");
+    for line in &lines[lines.len() - 20..] {
+        let _ = writeln!(out, "{line}");
+    }
+    check("saddns_trace", &out);
+}
