@@ -402,11 +402,11 @@ impl AttackVector for ZoneWalkingAttack {
             });
             let Some((owner, next)) = span else { break };
             for name in [&owner, &next] {
-                if name.to_lowercase() != apex.to_lowercase() {
+                if *name != apex {
                     enumerated.insert(name.to_lowercase().to_string());
                 }
             }
-            if next.to_lowercase() == apex.to_lowercase() {
+            if next == apex {
                 break; // wrapped around: the whole chain is harvested
             }
             probe = next.prepend("0").expect("valid probe name");

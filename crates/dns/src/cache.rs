@@ -15,6 +15,7 @@ use crate::rdata::{RData, RecordType, ResourceRecord};
 use netsim::time::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 /// How a resolver caches and reuses the contents of `ANY` responses
@@ -46,6 +47,46 @@ pub struct CacheEntry {
     pub from_any: bool,
 }
 
+/// A `(name, type)` cache key, owned or borrowed. Owned keys borrow as
+/// `dyn KeyView`, so a lookup hashes and compares the caller's name in place
+/// instead of building an owned key.
+trait KeyView {
+    fn parts(&self) -> (&DomainName, u16);
+}
+
+impl KeyView for (DomainName, u16) {
+    fn parts(&self) -> (&DomainName, u16) {
+        (&self.0, self.1)
+    }
+}
+
+impl KeyView for (&DomainName, u16) {
+    fn parts(&self) -> (&DomainName, u16) {
+        (self.0, self.1)
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn KeyView + 'a> for (DomainName, u16) {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+/// The same hash as the owned tuple's: `&DomainName` hashes as the name.
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
 /// A positive-only resolver cache keyed by `(name, type)`.
 #[derive(Debug, Clone, Default)]
 pub struct Cache {
@@ -67,10 +108,6 @@ impl Cache {
         Cache::default()
     }
 
-    fn key(name: &DomainName, rtype: RecordType) -> (DomainName, u16) {
-        (name.to_lowercase(), rtype.number())
-    }
-
     /// Inserts records grouped by `(owner name, type)` with their TTLs.
     ///
     /// `from_any` marks entries that came from an `ANY` response so the
@@ -80,7 +117,8 @@ impl Cache {
         let mut grouped: HashMap<(DomainName, u16), Vec<ResourceRecord>> = HashMap::new();
         for rr in records {
             // RRSIGs ride along with the set they cover.
-            grouped.entry(Self::key(&rr.name, rr.rdata.covered_type())).or_default().push(rr.clone());
+            // Keys are stored lowercased, as `iter` shows them.
+            grouped.entry((rr.name.to_lowercase(), rr.rdata.covered_type().number())).or_default().push(rr.clone());
         }
         for (key, set) in grouped {
             let min_ttl = set.iter().map(|r| r.ttl).min().unwrap_or(0);
@@ -110,8 +148,7 @@ impl Cache {
         now: SimTime,
         allow_any_derived: bool,
     ) -> Option<Vec<ResourceRecord>> {
-        let key = Self::key(name, rtype);
-        match self.entries.get(&key) {
+        match self.entries.get(&(name, rtype.number()) as &dyn KeyView) {
             Some(entry) if entry.expires > now && (allow_any_derived || !entry.from_any) => {
                 self.hits += 1;
                 Some(entry.records.clone())
@@ -135,7 +172,7 @@ impl Cache {
 
     /// Non-mutating peek that ignores hit/miss accounting.
     pub fn peek(&self, name: &DomainName, rtype: RecordType, now: SimTime) -> Option<&CacheEntry> {
-        self.entries.get(&Self::key(name, rtype)).filter(|e| e.expires > now)
+        self.entries.get(&(name, rtype.number()) as &dyn KeyView).filter(|e| e.expires > now)
     }
 
     /// Convenience used everywhere in the attack evaluations: the first `A`

@@ -258,7 +258,8 @@ mod tests {
             .iter()
             .filter(|rr| match &rr.rdata {
                 RData::Nsec3 { next_hashed, .. } => {
-                    let own = base32hex_decode(&rr.name.labels()[0]).expect("owner label is base32hex");
+                    let own = base32hex_decode(rr.name.labels().next().expect("hashed owner"))
+                        .expect("owner label is base32hex");
                     nsec3_covers(&own, next_hashed, &absent)
                 }
                 other => panic!("unexpected rdata {other:?}"),
@@ -269,7 +270,8 @@ mod tests {
         let present = nsec3_hash(&n("www.vict.im"), &params);
         assert!(chain.iter().all(|rr| match &rr.rdata {
             RData::Nsec3 { next_hashed, .. } => {
-                let own = base32hex_decode(&rr.name.labels()[0]).expect("owner label is base32hex");
+                let own =
+                    base32hex_decode(rr.name.labels().next().expect("hashed owner")).expect("owner label is base32hex");
                 !nsec3_covers(&own, next_hashed, &present)
             }
             _ => unreachable!(),
@@ -287,7 +289,8 @@ mod tests {
         let covered = chain.iter().any(|rr| match &rr.rdata {
             RData::Nsec3 { flags, next_hashed, .. } => {
                 assert_eq!(*flags, 1, "opt-out flag set");
-                let own = base32hex_decode(&rr.name.labels()[0]).expect("owner label is base32hex");
+                let own =
+                    base32hex_decode(rr.name.labels().next().expect("hashed owner")).expect("owner label is base32hex");
                 nsec3_covers(&own, next_hashed, &omitted)
             }
             _ => unreachable!(),

@@ -33,7 +33,7 @@
 use super::denial::Nsec3Params;
 use super::keys::{KeyManager, KeyPair};
 use super::{keyed_hash, sim_secs};
-use crate::name::DomainName;
+use crate::name::{cmp_label_seqs, DomainName};
 use crate::rdata::{RData, RecordType, ResourceRecord};
 use netsim::prelude::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -97,15 +97,7 @@ impl SigningPolicy {
 /// This is *not* the `Ord` on [`DomainName`] (which compares most-specific
 /// label first); NSEC chains and canonical RRset bytes must use this one.
 pub fn canonical_cmp(a: &DomainName, b: &DomainName) -> Ordering {
-    let a_labels = a.labels();
-    let b_labels = b.labels();
-    for (la, lb) in a_labels.iter().rev().zip(b_labels.iter().rev()) {
-        match la.to_ascii_lowercase().as_bytes().cmp(lb.to_ascii_lowercase().as_bytes()) {
-            Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    a_labels.len().cmp(&b_labels.len())
+    cmp_label_seqs(a.raw_labels().rev(), b.raw_labels().rev())
 }
 
 /// Lowercases every domain name embedded in rdata, per the canonical form

@@ -223,7 +223,7 @@ impl Validator {
     }
 
     fn signer_is_zone(&self, rrsig: &ResourceRecord) -> bool {
-        matches!(&rrsig.rdata, RData::Rrsig { signer, .. } if signer.to_lowercase() == self.zone.to_lowercase())
+        matches!(&rrsig.rdata, RData::Rrsig { signer, .. } if *signer == self.zone)
     }
 
     fn covered_by_opt_out(&self, owner: &DomainName, nsec3s: &[ResourceRecord]) -> bool {
@@ -246,7 +246,7 @@ impl Validator {
     ) -> bool {
         let nsec_proof = nsecs.iter().any(|rr| match &rr.rdata {
             RData::Nsec { next, types } => {
-                if rr.name.to_lowercase() == qname.to_lowercase() {
+                if rr.name == *qname {
                     // NoData: the name exists but the type is absent.
                     !types.contains(&qtype)
                 } else {
@@ -281,7 +281,7 @@ fn key_entry(sets: &mut BTreeMap<(String, u16), GroupedSet>, key: (String, u16))
 
 /// Decodes the hash out of an NSEC3 owner name's first label.
 fn owner_hash_of(rr: &ResourceRecord) -> Option<Vec<u8>> {
-    rr.name.labels().first().and_then(|label| base32hex_decode(label))
+    rr.name.labels().next().and_then(base32hex_decode)
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ pub mod prelude {
         DenialConfig, DsAnchor, KeyManager, KeyPair, RolloverState, Signer, SigningPolicy, Validation, Validator,
     };
     pub use crate::message::{frame_tcp, Header, Message, Question, Rcode, TcpFrameBuffer};
-    pub use crate::name::DomainName;
+    pub use crate::name::{CompressionTable, DomainName};
     pub use crate::nameserver::{Nameserver, NameserverConfig, NameserverStats};
     pub use crate::profiles::ResolverImplementation;
     pub use crate::rdata::{RData, RecordType, ResourceRecord};

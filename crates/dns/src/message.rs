@@ -6,10 +6,9 @@
 //! intercepted query, SadDNS brute-forces it after recovering the port, and
 //! FragDNS avoids it entirely because it sits in the first fragment.
 
-use crate::name::{DomainName, NameError};
+use crate::name::{CompressionTable, DomainName, NameError};
 use crate::rdata::{RData, RecordType, ResourceRecord};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// DNS response codes (subset).
@@ -288,7 +287,7 @@ impl Message {
         // Pooled, pre-sized: the wire image usually rides straight into a
         // `UdpDatagram`, whose `into_packet` recycles it.
         let mut buf = netsim::pool::take(512);
-        let mut compression: HashMap<String, u16> = HashMap::new();
+        let mut compression = CompressionTable::default();
         buf.extend_from_slice(&self.header.id.to_be_bytes());
         let mut flags: u16 = 0;
         if self.header.is_response {

@@ -10,7 +10,9 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// Maximum length of a single label (RFC 1035).
@@ -27,174 +29,246 @@ fn is_label_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'*'
 }
 
-/// A fully-qualified domain name, stored as a sequence of labels without the
-/// trailing root label.
+/// A fully-qualified domain name.
+///
+/// # Representation
+///
+/// A name is one case-preserving byte buffer holding its uncompressed wire
+/// labels, each prefixed by its length octet, without the terminating root
+/// octet: `www.vict.im` is `\x03www\x04vict\x02im`, and the root is the
+/// empty buffer. Every constructor upholds three invariants:
+///
+/// - each length octet is in `1..=63` and is followed by exactly that many
+///   label bytes;
+/// - every label byte is in the accepted alphabet (LDH plus `_` and `*`), so
+///   the buffer is ASCII;
+/// - the buffer plus the root octet is at most 255 bytes.
+///
+/// Length octets are below 64, where ASCII has no letters, so folding the
+/// case of the whole buffer changes only label bytes. Hashing, equality,
+/// both orders ([`Ord`] and [`crate::dnssec::sign::canonical_cmp`]), the
+/// bailiwick test and message compression therefore work on these bytes in
+/// place and allocate nothing.
 ///
 /// Case is preserved (for 0x20 encoding) but comparisons and hashing are
 /// case-insensitive, as required by RFC 1035 / RFC 4343.
-#[derive(Debug, Clone, Eq, Serialize, Deserialize)]
+#[derive(Clone, Eq, Serialize, Deserialize)]
 pub struct DomainName {
-    labels: Vec<String>,
+    wire: Vec<u8>,
+}
+
+/// Appends one length-prefixed label to `wire`, checking it first.
+fn push_label(wire: &mut Vec<u8>, label: &[u8]) -> Result<(), NameError> {
+    if label.is_empty() {
+        return Err(NameError::EmptyLabel);
+    }
+    if label.len() > MAX_LABEL_LEN {
+        return Err(NameError::LabelTooLong(label.len()));
+    }
+    if !label.iter().copied().all(is_label_byte) {
+        return Err(NameError::InvalidCharacter);
+    }
+    wire.push(label.len() as u8);
+    wire.extend_from_slice(label);
+    Ok(())
+}
+
+/// The labels of a name's wire buffer as byte slices, most specific first.
+/// Also iterates from the root down (`rev()`), walking the length octets
+/// from the front for each label, which is cheap for names of a few labels.
+#[derive(Clone)]
+pub(crate) struct RawLabels<'a>(&'a [u8]);
+
+impl<'a> Iterator for RawLabels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, rest) = self.0.split_first()?;
+        let (label, rest) = rest.split_at(usize::from(len));
+        self.0 = rest;
+        Some(label)
+    }
+}
+
+impl DoubleEndedIterator for RawLabels<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        let mut start = 0;
+        loop {
+            let end = start + 1 + usize::from(*self.0.get(start)?);
+            if end == self.0.len() {
+                let label = &self.0[start + 1..];
+                self.0 = &self.0[..start];
+                return Some(label);
+            }
+            start = end;
+        }
+    }
+}
+
+/// Compares two labels case-insensitively, byte-wise; a label that is a
+/// prefix of the other sorts first.
+fn cmp_label(a: &[u8], b: &[u8]) -> Ordering {
+    a.iter().map(u8::to_ascii_lowercase).cmp(b.iter().map(u8::to_ascii_lowercase))
+}
+
+/// Compares two label sequences label by label with [`cmp_label`]; a
+/// sequence that is a prefix of the other sorts first.
+pub(crate) fn cmp_label_seqs<'a>(
+    mut a: impl Iterator<Item = &'a [u8]>,
+    mut b: impl Iterator<Item = &'a [u8]>,
+) -> Ordering {
+    loop {
+        match (a.next(), b.next()) {
+            (Some(x), Some(y)) => match cmp_label(x, y) {
+                Ordering::Equal => {}
+                unequal => return unequal,
+            },
+            (x, y) => return x.is_some().cmp(&y.is_some()),
+        }
+    }
 }
 
 impl DomainName {
     /// The DNS root (empty name).
     pub fn root() -> Self {
-        DomainName { labels: Vec::new() }
+        DomainName { wire: Vec::new() }
     }
 
     /// Builds a name from labels; returns an error for invalid labels.
     pub fn from_labels<I, S>(labels: I) -> Result<Self, NameError>
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: AsRef<str>,
     {
-        let labels: Vec<String> = labels.into_iter().map(Into::into).collect();
-        let name = DomainName { labels };
-        name.validate()?;
-        Ok(name)
+        let mut wire = Vec::new();
+        for label in labels {
+            push_label(&mut wire, label.as_ref().as_bytes())?;
+        }
+        if wire.len() + 1 > MAX_NAME_LEN {
+            return Err(NameError::NameTooLong(wire.len() + 1));
+        }
+        Ok(DomainName { wire })
     }
 
-    fn validate(&self) -> Result<(), NameError> {
-        let mut total = 0usize;
-        for label in &self.labels {
-            if label.is_empty() {
-                return Err(NameError::EmptyLabel);
-            }
-            if label.len() > MAX_LABEL_LEN {
-                return Err(NameError::LabelTooLong(label.len()));
-            }
-            if !label.bytes().all(is_label_byte) {
-                return Err(NameError::InvalidCharacter);
-            }
-            total += label.len() + 1;
-        }
-        if total + 1 > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong(total + 1));
-        }
-        Ok(())
+    pub(crate) fn raw_labels(&self) -> RawLabels<'_> {
+        RawLabels(&self.wire)
     }
 
-    /// The labels of this name, most specific first.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
+    /// The labels of this name, most specific first (`rev()` walks them from
+    /// the root down).
+    pub fn labels(&self) -> impl DoubleEndedIterator<Item = &str> + '_ {
+        self.raw_labels().map(|label| std::str::from_utf8(label).expect("labels are ASCII"))
     }
 
     /// Number of labels.
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.raw_labels().count()
     }
 
     /// Whether this is the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
     /// Length of the wire representation (labels + length octets + root).
     pub fn wire_len(&self) -> usize {
-        self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
+        self.wire.len() + 1
     }
 
     /// Whether `self` equals `ancestor` or is a subdomain of it
     /// (case-insensitive). This is the **bailiwick** test resolvers apply to
     /// records in responses.
     pub fn is_subdomain_of(&self, ancestor: &DomainName) -> bool {
-        if ancestor.labels.len() > self.labels.len() {
+        let Some(start) = self.wire.len().checked_sub(ancestor.wire.len()) else { return false };
+        if !self.wire[start..].eq_ignore_ascii_case(&ancestor.wire) {
             return false;
         }
-        self.labels.iter().rev().zip(ancestor.labels.iter().rev()).all(|(a, b)| a.eq_ignore_ascii_case(b))
+        // The matching bytes must begin on a label boundary.
+        let mut pos = 0;
+        while pos < start {
+            pos += 1 + usize::from(self.wire[pos]);
+        }
+        pos == start
     }
 
     /// The parent name (one label removed), or `None` at the root.
     pub fn parent(&self) -> Option<DomainName> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(DomainName { labels: self.labels[1..].to_vec() })
-        }
+        let first = usize::from(*self.wire.first()?);
+        Some(DomainName { wire: self.wire[1 + first..].to_vec() })
     }
 
     /// Prepends a label, producing `label.self`.
     pub fn prepend(&self, label: &str) -> Result<DomainName, NameError> {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.to_string());
-        labels.extend(self.labels.iter().cloned());
-        let name = DomainName { labels };
-        name.validate()?;
-        Ok(name)
+        let mut wire = Vec::with_capacity(1 + label.len() + self.wire.len());
+        push_label(&mut wire, label.as_bytes())?;
+        wire.extend_from_slice(&self.wire);
+        if wire.len() + 1 > MAX_NAME_LEN {
+            return Err(NameError::NameTooLong(wire.len() + 1));
+        }
+        Ok(DomainName { wire })
     }
 
     /// Returns this name with every alphabetic character's case randomised —
     /// the 0x20 transformation applied by a protecting resolver.
     pub fn randomize_case<R: Rng>(&self, rng: &mut R) -> DomainName {
-        let labels = self
-            .labels
+        // Length octets are never alphabetic, so they pass through unchanged.
+        let wire = self
+            .wire
             .iter()
-            .map(|l| {
-                l.chars()
-                    .map(|c| {
-                        if c.is_ascii_alphabetic() && rng.gen::<bool>() {
-                            c.to_ascii_uppercase()
-                        } else {
-                            c.to_ascii_lowercase()
-                        }
-                    })
-                    .collect()
+            .map(|&b| {
+                if b.is_ascii_alphabetic() && rng.gen::<bool>() {
+                    b.to_ascii_uppercase()
+                } else {
+                    b.to_ascii_lowercase()
+                }
             })
             .collect();
-        DomainName { labels }
+        DomainName { wire }
     }
 
     /// Case-*sensitive* equality — what a 0x20-validating resolver checks
     /// between the question it sent and the question echoed in the response.
     pub fn eq_case_sensitive(&self, other: &DomainName) -> bool {
-        self.labels == other.labels
+        self.wire == other.wire
     }
 
     /// The number of 0x20 entropy bits this name provides (one per ASCII letter).
     pub fn entropy_0x20_bits(&self) -> u32 {
-        self.labels.iter().flat_map(|l| l.chars()).filter(|c| c.is_ascii_alphabetic()).count() as u32
+        self.wire.iter().filter(|b| b.is_ascii_alphabetic()).count() as u32
     }
 
     /// Returns a lowercased copy (canonical form).
     pub fn to_lowercase(&self) -> DomainName {
-        DomainName { labels: self.labels.iter().map(|l| l.to_ascii_lowercase()).collect() }
+        DomainName { wire: self.wire.to_ascii_lowercase() }
     }
 
     /// Encodes the name to wire format, appending to `buf`.
     ///
-    /// When `compression` is provided, suffixes already present in the map
-    /// are replaced by compression pointers and new suffix offsets are
-    /// recorded (offsets must fit in 14 bits).
-    pub fn encode(&self, buf: &mut Vec<u8>, compression: Option<&mut std::collections::HashMap<String, u16>>) {
-        let Some(map) = compression else {
-            // No compression map: the name is straight label copies.
-            for label in &self.labels {
-                buf.push(label.len() as u8);
-                buf.extend_from_slice(label.as_bytes());
-            }
+    /// When `compression` is provided, the longest suffix already written
+    /// into `buf` by an earlier name is replaced by a compression pointer,
+    /// and the offsets of the suffixes this call writes are recorded
+    /// (offsets must fit in 14 bits). One table serves one buffer, from the
+    /// start of the message.
+    pub fn encode(&self, buf: &mut Vec<u8>, compression: Option<&mut CompressionTable>) {
+        let Some(table) = compression else {
+            buf.extend_from_slice(&self.wire);
             buf.push(0);
             return;
         };
-        // One lowercase pass over the whole name: every candidate suffix is
-        // a slice of `full` (label lengths are byte lengths, separators one
-        // byte), so lookups allocate nothing and only suffixes newly
-        // recorded in the map are copied out.
-        let full = self.labels.join(".").to_ascii_lowercase();
-        let mut off = 0;
-        for label in &self.labels {
-            let suffix = &full[off..];
-            if let Some(&offset) = map.get(suffix) {
+        let mut pos = 0;
+        while pos < self.wire.len() {
+            let suffix = &self.wire[pos..];
+            if let Some(offset) = table.find(buf, suffix) {
                 buf.extend_from_slice(&(0xC000u16 | offset).to_be_bytes());
                 return;
             }
             let here = buf.len();
             if here <= 0x3FFF {
-                map.insert(suffix.to_owned(), here as u16);
+                table.suffixes.push((here as u16, suffix.len() as u8));
             }
-            buf.push(label.len() as u8);
-            buf.extend_from_slice(label.as_bytes());
-            off += label.len() + 1;
+            let end = pos + 1 + usize::from(self.wire[pos]);
+            buf.extend_from_slice(&self.wire[pos..end]);
+            pos = end;
         }
         buf.push(0);
     }
@@ -202,17 +276,20 @@ impl DomainName {
     /// Decodes a name starting at `offset` within `msg`, following
     /// compression pointers. Returns the name and the offset just past it.
     pub fn decode(msg: &[u8], offset: usize) -> Result<(DomainName, usize), NameError> {
-        let mut labels = Vec::new();
+        // Labels are gathered on the stack; bytes past the size limit are
+        // only counted, so an overlong name reports its full length.
+        let mut wire = [0u8; MAX_NAME_LEN];
+        let mut len = 0;
         let mut pos = offset;
         let mut jumped = false;
         let mut end = offset;
         let mut hops = 0;
         loop {
-            let len = *msg.get(pos).ok_or(NameError::Truncated)? as usize;
-            if len & 0xC0 == 0xC0 {
+            let label_len = *msg.get(pos).ok_or(NameError::Truncated)? as usize;
+            if label_len & 0xC0 == 0xC0 {
                 // Compression pointer.
                 let second = *msg.get(pos + 1).ok_or(NameError::Truncated)? as usize;
-                let target = ((len & 0x3F) << 8) | second;
+                let target = ((label_len & 0x3F) << 8) | second;
                 if !jumped {
                     end = pos + 2;
                     jumped = true;
@@ -227,70 +304,139 @@ impl DomainName {
                 pos = target;
                 continue;
             }
-            if len == 0 {
+            if label_len == 0 {
                 if !jumped {
                     end = pos + 1;
                 }
                 break;
             }
-            if len > MAX_LABEL_LEN {
-                return Err(NameError::LabelTooLong(len));
+            if label_len > MAX_LABEL_LEN {
+                return Err(NameError::LabelTooLong(label_len));
             }
-            let bytes = msg.get(pos + 1..pos + 1 + len).ok_or(NameError::Truncated)?;
-            // Same alphabet as `validate`: wire decoding must not smuggle in
-            // labels (embedded dots, control bytes, non-ASCII) that the
-            // builder API rejects — they would corrupt display/parse
-            // roundtrips and compression-map suffix keys.
+            let bytes = msg.get(pos + 1..pos + 1 + label_len).ok_or(NameError::Truncated)?;
+            // Same alphabet as the builder: wire decoding must not smuggle in
+            // labels (embedded dots, control bytes, non-ASCII) that
+            // `from_labels` rejects — they would corrupt display/parse
+            // roundtrips and case-insensitive comparison of the buffer.
             if !bytes.iter().copied().all(is_label_byte) {
                 return Err(NameError::InvalidCharacter);
             }
-            let label = String::from_utf8(bytes.to_vec()).map_err(|_| NameError::InvalidCharacter)?;
-            labels.push(label);
-            pos += len + 1;
+            let next = len + 1 + label_len;
+            if next < MAX_NAME_LEN {
+                wire[len] = label_len as u8;
+                wire[len + 1..next].copy_from_slice(bytes);
+            }
+            len = next;
+            pos += label_len + 1;
         }
-        let name = DomainName { labels };
-        if name.wire_len() > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong(name.wire_len()));
+        if len + 1 > MAX_NAME_LEN {
+            return Err(NameError::NameTooLong(len + 1));
         }
-        Ok((name, end))
+        Ok((DomainName { wire: wire[..len].to_vec() }, end))
+    }
+}
+
+/// The suffixes already written into one message buffer, for RFC 1035
+/// §4.1.4 name compression: each entry is the offset of a written suffix and
+/// its uncompressed wire length without the root octet.
+#[derive(Debug, Default)]
+pub struct CompressionTable {
+    suffixes: Vec<(u16, u8)>,
+}
+
+impl CompressionTable {
+    /// The offset of the recorded suffix that spells `suffix`
+    /// case-insensitively. No two entries spell the same suffix: an entry is
+    /// recorded only where no earlier one matched.
+    ///
+    /// Only suffixes recorded by earlier names may match. The length check
+    /// keeps out the entries the name being encoded has just recorded: they
+    /// are all longer than `suffix`, and the bytes behind them are not
+    /// written yet.
+    fn find(&self, msg: &[u8], suffix: &[u8]) -> Option<u16> {
+        self.suffixes
+            .iter()
+            .find(|&&(offset, len)| usize::from(len) == suffix.len() && spells(msg, usize::from(offset), suffix))
+            .map(|&(offset, _)| offset)
+    }
+}
+
+/// Whether the name written at `pos` in `msg`, following compression
+/// pointers, spells `wire` case-insensitively. The caller has checked that
+/// the two have the same uncompressed length.
+fn spells(msg: &[u8], mut pos: usize, mut wire: &[u8]) -> bool {
+    loop {
+        let len = msg[pos];
+        if len & 0xC0 == 0xC0 {
+            pos = (usize::from(len & 0x3F) << 8) | usize::from(msg[pos + 1]);
+            continue;
+        }
+        if len == 0 {
+            return wire.is_empty();
+        }
+        let n = 1 + usize::from(len);
+        if wire.len() < n || !msg[pos..pos + n].eq_ignore_ascii_case(&wire[..n]) {
+            return false;
+        }
+        wire = &wire[n..];
+        pos += n;
     }
 }
 
 impl PartialEq for DomainName {
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self.labels.iter().zip(&other.labels).all(|(a, b)| a.eq_ignore_ascii_case(b))
+        self.wire.eq_ignore_ascii_case(&other.wire)
     }
 }
 
-impl std::hash::Hash for DomainName {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
-            l.to_ascii_lowercase().hash(state);
-        }
+impl Hash for DomainName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut lower = [0u8; MAX_NAME_LEN];
+        let lower = &mut lower[..self.wire.len()];
+        lower.copy_from_slice(&self.wire);
+        lower.make_ascii_lowercase();
+        state.write(lower);
     }
 }
 
 impl PartialOrd for DomainName {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
+/// Lowercased labels compared most specific first, a shorter label sequence
+/// sorting first. This is *not* the RFC 4034 canonical order.
 impl Ord for DomainName {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let a: Vec<String> = self.labels.iter().map(|l| l.to_ascii_lowercase()).collect();
-        let b: Vec<String> = other.labels.iter().map(|l| l.to_ascii_lowercase()).collect();
-        a.cmp(&b)
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_label_seqs(self.raw_labels(), other.raw_labels())
+    }
+}
+
+impl fmt::Debug for DomainName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Labels<'a>(&'a DomainName);
+        impl fmt::Debug for Labels<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.labels()).finish()
+            }
+        }
+        f.debug_struct("DomainName").field("labels", &Labels(self)).finish()
     }
 }
 
 impl fmt::Display for DomainName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            return write!(f, ".");
+        if self.is_root() {
+            return f.write_str(".");
         }
-        write!(f, "{}", self.labels.join("."))
+        for (i, label) in self.labels().enumerate() {
+            if i > 0 {
+                f.write_str(".")?;
+            }
+            f.write_str(label)?;
+        }
+        Ok(())
     }
 }
 
@@ -385,6 +531,17 @@ mod tests {
     }
 
     #[test]
+    fn subdomain_match_must_start_on_a_label_boundary() {
+        // '0' is byte 48, the length octet of a 48-byte label: the bytes of
+        // "im" with a 48-byte label in front also end "a0xxx...x.im".
+        let x48 = "x".repeat(48);
+        let ancestor = n(&format!("{x48}.im"));
+        let name = n(&format!("a0{x48}.im"));
+        assert!(!name.is_subdomain_of(&ancestor));
+        assert!(n(&format!("a0.{x48}.im")).is_subdomain_of(&ancestor));
+    }
+
+    #[test]
     fn parent_and_prepend() {
         assert_eq!(n("www.vict.im").parent().unwrap(), n("vict.im"));
         assert_eq!(n("vict.im").prepend("mail").unwrap(), n("mail.vict.im"));
@@ -418,7 +575,7 @@ mod tests {
     #[test]
     fn wire_roundtrip_with_compression() {
         let mut buf = Vec::new();
-        let mut map = std::collections::HashMap::new();
+        let mut map = CompressionTable::default();
         let first = n("ns1.vict.im");
         let second = n("mail.vict.im");
         first.encode(&mut buf, Some(&mut map));

@@ -255,8 +255,9 @@ impl Nameserver {
         if let Some(target) = self.config.pad_responses_to {
             let current = response.wire_size();
             if current < usize::from(target) && response.header.rcode == Rcode::NoError {
-                let pad = usize::from(target) - current - 16;
-                if pad > 0 {
+                // A response within 16 bytes of the target cannot fit a
+                // padding record; the query name sets `current`.
+                if let Some(pad) = usize::from(target).checked_sub(current + 16).filter(|&pad| pad > 0) {
                     response.answers.push(ResourceRecord::new(
                         question.name.clone(),
                         60,
@@ -538,6 +539,20 @@ mod tests {
         let mut rng = ChaCha20Rng::seed_from_u64(5);
         let r = srv.answer_query(&Message::query(7, n("vict.im"), RecordType::A), &mut rng);
         assert!(r.wire_size() >= 1300, "padded response is large: {}", r.wire_size());
+    }
+
+    #[test]
+    fn padding_target_just_above_the_response_size_does_not_panic() {
+        // Regression: a target within 16 bytes above the unpadded size used
+        // to underflow `target - current - 16`. The query name sets that
+        // size, so any client could trip it.
+        let query = Message::query(7, n("vict.im"), RecordType::A);
+        let mut rng = ChaCha20Rng::seed_from_u64(5);
+        let unpadded = server(NameserverConfig::new(NS_ADDR)).answer_query(&query, &mut rng).wire_size();
+        let mut cfg = NameserverConfig::new(NS_ADDR);
+        cfg.pad_responses_to = Some(unpadded as u16 + 8);
+        let r = server(cfg).answer_query(&query, &mut rng);
+        assert_eq!(r.wire_size(), unpadded, "no room for a padding record: the response goes out unpadded");
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! (EDNS buffer sizes, Figure 4) and the `ANY` query type used to inflate
 //! response sizes past the fragmentation threshold.
 
-use crate::name::{DomainName, NameError};
+use crate::name::{CompressionTable, DomainName, NameError};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -689,7 +688,7 @@ impl ResourceRecord {
     }
 
     /// Encodes the record (name, type, class, TTL, RDLENGTH, RDATA).
-    pub fn encode(&self, buf: &mut Vec<u8>, compression: Option<&mut HashMap<String, u16>>) {
+    pub fn encode(&self, buf: &mut Vec<u8>, compression: Option<&mut CompressionTable>) {
         self.name.encode(buf, compression);
         buf.extend_from_slice(&self.rtype().number().to_be_bytes());
         // OPT abuses the class field for the UDP payload size (RFC 6891).

@@ -509,12 +509,13 @@ impl Resolver {
 
     fn answer_client_from_records(
         &mut self,
-        question: &Question,
-        records: &[ResourceRecord],
+        question: Question,
+        records: Vec<ResourceRecord>,
         client: ClientRef,
         ctx: &mut Ctx<'_>,
     ) {
-        let mut response = Message {
+        let rcode = if records.is_empty() { Rcode::NxDomain } else { Rcode::NoError };
+        let response = Message {
             header: crate::message::Header {
                 id: client.txid,
                 is_response: true,
@@ -523,16 +524,13 @@ impl Resolver {
                 recursion_desired: true,
                 recursion_available: true,
                 authenticated_data: false,
-                rcode: Rcode::NoError,
+                rcode,
             },
-            questions: vec![question.clone()],
-            answers: records.to_vec(),
+            questions: vec![question],
+            answers: records,
             authorities: Vec::new(),
             additionals: Vec::new(),
         };
-        if records.is_empty() {
-            response.header.rcode = Rcode::NxDomain;
-        }
         let payload = response.encode();
         let sock = &mut self.client_sock;
         with_io(&mut self.stack, ctx, |io| sock.send_to(io, Endpoint::new(client.addr, client.port), &payload));
@@ -577,7 +575,7 @@ impl Resolver {
         let cached = self.cache.borrow_mut().lookup_with_policy(&question.name, question.qtype, now, allow_any_derived);
         if let Some(records) = cached {
             self.stats.cache_answers += 1;
-            self.answer_client_from_records(&question, &records, client, ctx);
+            self.answer_client_from_records(question, records, client, ctx);
             return;
         }
 
@@ -801,7 +799,7 @@ impl Resolver {
         if let Some(entry) = self.outstanding.remove(&token) {
             self.release_transport(&entry, ctx);
             for client in entry.clients.clone() {
-                self.answer_client_from_records(&entry.question, answers, client, ctx);
+                self.answer_client_from_records(entry.question.clone(), answers.to_vec(), client, ctx);
             }
         }
     }

@@ -353,9 +353,7 @@ impl Zone {
             DenialConfig::Nsec => {
                 for (owner, rrs) in &self.records {
                     let proves = rrs.iter().any(|rr| match &rr.rdata {
-                        RData::Nsec { next, .. } => {
-                            owner.to_lowercase() == name.to_lowercase() || nsec_covers(owner, next, name)
-                        }
+                        RData::Nsec { next, .. } => owner == name || nsec_covers(owner, next, name),
                         _ => false,
                     });
                     if proves {
@@ -369,8 +367,8 @@ impl Zone {
                     let proves = rrs.iter().any(|rr| match &rr.rdata {
                         RData::Nsec3 { next_hashed, .. } => owner
                             .labels()
-                            .first()
-                            .and_then(|label| base32hex_decode(label))
+                            .next()
+                            .and_then(base32hex_decode)
                             .is_some_and(|own| own == qhash || nsec3_covers(&own, next_hashed, &qhash)),
                         _ => false,
                     });

@@ -1,11 +1,18 @@
 //! Differential tests of DNS name compression against RFC 1035 §4.1.4:
 //! property tests over arbitrary label sets (shared-suffix pointer
 //! compression must be invisible to the decoder) plus the RFC's own
-//! F.ISI.ARPA / FOO.F.ISI.ARPA / ARPA / root byte-layout example.
+//! F.ISI.ARPA / FOO.F.ISI.ARPA / ARPA / root byte-layout example, and
+//! reference oracles: a copy of the string-keyed compression encoder and of
+//! the label-vector name order, which the byte-buffer implementations must
+//! match exactly.
 
 use cross_layer_attacks::dns::prelude::*;
 use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha20Rng;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 fn arb_label() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-z0-9]{1,10}").expect("valid regex")
@@ -16,8 +23,102 @@ fn arb_name() -> impl Strategy<Value = DomainName> {
         .prop_map(|labels| DomainName::from_labels(labels).expect("valid labels"))
 }
 
+/// Reference encoder: every suffix is keyed by its lowercased dotted text
+/// and mapped to the offset where it was first written.
+fn reference_encode(name: &DomainName, buf: &mut Vec<u8>, map: &mut HashMap<String, u16>) {
+    let labels: Vec<&str> = name.labels().collect();
+    for i in 0..labels.len() {
+        let suffix = labels[i..].join(".").to_ascii_lowercase();
+        if let Some(&offset) = map.get(&suffix) {
+            buf.extend_from_slice(&(0xC000u16 | offset).to_be_bytes());
+            return;
+        }
+        let here = buf.len();
+        if here <= 0x3FFF {
+            map.insert(suffix, here as u16);
+        }
+        buf.push(labels[i].len() as u8);
+        buf.extend_from_slice(labels[i].as_bytes());
+    }
+    buf.push(0);
+}
+
+/// Reference order: lowercased labels as owned strings, most specific first,
+/// compared as vectors.
+fn reference_key(name: &DomainName) -> Vec<String> {
+    name.labels().map(str::to_ascii_lowercase).collect()
+}
+
+/// Encodes `names` after a `start`-byte prefix with both encoders.
+fn encode_both(names: &[DomainName], start: usize) -> (Vec<u8>, Vec<u8>) {
+    let (mut ours, mut reference) = (vec![0u8; start], vec![0u8; start]);
+    let (mut table, mut map) = (CompressionTable::default(), HashMap::new());
+    for name in names {
+        name.encode(&mut ours, Some(&mut table));
+        reference_encode(name, &mut reference, &mut map);
+    }
+    (ours, reference)
+}
+
+/// Mixed-case labels over a two-letter alphabet, so labels, suffixes and
+/// whole names repeat often.
+fn arb_mixed_name() -> impl Strategy<Value = DomainName> {
+    proptest::collection::vec(proptest::string::string_regex("[abAB]{1,2}").expect("valid regex"), 0..5)
+        .prop_map(|labels| DomainName::from_labels(labels).expect("valid labels"))
+}
+
+/// A message's worth of names drawn from a small pool with repeats, each
+/// occurrence in its own random casing.
+fn arb_name_sequence() -> impl Strategy<Value = Vec<DomainName>> {
+    (proptest::collection::vec(arb_mixed_name(), 1..5), proptest::collection::vec((0usize..8, any::<u64>()), 1..10))
+        .prop_map(|(pool, picks)| {
+            picks
+                .into_iter()
+                .map(|(i, seed)| pool[i % pool.len()].randomize_case(&mut ChaCha20Rng::seed_from_u64(seed)))
+                .collect()
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The offset-table encoder emits exactly the reference encoder's bytes,
+    /// from the start of a message and from past the 14-bit pointer range
+    /// (where suffixes can no longer be recorded).
+    #[test]
+    fn compression_matches_the_reference_encoder(names in arb_name_sequence()) {
+        for start in [0, 12, 0x3FF8] {
+            let (ours, reference) = encode_both(&names, start);
+            prop_assert_eq!(&ours[start..], &reference[start..], "names {:?} from offset {}", &names, start);
+        }
+    }
+
+    /// Long messages with many distinct suffixes match the reference
+    /// encoder byte for byte.
+    #[test]
+    fn long_messages_match_the_reference_encoder(names in proptest::collection::vec(arb_name(), 10..40)) {
+        let (ours, reference) = encode_both(&names, 12);
+        prop_assert_eq!(ours, reference);
+    }
+
+    /// `Ord` agrees with the label-vector reference order, and orders two
+    /// names as equal exactly when they are equal.
+    #[test]
+    fn order_matches_the_reference_order(a in arb_mixed_name(), b in arb_mixed_name()) {
+        let ordering = a.cmp(&b);
+        prop_assert_eq!(ordering, reference_key(&a).cmp(&reference_key(&b)), "{} vs {}", &a, &b);
+        prop_assert_eq!(ordering == Ordering::Equal, a == b);
+    }
+
+    /// Every case variant of a name is equal to it and hashes the same.
+    #[test]
+    fn case_variants_hash_the_same(name in arb_mixed_name(), seed in any::<u64>()) {
+        let variant = name.randomize_case(&mut ChaCha20Rng::seed_from_u64(seed));
+        let hasher = std::collections::hash_map::RandomState::new();
+        prop_assert_eq!(&variant, &name);
+        prop_assert_eq!(hasher.hash_one(&variant), hasher.hash_one(&name));
+        prop_assert_eq!(hasher.hash_one(variant.to_lowercase()), hasher.hash_one(&name));
+    }
 
     /// Compressed and uncompressed encodings of the same name sequence
     /// decode to the same names, with every name's end offset landing
@@ -25,7 +126,7 @@ proptest! {
     #[test]
     fn compression_is_invisible_to_the_decoder(names in proptest::collection::vec(arb_name(), 1..6)) {
         let mut compressed = Vec::new();
-        let mut map: HashMap<String, u16> = HashMap::new();
+        let mut map = CompressionTable::default();
         let mut offsets = Vec::new();
         for name in &names {
             offsets.push(compressed.len());
@@ -60,7 +161,7 @@ proptest! {
     #[test]
     fn emitted_pointers_always_point_backward(names in proptest::collection::vec(arb_name(), 2..6)) {
         let mut buf = Vec::new();
-        let mut map: HashMap<String, u16> = HashMap::new();
+        let mut map = CompressionTable::default();
         for name in &names {
             name.encode(&mut buf, Some(&mut map));
         }
@@ -85,7 +186,7 @@ proptest! {
 #[test]
 fn rfc1035_4_1_4_pointer_layout() {
     let mut buf = vec![0u8; 20];
-    let mut map: HashMap<String, u16> = HashMap::new();
+    let mut map = CompressionTable::default();
 
     let f_isi_arpa: DomainName = "F.ISI.ARPA".parse().unwrap();
     f_isi_arpa.encode(&mut buf, Some(&mut map));
@@ -110,4 +211,17 @@ fn rfc1035_4_1_4_pointer_layout() {
     assert_eq!(DomainName::decode(&buf, 40).unwrap(), (foo, 46));
     assert_eq!(DomainName::decode(&buf, 64).unwrap(), (arpa, 66));
     assert_eq!(DomainName::decode(&buf, 92).unwrap(), (DomainName::root(), 93));
+}
+
+/// Repeated labels and a name encoded twice: `a.a.a` records suffixes whose
+/// text is a suffix of its own, which only earlier names may match, and the
+/// second `a.a.a` is one pointer.
+#[test]
+fn repeated_labels_and_repeated_names_match_the_reference() {
+    let names: Vec<DomainName> =
+        ["a.a.a", "A.a.A", "a.a", "b.a.a.a", "a", "a.A.a"].iter().map(|s| s.parse().unwrap()).collect();
+    let (ours, reference) = encode_both(&names, 12);
+    assert_eq!(ours, reference);
+    assert_eq!(&ours[12..20], &[1, b'a', 1, b'a', 1, b'a', 0, 0xC0], "a.a.a in full, then a pointer");
+    assert_eq!(ours[20], 12, "the second a.a.a points at the first");
 }

@@ -27,7 +27,7 @@ fn arb_name() -> impl Strategy<Value = DomainName> {
 /// lowercased and compared byte-wise, with a shorter name (a prefix of the
 /// other's sequence) sorting first.
 fn model_key(name: &DomainName) -> Vec<Vec<u8>> {
-    name.labels().iter().rev().map(|l| l.to_ascii_lowercase().into_bytes()).collect()
+    name.labels().rev().map(|l| l.to_ascii_lowercase().into_bytes()).collect()
 }
 
 fn host(label: &str) -> DomainName {
