@@ -101,19 +101,15 @@ pub fn saddns_effectiveness(runs: u64, seed: u64) -> SadDnsEffectiveness {
     }
 }
 
-/// Builds the full comparison table.
+/// Builds the full comparison table with the applicability campaigns running
+/// on the sharded engine.
 ///
-/// `sample_cap` bounds the population sizes used for the applicability
+/// `cfg.sample_cap` bounds the population sizes used for the applicability
 /// columns; `saddns_runs` controls how many full SadDNS simulations back the
 /// effectiveness numbers (use 1 for quick runs, more for tighter averages).
-pub fn run_table6(seed: u64, sample_cap: u64, saddns_runs: u64) -> ComparisonReport {
-    run_table6_with(&CampaignConfig::new(seed, sample_cap), saddns_runs)
-}
-
-/// Builds the full comparison table with the applicability campaigns running
-/// on the sharded engine. The attack simulations backing the effectiveness
-/// columns are inherently sequential (one simulator per run) and take the
-/// master seed directly; everything population-scale honours `cfg.workers`.
+/// The attack simulations backing the effectiveness columns are inherently
+/// sequential (one simulator per run) and take the master seed directly;
+/// everything population-scale honours `cfg.workers`.
 pub fn run_table6_with(cfg: &CampaignConfig, saddns_runs: u64) -> ComparisonReport {
     let t3 = measurements::run_table3_with(cfg);
     let t4 = measurements::run_table4_with(cfg);
@@ -237,7 +233,7 @@ mod tests {
 
     #[test]
     fn table6_orderings_match_the_paper() {
-        let report = run_table6(3, 3_000, 1);
+        let report = run_table6_with(&CampaignConfig::new(3, 3_000), 1);
         assert_eq!(report.rows.len(), 5);
         let by_name = |n: &str| report.rows.iter().find(|r| r.variant.contains(n)).unwrap();
         let sub = by_name("sub-prefix");
@@ -282,7 +278,7 @@ mod tests {
 
     #[test]
     fn rendering_contains_all_variants() {
-        let report = run_table6(3, 1_000, 1);
+        let report = run_table6_with(&CampaignConfig::new(3, 1_000), 1);
         let rendered = render_table6(&report);
         for needle in ["sub-prefix", "same-prefix", "SadDNS", "random IPID", "global IPID"] {
             assert!(rendered.contains(needle), "missing {needle}");

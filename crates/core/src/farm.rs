@@ -7,9 +7,6 @@
 //! on whatever worker picks it up, and the per-shard [`FarmStats`] are merged
 //! in shard order — so the merged result is byte-identical for any worker
 //! count, the same contract as every other campaign in this crate.
-//!
-//! `BENCH_engine.json` is rendered from a [`FarmBench`]: the deterministic
-//! counters plus the wall-clock packets/sec of the run that produced them.
 
 use crate::campaign::{derive_seed, run_shards};
 use attacks::env::addrs;
@@ -83,53 +80,6 @@ pub fn run_farm_campaign_with_metrics(cfg: &FarmCampaignConfig) -> (FarmStats, t
     stats.export_metrics(&mut metrics);
     metrics.incr("campaign.farm.shards", u64::from(cfg.shards.max(1)));
     (stats, metrics)
-}
-
-/// The committed benchmark record: deterministic counters plus the measured
-/// throughput of the machine that produced them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FarmBench {
-    /// The configuration benchmarked.
-    pub config: FarmCampaignConfig,
-    /// The merged deterministic counters.
-    pub stats: FarmStats,
-    /// Wall-clock seconds the run took.
-    pub wall_seconds: f64,
-    /// Delivered packets per wall-clock second.
-    pub packets_per_sec: f64,
-}
-
-/// Renders a [`FarmBench`] as the `BENCH_engine.json` document. Hand-rolled:
-/// the workspace has no JSON serialiser and the schema is a dozen scalars.
-pub fn render_bench_json(b: &FarmBench) -> String {
-    let c = &b.config;
-    let s = &b.stats;
-    format!(
-        "{{\n  \"bench\": \"engine_farm\",\n  \"seed\": {},\n  \"hosts\": {},\n  \"shards\": {},\n  \"workers\": {},\n  \
-         \"resolvers_per_shard\": {},\n  \"name_pool\": {},\n  \"mean_think_ms\": {},\n  \"sim_duration_ms\": {},\n  \
-         \"queries_sent\": {},\n  \"responses\": {},\n  \"cache_answers\": {},\n  \"upstream_queries\": {},\n  \
-         \"servfails\": {},\n  \"cache_entries\": {},\n  \"packets_delivered\": {},\n  \"bytes_delivered\": {},\n  \
-         \"sim_end_ns\": {},\n  \"wall_seconds\": {:.3},\n  \"packets_per_sec\": {:.0}\n}}\n",
-        c.seed,
-        c.hosts,
-        c.shards,
-        c.workers,
-        c.shard.resolvers,
-        c.shard.names,
-        c.shard.mean_think.as_nanos() / 1_000_000,
-        c.shard.duration.as_nanos() / 1_000_000,
-        s.queries_sent,
-        s.responses,
-        s.cache_answers,
-        s.upstream_queries,
-        s.servfails,
-        s.cache_entries,
-        s.packets_delivered,
-        s.bytes_delivered,
-        s.sim_end_ns,
-        b.wall_seconds,
-        b.packets_per_sec,
-    )
 }
 
 /// Outcome of a SadDNS run against a resolver serving background load.
@@ -305,18 +255,6 @@ mod tests {
         assert_eq!(one_metrics.counter("dns.farm.clients"), one_stats.clients);
         assert_eq!(one_metrics.gauge("dns.farm.sim_end_ns"), one_stats.sim_end_ns);
         assert_eq!(one_metrics.counter("campaign.farm.shards"), 4);
-    }
-
-    #[test]
-    fn bench_json_is_wellformed_enough() {
-        let stats = run_farm_campaign(&tiny());
-        let bench = FarmBench { config: tiny(), stats, wall_seconds: 1.5, packets_per_sec: 12345.0 };
-        let json = render_bench_json(&bench);
-        assert!(json.starts_with("{\n"));
-        assert!(json.trim_end().ends_with('}'));
-        assert!(json.contains("\"bench\": \"engine_farm\""));
-        assert!(json.contains("\"packets_per_sec\": 12345"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -230,12 +230,8 @@ fn scan_domains(spec: &DatasetSpec, metric: DomainMetric, cfg: &CampaignConfig) 
 }
 
 /// Figure 3: distribution of announced prefix lengths (/11 … /24) for open
-/// resolvers, ad-net resolvers and Alexa nameservers.
-pub fn figure3_prefix_distributions(seed: u64, sample_cap: u64) -> Vec<Cdf> {
-    figure3_prefix_distributions_with(&CampaignConfig::new(seed, sample_cap))
-}
-
-/// Figure 3 on the sharded engine: three parallel histogram scans.
+/// resolvers, ad-net resolvers and Alexa nameservers — three parallel
+/// histogram scans on the sharded engine.
 pub fn figure3_prefix_distributions_with(cfg: &CampaignConfig) -> Vec<Cdf> {
     let thresholds: Vec<u32> = (11..=24).collect();
     let specs = population::table3_datasets();
@@ -251,12 +247,7 @@ pub fn figure3_prefix_distributions_with(cfg: &CampaignConfig) -> Vec<Cdf> {
 }
 
 /// Figure 4: CDF of resolver EDNS UDP sizes vs. CDF of the minimum fragment
-/// size emitted by (fragmenting) Alexa nameservers.
-pub fn figure4_edns_vs_fragment(seed: u64, sample_cap: u64) -> (Cdf, Cdf) {
-    figure4_edns_vs_fragment_with(&CampaignConfig::new(seed, sample_cap))
-}
-
-/// Figure 4 on the sharded engine.
+/// size emitted by (fragmenting) Alexa nameservers, on the sharded engine.
 pub fn figure4_edns_vs_fragment_with(cfg: &CampaignConfig) -> (Cdf, Cdf) {
     let thresholds = [68u32, 292, 512, 548, 1232, 1500, 2048, 3072, 4096];
     let specs = population::table3_datasets();
@@ -458,12 +449,7 @@ impl Campaign for DomainOverlap<'_> {
     }
 }
 
-/// Figure 5a: overlap over all resolver datasets.
-pub fn figure5_resolver_overlap(seed: u64, sample_cap: u64) -> VennCounts {
-    figure5_resolver_overlap_with(&CampaignConfig::new(seed, sample_cap))
-}
-
-/// Figure 5a on the sharded engine.
+/// Figure 5a: overlap over all resolver datasets, on the sharded engine.
 pub fn figure5_resolver_overlap_with(cfg: &CampaignConfig) -> VennCounts {
     let mut counts = VennCounts::default();
     for spec in population::table3_datasets() {
@@ -472,12 +458,7 @@ pub fn figure5_resolver_overlap_with(cfg: &CampaignConfig) -> VennCounts {
     counts
 }
 
-/// Figure 5b: overlap over all domain datasets.
-pub fn figure5_domain_overlap(seed: u64, sample_cap: u64) -> VennCounts {
-    figure5_domain_overlap_with(&CampaignConfig::new(seed, sample_cap))
-}
-
-/// Figure 5b on the sharded engine.
+/// Figure 5b: overlap over all domain datasets, on the sharded engine.
 pub fn figure5_domain_overlap_with(cfg: &CampaignConfig) -> VennCounts {
     let mut counts = VennCounts::default();
     for spec in population::table4_datasets() {
@@ -522,7 +503,7 @@ mod tests {
 
     #[test]
     fn figure3_shapes() {
-        let cdfs = figure3_prefix_distributions(11, 10_000);
+        let cdfs = figure3_prefix_distributions_with(&CampaignConfig::new(11, 10_000));
         assert_eq!(cdfs.len(), 3);
         for cdf in &cdfs {
             // CDFs are monotone and end at 100% at /24.
@@ -537,7 +518,7 @@ mod tests {
 
     #[test]
     fn figure4_bimodal_edns_and_548_fragments() {
-        let (edns, frag) = figure4_edns_vs_fragment(11, 10_000);
+        let (edns, frag) = figure4_edns_vs_fragment_with(&CampaignConfig::new(11, 10_000));
         // ~40% of resolvers advertise ≤512 bytes; ~50% advertise 4096.
         assert!((edns.at(512) - 0.40).abs() < 0.05);
         assert!(edns.at(2048) < 0.55);
@@ -549,24 +530,24 @@ mod tests {
 
     #[test]
     fn figure5_hijack_dominates() {
-        let resolvers = figure5_resolver_overlap(11, 3_000);
+        let resolvers = figure5_resolver_overlap_with(&CampaignConfig::new(11, 3_000));
         assert!(resolvers.hijack_total() > resolvers.saddns_total());
         assert!(resolvers.hijack_total() > resolvers.frag_total());
         assert!(resolvers.total_vulnerable() > 0);
         // SadDNS and FragDNS overlap mostly *inside* the hijackable set.
         assert!(resolvers.all_three + resolvers.hijack_saddns >= resolvers.only_saddns);
 
-        let domains = figure5_domain_overlap(11, 3_000);
+        let domains = figure5_domain_overlap_with(&CampaignConfig::new(11, 3_000));
         assert!(domains.hijack_total() > domains.saddns_total());
         assert!(domains.saddns_total() > domains.frag_total() / 2, "domains: SadDNS and FragDNS are the small sets");
     }
 
     #[test]
     fn rendering_works() {
-        let cdfs = figure3_prefix_distributions(11, 1_000);
+        let cdfs = figure3_prefix_distributions_with(&CampaignConfig::new(11, 1_000));
         let s = render_cdfs("Figure 3", &cdfs);
         assert!(s.contains("Open resolver"));
-        let v = figure5_resolver_overlap(11, 1_000);
+        let v = figure5_resolver_overlap_with(&CampaignConfig::new(11, 1_000));
         let s = render_venn("Figure 5a", &v);
         assert!(s.contains("All three"));
     }

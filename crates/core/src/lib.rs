@@ -30,7 +30,7 @@
 //!   BGP hijack, password-recovery takeover, SPF downgrade), instantiated
 //!   on the pipeline;
 //! * [`countermeasures`] — the Section 6 defence ablation;
-//! * [`report`] — plain-text table rendering used by benches and examples.
+//! * [`report`] — plain-text table rendering used by the renderers and examples.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -51,8 +51,7 @@ pub mod vulnscan;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::analysis::{
-        render_table6, run_table6, run_table6_from, run_table6_with, saddns_effectiveness, ComparisonReport,
-        MethodComparison,
+        render_table6, run_table6_from, run_table6_with, saddns_effectiveness, ComparisonReport, MethodComparison,
     };
     pub use crate::anycache::{render_table5, run_table5, AnyCachingResult};
     pub use crate::campaign::{
@@ -67,23 +66,22 @@ pub mod prelude {
         SpfDowngradeOutcome,
     };
     pub use crate::farm::{
-        render_bench_json, run_farm_campaign, run_farm_campaign_with_metrics, saddns_under_load,
-        saddns_under_load_with_warmup, FarmBench, FarmCampaignConfig, LoadedSadDnsReport, FARM_SALT,
+        run_farm_campaign, run_farm_campaign_with_metrics, saddns_under_load, saddns_under_load_with_warmup,
+        FarmCampaignConfig, LoadedSadDnsReport, FARM_SALT,
     };
     pub use crate::figures::{
-        figure3_prefix_distributions, figure3_prefix_distributions_with, figure4_edns_vs_fragment,
-        figure4_edns_vs_fragment_with, figure5_domain_overlap, figure5_domain_overlap_with, figure5_resolver_overlap,
+        figure3_prefix_distributions_with, figure4_edns_vs_fragment_with, figure5_domain_overlap_with,
         figure5_resolver_overlap_with, render_cdfs, render_venn, Cdf, VennCounts,
     };
     pub use crate::measurements::{
-        classify_dataset, render_table3, render_table4, run_table3, run_table3_with, run_table4, run_table4_with,
-        DatasetCampaign, DomainCampaign, DomainClassCounts, DomainDatasetResult, ResolverCampaign, ResolverClassCounts,
+        classify_dataset, render_table3, render_table4, run_table3_with, run_table4_with, DatasetCampaign,
+        DomainCampaign, DomainClassCounts, DomainDatasetResult, ResolverCampaign, ResolverClassCounts,
         ResolverDatasetResult, DEFAULT_SAMPLE_CAP,
     };
     pub use crate::population::{
-        draw_domain, draw_resolver, fill_domain_block, fill_resolver_block, generate_domains, generate_domains_with,
-        generate_resolvers, generate_resolvers_with, table3_datasets, table4_datasets, DatasetSpec, DomainBlock,
-        DomainProfile, ResolverBlock, ResolverProfile,
+        draw_domain, draw_resolver, fill_domain_block, fill_resolver_block, generate_domains_with,
+        generate_resolvers_with, table3_datasets, table4_datasets, DatasetSpec, DomainBlock, DomainProfile,
+        ResolverBlock, ResolverProfile,
     };
     pub use crate::report::{pct, TextTable};
     pub use crate::scenario::{

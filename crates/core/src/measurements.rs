@@ -249,21 +249,11 @@ pub fn classify_dataset<C: DatasetCampaign>(campaign: &C, cfg: &CampaignConfig) 
     campaign::run_campaign(campaign, campaign.spec().sample_size(cfg.sample_cap), cfg)
 }
 
-/// Runs the Table 3 campaign over all nine resolver datasets.
-pub fn run_table3(seed: u64, sample_cap: u64) -> Vec<ResolverDatasetResult> {
-    run_table3_with(&CampaignConfig::new(seed, sample_cap))
-}
-
-/// Runs the Table 3 campaign on the sharded engine. Results are a function
-/// of `cfg.seed` / `cfg.sample_cap` only — `cfg.workers` changes wall-clock
-/// time, never a single table cell.
+/// Runs the Table 3 campaign over all nine resolver datasets on the sharded
+/// engine. Results are a function of `cfg.seed` / `cfg.sample_cap` only —
+/// `cfg.workers` changes wall-clock time, never a single table cell.
 pub fn run_table3_with(cfg: &CampaignConfig) -> Vec<ResolverDatasetResult> {
     population::table3_datasets().iter().map(|spec| classify_resolver_dataset_with(spec, cfg)).collect()
-}
-
-/// Classifies one resolver dataset.
-pub fn classify_resolver_dataset(spec: &DatasetSpec, seed: u64, sample_cap: u64) -> ResolverDatasetResult {
-    classify_resolver_dataset_with(spec, &CampaignConfig::new(seed, sample_cap))
 }
 
 /// Classifies one resolver dataset on the sharded engine.
@@ -280,19 +270,10 @@ pub fn classify_resolver_dataset_with(spec: &DatasetSpec, cfg: &CampaignConfig) 
     }
 }
 
-/// Runs the Table 4 campaign over all ten domain datasets.
-pub fn run_table4(seed: u64, sample_cap: u64) -> Vec<DomainDatasetResult> {
-    run_table4_with(&CampaignConfig::new(seed, sample_cap))
-}
-
-/// Runs the Table 4 campaign on the sharded engine.
+/// Runs the Table 4 campaign over all ten domain datasets on the sharded
+/// engine.
 pub fn run_table4_with(cfg: &CampaignConfig) -> Vec<DomainDatasetResult> {
     population::table4_datasets().iter().map(|spec| classify_domain_dataset_with(spec, cfg)).collect()
-}
-
-/// Classifies one domain dataset.
-pub fn classify_domain_dataset(spec: &DatasetSpec, seed: u64, sample_cap: u64) -> DomainDatasetResult {
-    classify_domain_dataset_with(spec, &CampaignConfig::new(seed, sample_cap))
 }
 
 /// Classifies one domain dataset on the sharded engine.
@@ -357,7 +338,7 @@ mod tests {
 
     #[test]
     fn table3_reproduces_paper_shape() {
-        let rows = run_table3(42, 20_000);
+        let rows = run_table3_with(&CampaignConfig::new(42, 20_000));
         assert_eq!(rows.len(), 9);
         let open = rows.iter().find(|r| r.dataset.contains("Open resolvers")).unwrap();
         // Paper: 74% / 12% / 31%.
@@ -375,7 +356,7 @@ mod tests {
 
     #[test]
     fn table4_reproduces_paper_shape() {
-        let rows = run_table4(42, 20_000);
+        let rows = run_table4_with(&CampaignConfig::new(42, 20_000));
         assert_eq!(rows.len(), 10);
         let alexa = rows.iter().find(|r| r.dataset == "Alexa 1M").unwrap();
         assert!((alexa.hijack - 0.53).abs() < 0.03);
@@ -393,20 +374,21 @@ mod tests {
 
     #[test]
     fn rendering_contains_all_datasets() {
-        let rows = run_table3(1, 500);
+        let rows = run_table3_with(&CampaignConfig::new(1, 500));
         let rendered = render_table3(&rows);
         for r in &rows {
             assert!(rendered.contains(&r.dataset));
         }
-        let rows4 = run_table4(1, 500);
+        let rows4 = run_table4_with(&CampaignConfig::new(1, 500));
         let rendered4 = render_table4(&rows4);
         assert!(rendered4.contains("Eduroam"));
     }
 
     #[test]
     fn deterministic_for_seed() {
-        assert_eq!(run_table3(7, 2_000), run_table3(7, 2_000));
-        assert_ne!(run_table3(7, 2_000), run_table3(8, 2_000));
+        let table3 = |seed| run_table3_with(&CampaignConfig::new(seed, 2_000));
+        assert_eq!(table3(7), table3(7));
+        assert_ne!(table3(7), table3(8));
     }
 
     #[test]

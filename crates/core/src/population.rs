@@ -662,15 +662,9 @@ pub fn fill_domain_block<R: Rng>(spec: &DatasetSpec, rng: &mut R, count: usize, 
     }
 }
 
-/// Generates the resolver population for a dataset (single-threaded
-/// reference path; identical output to any parallel run).
-pub fn generate_resolvers(spec: &DatasetSpec, cap: u64, seed: u64) -> Vec<ResolverProfile> {
-    generate_resolvers_with(spec, &CampaignConfig::new(seed, cap))
-}
-
-/// Generates the resolver population on the sharded campaign engine. The
-/// result depends on `cfg.seed` and `cfg.sample_cap` only, never on
-/// `cfg.workers`.
+/// Generates the resolver population for a dataset on the sharded campaign
+/// engine. The result depends on `cfg.seed` and `cfg.sample_cap` only, never
+/// on `cfg.workers`.
 pub fn generate_resolvers_with(spec: &DatasetSpec, cfg: &CampaignConfig) -> Vec<ResolverProfile> {
     campaign::generate_population(
         spec.sample_size(cfg.sample_cap),
@@ -681,13 +675,9 @@ pub fn generate_resolvers_with(spec: &DatasetSpec, cfg: &CampaignConfig) -> Vec<
     )
 }
 
-/// Generates the domain population for a dataset (single-threaded reference
-/// path; identical output to any parallel run).
-pub fn generate_domains(spec: &DatasetSpec, cap: u64, seed: u64) -> Vec<DomainProfile> {
-    generate_domains_with(spec, &CampaignConfig::new(seed, cap))
-}
-
-/// Generates the domain population on the sharded campaign engine.
+/// Generates the domain population for a dataset on the sharded campaign
+/// engine; like [`generate_resolvers_with`], the result never depends on
+/// `cfg.workers`.
 pub fn generate_domains_with(spec: &DatasetSpec, cfg: &CampaignConfig) -> Vec<DomainProfile> {
     campaign::generate_population(
         spec.sample_size(cfg.sample_cap),
@@ -713,8 +703,8 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let spec = &table3_datasets()[7];
-        let a = generate_resolvers(spec, 1000, 1);
-        let b = generate_resolvers(spec, 1000, 1);
+        let a = generate_resolvers_with(spec, &CampaignConfig::new(1, 1000));
+        let b = generate_resolvers_with(spec, &CampaignConfig::new(1, 1000));
         assert_eq!(a, b);
         assert_eq!(a.len(), 1000);
     }
@@ -722,7 +712,7 @@ mod tests {
     #[test]
     fn marginals_match_spec_within_tolerance() {
         let spec = &table3_datasets()[7]; // open resolvers: 74% / 12% / 31%
-        let pop = generate_resolvers(spec, 20_000, 42);
+        let pop = generate_resolvers_with(spec, &CampaignConfig::new(42, 20_000));
         let frac = |f: &dyn Fn(&ResolverProfile) -> bool| pop.iter().filter(|r| f(r)).count() as f64 / pop.len() as f64;
         assert!((frac(&|r| r.announced_prefix_len < 24) - 0.74).abs() < 0.02);
         assert!((frac(&|r| r.global_icmp_limit) - 0.12).abs() < 0.02);
@@ -732,7 +722,7 @@ mod tests {
     #[test]
     fn domain_marginals_match_spec() {
         let spec = &table4_datasets()[1]; // Alexa 1M: 53% / 12% / 4%
-        let pop = generate_domains(spec, 20_000, 42);
+        let pop = generate_domains_with(spec, &CampaignConfig::new(42, 20_000));
         let frac = |f: &dyn Fn(&DomainProfile) -> bool| pop.iter().filter(|d| f(d)).count() as f64 / pop.len() as f64;
         assert!((frac(&|d| d.announced_prefix_len < 24) - 0.53).abs() < 0.02);
         assert!((frac(&|d| d.ns_rate_limits) - 0.12).abs() < 0.02);

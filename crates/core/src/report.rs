@@ -1,4 +1,4 @@
-//! Plain-text table rendering used by the benches and examples to print the
+//! Plain-text table rendering used by the table renderers and examples to print the
 //! reproduced tables in a paper-like layout.
 
 /// A simple text table.

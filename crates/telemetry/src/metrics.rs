@@ -208,10 +208,10 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Renders the snapshot as a JSON document. Hand-rolled like the
-    /// workspace's `BENCH_*.json` renderers (there is no JSON serialiser in
-    /// the dependency tree); metric names follow the dotted `snake_case`
-    /// convention, so escaping is limited to the standard string characters.
+    /// Renders the snapshot as a JSON document. Hand-rolled because there is
+    /// no JSON serialiser in the dependency tree; metric names follow the
+    /// dotted `snake_case` convention, so escaping is limited to the standard
+    /// string characters.
     pub fn to_json(&self) -> String {
         fn esc(s: &str) -> String {
             let mut out = String::with_capacity(s.len());

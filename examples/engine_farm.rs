@@ -6,11 +6,10 @@
 //! cargo run --release --example engine_farm -- \
 //!     [--seed N] [--hosts N] [--shards N] [--workers N] \
 //!     [--duration-ms N] [--think-ms N] [--names N] [--resolvers N] \
-//!     [--check-workers N] [--loaded-saddns N] [--write-bench PATH] [--metrics]
+//!     [--check-workers N] [--loaded-saddns N] [--metrics]
 //! ```
 //!
-//! `--write-bench` renders the run as the committed `BENCH_engine.json`
-//! document. `--check-workers N` re-runs the campaign with N workers and
+//! `--check-workers N` re-runs the campaign with N workers and
 //! asserts the merged stats are byte-identical — the determinism contract CI
 //! smokes on every push. `--loaded-saddns N` additionally runs SadDNS against
 //! a resolver serving N background stub clients (dumping the flight recorder
@@ -25,13 +24,11 @@ struct Args {
     cfg: FarmCampaignConfig,
     check_workers: Option<usize>,
     loaded_saddns: Option<u32>,
-    write_bench: Option<String>,
     metrics: bool,
 }
 
 const USAGE: &str = "usage: engine_farm [--seed N] [--hosts N] [--shards N] [--workers N] [--duration-ms N]
-       [--think-ms N] [--names N] [--resolvers N] [--check-workers N] [--loaded-saddns N]
-       [--write-bench PATH] [--metrics]";
+       [--think-ms N] [--names N] [--resolvers N] [--check-workers N] [--loaded-saddns N] [--metrics]";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}\n{USAGE}");
@@ -43,30 +40,29 @@ fn parse_args() -> Args {
         cfg: FarmCampaignConfig { workers: available_workers(), ..Default::default() },
         check_workers: None,
         loaded_saddns: None,
-        write_bench: None,
         metrics: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        if flag == "--write-bench" {
-            args.write_bench = Some(it.next().unwrap_or_else(|| usage_error("--write-bench requires a path")));
-            continue;
-        }
         let mut grab = |name: &str| {
             let value = it.next().unwrap_or_else(|| usage_error(&format!("{name} requires a value")));
             value.parse::<u64>().unwrap_or_else(|e| usage_error(&format!("invalid value for {name}: {value} ({e})")))
         };
+        let mut grab_u32 = |name: &str| {
+            let value = grab(name);
+            u32::try_from(value).unwrap_or_else(|e| usage_error(&format!("invalid value for {name}: {value} ({e})")))
+        };
         match flag.as_str() {
             "--seed" => args.cfg.seed = grab("--seed"),
-            "--hosts" => args.cfg.hosts = grab("--hosts").max(1) as u32,
-            "--shards" => args.cfg.shards = grab("--shards").max(1) as u32,
+            "--hosts" => args.cfg.hosts = grab_u32("--hosts").max(1),
+            "--shards" => args.cfg.shards = grab_u32("--shards").max(1),
             "--workers" => args.cfg.workers = grab("--workers").max(1) as usize,
             "--duration-ms" => args.cfg.shard.duration = Duration::from_millis(grab("--duration-ms").max(1)),
             "--think-ms" => args.cfg.shard.mean_think = Duration::from_millis(grab("--think-ms").max(1)),
-            "--names" => args.cfg.shard.names = grab("--names").max(1) as u32,
-            "--resolvers" => args.cfg.shard.resolvers = grab("--resolvers").max(1) as u32,
+            "--names" => args.cfg.shard.names = grab_u32("--names").max(1),
+            "--resolvers" => args.cfg.shard.resolvers = grab_u32("--resolvers").max(1),
             "--check-workers" => args.check_workers = Some(grab("--check-workers").max(1) as usize),
-            "--loaded-saddns" => args.loaded_saddns = Some(grab("--loaded-saddns") as u32),
+            "--loaded-saddns" => args.loaded_saddns = Some(grab_u32("--loaded-saddns")),
             "--metrics" => args.metrics = true,
             "--help" => {
                 println!("{USAGE}");
@@ -103,8 +99,7 @@ fn main() {
         (run_farm_campaign(&cfg), None)
     };
     let wall = started.elapsed();
-    let wall_seconds = wall.as_secs_f64();
-    let packets_per_sec = stats.packets_delivered as f64 / wall_seconds.max(1e-9);
+    let packets_per_sec = stats.packets_delivered as f64 / wall.as_secs_f64().max(1e-9);
 
     println!(
         "  clients={} queries={} responses={} cache-answers={} upstream={} servfails={}",
@@ -149,11 +144,5 @@ fn main() {
             println!("  loaded-saddns telemetry snapshot:");
             print!("{}", loaded.metrics.render());
         }
-    }
-
-    if let Some(path) = args.write_bench {
-        let bench = FarmBench { config: cfg, stats, wall_seconds, packets_per_sec };
-        std::fs::write(&path, render_bench_json(&bench)).expect("write bench file");
-        println!("  wrote {path}");
     }
 }

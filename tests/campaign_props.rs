@@ -152,6 +152,21 @@ proptest! {
         }
     }
 
+    /// A hoisted `SeedStream` reproduces the one-shot derivations exactly:
+    /// `at(i)` is `derive_seed(seed, salt, i)` and `shard(id)` draws the same
+    /// stream as `shard_rng(seed, salt, id)`, so a grid may use either form.
+    #[test]
+    fn seed_stream_matches_the_one_shot_derivations(seed in any::<u64>(), salt in any::<u64>(), index in any::<u64>()) {
+        use rand::Rng;
+        let stream = SeedStream::new(seed, salt);
+        prop_assert_eq!(stream.at(index), derive_seed(seed, salt, index));
+        let mut hoisted = stream.shard(index);
+        let mut one_shot = shard_rng(seed, salt, index);
+        for _ in 0..16 {
+            prop_assert_eq!(hoisted.gen::<u64>(), one_shot.gen::<u64>());
+        }
+    }
+
     /// End-to-end engine property: a generated population is identical for
     /// any worker count (spot-checked with small populations so the suite
     /// stays fast).

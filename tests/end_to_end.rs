@@ -105,16 +105,17 @@ fn bgp_control_plane_and_data_plane_agree() {
 
 #[test]
 fn evaluation_harness_produces_all_tables() {
-    let t3 = run_table3(1, 2_000);
-    let t4 = run_table4(1, 2_000);
+    let cfg = CampaignConfig::new(1, 2_000);
+    let t3 = run_table3_with(&cfg);
+    let t4 = run_table4_with(&cfg);
     let t5 = run_table5(1);
     assert_eq!(t3.len(), 9);
     assert_eq!(t4.len(), 10);
     assert_eq!(t5.len(), 5);
     assert_eq!(t5.iter().filter(|r| r.vulnerable).count(), 3);
-    let fig3 = figure3_prefix_distributions(1, 2_000);
+    let fig3 = figure3_prefix_distributions_with(&cfg);
     assert_eq!(fig3.len(), 3);
-    let overlap = figure5_resolver_overlap(1, 1_000);
+    let overlap = figure5_resolver_overlap_with(&CampaignConfig::new(1, 1_000));
     assert!(overlap.hijack_total() > overlap.saddns_total());
     assert!(!render_table1().is_empty());
     assert!(!render_table2().is_empty());

@@ -1,5 +1,5 @@
 //! Scale lock for the arena-host + time-wheel engine: a 10⁵-host resolver
-//! farm campaign — the workload `BENCH_engine.json` is rendered from — must
+//! farm campaign — the shape of the `farm_hit` benchmark workload — must
 //! replay exactly for the same seed and be byte-identical for any worker
 //! count. This is the same determinism contract every table and figure
 //! campaign carries, applied to the largest single-sim population in the
