@@ -196,30 +196,35 @@ impl AttackReport {
     }
 }
 
-/// Aggregate over repeated attack runs (the paper reports averages over many
-/// SadDNS runs: 471 s, 497 iterations, ~987 K packets).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct AttackAggregate {
-    /// Number of runs.
-    pub runs: u64,
-    /// Number of successful runs.
-    pub successes: u64,
-    /// Total simulated duration across runs.
-    pub total_duration: Duration,
-    /// Total iterations across runs.
-    pub total_iterations: u64,
-    /// Total attacker packets across runs.
-    pub total_packets: u64,
-    /// Total attacker bytes across runs.
-    pub total_bytes: u64,
-    /// Total queries triggered across runs.
-    pub total_queries: u64,
-    /// Total port-scan probes across runs.
-    pub total_probes: u64,
-    /// Total scan windows hit across runs.
-    pub total_windows_hit: u64,
-    /// Total sprayed responses across runs.
-    pub total_spray_responses: u64,
+telemetry::counters! {
+    /// Aggregate over repeated attack runs (the paper reports averages over many
+    /// SadDNS runs: 471 s, 497 iterations, ~987 K packets). Exported under
+    /// `attacks.<slug>.*` for the attack's method.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct AttackAggregate {
+        /// Number of runs.
+        pub runs: u64 => "runs",
+        /// Number of successful runs.
+        pub successes: u64 => "successes",
+        /// Total simulated duration across runs.
+        pub total_duration: Duration => "duration_ns_total" = |a| a.total_duration.as_nanos(),
+        /// Total iterations across runs.
+        pub total_iterations: u64 => "iterations",
+        /// Total attacker packets across runs.
+        pub total_packets: u64 => "packets",
+        /// Total attacker bytes across runs.
+        pub total_bytes: u64 => "bytes",
+        /// Total queries triggered across runs.
+        pub total_queries: u64 => "queries_triggered",
+        /// Total port-scan probes across runs.
+        pub total_probes: u64 => "probes_sent",
+        /// Total scan windows hit across runs.
+        pub total_windows_hit: u64 => "windows_hit",
+        /// Total sprayed responses across runs.
+        pub total_spray_responses: u64 => "spray_responses",
+    }
+    pub fn merge;
+    pub fn export_metrics(method: PoisonMethod) => format!("attacks.{}", method.slug());
 }
 
 impl AttackAggregate {
@@ -237,40 +242,6 @@ impl AttackAggregate {
         self.total_probes += report.probes_sent;
         self.total_windows_hit += report.windows_hit;
         self.total_spray_responses += report.spray_responses;
-    }
-
-    /// Merges another aggregate into this one. Pure addition, so the merge
-    /// is commutative and associative — aggregates folded per shard by the
-    /// campaign engine reduce to the same totals in any completion order.
-    pub fn merge(&mut self, other: AttackAggregate) {
-        self.runs += other.runs;
-        self.successes += other.successes;
-        self.total_duration += other.total_duration;
-        self.total_iterations += other.total_iterations;
-        self.total_packets += other.total_packets;
-        self.total_bytes += other.total_bytes;
-        self.total_queries += other.total_queries;
-        self.total_probes += other.total_probes;
-        self.total_windows_hit += other.total_windows_hit;
-        self.total_spray_responses += other.total_spray_responses;
-    }
-
-    /// Exports the aggregate into a telemetry snapshot under
-    /// `attacks.<slug>.*` for the given method. Pure counters only, so the
-    /// export commutes with [`AttackAggregate::merge`]: exporting a merged
-    /// aggregate equals merging exported snapshots.
-    pub fn export_metrics(&self, method: PoisonMethod, m: &mut telemetry::MetricsSnapshot) {
-        let slug = method.slug();
-        m.incr(&format!("attacks.{slug}.runs"), self.runs);
-        m.incr(&format!("attacks.{slug}.successes"), self.successes);
-        m.incr(&format!("attacks.{slug}.iterations"), self.total_iterations);
-        m.incr(&format!("attacks.{slug}.packets"), self.total_packets);
-        m.incr(&format!("attacks.{slug}.bytes"), self.total_bytes);
-        m.incr(&format!("attacks.{slug}.queries_triggered"), self.total_queries);
-        m.incr(&format!("attacks.{slug}.probes_sent"), self.total_probes);
-        m.incr(&format!("attacks.{slug}.windows_hit"), self.total_windows_hit);
-        m.incr(&format!("attacks.{slug}.spray_responses"), self.total_spray_responses);
-        m.incr(&format!("attacks.{slug}.duration_ns_total"), self.total_duration.as_nanos());
     }
 
     /// Success rate over runs.
@@ -378,41 +349,5 @@ mod tests {
         assert_eq!(format!("{}", PoisonMethod::FragDns), "FragDNS");
         assert_eq!(PoisonMethod::SadDns.slug(), "saddns");
         assert_eq!(PoisonMethod::Nsec3OptOutAbuse.slug(), "nsec3_optout_abuse");
-    }
-
-    #[test]
-    fn export_commutes_with_merge() {
-        let mut r1 = AttackReport::new(PoisonMethod::SadDns, &name(), "6.6.6.6".parse().unwrap());
-        r1.probes_sent = 100;
-        r1.windows_hit = 2;
-        r1.spray_responses = 4096;
-        r1.success = true;
-        let mut r2 = AttackReport::new(PoisonMethod::SadDns, &name(), "6.6.6.6".parse().unwrap());
-        r2.probes_sent = 50;
-        r2.duration = Duration::from_secs(3);
-
-        let mut shard_a = AttackAggregate::default();
-        shard_a.add(&r1);
-        let mut shard_b = AttackAggregate::default();
-        shard_b.add(&r2);
-
-        // Export-then-merge equals merge-then-export.
-        let mut merged_first = shard_a.clone();
-        merged_first.merge(shard_b.clone());
-        let mut m1 = telemetry::MetricsSnapshot::new();
-        merged_first.export_metrics(PoisonMethod::SadDns, &mut m1);
-
-        let mut m2 = telemetry::MetricsSnapshot::new();
-        shard_a.export_metrics(PoisonMethod::SadDns, &mut m2);
-        let mut m2b = telemetry::MetricsSnapshot::new();
-        shard_b.export_metrics(PoisonMethod::SadDns, &mut m2b);
-        m2.merge(&m2b);
-
-        assert_eq!(m1, m2);
-        assert_eq!(m1.counter("attacks.saddns.probes_sent"), 150);
-        assert_eq!(m1.counter("attacks.saddns.windows_hit"), 2);
-        assert_eq!(m1.counter("attacks.saddns.spray_responses"), 4096);
-        assert_eq!(m1.counter("attacks.saddns.runs"), 2);
-        assert_eq!(m1.counter("attacks.saddns.successes"), 1);
     }
 }

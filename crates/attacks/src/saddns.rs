@@ -402,6 +402,32 @@ mod tests {
         assert!(report.duration > Duration::from_secs(1));
     }
 
+    /// Packet conservation: every packet the engine counts as delivered
+    /// arrives at exactly one node or stub client. A SadDNS chain with a
+    /// background stub block exercises per-packet delivery, the TXID-spray
+    /// train and the arena-hosted stubs in one run.
+    #[test]
+    fn delivered_packets_sum_over_nodes_and_stub_block() {
+        let (mut sim, env) = saddns_env(false, false, true);
+        let first = sim.add_stub_block("bg", "100.64.0.0".parse().unwrap(), 50);
+        let names = vec!["vict.im".parse().unwrap(), "ntp.vict.im".parse().unwrap()];
+        let end = SimTime::ZERO + Duration::from_secs(600);
+        sim.set_stub_handler(dns::farm::FarmClientHandler {
+            targets: vec![addrs::RESOLVER],
+            names,
+            mean_think: Duration::from_millis(800),
+            end,
+        });
+        sim.run_for(Duration::from_secs(5));
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, None);
+        assert!(report.attacker_packets > 10_000, "the spray ran: {} packets", report.attacker_packets);
+
+        let nodes: u64 = (0..sim.node_count()).map(|i| sim.stats(NodeId(i)).packets_received).sum();
+        let stubs = sim.stub_block_stats(first).packets_received;
+        assert!(stubs > 0, "the stub block received answers");
+        assert_eq!(nodes + stubs, sim.counters().delivered);
+    }
+
     #[test]
     fn recorded_run_counts_probes_and_spans_phases() {
         let (mut sim, env) = saddns_env(false, false, true);

@@ -154,7 +154,7 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
         .iter()
         .map(|n| n.parse().expect("valid name"))
         .collect();
-    let first = sim.add_stub_block("bg", "100.64.0.0".parse().expect("addr"), clients);
+    sim.add_stub_block("bg", "100.64.0.0".parse().expect("addr"), clients);
     let handler = FarmClientHandler {
         targets: vec![addrs::RESOLVER],
         names,
@@ -182,26 +182,16 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
     let mut metrics = telemetry::MetricsSnapshot::new();
     env.resolver(&sim).export_metrics(&mut metrics);
     sim.export_metrics(&mut metrics);
-    let pool = netsim::pool::counters();
-    metrics.incr("engine.pool.hits", pool.hits);
-    metrics.incr("engine.pool.misses", pool.misses);
-    metrics.incr("engine.pool.returned", pool.returned);
-    metrics.incr("engine.pool.dropped", pool.dropped);
+    netsim::pool::counters().export_metrics(&mut metrics);
 
     let rs = env.resolver(&sim).stats.clone();
-    let block = sim.stub_block_stats(first).clone();
-    let packets_delivered = sim.stats(env.resolver).packets_received
-        + sim.stats(env.nameserver).packets_received
-        + sim.stats(env.attacker).packets_received
-        + sim.stats(env.client).packets_received
-        + block.packets_received;
     LoadedSadDnsReport {
         report,
         background_clients: clients,
         background_queries: rs.client_queries - baseline.client_queries,
         background_cache_answers: rs.cache_answers - baseline.cache_answers,
         background_upstream: rs.upstream_queries - baseline.upstream_queries,
-        packets_delivered,
+        packets_delivered: sim.counters().delivered,
         flight_log,
         metrics,
     }

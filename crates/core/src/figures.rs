@@ -260,23 +260,27 @@ pub fn figure4_edns_vs_fragment_with(cfg: &CampaignConfig) -> (Cdf, Cdf) {
     )
 }
 
-/// Figure 5: overlap of the vulnerable sets (per methodology).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VennCounts {
-    /// Vulnerable to HijackDNS only.
-    pub only_hijack: u64,
-    /// Vulnerable to SadDNS only.
-    pub only_saddns: u64,
-    /// Vulnerable to FragDNS only.
-    pub only_frag: u64,
-    /// Hijack ∧ SadDNS (not Frag).
-    pub hijack_saddns: u64,
-    /// Hijack ∧ Frag (not SadDNS).
-    pub hijack_frag: u64,
-    /// SadDNS ∧ Frag (not Hijack).
-    pub saddns_frag: u64,
-    /// All three.
-    pub all_three: u64,
+telemetry::counters! {
+    /// Figure 5: overlap of the vulnerable sets (per methodology). Its merge
+    /// is the campaign reducer for Figure 5.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct VennCounts {
+        /// Vulnerable to HijackDNS only.
+        pub only_hijack: u64,
+        /// Vulnerable to SadDNS only.
+        pub only_saddns: u64,
+        /// Vulnerable to FragDNS only.
+        pub only_frag: u64,
+        /// Hijack ∧ SadDNS (not Frag).
+        pub hijack_saddns: u64,
+        /// Hijack ∧ Frag (not SadDNS).
+        pub hijack_frag: u64,
+        /// SadDNS ∧ Frag (not Hijack).
+        pub saddns_frag: u64,
+        /// All three.
+        pub all_three: u64,
+    }
+    pub fn merge;
 }
 
 impl VennCounts {
@@ -319,18 +323,6 @@ impl VennCounts {
             (false, false, false) => {}
         }
     }
-
-    /// Merges another region count into this one (commutative/associative —
-    /// the campaign reducer for Figure 5).
-    pub fn merge(&mut self, o: Self) {
-        self.only_hijack += o.only_hijack;
-        self.only_saddns += o.only_saddns;
-        self.only_frag += o.only_frag;
-        self.hijack_saddns += o.hijack_saddns;
-        self.hijack_frag += o.hijack_frag;
-        self.saddns_frag += o.saddns_frag;
-        self.all_three += o.all_three;
-    }
 }
 
 /// Venn tally over resolver profiles.
@@ -364,7 +356,7 @@ impl Tally for ResolverVennTally {
     }
 
     fn merge(&mut self, other: Self) {
-        self.0.merge(other.0);
+        self.0.merge(&other.0);
     }
 }
 
@@ -393,7 +385,7 @@ impl Tally for DomainVennTally {
     }
 
     fn merge(&mut self, other: Self) {
-        self.0.merge(other.0);
+        self.0.merge(&other.0);
     }
 }
 
@@ -453,7 +445,7 @@ impl Campaign for DomainOverlap<'_> {
 pub fn figure5_resolver_overlap_with(cfg: &CampaignConfig) -> VennCounts {
     let mut counts = VennCounts::default();
     for spec in population::table3_datasets() {
-        counts.merge(run_campaign(&ResolverOverlap(&spec), spec.sample_size(cfg.sample_cap), cfg).0);
+        counts.merge(&run_campaign(&ResolverOverlap(&spec), spec.sample_size(cfg.sample_cap), cfg).0);
     }
     counts
 }
@@ -462,7 +454,7 @@ pub fn figure5_resolver_overlap_with(cfg: &CampaignConfig) -> VennCounts {
 pub fn figure5_domain_overlap_with(cfg: &CampaignConfig) -> VennCounts {
     let mut counts = VennCounts::default();
     for spec in population::table4_datasets() {
-        counts.merge(run_campaign(&DomainOverlap(&spec), spec.sample_size(cfg.sample_cap), cfg).0);
+        counts.merge(&run_campaign(&DomainOverlap(&spec), spec.sample_size(cfg.sample_cap), cfg).0);
     }
     counts
 }

@@ -63,18 +63,21 @@ pub struct DomainDatasetResult {
 /// retaining tight confidence intervals).
 pub const DEFAULT_SAMPLE_CAP: u64 = 20_000;
 
-/// Per-shard classification counts of one resolver dataset — the mergeable
-/// tally behind Table 3.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ResolverClassCounts {
-    /// Elements observed.
-    pub n: u64,
-    /// Elements vulnerable to BGP sub-prefix hijack.
-    pub hijack: u64,
-    /// Elements vulnerable to SadDNS.
-    pub saddns: u64,
-    /// Elements accepting fragmented responses.
-    pub frag: u64,
+telemetry::counters! {
+    /// Per-shard classification counts of one resolver dataset — the mergeable
+    /// tally behind Table 3.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ResolverClassCounts {
+        /// Elements observed.
+        pub n: u64,
+        /// Elements vulnerable to BGP sub-prefix hijack.
+        pub hijack: u64,
+        /// Elements vulnerable to SadDNS.
+        pub saddns: u64,
+        /// Elements accepting fragmented responses.
+        pub frag: u64,
+    }
+    fn merge;
 }
 
 impl ResolverClassCounts {
@@ -99,30 +102,30 @@ impl Tally for ResolverClassCounts {
         self.frag += u64::from(vulnscan::resolver_frag_vulnerable(r));
     }
 
-    fn merge(&mut self, o: Self) {
-        self.n += o.n;
-        self.hijack += o.hijack;
-        self.saddns += o.saddns;
-        self.frag += o.frag;
+    fn merge(&mut self, other: Self) {
+        ResolverClassCounts::merge(self, &other);
     }
 }
 
-/// Per-shard classification counts of one domain dataset — the mergeable
-/// tally behind Table 4.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DomainClassCounts {
-    /// Elements observed.
-    pub n: u64,
-    /// Elements vulnerable to BGP sub-prefix hijack.
-    pub hijack: u64,
-    /// Elements with mutable (rate-limiting) nameservers.
-    pub saddns: u64,
-    /// Elements fragmenting on ANY-style queries.
-    pub frag_any: u64,
-    /// Elements fragmenting with a global IPID counter.
-    pub frag_global: u64,
-    /// DNSSEC-signed elements.
-    pub dnssec: u64,
+telemetry::counters! {
+    /// Per-shard classification counts of one domain dataset — the mergeable
+    /// tally behind Table 4.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct DomainClassCounts {
+        /// Elements observed.
+        pub n: u64,
+        /// Elements vulnerable to BGP sub-prefix hijack.
+        pub hijack: u64,
+        /// Elements with mutable (rate-limiting) nameservers.
+        pub saddns: u64,
+        /// Elements fragmenting on ANY-style queries.
+        pub frag_any: u64,
+        /// Elements fragmenting with a global IPID counter.
+        pub frag_global: u64,
+        /// DNSSEC-signed elements.
+        pub dnssec: u64,
+    }
+    fn merge;
 }
 
 impl DomainClassCounts {
@@ -152,13 +155,8 @@ impl Tally for DomainClassCounts {
         self.dnssec += u64::from(d.dnssec_signed);
     }
 
-    fn merge(&mut self, o: Self) {
-        self.n += o.n;
-        self.hijack += o.hijack;
-        self.saddns += o.saddns;
-        self.frag_any += o.frag_any;
-        self.frag_global += o.frag_global;
-        self.dnssec += o.dnssec;
+    fn merge(&mut self, other: Self) {
+        DomainClassCounts::merge(self, &other);
     }
 }
 

@@ -627,7 +627,7 @@ impl Tally for MatrixTally {
 
     fn merge(&mut self, other: Self) {
         for (key, agg) in other.cells {
-            self.cells.entry(key).or_default().merge(agg);
+            self.cells.entry(key).or_default().merge(&agg);
         }
     }
 }

@@ -84,68 +84,38 @@ pub struct Farm {
     pub config: FarmConfig,
 }
 
-/// Deterministic, mergeable counters describing one farm run. Everything in
-/// here is a pure function of the seed (wall-clock timing deliberately lives
-/// outside, in the bench harness), so equality across worker counts is the
-/// determinism contract.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FarmStats {
-    /// Stub clients simulated.
-    pub clients: u64,
-    /// Background queries sent by the clients.
-    pub queries_sent: u64,
-    /// Responses delivered back to the clients.
-    pub responses: u64,
-    /// Responses carrying a non-`NoError` rcode.
-    pub error_responses: u64,
-    /// Client queries answered straight from the shared cache.
-    pub cache_answers: u64,
-    /// Queries the frontends sent upstream.
-    pub upstream_queries: u64,
-    /// SERVFAILs the frontends returned.
-    pub servfails: u64,
-    /// Entries in the shared cache when the run ended.
-    pub cache_entries: u64,
-    /// Packets delivered to any host (the bench's work metric).
-    pub packets_delivered: u64,
-    /// Bytes delivered to any host.
-    pub bytes_delivered: u64,
-    /// Simulated end time in nanoseconds (max across shards on merge).
-    pub sim_end_ns: u64,
-}
-
-impl FarmStats {
-    /// Folds another shard's stats into this one (commutative).
-    pub fn merge(&mut self, other: &FarmStats) {
-        self.clients += other.clients;
-        self.queries_sent += other.queries_sent;
-        self.responses += other.responses;
-        self.error_responses += other.error_responses;
-        self.cache_answers += other.cache_answers;
-        self.upstream_queries += other.upstream_queries;
-        self.servfails += other.servfails;
-        self.cache_entries += other.cache_entries;
-        self.packets_delivered += other.packets_delivered;
-        self.bytes_delivered += other.bytes_delivered;
-        self.sim_end_ns = self.sim_end_ns.max(other.sim_end_ns);
+telemetry::counters! {
+    /// Deterministic, mergeable counters describing one farm run. Everything in
+    /// here is a pure function of the seed (wall-clock timing deliberately lives
+    /// outside, in the bench harness), so equality across worker counts is the
+    /// determinism contract. Exported under `dns.farm.*`.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct FarmStats {
+        /// Stub clients simulated.
+        pub clients: u64 => "clients",
+        /// Background queries sent by the clients.
+        pub queries_sent: u64 => "queries_sent",
+        /// Responses delivered back to the clients.
+        pub responses: u64 => "responses",
+        /// Responses carrying a non-`NoError` rcode.
+        pub error_responses: u64 => "error_responses",
+        /// Client queries answered straight from the shared cache.
+        pub cache_answers: u64 => "cache_answers",
+        /// Queries the frontends sent upstream.
+        pub upstream_queries: u64 => "upstream_queries",
+        /// SERVFAILs the frontends returned.
+        pub servfails: u64 => "servfails",
+        /// Entries in the shared cache when the run ended.
+        pub cache_entries: u64 => "cache_entries",
+        /// Packets delivered to any host (the bench's work metric).
+        pub packets_delivered: u64 => "packets_delivered",
+        /// Bytes delivered to any host.
+        pub bytes_delivered: u64 => "bytes_delivered",
+        /// Simulated end time in nanoseconds (max across shards on merge).
+        pub sim_end_ns: u64 => gauge "sim_end_ns",
     }
-
-    /// Exports the farm counters into a telemetry snapshot under
-    /// `dns.farm.*`. Counters add on merge; the simulated end time exports as
-    /// a max-merged gauge, matching [`FarmStats::merge`].
-    pub fn export_metrics(&self, m: &mut telemetry::MetricsSnapshot) {
-        m.incr("dns.farm.clients", self.clients);
-        m.incr("dns.farm.queries_sent", self.queries_sent);
-        m.incr("dns.farm.responses", self.responses);
-        m.incr("dns.farm.error_responses", self.error_responses);
-        m.incr("dns.farm.cache_answers", self.cache_answers);
-        m.incr("dns.farm.upstream_queries", self.upstream_queries);
-        m.incr("dns.farm.servfails", self.servfails);
-        m.incr("dns.farm.cache_entries", self.cache_entries);
-        m.incr("dns.farm.packets_delivered", self.packets_delivered);
-        m.incr("dns.farm.bytes_delivered", self.bytes_delivered);
-        m.gauge_max("dns.farm.sim_end_ns", self.sim_end_ns);
-    }
+    pub fn merge;
+    pub fn export_metrics() => "dns.farm";
 }
 
 /// The shared behaviour of every background client: think (exponential),
@@ -268,7 +238,7 @@ impl Farm {
         let mut s = FarmStats { clients: u64::from(self.config.clients), ..FarmStats::default() };
         let block = sim.stub_block_stats(self.first_client);
         s.queries_sent = block.udp_sent;
-        s.packets_delivered += block.packets_received;
+        s.packets_delivered = sim.counters().delivered;
         s.bytes_delivered += block.bytes_received;
         for st in sim.stub_states() {
             s.responses += u64::from(st.received);
@@ -279,13 +249,9 @@ impl Farm {
             s.cache_answers += rs.cache_answers;
             s.upstream_queries += rs.upstream_queries;
             s.servfails += rs.servfails;
-            let ts = sim.stats(r);
-            s.packets_delivered += ts.packets_received;
-            s.bytes_delivered += ts.bytes_received;
+            s.bytes_delivered += sim.stats(r).bytes_received;
         }
-        let ns = sim.stats(self.nameserver);
-        s.packets_delivered += ns.packets_received;
-        s.bytes_delivered += ns.bytes_received;
+        s.bytes_delivered += sim.stats(self.nameserver).bytes_received;
         s.cache_entries = self.cache.borrow().len() as u64;
         s.sim_end_ns = sim.now().duration_since(SimTime::ZERO).as_nanos();
         s

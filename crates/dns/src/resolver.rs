@@ -184,59 +184,44 @@ impl ResolverConfig {
     }
 }
 
-/// Why a response was rejected (counters for the measurement harness).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ResolverStats {
-    /// Queries received from clients.
-    pub client_queries: u64,
-    /// Client queries answered from cache.
-    pub cache_answers: u64,
-    /// Queries sent upstream (including retries and TCP re-queries).
-    pub upstream_queries: u64,
-    /// Upstream queries sent over TCP (subset of `upstream_queries`).
-    pub tcp_upstream_queries: u64,
-    /// TC=1 answers that triggered an RFC 7766 re-query over TCP.
-    pub tcp_fallbacks: u64,
-    /// Upstream responses accepted and cached.
-    pub responses_accepted: u64,
-    /// Responses dropped because the TXID did not match.
-    pub rejected_txid: u64,
-    /// Responses dropped because the question (or its 0x20 casing) mismatched.
-    pub rejected_question: u64,
-    /// Records dropped by bailiwick filtering.
-    pub rejected_bailiwick_records: u64,
-    /// Responses dropped by DNSSEC validation.
-    pub rejected_dnssec: u64,
-    /// Truncated (TC=1) responses received over UDP. Without TCP support the
-    /// lookup fails visibly (SERVFAIL + TC to the clients); with
-    /// [`UpstreamTransport::UdpTcFallback`] each one also counts a
-    /// `tcp_fallbacks` re-query.
-    pub truncated_responses: u64,
-    /// Upstream timeouts.
-    pub timeouts: u64,
-    /// SERVFAIL answers returned to clients.
-    pub servfails: u64,
-}
-
-impl ResolverStats {
-    /// Exports the counters into a telemetry snapshot under `dns.resolver.*`.
-    /// Every key is registered even at zero so the rendered key set is stable
-    /// across runs (CI greps for specific metric lines).
-    pub fn export_metrics(&self, m: &mut telemetry::MetricsSnapshot) {
-        m.incr("dns.resolver.client_queries", self.client_queries);
-        m.incr("dns.resolver.cache_answers", self.cache_answers);
-        m.incr("dns.resolver.upstream_queries.udp", self.upstream_queries - self.tcp_upstream_queries);
-        m.incr("dns.resolver.upstream_queries.tcp", self.tcp_upstream_queries);
-        m.incr("dns.resolver.tc_fallbacks", self.tcp_fallbacks);
-        m.incr("dns.resolver.responses_accepted", self.responses_accepted);
-        m.incr("dns.resolver.rejected.txid", self.rejected_txid);
-        m.incr("dns.resolver.rejected.question", self.rejected_question);
-        m.incr("dns.resolver.rejected.bailiwick_records", self.rejected_bailiwick_records);
-        m.incr("dns.resolver.bogus_dropped", self.rejected_dnssec);
-        m.incr("dns.resolver.truncated_responses", self.truncated_responses);
-        m.incr("dns.resolver.timeouts", self.timeouts);
-        m.incr("dns.resolver.servfails", self.servfails);
+telemetry::counters! {
+    /// Why a response was rejected (counters for the measurement harness).
+    /// Exported under `dns.resolver.*`; CI greps for specific metric lines.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ResolverStats {
+        /// Queries received from clients.
+        pub client_queries: u64 => "client_queries",
+        /// Client queries answered from cache.
+        pub cache_answers: u64 => "cache_answers",
+        /// Queries sent upstream (including retries and TCP re-queries).
+        /// Exported as the UDP share; the TCP share is its own key.
+        pub upstream_queries: u64 => "upstream_queries.udp" = |s| s.upstream_queries - s.tcp_upstream_queries,
+        /// Upstream queries sent over TCP (subset of `upstream_queries`).
+        pub tcp_upstream_queries: u64 => "upstream_queries.tcp",
+        /// TC=1 answers that triggered an RFC 7766 re-query over TCP.
+        pub tcp_fallbacks: u64 => "tc_fallbacks",
+        /// Upstream responses accepted and cached.
+        pub responses_accepted: u64 => "responses_accepted",
+        /// Responses dropped because the TXID did not match.
+        pub rejected_txid: u64 => "rejected.txid",
+        /// Responses dropped because the question (or its 0x20 casing) mismatched.
+        pub rejected_question: u64 => "rejected.question",
+        /// Records dropped by bailiwick filtering.
+        pub rejected_bailiwick_records: u64 => "rejected.bailiwick_records",
+        /// Responses dropped by DNSSEC validation.
+        pub rejected_dnssec: u64 => "bogus_dropped",
+        /// Truncated (TC=1) responses received over UDP. Without TCP support the
+        /// lookup fails visibly (SERVFAIL + TC to the clients); with
+        /// [`UpstreamTransport::UdpTcFallback`] each one also counts a
+        /// `tcp_fallbacks` re-query.
+        pub truncated_responses: u64 => "truncated_responses",
+        /// Upstream timeouts.
+        pub timeouts: u64 => "timeouts",
+        /// SERVFAIL answers returned to clients.
+        pub servfails: u64 => "servfails",
     }
+    pub fn merge;
+    pub fn export_metrics() => "dns.resolver";
 }
 
 #[derive(Debug, Clone)]

@@ -393,25 +393,30 @@ impl Train {
     }
 }
 
-/// Engine-level event and packet-verdict counters, updated on the same code
-/// paths that decide each [`TraceVerdict`]. Unlike the packet [`Trace`] these
-/// are always on (a handful of integer adds per packet) and unlike the pool
-/// counters they live on the simulator itself, so they are deterministic per
-/// seed and safe to fold into shard-merged telemetry snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineCounters {
-    /// Events popped from the time wheel by [`Simulator::step`].
-    pub events_popped: u64,
-    /// Packets delivered to a node or stub client.
-    pub delivered: u64,
-    /// Packets dropped because no host owns the destination address.
-    pub no_route: u64,
-    /// Packets dropped by link loss.
-    pub link_loss: u64,
-    /// Spoofed packets dropped by egress filtering.
-    pub egress_filtered: u64,
-    /// Packets dropped for exceeding the link MTU with DF set.
-    pub mtu_exceeded: u64,
+telemetry::counters! {
+    /// Engine-level event and packet-verdict counters, updated on the same code
+    /// paths that decide each [`TraceVerdict`]. Unlike the packet [`Trace`] these
+    /// are always on (a handful of integer adds per packet) and unlike the pool
+    /// counters they live on the simulator itself, so they are deterministic per
+    /// seed and safe to fold into shard-merged telemetry snapshots, under
+    /// `engine.*`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EngineCounters {
+        /// Events popped from the time wheel by [`Simulator::step`].
+        pub events_popped: u64 => "events.popped",
+        /// Packets delivered to a node or stub client.
+        pub delivered: u64 => "packets.delivered",
+        /// Packets dropped because no host owns the destination address.
+        pub no_route: u64 => "packets.no_route",
+        /// Packets dropped by link loss.
+        pub link_loss: u64 => "packets.link_loss",
+        /// Spoofed packets dropped by egress filtering.
+        pub egress_filtered: u64 => "packets.egress_filtered",
+        /// Packets dropped for exceeding the link MTU with DF set.
+        pub mtu_exceeded: u64 => "packets.mtu_exceeded",
+    }
+    pub fn merge;
+    pub fn export_metrics() => "engine";
 }
 
 /// The simulation engine. See the [module documentation](self) for an overview.
@@ -667,16 +672,11 @@ impl Simulator {
     /// so raw pool counts depend on worker count and would break the
     /// byte-identical-merge contract.
     pub fn export_metrics(&self, m: &mut telemetry::MetricsSnapshot) {
-        m.incr("engine.events.popped", self.counters.events_popped);
+        self.counters.export_metrics(m);
         m.gauge_max("engine.events.pending", self.pending_events() as u64);
         for (level, occ) in self.events.level_occupancy().iter().enumerate() {
             m.gauge_max(&format!("engine.wheel.level{level}.occupancy"), u64::from(*occ));
         }
-        m.incr("engine.packets.delivered", self.counters.delivered);
-        m.incr("engine.packets.no_route", self.counters.no_route);
-        m.incr("engine.packets.link_loss", self.counters.link_loss);
-        m.incr("engine.packets.egress_filtered", self.counters.egress_filtered);
-        m.incr("engine.packets.mtu_exceeded", self.counters.mtu_exceeded);
         m.incr("engine.trace.dropped", self.trace.dropped());
     }
 

@@ -32,19 +32,24 @@ struct PoolState {
     counters: PoolCounters,
 }
 
-/// Snapshot of this thread's pool activity (see [`counters`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolCounters {
-    /// [`take`] calls satisfied from the free list.
-    pub hits: u64,
-    /// [`take`] calls that fell through to a fresh heap allocation because
-    /// the free list was empty (pool-exhausted allocations).
-    pub misses: u64,
-    /// Buffers accepted back into the free list by [`give`].
-    pub returned: u64,
-    /// Buffers [`give`] declined to pool (oversized, zero-capacity, or the
-    /// free list was full) — each one is a heap deallocation.
-    pub dropped: u64,
+telemetry::counters! {
+    /// Snapshot of this thread's pool activity (see [`counters`]). Exported
+    /// under `engine.pool.*`, by single-threaded runs only.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PoolCounters {
+        /// [`take`] calls satisfied from the free list.
+        pub hits: u64 => "hits",
+        /// [`take`] calls that fell through to a fresh heap allocation because
+        /// the free list was empty (pool-exhausted allocations).
+        pub misses: u64 => "misses",
+        /// Buffers accepted back into the free list by [`give`].
+        pub returned: u64 => "returned",
+        /// Buffers [`give`] declined to pool (oversized, zero-capacity, or the
+        /// free list was full) — each one is a heap deallocation.
+        pub dropped: u64 => "dropped",
+    }
+    pub fn merge;
+    pub fn export_metrics() => "engine.pool";
 }
 
 thread_local! {

@@ -139,27 +139,6 @@ impl TrafficStats {
         }
         out
     }
-
-    /// Adds another node's counters into this one (used to aggregate the
-    /// attacker's total traffic over repeated attack iterations).
-    pub fn merge(&mut self, other: &TrafficStats) {
-        self.packets_sent += other.packets_sent;
-        self.bytes_sent += other.bytes_sent;
-        self.packets_received += other.packets_received;
-        self.bytes_received += other.bytes_received;
-        self.udp_sent += other.udp_sent;
-        self.udp_received += other.udp_received;
-        self.tcp_sent += other.tcp_sent;
-        self.tcp_received += other.tcp_received;
-        self.icmp_sent += other.icmp_sent;
-        self.icmp_received += other.icmp_received;
-        self.spoofed_filtered += other.spoofed_filtered;
-        self.dropped_in_transit += other.dropped_in_transit;
-        self.delivered += other.delivered;
-        self.no_route += other.no_route;
-        self.link_loss += other.link_loss;
-        self.mtu_exceeded += other.mtu_exceeded;
-    }
 }
 
 #[cfg(test)]
@@ -179,19 +158,6 @@ mod tests {
         assert_eq!(s.udp_received, 1);
         assert_eq!(s.packets_received, 1);
         assert_eq!(s.bytes_received, 500);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = TrafficStats::default();
-        a.record_sent(Protocol::Udp, 10);
-        let mut b = TrafficStats::default();
-        b.record_sent(Protocol::Udp, 20);
-        b.spoofed_filtered = 3;
-        a.merge(&b);
-        assert_eq!(a.packets_sent, 2);
-        assert_eq!(a.bytes_sent, 30);
-        assert_eq!(a.spoofed_filtered, 3);
     }
 
     #[test]
@@ -259,17 +225,6 @@ mod tests {
         let text = s.render("attacker", &[]);
         assert!(text.contains("verdicts: delivered 4, no-route 0, link-loss 2, egress-filtered 0, mtu-exceeded 1"));
         assert_eq!(text.lines().count(), 2, "no drop line when spoofed/in-transit counters are zero");
-    }
-
-    #[test]
-    fn merge_accumulates_verdicts() {
-        let mut a = TrafficStats { delivered: 1, no_route: 2, ..TrafficStats::default() };
-        let b = TrafficStats { delivered: 10, link_loss: 3, mtu_exceeded: 4, ..TrafficStats::default() };
-        a.merge(&b);
-        assert_eq!(a.delivered, 11);
-        assert_eq!(a.no_route, 2);
-        assert_eq!(a.link_loss, 3);
-        assert_eq!(a.mtu_exceeded, 4);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the seed, never of the worker count. Instrumentation has to obey the same
 //! law or it is useless for diagnosing cross-layer attack chains: a counter
 //! that wobbles with thread scheduling cannot tell a regression from noise.
-//! This crate provides the two deterministic primitives every layer shares:
+//! This crate provides the deterministic primitives every layer shares:
 //!
 //! * [`MetricsSnapshot`] — a hierarchical registry of counters, gauges and
 //!   sim-time histograms keyed by `layer.subsystem.metric` names, with a
@@ -17,6 +17,9 @@
 //!   or surprising run, [`dump_last`](FlightRecorder::dump_last) prints the
 //!   last N events — the message-sequence view the all-or-nothing packet
 //!   trace is too expensive to keep at campaign scale.
+//! * [`counters!`] — declares a counter family once: the struct, its `merge`
+//!   and its export into a [`MetricsSnapshot`], so the fields, the merge and
+//!   the metric keys cannot drift apart.
 //!
 //! Everything is plain data: no globals, no `std::time`, no I/O. Recording is
 //! explicitly threaded through the code that measures, so disabled telemetry
@@ -59,12 +62,13 @@
 //!
 //! Metric names are `layer.subsystem.metric` in `snake_case` segments:
 //! `engine.packets.delivered`, `dns.resolver.bogus_dropped`,
-//! `attacks.sad_dns.probes_sent`, `ca.issuance.refused.quorum_not_met`.
+//! `attacks.saddns.probes_sent`, `ca.issuance.refused.quorum_not_met`.
 //! The registry is a sorted map, so a rendered snapshot groups related
 //! metrics automatically — no registration step, no schema to pre-declare.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod counters;
 mod flight;
 mod metrics;
 

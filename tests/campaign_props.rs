@@ -125,7 +125,7 @@ proptest! {
     /// Venn region-count merging is commutative and associative.
     #[test]
     fn venn_merge_laws(a in arb_venn(), b in arb_venn(), c in arb_venn()) {
-        assert_merge_laws!(a, b, c, |x: &mut VennCounts, y| x.merge(y));
+        assert_merge_laws!(a, b, c, |x: &mut VennCounts, y: VennCounts| x.merge(&y));
     }
 
     /// Histogram merging is commutative and associative, and preserves totals.
