@@ -214,16 +214,10 @@ impl SadDnsAttack {
         u64::from(space)
     }
 
-    /// Runs the attack, optionally recording phase spans (mute, scan, spray)
-    /// into a flight recorder at sim-time resolution. Recording never
-    /// changes the attack: with `None` the recording branches compile to a
-    /// cheap `Option` check per phase, not per packet.
-    pub fn run(
-        &self,
-        sim: &mut Simulator,
-        env: &VictimEnv,
-        mut rec: Option<&mut telemetry::FlightRecorder>,
-    ) -> AttackReport {
+    /// Runs the attack. Its phases (mute, scan, spray) are marked as spans
+    /// in the simulator's trace, which records them only while it is on;
+    /// recording never changes the attack.
+    pub fn run(&self, sim: &mut Simulator, env: &VictimEnv) -> AttackReport {
         let cfg = &self.config;
         let mut report = AttackReport::new(PoisonMethod::SadDns, &cfg.target_name, cfg.malicious_addr);
         let start = sim.now();
@@ -262,19 +256,9 @@ impl SadDnsAttack {
         for iteration in 0..cfg.max_iterations {
             report.iterations += 1;
             // 1. Mute the nameserver.
-            if let Some(r) = rec.as_deref_mut() {
-                telemetry::span!(
-                    r,
-                    sim.now().as_nanos(),
-                    "saddns.mute",
-                    "iteration {iteration}: {} spoofed queries",
-                    cfg.mute_queries
-                );
-            }
+            sim.span_enter("saddns.mute", || format!("iteration {iteration}: {} spoofed queries", cfg.mute_queries));
             self.mute_nameserver(sim, env);
-            if let Some(r) = rec.as_deref_mut() {
-                r.exit(sim.now().as_nanos(), "saddns.mute");
-            }
+            sim.span_exit("saddns.mute");
             // 2. Trigger the query.
             env.trigger_query(sim, cfg.trigger, &cfg.target_name, cfg.qtype, 0x4000 + iteration as u16);
             report.queries_triggered += 1;
@@ -287,20 +271,10 @@ impl SadDnsAttack {
             sim.run_for(cfg.batch_interval);
 
             // 3. Scan for the open ephemeral port.
-            if let Some(r) = rec.as_deref_mut() {
-                telemetry::span!(
-                    r,
-                    sim.now().as_nanos(),
-                    "saddns.scan",
-                    "iteration {iteration}: range [{}, {}]",
-                    cfg.scan_range.0,
-                    cfg.scan_range.1
-                );
-            }
+            let (lo, hi) = cfg.scan_range;
+            sim.span_enter("saddns.scan", || format!("iteration {iteration}: range [{lo}, {hi}]"));
             let found = self.scan_for_port(sim, env, window_end, &mut report);
-            if let Some(r) = rec.as_deref_mut() {
-                r.exit(sim.now().as_nanos(), "saddns.scan");
-            }
+            sim.span_exit("saddns.scan");
             let Some(port) = found else {
                 report.notes.push(format!("iteration {iteration}: port not found within the window"));
                 // Let the current query expire before the next iteration.
@@ -314,13 +288,9 @@ impl SadDnsAttack {
                 report.notes.push("window closed before the TXID sweep".into());
                 continue;
             }
-            if let Some(r) = rec.as_deref_mut() {
-                telemetry::span!(r, sim.now().as_nanos(), "saddns.spray", "iteration {iteration}: port {port}");
-            }
+            sim.span_enter("saddns.spray", || format!("iteration {iteration}: port {port}"));
             report.spray_responses += self.spray_txids(sim, env, port);
-            if let Some(r) = rec.as_deref_mut() {
-                r.exit(sim.now().as_nanos(), "saddns.spray");
-            }
+            sim.span_exit("saddns.spray");
             sim.run_for(Duration::from_millis(100));
 
             if env.poisoned(sim, &cfg.target_name, cfg.malicious_addr) {
@@ -393,7 +363,7 @@ mod tests {
     #[test]
     fn full_attack_poisons_vulnerable_resolver() {
         let (mut sim, env) = saddns_env(false, false, true);
-        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, None);
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
         assert!(report.success, "SadDNS failed: {:?}", report.notes);
         assert!(env.poisoned(&sim, &"www.vict.im".parse().unwrap(), addrs::ATTACKER));
         // The attack is traffic-heavy: tens of thousands of packets (the
@@ -419,7 +389,7 @@ mod tests {
             end,
         });
         sim.run_for(Duration::from_secs(5));
-        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, None);
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
         assert!(report.attacker_packets > 10_000, "the spray ran: {} packets", report.attacker_packets);
 
         let nodes: u64 = (0..sim.node_count()).map(|i| sim.stats(NodeId(i)).packets_received).sum();
@@ -431,30 +401,39 @@ mod tests {
     #[test]
     fn recorded_run_counts_probes_and_spans_phases() {
         let (mut sim, env) = saddns_env(false, false, true);
-        let mut rec = telemetry::FlightRecorder::new(64);
-        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, Some(&mut rec));
+        sim.trace_mut().enabled = true;
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
         assert!(report.success, "SadDNS failed: {:?}", report.notes);
         assert!(report.probes_sent > 0, "scan probes are accounted");
         assert_eq!(report.probes_sent % (u64::from(ICMP_PROBE_BATCH) + 1), 0, "probes come in batch+verify sets");
         assert_eq!(report.windows_hit, 1, "one scan window contained the open port");
         assert_eq!(report.spray_responses, 1 << 16, "full TXID sweep sprayed the whole space");
-        let names: Vec<&str> = rec.events().map(|e| e.name).collect();
-        assert!(names.contains(&"saddns.mute"));
-        assert!(names.contains(&"saddns.scan"));
-        assert!(names.contains(&"saddns.spray"));
-        let dump = rec.dump_last(64);
-        assert!(dump.contains("> saddns.scan"));
-        assert!(dump.contains("< saddns.spray"));
+        let spans: Vec<(char, &str)> = sim
+            .trace()
+            .entries()
+            .filter_map(|e| match e {
+                TraceEntry::SpanEnter { name, .. } => Some(('>', *name)),
+                TraceEntry::SpanExit { name, .. } => Some(('<', *name)),
+                TraceEntry::Packet(_) => None,
+            })
+            .collect();
+        let phases = ["saddns.mute", "saddns.scan", "saddns.spray"];
+        let expected: Vec<(char, &str)> = phases.iter().flat_map(|&p| [('>', p), ('<', p)]).collect();
+        assert_eq!(spans, expected, "one iteration: mute, scan, spray, each entered then exited");
+        let dump = sim.trace().dump_last(64);
+        assert!(dump.contains("< saddns.spray"), "the last 64 entries reach back to the spray's exit");
     }
 
     #[test]
     fn recording_does_not_perturb_the_attack() {
         let (mut sim_a, env_a) = saddns_env(false, false, true);
-        let plain = SadDnsAttack::new(attack_cfg()).run(&mut sim_a, &env_a, None);
+        let plain = SadDnsAttack::new(attack_cfg()).run(&mut sim_a, &env_a);
         let (mut sim_b, env_b) = saddns_env(false, false, true);
-        let mut rec = telemetry::FlightRecorder::default();
-        let recorded = SadDnsAttack::new(attack_cfg()).run(&mut sim_b, &env_b, Some(&mut rec));
+        sim_b.trace_mut().enabled = true;
+        let recorded = SadDnsAttack::new(attack_cfg()).run(&mut sim_b, &env_b);
+        assert!(sim_b.trace().packets().count() > 1 << 16, "the spray was traced");
         assert_eq!(plain, recorded, "recording must not perturb the attack");
+        assert_eq!(sim_a.counters(), sim_b.counters(), "nor the engine's work");
     }
 
     #[test]
@@ -463,7 +442,7 @@ mod tests {
             VictimEnvConfig { nameserver: NameserverConfig::new(addrs::NAMESERVER).with_rrl(10), ..Default::default() };
         cfg.resolver = cfg.resolver.with_transport(UpstreamTransport::TcpOnly);
         let (mut sim, env) = cfg.build();
-        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, None);
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
         assert!(!report.success);
         assert!(matches!(report.failure, Some(FailureReason::PreconditionNotMet(_))));
         assert_eq!(report.attacker_packets, 0, "the attack fails before sending a single probe");
@@ -472,7 +451,7 @@ mod tests {
     #[test]
     fn per_destination_icmp_limit_closes_the_side_channel() {
         let (mut sim, env) = saddns_env(false, false, false);
-        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, None);
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
         assert!(!report.success);
         assert!(matches!(report.failure, Some(FailureReason::PreconditionNotMet(_))));
     }
@@ -482,7 +461,7 @@ mod tests {
         let mut cfg = VictimEnvConfig::default();
         cfg.resolver.port_range = (40000, 40255);
         let (mut sim, env) = cfg.build();
-        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, None);
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
         assert!(!report.success);
         assert!(matches!(report.failure, Some(FailureReason::PreconditionNotMet(_))));
     }
@@ -490,7 +469,7 @@ mod tests {
     #[test]
     fn x20_defeats_the_txid_sweep() {
         let (mut sim, env) = saddns_env(false, true, true);
-        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env, None);
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
         assert!(!report.success, "0x20 should defeat SadDNS");
         assert!(env.resolver(&sim).stats.rejected_question > 0);
     }

@@ -89,7 +89,7 @@ impl AttackVector for SadDnsAttack {
     }
 
     fn execute(&self, sim: &mut Simulator, env: &VictimEnv) -> AttackReport {
-        self.run(sim, env, None)
+        self.run(sim, env)
     }
 }
 

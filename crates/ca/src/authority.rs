@@ -207,7 +207,6 @@ impl CertificateAuthority {
 
         let seed = derive_seed(self.config.seed, CA_ISSUANCE_SALT, order.serial);
         let mut sim = Simulator::new(seed);
-        sim.trace_mut().enabled = false;
 
         // The CA's own resolver, cache pre-seeded with the snapshot.
         let resolver_addr = self.config.resolver.addr;

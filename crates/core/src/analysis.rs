@@ -84,7 +84,7 @@ pub fn saddns_effectiveness(runs: u64, seed: u64) -> SadDnsEffectiveness {
         let mut cfg = SadDnsConfig::new(env.attacker_addr);
         cfg.scan_range = (40000, 40000 + scan_ports as u16 - 1);
         cfg.max_iterations = 2;
-        let report = SadDnsAttack::new(cfg).run(&mut sim, &env, None);
+        let report = SadDnsAttack::new(cfg).run(&mut sim, &env);
         agg.add(&report);
     }
     let port_space_scale = 65_536.0 / scan_ports as f64;

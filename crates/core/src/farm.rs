@@ -98,10 +98,10 @@ pub struct LoadedSadDnsReport {
     pub background_upstream: u64,
     /// Total packets delivered in the simulation.
     pub packets_delivered: u64,
-    /// Flight-recorder dump of the last 64 span events, present only when
-    /// the attack chain failed — the post-mortem of what the attack was
-    /// doing, in sim time, when it died.
-    pub flight_log: Option<String>,
+    /// The trace's last 64 packets and phase spans, present only when the
+    /// attack chain failed — the post-mortem of what the attack was doing,
+    /// in sim time, when it died.
+    pub post_mortem: Option<String>,
     /// Telemetry of the loaded run: resolver counters (`dns.*`), engine
     /// counters (`engine.*`) and — because this experiment is single-threaded
     /// on one simulator — the thread-local buffer-pool delta
@@ -143,7 +143,6 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
     // (unlike in sharded campaigns, where shards share worker threads).
     netsim::pool::reset_counters();
     let (mut sim, env) = cfg.build();
-    sim.trace_mut().enabled = false;
 
     // The background population: stub clients querying the victim zone's real
     // names through the same resolver the attacker is racing. The attack's
@@ -175,9 +174,11 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
     attack_cfg.scan_range = (40000, 40255);
     attack_cfg.max_iterations = 2;
     let baseline = env.resolver(&sim).stats.clone();
-    let mut recorder = telemetry::FlightRecorder::new(256);
-    let report = SadDnsAttack::new(attack_cfg).run(&mut sim, &env, Some(&mut recorder));
-    let flight_log = if report.success { None } else { Some(recorder.dump_last(64)) };
+    let trace = sim.trace_mut();
+    trace.enabled = true;
+    trace.capacity = 256;
+    let report = SadDnsAttack::new(attack_cfg).run(&mut sim, &env);
+    let post_mortem = if report.success { None } else { Some(sim.trace().dump_last(64)) };
 
     let mut metrics = telemetry::MetricsSnapshot::new();
     env.resolver(&sim).export_metrics(&mut metrics);
@@ -192,7 +193,7 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
         background_cache_answers: rs.cache_answers - baseline.cache_answers,
         background_upstream: rs.upstream_queries - baseline.upstream_queries,
         packets_delivered: sim.counters().delivered,
-        flight_log,
+        post_mortem,
         metrics,
     }
 }
@@ -258,9 +259,9 @@ mod tests {
         let loaded = saddns_under_load_with_warmup(21, 300, Duration::ZERO);
         assert!(loaded.background_upstream > 0, "background cache misses open competing ephemeral ports");
         assert_eq!(
-            loaded.flight_log.is_some(),
+            loaded.post_mortem.is_some(),
             !loaded.report.success,
-            "the flight recorder dumps exactly when the chain fails"
+            "the trace is dumped exactly when the chain fails"
         );
     }
 
@@ -271,7 +272,7 @@ mod tests {
         assert!(loaded.background_queries > 0, "the resolver actually served load");
         assert!(loaded.background_cache_answers > 0, "warm cache serves the background stream");
         assert!(loaded.packets_delivered > loaded.report.attacker_packets, "load adds traffic beyond the attack");
-        assert!(loaded.flight_log.is_none(), "a successful chain leaves no post-mortem dump");
+        assert!(loaded.post_mortem.is_none(), "a successful chain leaves no post-mortem dump");
         assert!(loaded.metrics.counter("engine.events.popped") > 0, "engine counters exported");
         assert!(loaded.metrics.counter("dns.resolver.client_queries") > 0, "resolver counters exported");
         assert!(

@@ -482,7 +482,6 @@ impl Scenario {
     ) -> ScenarioOutcome {
         let vector = self.vector.take().expect("Scenario requires an attack vector (call .vector(...))");
         let (mut sim, mut env) = template.build_at(seed);
-        sim.trace_mut().enabled = false;
         let before = self.exploit.as_mut().map(|stage| {
             let (name, qtype) = stage.lookup();
             env.trigger_query(&mut sim, self.trigger, &name, qtype, 1);
@@ -498,7 +497,6 @@ impl Scenario {
             }
             AttackPhase::FreshEnvironment { seed_bump } => {
                 (sim, env) = template.build_at(seed.wrapping_add(seed_bump));
-                sim.trace_mut().enabled = false;
             }
         }
 

@@ -200,11 +200,10 @@ pub fn load_zone(names: u32) -> Zone {
     zone
 }
 
-/// Builds one farm simulation. Tracing is disabled — at 10⁵+ hosts the trace
-/// would dominate memory and time; targeted experiments can re-enable it.
+/// Builds one farm simulation. The trace stays off (the simulator's
+/// default): at 10⁵+ hosts it would dominate memory and time.
 pub fn build_farm(config: FarmConfig) -> (Simulator, Farm) {
     let mut sim = Simulator::new(config.seed);
-    sim.trace_mut().enabled = false;
 
     let nameserver = sim.add_node(
         "ns",

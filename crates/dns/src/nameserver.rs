@@ -416,6 +416,7 @@ mod tests {
     /// resolver, returning the packets the nameserver sent back.
     fn ask(server: Nameserver, queries: Vec<Ipv4Packet>) -> (Simulator, NodeId, NodeId) {
         let mut sim = Simulator::new(1);
+        sim.trace_mut().enabled = true;
         let ns = sim.add_node("ns", vec![NS_ADDR], server);
         let res = sim.add_node("resolver", vec![RESOLVER], SinkNode::default());
         sim.connect(ns, res, Link::with_latency(Duration::from_millis(5)));
@@ -645,27 +646,22 @@ mod tests {
     #[test]
     fn ipid_policy_observable_from_responses() {
         // Global counter: consecutive responses carry consecutive IPIDs.
-        let (sim, _ns, res) = ask(
+        let (sim, ns, _) = ask(
             server(NameserverConfig::new(NS_ADDR).with_ipid(IpIdPolicy::GlobalCounter)),
             (0..3).map(|i| query_packet("vict.im", RecordType::A, i, 4096)).collect(),
         );
         let ids: Vec<u16> = sim
             .trace()
-            .entries()
-            .iter()
-            .filter(|e| {
-                e.verdict == netsim::trace::TraceVerdict::Delivered && e.to == "resolver" && e.summary.contains("UDP")
+            .packets()
+            .filter(|p| {
+                p.verdict == netsim::trace::TraceVerdict::Delivered
+                    && p.to == "resolver"
+                    && p.packet.protocol == Protocol::Udp
             })
-            .filter_map(|e| {
-                // We cannot recover the IPID from the summary; instead assert
-                // via the server's counter.
-                let _ = e;
-                None
-            })
+            .map(|p| p.packet.identification)
             .collect();
-        let _ = ids;
-        let srv = sim.node_ref::<Nameserver>(_ns).unwrap();
+        assert_eq!(ids, vec![1, 2, 3], "the three responses carry consecutive IPIDs");
+        let srv = sim.node_ref::<Nameserver>(ns).unwrap();
         assert_eq!(srv.peek_ipid(), 4, "global counter advanced once per response (starting at 1)");
-        let _ = res;
     }
 }

@@ -6,7 +6,7 @@
 //! effect of a successful BGP prefix hijack: traffic for a prefix is handed
 //! to the hijacker instead of the legitimate owner), performs router-side MTU
 //! handling (ICMP fragmentation-needed or in-transit fragmentation), records
-//! a packet [`Trace`] and keeps per-node [`TrafficStats`].
+//! an event [`Trace`] (off by default) and keeps per-node [`TrafficStats`].
 //!
 //! Determinism: all randomness is drawn from a single seeded ChaCha20 RNG and
 //! ties between simultaneous events are broken by insertion order, so a given
@@ -39,7 +39,7 @@ use crate::pool;
 use crate::prefix::Prefix;
 use crate::stats::TrafficStats;
 use crate::time::{Duration, SimTime};
-use crate::trace::{Trace, TraceVerdict};
+use crate::trace::{Trace, TraceEntry, TraceVerdict};
 use crate::wheel::TimeWheel;
 use crate::{frag, icmp::IcmpMessage};
 use rand::{Rng, SeedableRng};
@@ -464,7 +464,7 @@ impl Simulator {
             now: SimTime::ZERO,
             seq: 0,
             rng: ChaCha20Rng::seed_from_u64(seed),
-            trace: Trace::new(),
+            trace: Trace::default(),
             counters: EngineCounters::default(),
             started: false,
         }
@@ -680,14 +680,27 @@ impl Simulator {
         m.incr("engine.trace.dropped", self.trace.dropped());
     }
 
-    /// The packet trace.
+    /// The event trace (packets and spans; off by default).
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Mutable access to the packet trace (e.g. to disable or clear it).
+    /// Mutable access to the event trace (e.g. to turn it on or bound it).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
+    }
+
+    /// Marks the start of a phase in the trace at the current time. The
+    /// detail is formatted only while the trace is on.
+    pub fn span_enter(&mut self, name: &'static str, detail: impl FnOnce() -> String) {
+        if self.trace.enabled {
+            self.trace.record(TraceEntry::SpanEnter { time: self.now, name, detail: detail() });
+        }
+    }
+
+    /// Marks the end of the phase `name` in the trace at the current time.
+    pub fn span_exit(&mut self, name: &'static str) {
+        self.trace.record(TraceEntry::SpanExit { time: self.now, name });
     }
 
     /// Typed shared access to a node.
@@ -836,7 +849,7 @@ impl Simulator {
                     self.counters.egress_filtered += 1;
                     if self.trace.enabled {
                         let from_name = self.nodes[id.0].name.clone();
-                        self.trace.record_packet(self.now, &from_name, "-", &pkt, TraceVerdict::EgressFiltered);
+                        self.trace.record_packet(self.now, from_name, "-".into(), &pkt, TraceVerdict::EgressFiltered);
                     }
                     pool::give(pkt.payload);
                     return;
@@ -855,7 +868,7 @@ impl Simulator {
             self.count_transit_drop(from, TraceVerdict::NoRoute);
             if self.trace.enabled {
                 let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
-                self.trace.record_packet(self.now, &from_name, "-", &pkt, TraceVerdict::NoRoute);
+                self.trace.record_packet(self.now, from_name, "-".into(), &pkt, TraceVerdict::NoRoute);
             }
             pool::give(pkt.payload);
             return;
@@ -868,7 +881,7 @@ impl Simulator {
             if self.trace.enabled {
                 let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
                 let to_name = self.host_label(to);
-                self.trace.record_packet(self.now, &from_name, &to_name, &pkt, TraceVerdict::LinkLoss);
+                self.trace.record_packet(self.now, from_name, to_name, &pkt, TraceVerdict::LinkLoss);
             }
             pool::give(pkt.payload);
             return;
@@ -881,7 +894,7 @@ impl Simulator {
                 if self.trace.enabled {
                     let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
                     let to_name = self.host_label(to);
-                    self.trace.record_packet(self.now, &from_name, &to_name, &pkt, TraceVerdict::MtuExceeded);
+                    self.trace.record_packet(self.now, from_name, to_name, &pkt, TraceVerdict::MtuExceeded);
                 }
                 // Generate an ICMP fragmentation-needed back to the sender,
                 // originated "by the network" (source = destination address of
@@ -1049,7 +1062,7 @@ impl Simulator {
                 if self.trace.enabled {
                     let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
                     let to_name = self.nodes[id.0].name.clone();
-                    self.trace.record_packet(self.now, &from_name, &to_name, &pkt, TraceVerdict::Delivered);
+                    self.trace.record_packet(self.now, from_name, to_name, &pkt, TraceVerdict::Delivered);
                 }
                 self.with_node_ctx(id, |node, ctx| node.on_packet(ctx, pkt));
             }
@@ -1060,7 +1073,7 @@ impl Simulator {
                 if self.trace.enabled {
                     let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
                     let to_name = Self::stub_label(&self.stub_blocks, id);
-                    self.trace.record_packet(self.now, &from_name, &to_name, &pkt, TraceVerdict::Delivered);
+                    self.trace.record_packet(self.now, from_name, to_name, &pkt, TraceVerdict::Delivered);
                 }
                 self.with_stub_ctx(id, |handler, ctx| handler.on_packet(ctx, &pkt));
                 // Stub deliveries borrow the packet, so the engine still owns
@@ -1178,13 +1191,15 @@ mod tests {
     #[test]
     fn no_route_packets_are_dropped() {
         let mut sim = Simulator::new(3);
+        sim.trace_mut().enabled = true;
         let a = sim.add_node("a", vec![A], EchoNode::default());
         sim.inject(a, udp(A, "99.99.99.99".parse().unwrap(), 10));
         sim.run();
         assert_eq!(sim.stats(a).dropped_in_transit, 1);
         assert_eq!(sim.stats(a).no_route, 1);
         assert_eq!(sim.counters().no_route, 1);
-        assert_eq!(sim.trace().matching("UDP").len(), 1);
+        let traced = sim.trace().packets().filter(|p| p.verdict == TraceVerdict::NoRoute);
+        assert_eq!(traced.map(|p| p.packet.protocol).collect::<Vec<_>>(), vec![Protocol::Udp]);
     }
 
     #[test]
@@ -1221,6 +1236,107 @@ mod tests {
         assert_eq!(m.gauge("engine.events.pending"), 0);
         assert!(m.counter("engine.packets.link_loss") == 0);
         assert!(m.render().contains("engine.wheel.level0.occupancy"));
+    }
+
+    #[test]
+    fn every_verdict_is_traced_with_its_labels() {
+        let mut sim = Simulator::new(30);
+        sim.trace_mut().enabled = true;
+        let a = sim.add_node("a", vec![A], SinkNode::default());
+        let b = sim.add_node("b", vec![B], SinkNode::default());
+        let c = sim.add_node("c", vec![C], SinkNode::default());
+        sim.connect(a, b, Link::default().mtu(576));
+        sim.connect(a, c, Link::default().loss(1.0));
+        sim.set_egress_filtering(a, true);
+        sim.inject(a, udp(A, B, 10));
+        sim.inject(a, udp(C, B, 10));
+        sim.inject(a, udp(A, "99.99.99.99".parse().unwrap(), 10));
+        sim.inject(a, udp(A, C, 10));
+        let mut big = udp(A, B, 1000);
+        big.header.dont_fragment = true;
+        sim.inject(a, big);
+        sim.run();
+        let mut seen: Vec<(TraceVerdict, &str, &str, Protocol)> =
+            sim.trace().packets().map(|p| (p.verdict, p.from.as_str(), p.to.as_str(), p.packet.protocol)).collect();
+        seen.sort_by_key(|&(v, from, to, _)| (v as u8, from, to));
+        assert_eq!(
+            seen,
+            [
+                (TraceVerdict::Delivered, "a", "b", Protocol::Udp),
+                (TraceVerdict::Delivered, "router", "a", Protocol::Icmp),
+                (TraceVerdict::NoRoute, "a", "-", Protocol::Udp),
+                (TraceVerdict::LinkLoss, "a", "c", Protocol::Udp),
+                (TraceVerdict::EgressFiltered, "a", "-", Protocol::Udp),
+                (TraceVerdict::MtuExceeded, "a", "b", Protocol::Udp),
+            ]
+        );
+    }
+
+    #[test]
+    fn tracing_is_off_by_default_and_never_perturbs_delivery() {
+        assert!(!Simulator::new(42).trace().enabled, "the trace is off by default");
+        let run = |traced: bool| {
+            let mut sim = Simulator::new(42);
+            sim.trace_mut().enabled = traced;
+            let a = sim.add_node("a", vec![A], EchoNode::default());
+            let b = sim.add_node("b", vec![B], EchoNode::default());
+            sim.connect(a, b, Link::default().loss(0.3));
+            for i in 0..50 {
+                sim.inject(a, udp(A, B, 10 + i));
+            }
+            sim.run();
+            (sim.counters(), sim.stats(a).clone(), sim.stats(b).clone(), sim.trace().entries().len())
+        };
+        let (off, on) = (run(false), run(true));
+        assert_eq!(off.3, 0, "an untraced run records nothing");
+        assert_eq!(on.3, 50, "a traced run records every packet's fate");
+        assert_eq!((off.0, off.1, off.2), (on.0, on.1, on.2));
+    }
+
+    #[test]
+    fn spans_are_timed_and_formatted_only_while_tracing() {
+        let mut sim = Simulator::new(1);
+        let formatted = std::cell::Cell::new(0);
+        let detail = || {
+            formatted.set(formatted.get() + 1);
+            "port 40123".to_string()
+        };
+        sim.span_enter("saddns.spray", detail);
+        sim.span_exit("saddns.spray");
+        assert_eq!((formatted.get(), sim.trace().entries().len()), (0, 0), "off: nothing formatted or kept");
+        sim.trace_mut().enabled = true;
+        sim.run_for(Duration::from_millis(3));
+        sim.span_enter("saddns.spray", detail);
+        sim.span_exit("saddns.spray");
+        assert_eq!(formatted.get(), 1);
+        let time = SimTime::ZERO + Duration::from_millis(3);
+        let entries: Vec<TraceEntry> = sim.trace().entries().cloned().collect();
+        assert_eq!(
+            entries,
+            [
+                TraceEntry::SpanEnter { time, name: "saddns.spray", detail: "port 40123".into() },
+                TraceEntry::SpanExit { time, name: "saddns.spray" },
+            ]
+        );
+    }
+
+    #[test]
+    fn bounded_trace_exports_its_drop_count() {
+        let mut sim = Simulator::new(1);
+        let trace = sim.trace_mut();
+        trace.enabled = true;
+        trace.capacity = 3;
+        let a = sim.add_node("a", vec![A], SinkNode::default());
+        let b = sim.add_node("b", vec![B], SinkNode::default());
+        sim.connect(a, b, Link::default());
+        for i in 0..10 {
+            sim.inject(a, udp(A, B, i));
+        }
+        sim.run();
+        assert_eq!((sim.trace().entries().len(), sim.trace().dropped()), (3, 7));
+        let mut m = telemetry::MetricsSnapshot::new();
+        sim.export_metrics(&mut m);
+        assert_eq!(m.counter("engine.trace.dropped"), 7);
     }
 
     #[test]
@@ -1445,6 +1561,7 @@ mod tests {
     /// timer armed for that instant.
     fn spray_world(link: Link, src: Ipv4Addr, filtered: bool, train: bool) -> (Simulator, [NodeId; 3]) {
         let mut sim = Simulator::new(21);
+        sim.trace_mut().enabled = true;
         let a = sim.add_node("a", vec![A], SinkNode::default());
         let b = sim.add_node("b", vec![B], LogNode::default());
         let c = sim.add_node("c", vec![C], SinkNode::default());
@@ -1544,6 +1661,7 @@ mod tests {
     fn determinism_same_seed_same_trace() {
         fn run_once(seed: u64) -> Vec<String> {
             let mut sim = Simulator::new(seed);
+            sim.trace_mut().enabled = true;
             let a = sim.add_node("a", vec![A], EchoNode::default());
             let b = sim.add_node("b", vec![B], EchoNode::default());
             sim.connect(a, b, Link::default().loss(0.5));
@@ -1551,7 +1669,7 @@ mod tests {
                 sim.inject(a, udp(A, B, 10 + i));
             }
             sim.run();
-            sim.trace().entries().iter().map(|e| e.to_string()).collect()
+            sim.trace().packets().map(|e| e.to_string()).collect()
         }
         assert_eq!(run_once(42), run_once(42));
         assert_ne!(run_once(42), run_once(43));
@@ -1612,6 +1730,20 @@ mod tests {
         }
         assert_eq!(sim.stub_block_stats(first).udp_sent, 100);
         assert_eq!(sim.stub_block_stats(first).udp_received, 100);
+    }
+
+    #[test]
+    fn stub_traffic_is_traced_with_block_labels() {
+        let mut sim = Simulator::new(77);
+        sim.trace_mut().enabled = true;
+        let server_addr: Ipv4Addr = "10.9.9.9".parse().unwrap();
+        sim.add_node("server", vec![server_addr], UdpEchoServer);
+        sim.add_stub_block("client", "100.64.0.0".parse().unwrap(), 2);
+        sim.set_stub_handler(PingHandler { target: server_addr });
+        sim.run();
+        let mut hops: Vec<(&str, &str)> = sim.trace().packets().map(|p| (p.from.as_str(), p.to.as_str())).collect();
+        hops.sort_unstable();
+        assert_eq!(hops, [("client0", "server"), ("client1", "server"), ("server", "client0"), ("server", "client1")]);
     }
 
     #[test]

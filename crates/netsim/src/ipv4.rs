@@ -7,6 +7,7 @@
 //! attacker's spoofed fragments).
 
 use crate::checksum;
+use crate::trace::PacketSummary;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -242,39 +243,29 @@ impl Ipv4Packet {
         Ok(Ipv4Packet { header, payload: buf[IPV4_HEADER_LEN..total].to_vec() })
     }
 
-    /// A compact human-readable summary used by the trace recorder. TCP
-    /// segments include their flags and sequence/acknowledgment numbers, so
-    /// a trace records handshake interleavings (and seeded ISNs) exactly.
-    pub fn summary(&self) -> String {
-        let frag = if self.header.is_fragment() {
-            format!(
-                " frag(id={:#06x} off={} mf={})",
-                self.header.identification,
-                self.header.payload_byte_offset(),
-                self.header.more_fragments
-            )
-        } else {
-            String::new()
-        };
-        let tcp = if self.header.protocol == Protocol::Tcp
-            && !self.header.is_fragment()
-            && self.payload.len() >= crate::tcp::TCP_HEADER_LEN
-        {
-            let seq = u32::from_be_bytes([self.payload[4], self.payload[5], self.payload[6], self.payload[7]]);
-            let ack = u32::from_be_bytes([self.payload[8], self.payload[9], self.payload[10], self.payload[11]]);
-            format!(" [{}] seq={seq} ack={ack}", crate::tcp::TcpFlags::from_byte(self.payload[13]))
-        } else {
-            String::new()
-        };
-        format!(
-            "{} {} -> {} len={}{}{}",
-            self.header.protocol,
-            self.header.src,
-            self.header.dst,
-            self.wire_len(),
-            frag,
-            tcp
-        )
+    /// The header fields a trace line shows, as a `Copy` value formatted only
+    /// when displayed. TCP segments include their flags and
+    /// sequence/acknowledgment numbers, so a trace records handshake
+    /// interleavings (and seeded ISNs) exactly.
+    pub fn summary(&self) -> PacketSummary {
+        let h = &self.header;
+        let tcp = (h.protocol == Protocol::Tcp && !h.is_fragment() && self.payload.len() >= crate::tcp::TCP_HEADER_LEN)
+            .then(|| {
+                let p = &self.payload;
+                let seq = u32::from_be_bytes([p[4], p[5], p[6], p[7]]);
+                let ack = u32::from_be_bytes([p[8], p[9], p[10], p[11]]);
+                (crate::tcp::TcpFlags::from_byte(p[13]), seq, ack)
+            });
+        PacketSummary {
+            protocol: h.protocol,
+            src: h.src,
+            dst: h.dst,
+            wire_len: self.wire_len(),
+            identification: h.identification,
+            fragment_offset: h.payload_byte_offset(),
+            more_fragments: h.more_fragments,
+            tcp,
+        }
     }
 }
 
@@ -439,6 +430,31 @@ mod tests {
         let mut h = sample_header();
         h.more_fragments = true;
         let pkt = Ipv4Packet::new(h, vec![0u8; 8]);
-        assert!(pkt.summary().contains("frag"));
+        assert!(pkt.summary().to_string().contains("frag"));
+    }
+
+    #[test]
+    fn summary_reads_tcp_flags_and_sequence_numbers() {
+        use crate::tcp::{TcpFlags, TcpSegment};
+        let (src, dst) = ("192.0.2.1".parse().unwrap(), "198.51.100.53".parse().unwrap());
+        let flags = TcpFlags::syn_ack();
+        let seg = TcpSegment {
+            src,
+            dst,
+            src_port: 53,
+            dst_port: 40000,
+            seq: 1000,
+            ack: 77,
+            flags,
+            window: 9,
+            payload: vec![],
+        };
+        let pkt = seg.into_packet(5, 64);
+        assert_eq!(pkt.summary().tcp, Some((flags, 1000, 77)));
+        assert_eq!(pkt.summary().to_string(), "TCP 192.0.2.1 -> 198.51.100.53 len=40 [SYN|ACK] seq=1000 ack=77");
+        // A non-first fragment's payload is not a TCP header.
+        let mut frag = pkt;
+        frag.header.fragment_offset = 3;
+        assert_eq!(frag.summary().tcp, None);
     }
 }

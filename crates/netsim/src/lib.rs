@@ -23,7 +23,8 @@
 //!   hijack) and **source-address spoofing / egress-filtering** semantics
 //!   ([`link`], [`engine`]),
 //! * a single-threaded **discrete-event engine** with deterministic, seeded
-//!   randomness, per-node traffic accounting and a packet trace recorder
+//!   randomness, per-node traffic accounting and the workspace's one event
+//!   recorder: an opt-in ring of typed packet and phase-span entries
 //!   ([`engine`], [`trace`], [`stats`]).
 //!
 //! The simulator is deliberately synchronous and deterministic (smoltcp-style

@@ -224,21 +224,6 @@ impl TcpSegment {
             payload: buf[data_offset..].to_vec(),
         })
     }
-
-    /// One-line summary used in traces and tests.
-    pub fn summary(&self) -> String {
-        format!(
-            "TCP {}:{} -> {}:{} [{}] seq={} ack={} len={}",
-            self.src,
-            self.src_port,
-            self.dst,
-            self.dst_port,
-            self.flags,
-            self.seq,
-            self.ack,
-            self.payload.len()
-        )
-    }
 }
 
 /// Builds the RST a host sends in response to a segment that reached a

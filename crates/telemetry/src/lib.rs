@@ -11,12 +11,6 @@
 //!   **commutative, associative [`merge`](MetricsSnapshot::merge)** (the same
 //!   laws as the campaign `Tally` trait). Per-shard snapshots folded in shard
 //!   order render byte-identically at any worker count.
-//! * [`FlightRecorder`] — a bounded ring buffer of [`SpanEvent`]s recorded at
-//!   simulated-time resolution via [`enter`](FlightRecorder::enter) /
-//!   [`exit`](FlightRecorder::exit) (or the [`span!`] macro). After a failed
-//!   or surprising run, [`dump_last`](FlightRecorder::dump_last) prints the
-//!   last N events — the message-sequence view the all-or-nothing packet
-//!   trace is too expensive to keep at campaign scale.
 //! * [`counters!`] — declares a counter family once: the struct, its `merge`
 //!   and its export into a [`MetricsSnapshot`], so the fields, the merge and
 //!   the metric keys cannot drift apart.
@@ -69,15 +63,11 @@
 #![warn(missing_docs)]
 
 mod counters;
-mod flight;
 mod metrics;
 
-pub use flight::{FlightRecorder, SpanEvent, SpanKind};
 pub use metrics::{MetricsSnapshot, SimTimeHistogram};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::flight::{FlightRecorder, SpanEvent, SpanKind};
     pub use crate::metrics::{MetricsSnapshot, SimTimeHistogram};
-    pub use crate::span;
 }

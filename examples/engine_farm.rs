@@ -12,9 +12,10 @@
 //! `--check-workers N` re-runs the campaign with N workers and
 //! asserts the merged stats are byte-identical — the determinism contract CI
 //! smokes on every push. `--loaded-saddns N` additionally runs SadDNS against
-//! a resolver serving N background stub clients (dumping the flight recorder
-//! if the chain fails). `--metrics` prints the merged telemetry snapshot of
-//! the farm run (and of the loaded SadDNS run, when enabled).
+//! a resolver serving N background stub clients, and prints the last 64
+//! packets and phase spans of the simulator's trace if the chain fails.
+//! `--metrics` prints the merged telemetry snapshot of the farm run (and of
+//! the loaded SadDNS run, when enabled).
 
 use cross_layer_attacks::netsim::prelude::Duration;
 use cross_layer_attacks::xlayer_core::prelude::*;
@@ -137,7 +138,7 @@ fn main() {
             loaded.background_cache_answers,
             loaded.background_upstream,
         );
-        if let Some(log) = &loaded.flight_log {
+        if let Some(log) = &loaded.post_mortem {
             print!("{log}");
         }
         if args.metrics {

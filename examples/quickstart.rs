@@ -13,6 +13,7 @@ fn main() {
     // a victim AS (resolver + client), the target domain's nameserver, and an
     // off-path attacker that can spoof source addresses.
     let (mut sim, env) = VictimEnvConfig::default().build();
+    sim.trace_mut().enabled = true;
 
     println!("victim resolver : {}", env.resolver_addr);
     println!("nameserver      : {} (announces {})", env.nameserver_addr, env.nameserver_prefix);
@@ -43,8 +44,8 @@ fn main() {
     // And the packet-level trace of the attack (Figure 2's message flow).
     println!();
     println!("== last packets of the attack (trace excerpt) ==");
-    let entries = sim.trace().entries();
-    for entry in entries.iter().rev().take(12).rev() {
-        println!("{entry}");
+    let packets: Vec<_> = sim.trace().packets().collect();
+    for packet in &packets[packets.len().saturating_sub(12)..] {
+        println!("{packet}");
     }
 }

@@ -23,6 +23,9 @@ fn main() {
     let mut env_cfg = VictimEnvConfig::default();
     vector.prepare_env(&mut env_cfg);
     let (mut sim, env) = env_cfg.build();
+    // Record the whole chain, 2^16-packet spray included: turning the trace
+    // on must not change the report below.
+    sim.trace_mut().enabled = true;
 
     println!("resolver        : {} (global ICMP limit: yes, ports {scan_lo}-{scan_hi})", env.resolver_addr);
     println!("nameserver      : {} (response rate limiting: yes)", env.nameserver_addr);

@@ -5,15 +5,16 @@
 //! re-exports every sub-crate so examples, integration tests and downstream
 //! users can depend on a single package:
 //!
-//! * [`netsim`] — deterministic packet-level network simulator;
+//! * [`netsim`] — deterministic packet-level network simulator and its
+//!   event trace (packets and attack-phase spans, off by default);
 //! * [`dns`] — DNS wire format, resolvers, nameservers, caches;
 //! * [`bgp`] — AS-level routing, prefix hijacks, RPKI/ROV;
 //! * [`attacks`] — the HijackDNS, SadDNS and FragDNS poisoning methodologies;
 //! * [`apps`] — the application taxonomy and exploit behaviour (Tables 1–2);
 //! * [`ca`] — the ACME-style certificate authority: issuance pipeline,
 //!   multi-vantage-point domain validation, fraudulent-certificate grids;
-//! * [`telemetry`] — the deterministic metrics registry, sim-time spans and
-//!   flight recorder shared by every layer;
+//! * [`telemetry`] — the deterministic metrics registry and counter-family
+//!   declarations shared by every layer;
 //! * [`xlayer_core`] — measurement campaigns, comparative analysis,
 //!   cross-layer scenarios and countermeasure ablations (Tables 3–6,
 //!   Figures 3–5).

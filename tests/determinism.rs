@@ -43,7 +43,7 @@ fn run_saddns(seed: u64) -> AttackReport {
     let mut cfg = SadDnsConfig::new(env.attacker_addr);
     cfg.scan_range = (40000, 40255);
     cfg.max_iterations = 2;
-    SadDnsAttack::new(cfg).run(&mut sim, &env, None)
+    SadDnsAttack::new(cfg).run(&mut sim, &env)
 }
 
 fn run_fragdns(seed: u64) -> AttackReport {
@@ -220,6 +220,7 @@ fn run_tcp_resolution(seed: u64) -> (String, u64, u64) {
     let mut cfg = VictimEnvConfig { seed, ..Default::default() };
     cfg.resolver = cfg.resolver.with_transport(UpstreamTransport::TcpOnly);
     let (mut sim, env) = cfg.build();
+    sim.trace_mut().enabled = true;
     env.trigger_query(&mut sim, QueryTrigger::InternalClient, &"www.vict.im".parse().unwrap(), RecordType::A, 9);
     sim.run();
     let resolver = env.resolver(&sim);

@@ -29,7 +29,7 @@ fn all_three_methodologies_poison_the_standard_victim() {
     let (mut sim, env) = cfg.build();
     let mut sad_cfg = SadDnsConfig::new(env.attacker_addr);
     sad_cfg.scan_range = (40000, 40127);
-    let sad = SadDnsAttack::new(sad_cfg).run(&mut sim, &env, None);
+    let sad = SadDnsAttack::new(sad_cfg).run(&mut sim, &env);
     assert!(sad.success);
 
     // Relative cost ordering (Table 6 shape): hijack ≪ frag ≪ saddns.

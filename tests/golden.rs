@@ -205,6 +205,7 @@ fn golden_saddns_trace() {
     let mut cfg = VictimEnvConfig { seed: GOLDEN_SEED, ..Default::default() };
     vector.prepare_env(&mut cfg);
     let (mut sim, env) = cfg.build();
+    sim.trace_mut().enabled = true;
     let report = vector.execute(&mut sim, &env);
     let trace = sim.trace();
     let rendered = trace.render();
@@ -212,7 +213,7 @@ fn golden_saddns_trace() {
         rendered.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
     let mut out = String::new();
     let _ = writeln!(out, "success {} attacker_packets {}", report.success, report.attacker_packets);
-    let _ = writeln!(out, "entries {} dropped {} fnv1a {digest:016x}", trace.len(), trace.dropped());
+    let _ = writeln!(out, "entries {} dropped {} fnv1a {digest:016x}", trace.packets().count(), trace.dropped());
     let lines: Vec<&str> = rendered.lines().collect();
     let _ = writeln!(out, "-- first 20 --");
     for line in &lines[..20] {

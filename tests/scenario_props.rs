@@ -38,7 +38,7 @@ fn run_concrete(method: PoisonMethod, seed: u64) -> AttackReport {
             let mut attack_cfg = SadDnsConfig::new(addrs::ATTACKER);
             attack_cfg.scan_range = (40000, 40255);
             attack_cfg.max_iterations = 2;
-            SadDnsAttack::new(attack_cfg).run(&mut sim, &env, None)
+            SadDnsAttack::new(attack_cfg).run(&mut sim, &env)
         }
         PoisonMethod::FragDns => {
             let (mut sim, env) = VictimEnvConfig { seed, ..Default::default() }.build();
