@@ -143,7 +143,9 @@ impl AttackerNode {
             resp.answers.push(ResourceRecord::new(q.name, 300, RData::A(self.malicious_a)));
         }
         self.tcp_queries_answered += 1;
-        let framed = frame_tcp(&resp.encode());
+        let wire = resp.encode();
+        let framed = frame_tcp(&wire);
+        netsim::pool::give(wire);
         let intercept = &mut self.tcp_intercept;
         with_io(&mut self.stack, ctx, |io| intercept.send_from(io, local, peer, &framed));
     }
@@ -208,53 +210,41 @@ impl Node for AttackerNode {
             } else if pkt.header.protocol == Protocol::Tcp && self.answer_dns_queries {
                 self.handle_hijacked_tcp(&pkt, ctx);
             }
+            netsim::pool::give(pkt.payload);
             return;
         }
-        let output = {
-            let rng = ctx.rng();
-            self.stack.handle_packet(&pkt, now, rng)
-        };
+        let (dst, ip_identification) = (pkt.header.dst, pkt.header.identification);
+        let mut replies = Vec::new();
+        let event = self.stack.handle_packet(pkt, now, ctx.rng(), &mut replies);
         // The attacker never sends ICMP errors back (it stays quiet), so the
         // stack's replies are suppressed except echo replies (it answers
         // pings to look like an ordinary host).
-        for reply in output.replies {
+        for reply in replies {
             if let Ok(IcmpMessage::EchoReply { .. }) = IcmpMessage::decode(&reply.payload) {
                 ctx.send(reply);
             }
         }
-        for event in output.events {
-            match event {
-                StackEvent::Udp(dgram) => {
-                    self.udp_observed.push(ObservedUdp {
-                        at: now,
-                        ip_identification: pkt.header.identification,
-                        datagram: dgram.clone(),
-                    });
-                    if self.answer_dns_queries && dgram.dst_port == 53 {
-                        if let Ok(query) = Message::decode(&dgram.payload) {
-                            if !query.header.is_response {
-                                if let Some(q) = query.question().cloned() {
-                                    let mut resp = Message::response_for(&query);
-                                    resp.header.authoritative = true;
-                                    resp.answers.push(ResourceRecord::new(q.name, 300, RData::A(self.malicious_a)));
-                                    let pkts = self.stack.send_udp(
-                                        UdpDatagram::new(pkt.header.dst, dgram.src, 53, dgram.src_port, resp.encode()),
-                                        now,
-                                        ctx.rng(),
-                                    );
-                                    for p in pkts {
-                                        ctx.send(p);
-                                    }
-                                }
+        match event {
+            Some(StackEvent::Udp(dgram)) => {
+                if self.answer_dns_queries && dgram.dst_port == 53 {
+                    if let Ok(query) = Message::decode(&dgram.payload) {
+                        if !query.header.is_response {
+                            if let Some(q) = query.question().cloned() {
+                                let mut resp = Message::response_for(&query);
+                                resp.header.authoritative = true;
+                                resp.answers.push(ResourceRecord::new(q.name, 300, RData::A(self.malicious_a)));
+                                let answer = UdpDatagram::new(dst, dgram.src, 53, dgram.src_port, resp.encode());
+                                with_io(&mut self.stack, ctx, |io| io.send_udp(answer));
                             }
                         }
                     }
                 }
-                StackEvent::IcmpError { from, kind, quoted_ports } => {
-                    self.icmp_observed.push(ObservedIcmp { at: now, from, kind, quoted_ports });
-                }
-                _ => {}
+                self.udp_observed.push(ObservedUdp { at: now, ip_identification, datagram: dgram });
             }
+            Some(StackEvent::IcmpError { from, kind, quoted_ports, .. }) => {
+                self.icmp_observed.push(ObservedIcmp { at: now, from, kind, quoted_ports });
+            }
+            _ => {}
         }
     }
 }

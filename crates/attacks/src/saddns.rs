@@ -195,7 +195,8 @@ impl SadDnsAttack {
         let space: u32 = if cfg.full_txid_sweep { 1 << 16 } else { 4096 };
         // The 2^16 spoofed responses differ only in the DNS TXID (wire bytes
         // 0-1) and the IP ID, so encode the message once and patch the TXID
-        // into a pooled copy per packet instead of re-encoding every time.
+        // into a pooled copy per packet (with room for the UDP header, which
+        // `into_packet` writes in place) instead of re-encoding every time.
         let mut template = Message::query(0, cfg.target_name.clone(), cfg.qtype);
         template.header.is_response = true;
         template.header.authoritative = true;
@@ -205,7 +206,7 @@ impl SadDnsAttack {
         // spray's working set is one packet, not 2^16.
         let (ns, resolver) = (env.nameserver_addr, env.resolver_addr);
         sim.inject_train(env.attacker, space, move |txid| {
-            let mut payload = netsim::pool::take(wire.len());
+            let mut payload = netsim::pool::take(wire.len() + netsim::udp::UDP_HEADER_LEN);
             payload.extend_from_slice(&wire);
             payload[..2].copy_from_slice(&(txid as u16).to_be_bytes());
             UdpDatagram::new(ns, resolver, 53, port, payload).into_packet(txid as u16, 64)

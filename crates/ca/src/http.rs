@@ -278,7 +278,7 @@ impl ChallengeHost {
         };
         let listener = &mut self.listener;
         with_io(&mut self.stack, ctx, |io| {
-            listener.send_to(io, peer, &response);
+            listener.send_to(io, peer, response);
             listener.close_peer(io, peer);
         });
     }
@@ -343,16 +343,9 @@ impl ChallengeHost {
             }
         }
         self.dns_intercepted += 1;
-        let now = ctx.now();
         // Source spoofed to the nameserver the victim addressed.
-        let pkts = self.stack.send_udp(
-            UdpDatagram::new(dst, dgram.src, well_known_ports::DNS, dgram.src_port, resp.encode()),
-            now,
-            ctx.rng(),
-        );
-        for p in pkts {
-            ctx.send(p);
-        }
+        let answer = UdpDatagram::new(dst, dgram.src, well_known_ports::DNS, dgram.src_port, resp.encode());
+        with_io(&mut self.stack, ctx, |io| io.send_udp(answer));
     }
 }
 
@@ -373,32 +366,23 @@ impl Node for ChallengeHost {
             }
             return;
         }
-        let now = ctx.now();
-        let output = {
-            let rng = ctx.rng();
-            self.stack.handle_packet(&pkt, now, rng)
-        };
-        for reply in output.replies {
-            ctx.send(reply);
-        }
-        for event in output.events {
-            if let StackEvent::Tcp(_) = &event {
-                let listener = &mut self.listener;
-                let events = with_io(&mut self.stack, ctx, |io| listener.handle(io, &event));
-                for se in events {
-                    match se {
-                        SocketEvent::Data { peer, payload, .. } => self.serve_owned(peer, &payload, ctx),
-                        SocketEvent::PeerClosed { peer, .. } => {
-                            self.rx.remove(&peer);
-                            let listener = &mut self.listener;
-                            with_io(&mut self.stack, ctx, |io| listener.close_peer(io, peer));
-                        }
-                        SocketEvent::Reset { peer, .. } => {
-                            self.rx.remove(&peer);
-                        }
-                        SocketEvent::Connected { .. } => {}
-                    }
+        let listener = &mut self.listener;
+        let events = with_io(&mut self.stack, ctx, |io| match io.receive(pkt) {
+            Some(event @ StackEvent::Tcp(_)) => listener.handle(io, event),
+            _ => Vec::new(),
+        });
+        for se in events {
+            match se {
+                SocketEvent::Data { peer, payload, .. } => self.serve_owned(peer, &payload, ctx),
+                SocketEvent::PeerClosed { peer, .. } => {
+                    self.rx.remove(&peer);
+                    let listener = &mut self.listener;
+                    with_io(&mut self.stack, ctx, |io| listener.close_peer(io, peer));
                 }
+                SocketEvent::Reset { peer, .. } => {
+                    self.rx.remove(&peer);
+                }
+                SocketEvent::Connected { .. } => {}
             }
         }
     }

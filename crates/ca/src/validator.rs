@@ -151,7 +151,7 @@ impl ValidatorNode {
                 let request = http_get(&self.domain.to_string(), &http_challenge_path(&self.expected_token()));
                 let sock = &mut self.http_sock;
                 with_io(&mut self.stack, ctx, |io| {
-                    sock.send_to(io, Endpoint::new(addr, well_known_ports::HTTP), &request)
+                    sock.send_to(io, Endpoint::new(addr, well_known_ports::HTTP), request)
                 });
             }
         }
@@ -214,7 +214,7 @@ impl Node for ValidatorNode {
                 let resolver = self.resolver;
                 let sock = &mut self.dns_sock;
                 with_io(&mut self.stack, ctx, |io| {
-                    sock.send_to(io, Endpoint::new(resolver, well_known_ports::DNS), &query.encode())
+                    sock.send_to(io, Endpoint::new(resolver, well_known_ports::DNS), query.encode())
                 });
             }
             TIMER_DEADLINE => {
@@ -228,36 +228,29 @@ impl Node for ValidatorNode {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
-        let now = ctx.now();
-        let output = {
-            let rng = ctx.rng();
-            self.stack.handle_packet(&pkt, now, rng)
-        };
-        for reply in output.replies {
-            ctx.send(reply);
-        }
-        for event in output.events {
-            match &event {
-                StackEvent::Udp(dgram) if dgram.dst_port == well_known_ports::CA_VALIDATOR_DNS => {
+        match with_io(&mut self.stack, ctx, |io| io.receive(pkt)) {
+            Some(StackEvent::Udp(dgram)) => {
+                if dgram.dst_port == well_known_ports::CA_VALIDATOR_DNS {
                     if let Ok(msg) = Message::decode(&dgram.payload) {
                         if msg.header.is_response {
                             self.handle_dns_answer(&msg, ctx);
                         }
                     }
                 }
-                StackEvent::Tcp(_) => {
-                    let sock = &mut self.http_sock;
-                    let events = with_io(&mut self.stack, ctx, |io| sock.handle(io, &event));
-                    let live = self.http_sock.flows();
-                    if !live.is_empty() {
-                        self.flows_seen = live;
-                    }
-                    for se in events {
-                        self.handle_http_event(se, ctx);
-                    }
-                }
-                _ => {}
+                netsim::pool::give(dgram.payload);
             }
+            Some(event @ StackEvent::Tcp(_)) => {
+                let sock = &mut self.http_sock;
+                let events = with_io(&mut self.stack, ctx, |io| sock.handle(io, event));
+                let live = self.http_sock.flows();
+                if !live.is_empty() {
+                    self.flows_seen = live;
+                }
+                for se in events {
+                    self.handle_http_event(se, ctx);
+                }
+            }
+            _ => {}
         }
     }
 }

@@ -139,19 +139,20 @@ impl Cache {
         }
     }
 
-    /// Looks up a record set. `allow_any_derived` controls whether entries
-    /// that were inserted from an `ANY` response may satisfy the lookup.
+    /// Looks up a record set, borrowed from the cache. `allow_any_derived`
+    /// controls whether entries that were inserted from an `ANY` response
+    /// may satisfy the lookup.
     pub fn lookup_with_policy(
         &mut self,
         name: &DomainName,
         rtype: RecordType,
         now: SimTime,
         allow_any_derived: bool,
-    ) -> Option<Vec<ResourceRecord>> {
+    ) -> Option<&[ResourceRecord]> {
         match self.entries.get(&(name, rtype.number()) as &dyn KeyView) {
             Some(entry) if entry.expires > now && (allow_any_derived || !entry.from_any) => {
                 self.hits += 1;
-                Some(entry.records.clone())
+                Some(&entry.records)
             }
             Some(entry) if entry.expires <= now => {
                 self.expired += 1;
@@ -166,7 +167,7 @@ impl Cache {
     }
 
     /// Looks up a record set, allowing ANY-derived entries (the common case).
-    pub fn lookup(&mut self, name: &DomainName, rtype: RecordType, now: SimTime) -> Option<Vec<ResourceRecord>> {
+    pub fn lookup(&mut self, name: &DomainName, rtype: RecordType, now: SimTime) -> Option<&[ResourceRecord]> {
         self.lookup_with_policy(name, rtype, now, true)
     }
 

@@ -99,7 +99,7 @@ impl StubClient {
         let sock = &mut self.sock;
         let resolver = self.resolver;
         with_io(&mut self.stack, ctx, |io| {
-            sock.send_to(io, Endpoint::new(resolver, crate::well_known_ports::DNS), &msg.encode())
+            sock.send_to(io, Endpoint::new(resolver, crate::well_known_ports::DNS), msg.encode())
         });
     }
 }
@@ -117,36 +117,31 @@ impl Node for StubClient {
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
         let now = ctx.now();
-        let output = {
-            let rng = ctx.rng();
-            self.stack.handle_packet(&pkt, now, rng)
-        };
-        for reply in output.replies {
-            ctx.send(reply);
-        }
-        for event in output.events {
-            let sock = &mut self.sock;
-            let sock_events = with_io(&mut self.stack, ctx, |io| sock.handle(io, &event));
-            for se in sock_events {
-                let SocketEvent::Data { payload, .. } = se else { continue };
-                if let Ok(msg) = Message::decode(&payload) {
-                    if !msg.header.is_response {
-                        continue;
-                    }
-                    if msg.header.rcode != Rcode::NoError {
-                        self.failures += 1;
-                    }
-                    if let Some(q) = msg.question() {
-                        self.completed.push(CompletedLookup {
-                            name: q.name.clone(),
-                            qtype: q.qtype,
-                            rcode: msg.header.rcode,
-                            truncated: msg.header.truncated,
-                            answers: msg.answers.clone(),
-                            at: now,
-                        });
-                    }
-                }
+        let sock = &mut self.sock;
+        let sock_events = with_io(&mut self.stack, ctx, |io| match io.receive(pkt) {
+            Some(event) => sock.handle(io, event),
+            None => Vec::new(),
+        });
+        for se in sock_events {
+            let SocketEvent::Data { payload, .. } = se else { continue };
+            let msg = Message::decode(&payload);
+            netsim::pool::give(payload);
+            let Ok(msg) = msg else { continue };
+            if !msg.header.is_response {
+                continue;
+            }
+            if msg.header.rcode != Rcode::NoError {
+                self.failures += 1;
+            }
+            if let Some(q) = msg.question() {
+                self.completed.push(CompletedLookup {
+                    name: q.name.clone(),
+                    qtype: q.qtype,
+                    rcode: msg.header.rcode,
+                    truncated: msg.header.truncated,
+                    answers: msg.answers.clone(),
+                    at: now,
+                });
             }
         }
     }

@@ -169,8 +169,8 @@ impl StubHandler for FarmClientHandler {
 
     fn on_packet(&mut self, ctx: &mut StubCtx<'_>, pkt: &netsim::prelude::Ipv4Packet) {
         // `data` counts parsed DNS responses; `failed` counts error rcodes.
-        if let Ok(dgram) = UdpDatagram::from_packet(pkt) {
-            if let Ok(msg) = Message::decode(&dgram.payload) {
+        if let Ok((_, payload)) = UdpDatagram::parse(pkt) {
+            if let Ok(msg) = Message::decode(payload) {
                 ctx.state_mut().data += 1;
                 if msg.header.rcode != Rcode::NoError {
                     ctx.state_mut().failed += 1;

@@ -8,6 +8,7 @@
 
 use crate::name::{CompressionTable, DomainName, NameError};
 use crate::rdata::{RData, RecordType, ResourceRecord};
+use netsim::udp::UDP_HEADER_LEN;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -282,44 +283,61 @@ impl Message {
         self.answers.iter().chain(self.authorities.iter()).chain(self.additionals.iter())
     }
 
-    /// Serialises the message (with name compression in owner names).
+    /// Serialises the message (with name compression in owner names); see
+    /// [`Message::encode_parts`].
     pub fn encode(&self) -> Vec<u8> {
-        // Pooled, pre-sized: the wire image usually rides straight into a
-        // `UdpDatagram`, whose `into_packet` recycles it.
-        let mut buf = netsim::pool::take(512);
+        Self::encode_parts(&self.header, &self.questions, [&self.answers, &self.authorities, &self.additionals])
+    }
+
+    /// The one DNS encoder, over borrowed sections (answers, authorities,
+    /// additionals), so a resolver encodes a cache hit straight from the
+    /// cached records.
+    ///
+    /// The wire image goes into a pooled buffer sized to the message plus
+    /// [`UDP_HEADER_LEN`] of headroom: `UdpDatagram::into_packet` then
+    /// writes the UDP header into this same buffer, and the packet carries
+    /// it until it dies. The size counts owner names uncompressed, which
+    /// covers the record data of small answers; a larger message grows the
+    /// buffer.
+    pub fn encode_parts(header: &Header, questions: &[Question], sections: [&[ResourceRecord]; 3]) -> Vec<u8> {
+        let records = || sections.iter().flat_map(|section| section.iter());
+        let size = 12
+            + questions.iter().map(|q| q.name.wire_len() + 4).sum::<usize>()
+            + records().map(|rr| rr.name.wire_len() + 10).sum::<usize>();
+        let mut buf = netsim::pool::take(size + UDP_HEADER_LEN);
         let mut compression = CompressionTable::default();
-        buf.extend_from_slice(&self.header.id.to_be_bytes());
+        buf.extend_from_slice(&header.id.to_be_bytes());
         let mut flags: u16 = 0;
-        if self.header.is_response {
+        if header.is_response {
             flags |= 0x8000;
         }
-        if self.header.authoritative {
+        if header.authoritative {
             flags |= 0x0400;
         }
-        if self.header.truncated {
+        if header.truncated {
             flags |= 0x0200;
         }
-        if self.header.recursion_desired {
+        if header.recursion_desired {
             flags |= 0x0100;
         }
-        if self.header.recursion_available {
+        if header.recursion_available {
             flags |= 0x0080;
         }
-        if self.header.authenticated_data {
+        if header.authenticated_data {
             flags |= 0x0020;
         }
-        flags |= u16::from(self.header.rcode.to_u4());
+        flags |= u16::from(header.rcode.to_u4());
         buf.extend_from_slice(&flags.to_be_bytes());
-        buf.extend_from_slice(&(self.questions.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&(self.authorities.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&(self.additionals.len() as u16).to_be_bytes());
-        for q in &self.questions {
+        buf.extend_from_slice(&(questions.len() as u16).to_be_bytes());
+        for section in sections {
+            buf.extend_from_slice(&(section.len() as u16).to_be_bytes());
+        }
+        for q in questions {
             q.name.encode(&mut buf, Some(&mut compression));
             buf.extend_from_slice(&q.qtype.number().to_be_bytes());
             buf.extend_from_slice(&1u16.to_be_bytes()); // class IN
         }
-        for rr in self.answers.iter().chain(&self.authorities).chain(&self.additionals) {
+        for rr in records() {
             rr.encode(&mut buf, Some(&mut compression));
         }
         buf
@@ -382,9 +400,13 @@ impl Message {
         Ok(Message { header, questions, answers, authorities, additionals })
     }
 
-    /// The encoded size of this message in bytes.
+    /// The encoded size of this message in bytes. The scratch encoding goes
+    /// back to the pool.
     pub fn wire_size(&self) -> usize {
-        self.encode().len()
+        let wire = self.encode();
+        let size = wire.len();
+        netsim::pool::give(wire);
+        size
     }
 }
 
@@ -547,6 +569,32 @@ mod tests {
         let decoded = Message::decode(&r.encode()).unwrap();
         assert_eq!(decoded.answers.len(), 10);
         assert!(decoded.answers.iter().all(|rr| rr.name == n("vict.im")));
+    }
+
+    #[test]
+    fn wire_size_gives_its_scratch_encoding_back() {
+        let m = Message::query(3, n("www.vict.im"), RecordType::A).with_edns(1232);
+        let size = m.wire_size(); // warms this thread's pool
+        let before = netsim::pool::counters();
+        assert_eq!(m.wire_size(), size);
+        let after = netsim::pool::counters();
+        assert_eq!(after.returned, before.returned + 1, "the scratch buffer goes back to the pool");
+        assert_eq!(
+            (after.hits, after.misses),
+            (before.hits + 1, before.misses),
+            "a warm pool serves the scratch buffer"
+        );
+    }
+
+    #[test]
+    fn encoding_leaves_udp_headroom() {
+        let query = Message::query(3, n("www.vict.im"), RecordType::A).with_edns(1232);
+        let mut answer = Message::response_for(&query);
+        answer.answers.push(ResourceRecord::new(n("www.vict.im"), 300, RData::A(Ipv4Addr::new(30, 0, 0, 80))));
+        for m in [query, answer] {
+            let wire = m.encode();
+            assert!(wire.capacity() >= wire.len() + UDP_HEADER_LEN, "{m}: no room for the UDP header");
+        }
     }
 
     #[test]

@@ -302,11 +302,13 @@ impl Nameserver {
 
         let payload = response.encode();
         let udp = &mut self.udp;
-        let fragments = with_io(&mut self.stack, ctx, |io| {
-            udp.send_to(io, peer, &payload);
-            io.out.len()
+        // The packets this one send queued: more than one means fragments.
+        let packets = with_io(&mut self.stack, ctx, |io| {
+            let queued = io.out.len();
+            udp.send_to(io, peer, payload);
+            io.out.len() - queued
         });
-        if fragments > 1 {
+        if packets > 1 {
             self.stats.responses_fragmented += 1;
         }
         self.stats.responses_sent += 1;
@@ -326,55 +328,50 @@ impl Nameserver {
             self.stats.any_queries += 1;
         }
         let response = self.answer_query(&query, ctx.rng()).with_edns(4096);
-        let framed = frame_tcp(&response.encode());
+        let wire = response.encode();
+        let framed = frame_tcp(&wire);
+        netsim::pool::give(wire);
         let tcp = &mut self.tcp;
-        with_io(&mut self.stack, ctx, |io| tcp.send_to(io, peer, &framed));
+        with_io(&mut self.stack, ctx, |io| tcp.send_to(io, peer, framed));
         self.stats.responses_sent += 1;
     }
 }
 
 impl Node for Nameserver {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
-        let now = ctx.now();
-        let output = {
-            let rng = ctx.rng();
-            self.stack.handle_packet(&pkt, now, rng)
-        };
-        for reply in output.replies {
-            ctx.send(reply);
-        }
-        for event in output.events {
-            match &event {
-                StackEvent::Udp(dgram) if dgram.dst_port == crate::well_known_ports::DNS => {
+        match with_io(&mut self.stack, ctx, |io| io.receive(pkt)) {
+            Some(StackEvent::Udp(dgram)) => {
+                if dgram.dst_port == crate::well_known_ports::DNS {
                     self.serve_udp(Endpoint::new(dgram.src, dgram.src_port), &dgram.payload, ctx);
                 }
-                StackEvent::Tcp(_) => {
-                    let tcp = &mut self.tcp;
-                    let sock_events = with_io(&mut self.stack, ctx, |io| tcp.handle(io, &event));
-                    for se in sock_events {
-                        match se {
-                            SocketEvent::Data { peer, payload, .. } => {
-                                for frame in TcpFrameBuffer::push_and_drain(&mut self.tcp_rx, peer, &payload) {
-                                    self.serve_tcp(peer, &frame, ctx);
-                                }
+                netsim::pool::give(dgram.payload);
+            }
+            Some(event @ StackEvent::Tcp(_)) => {
+                let tcp = &mut self.tcp;
+                let sock_events = with_io(&mut self.stack, ctx, |io| tcp.handle(io, event));
+                for se in sock_events {
+                    match se {
+                        SocketEvent::Data { peer, payload, .. } => {
+                            for frame in TcpFrameBuffer::push_and_drain(&mut self.tcp_rx, peer, &payload) {
+                                self.serve_tcp(peer, &frame, ctx);
                             }
-                            SocketEvent::PeerClosed { peer, .. } => {
-                                // Close our direction too so the connection
-                                // winds down deterministically.
-                                self.tcp_rx.remove(&peer);
-                                let tcp = &mut self.tcp;
-                                with_io(&mut self.stack, ctx, |io| tcp.close_peer(io, peer));
-                            }
-                            SocketEvent::Reset { peer, .. } => {
-                                self.tcp_rx.remove(&peer);
-                            }
-                            SocketEvent::Connected { .. } => {}
                         }
+                        SocketEvent::PeerClosed { peer, .. } => {
+                            // Close our direction too so the connection
+                            // winds down deterministically.
+                            self.tcp_rx.remove(&peer);
+                            let tcp = &mut self.tcp;
+                            with_io(&mut self.stack, ctx, |io| tcp.close_peer(io, peer));
+                        }
+                        SocketEvent::Reset { peer, .. } => {
+                            self.tcp_rx.remove(&peer);
+                        }
+                        SocketEvent::Connected { .. } => {}
                     }
                 }
-                StackEvent::PmtuUpdate { .. } => self.stats.pmtu_updates += 1,
-                _ => {}
             }
+            Some(StackEvent::IcmpError { pmtu_update: Some(_), .. }) => self.stats.pmtu_updates += 1,
+            _ => {}
         }
     }
 }
@@ -594,24 +591,20 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             let q = Message::query(7, "vict.im".parse().unwrap(), RecordType::ANY).with_edns(512);
             let sock = &mut self.sock;
-            with_io(&mut self.stack, ctx, |io| sock.send_to(io, Endpoint::new(NS_ADDR, 53), &frame_tcp(&q.encode())));
+            with_io(&mut self.stack, ctx, |io| sock.send_to(io, Endpoint::new(NS_ADDR, 53), frame_tcp(&q.encode())));
         }
 
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
-            let now = ctx.now();
-            let events = {
-                let rng = ctx.rng();
-                self.stack.handle_packet(&pkt, now, rng).events
-            };
-            for event in events {
-                let sock = &mut self.sock;
-                let sock_events = with_io(&mut self.stack, ctx, |io| sock.handle(io, &event));
-                for se in sock_events {
-                    if let SocketEvent::Data { payload, .. } = se {
-                        self.rx.push(&payload);
-                        while let Some(frame) = self.rx.pop() {
-                            self.answers.push(Message::decode(&frame).unwrap());
-                        }
+            let sock = &mut self.sock;
+            let sock_events = with_io(&mut self.stack, ctx, |io| match io.receive(pkt) {
+                Some(event) => sock.handle(io, event),
+                None => Vec::new(),
+            });
+            for se in sock_events {
+                if let SocketEvent::Data { payload, .. } = se {
+                    self.rx.push(&payload);
+                    while let Some(frame) = self.rx.pop() {
+                        self.answers.push(Message::decode(&frame).unwrap());
                     }
                 }
             }

@@ -698,14 +698,16 @@ impl ResourceRecord {
         };
         buf.extend_from_slice(&class.to_be_bytes());
         buf.extend_from_slice(&self.ttl.to_be_bytes());
-        let mut rdata = Vec::new();
+        // RDLENGTH is patched in once the RDATA is written behind it.
+        let len_at = buf.len();
+        buf.extend_from_slice(&[0, 0]);
         match &self.rdata {
             // OPT RDATA is empty on the wire in our model.
             RData::Opt { .. } => {}
-            other => other.encode(&mut rdata),
+            other => other.encode(buf),
         }
-        buf.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&rdata);
+        let rdlength = (buf.len() - len_at - 2) as u16;
+        buf[len_at..len_at + 2].copy_from_slice(&rdlength.to_be_bytes());
     }
 
     /// Decodes a record starting at `offset`; returns it and the next offset.

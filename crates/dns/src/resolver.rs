@@ -421,17 +421,14 @@ impl Resolver {
             Protocol::Tcp => {
                 self.stats.tcp_upstream_queries += 1;
                 let framed = frame_tcp(&payload);
+                netsim::pool::give(payload);
                 let tcp = &mut self.tcp;
-                with_io(&mut self.stack, ctx, |io| tcp.send_to(io, ns, &framed));
+                with_io(&mut self.stack, ctx, |io| tcp.send_to(io, ns, framed));
             }
-            _ => {
-                let sock = self.upstream_socks.get_mut(&entry.port);
-                with_io(&mut self.stack, ctx, |io| {
-                    if let Some(sock) = sock {
-                        sock.send_to(io, ns, &payload);
-                    }
-                });
-            }
+            _ => match self.upstream_socks.get_mut(&entry.port) {
+                Some(sock) => with_io(&mut self.stack, ctx, |io| sock.send_to(io, ns, payload)),
+                None => netsim::pool::give(payload),
+            },
         }
         self.stats.upstream_queries += 1;
         ctx.set_timer(self.config.query_timeout, Self::timer_token(token, entry.attempt));
@@ -492,33 +489,37 @@ impl Resolver {
         self.send_upstream(token, ctx);
     }
 
-    fn answer_client_from_records(
-        &mut self,
-        question: Question,
-        records: Vec<ResourceRecord>,
+    /// The wire answer to `client`: its question echoed, `records` as the
+    /// answer section, encoded straight from the borrowed records.
+    fn client_answer(
         client: ClientRef,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let rcode = if records.is_empty() { Rcode::NxDomain } else { Rcode::NoError };
-        let response = Message {
-            header: crate::message::Header {
-                id: client.txid,
-                is_response: true,
-                authoritative: false,
-                truncated: false,
-                recursion_desired: true,
-                recursion_available: true,
-                authenticated_data: false,
-                rcode,
-            },
-            questions: vec![question],
-            answers: records,
-            authorities: Vec::new(),
-            additionals: Vec::new(),
+        question: &Question,
+        rcode: Rcode,
+        truncated: bool,
+        records: &[ResourceRecord],
+    ) -> Vec<u8> {
+        let header = crate::message::Header {
+            id: client.txid,
+            is_response: true,
+            authoritative: false,
+            truncated,
+            recursion_desired: true,
+            recursion_available: true,
+            authenticated_data: false,
+            rcode,
         };
-        let payload = response.encode();
+        Message::encode_parts(&header, std::slice::from_ref(question), [records, &[], &[]])
+    }
+
+    /// The answer carrying `records` (NXDOMAIN when there are none).
+    fn records_answer(client: ClientRef, question: &Question, records: &[ResourceRecord]) -> Vec<u8> {
+        let rcode = if records.is_empty() { Rcode::NxDomain } else { Rcode::NoError };
+        Self::client_answer(client, question, rcode, false, records)
+    }
+
+    fn send_to_client(&mut self, client: ClientRef, payload: Vec<u8>, ctx: &mut Ctx<'_>) {
         let sock = &mut self.client_sock;
-        with_io(&mut self.stack, ctx, |io| sock.send_to(io, Endpoint::new(client.addr, client.port), &payload));
+        with_io(&mut self.stack, ctx, |io| sock.send_to(io, Endpoint::new(client.addr, client.port), payload));
     }
 
     fn answer_client_error(
@@ -529,22 +530,18 @@ impl Resolver {
         truncated: bool,
         ctx: &mut Ctx<'_>,
     ) {
-        let mut response = Message::query(client.txid, question.name.clone(), question.qtype);
-        response.header.is_response = true;
-        response.header.recursion_available = true;
-        response.header.rcode = rcode;
-        response.header.truncated = truncated;
-        let payload = response.encode();
-        let sock = &mut self.client_sock;
-        with_io(&mut self.stack, ctx, |io| sock.send_to(io, Endpoint::new(client.addr, client.port), &payload));
+        let payload = Self::client_answer(client, question, rcode, truncated, &[]);
+        self.send_to_client(client, payload, ctx);
     }
 
-    fn handle_client_query(&mut self, dgram: &UdpDatagram, ctx: &mut Ctx<'_>) {
-        let Ok(query) = Message::decode(&dgram.payload) else { return };
-        if query.header.is_response {
+    fn handle_client_query(&mut self, dgram: UdpDatagram, ctx: &mut Ctx<'_>) {
+        let query = Message::decode(&dgram.payload);
+        netsim::pool::give(dgram.payload);
+        let Ok(mut query) = query else { return };
+        if query.header.is_response || query.questions.is_empty() {
             return;
         }
-        let Some(question) = query.question().cloned() else { return };
+        let question = query.questions.swap_remove(0);
         self.stats.client_queries += 1;
         let client = ClientRef { addr: dgram.src, port: dgram.src_port, txid: query.header.id };
 
@@ -554,13 +551,17 @@ impl Resolver {
             return;
         }
 
-        // Cache lookup.
+        // Cache lookup: a hit is encoded straight from the cached records.
         let allow_any_derived = self.config.any_caching == AnyCachingPolicy::CacheAndUse;
         let now = ctx.now();
-        let cached = self.cache.borrow_mut().lookup_with_policy(&question.name, question.qtype, now, allow_any_derived);
-        if let Some(records) = cached {
+        let cached = self
+            .cache
+            .borrow_mut()
+            .lookup_with_policy(&question.name, question.qtype, now, allow_any_derived)
+            .map(|records| Self::records_answer(client, &question, records));
+        if let Some(payload) = cached {
             self.stats.cache_answers += 1;
-            self.answer_client_from_records(question, records, client, ctx);
+            self.send_to_client(client, payload, ctx);
             return;
         }
 
@@ -578,9 +579,19 @@ impl Resolver {
     }
 
     /// Validates and ingests an upstream response delivered to a UDP
-    /// ephemeral port.
-    fn handle_upstream_response(&mut self, dgram: &UdpDatagram, ctx: &mut Ctx<'_>) {
-        let Some(&token) = self.port_to_token.get(&dgram.dst_port) else { return };
+    /// ephemeral port. The datagram's buffer dies here.
+    fn handle_upstream_response(&mut self, dgram: UdpDatagram, ctx: &mut Ctx<'_>) {
+        let response = self.decode_upstream(&dgram);
+        netsim::pool::give(dgram.payload);
+        if let Some((token, response)) = response {
+            self.ingest_upstream_response(token, response, ctx);
+        }
+    }
+
+    /// The outstanding query an upstream datagram answers, and its decoded
+    /// response, unless the datagram is rejected first.
+    fn decode_upstream(&mut self, dgram: &UdpDatagram) -> Option<(u64, Message)> {
+        let &token = self.port_to_token.get(&dgram.dst_port)?;
         // Fast header peek before the full parse: the TXID and QR bit sit at
         // fixed offsets, so off-path floods sweeping the TXID space (SadDNS
         // sprays 2^16 responses per round) are rejected without decoding
@@ -591,22 +602,19 @@ impl Resolver {
                 if flags_hi & 0x80 == 0 {
                     // QR clear: a query, not a response. Silently ignored,
                     // exactly like the decoded `!is_response` path.
-                    return;
+                    return None;
                 }
                 if let Some(entry) = self.outstanding.get(&token) {
                     if u16::from_be_bytes([id_hi, id_lo]) != entry.txid {
                         self.stats.rejected_txid += 1;
-                        return;
+                        return None;
                     }
                 }
             }
-            _ => return, // shorter than a header: Message::decode would fail
+            _ => return None, // shorter than a header: Message::decode would fail
         }
-        let Ok(response) = Message::decode(&dgram.payload) else { return };
-        if !response.header.is_response {
-            return;
-        }
-        self.ingest_upstream_response(token, response, ctx);
+        let response = Message::decode(&dgram.payload).ok()?;
+        response.header.is_response.then_some((token, response))
     }
 
     /// The shared validation pipeline for upstream responses, regardless of
@@ -742,12 +750,15 @@ impl Resolver {
     }
 
     /// Processes one TCP stack event through the upstream socket.
-    fn handle_tcp_event(&mut self, event: &StackEvent, ctx: &mut Ctx<'_>) {
+    fn handle_tcp_event(&mut self, event: StackEvent, ctx: &mut Ctx<'_>) {
         let tcp = &mut self.tcp;
         let sock_events = with_io(&mut self.stack, ctx, |io| tcp.handle(io, event));
         for se in sock_events {
             match se {
-                SocketEvent::Data { peer, payload, .. } => self.handle_tcp_data(peer, &payload, ctx),
+                SocketEvent::Data { peer, payload, .. } => {
+                    self.handle_tcp_data(peer, &payload, ctx);
+                    netsim::pool::give(payload);
+                }
                 SocketEvent::PeerClosed { peer, .. } | SocketEvent::Reset { peer, .. } => {
                     self.tcp_rx.remove(&peer);
                 }
@@ -783,8 +794,9 @@ impl Resolver {
     fn finish_query(&mut self, token: u64, answers: &[ResourceRecord], ctx: &mut Ctx<'_>) {
         if let Some(entry) = self.outstanding.remove(&token) {
             self.release_transport(&entry, ctx);
-            for client in entry.clients.clone() {
-                self.answer_client_from_records(entry.question.clone(), answers.to_vec(), client, ctx);
+            for &client in &entry.clients {
+                let payload = Self::records_answer(client, &entry.question, answers);
+                self.send_to_client(client, payload, ctx);
             }
         }
     }
@@ -796,7 +808,7 @@ impl Resolver {
         if let Some(entry) = self.outstanding.remove(&token) {
             self.release_transport(&entry, ctx);
             self.stats.servfails += entry.clients.len() as u64;
-            for client in entry.clients.clone() {
+            for &client in &entry.clients {
                 self.answer_client_error(&entry.question, client, Rcode::ServFail, true, ctx);
             }
         }
@@ -865,26 +877,13 @@ impl Resolver {
 
 impl Node for Resolver {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
-        let now = ctx.now();
-        let output = {
-            let rng = ctx.rng();
-            self.stack.handle_packet(&pkt, now, rng)
-        };
-        for reply in output.replies {
-            ctx.send(reply);
-        }
-        for event in output.events {
-            match &event {
-                StackEvent::Udp(dgram) => {
-                    if dgram.dst_port == crate::well_known_ports::DNS {
-                        self.handle_client_query(dgram, ctx);
-                    } else {
-                        self.handle_upstream_response(dgram, ctx);
-                    }
-                }
-                StackEvent::Tcp(_) => self.handle_tcp_event(&event, ctx),
-                _ => {}
+        match with_io(&mut self.stack, ctx, |io| io.receive(pkt)) {
+            Some(StackEvent::Udp(dgram)) if dgram.dst_port == crate::well_known_ports::DNS => {
+                self.handle_client_query(dgram, ctx);
             }
+            Some(StackEvent::Udp(dgram)) => self.handle_upstream_response(dgram, ctx),
+            Some(event @ StackEvent::Tcp(_)) => self.handle_tcp_event(event, ctx),
+            _ => {}
         }
     }
 

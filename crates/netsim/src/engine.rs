@@ -37,9 +37,11 @@ use crate::ipv4::{Ipv4Packet, Protocol};
 use crate::link::Link;
 use crate::pool;
 use crate::prefix::Prefix;
+use crate::stack::HostStack;
 use crate::stats::TrafficStats;
 use crate::time::{Duration, SimTime};
 use crate::trace::{Trace, TraceEntry, TraceVerdict};
+use crate::transport::StackIo;
 use crate::wheel::TimeWheel;
 use crate::{frag, icmp::IcmpMessage};
 use rand::{Rng, SeedableRng};
@@ -80,6 +82,12 @@ impl<T: Any> AsAny for T {
 /// [`Ctx`] handed to each callback.
 pub trait Node: AsAny + 'static {
     /// Called when a packet addressed (or routed) to this node is delivered.
+    ///
+    /// The node owns the packet and its buffer. Feeding it to the host stack
+    /// ([`StackIo::receive`](crate::transport::StackIo::receive)) hands the
+    /// buffer on: the stack either gives it back to the [`pool`] or passes
+    /// it up in the event's payload, which the node gives back once it has
+    /// decoded it. A node that keeps the packet keeps the buffer.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet);
 
     /// Called when a timer previously scheduled via [`Ctx::set_timer`] fires.
@@ -104,8 +112,8 @@ pub struct Ctx<'a> {
     self_id: NodeId,
     addrs: &'a [Ipv4Addr],
     rng: &'a mut ChaCha20Rng,
-    outgoing: Vec<Ipv4Packet>,
-    timers: Vec<(Duration, u64)>,
+    outgoing: &'a mut Vec<Ipv4Packet>,
+    timers: &'a mut Vec<(Duration, u64)>,
 }
 
 impl<'a> Ctx<'a> {
@@ -146,6 +154,13 @@ impl<'a> Ctx<'a> {
     /// Deterministic per-simulation RNG.
     pub fn rng(&mut self) -> &mut ChaCha20Rng {
         self.rng
+    }
+
+    /// A [`StackIo`] over `stack` that appends the packets it produces to
+    /// this node's outgoing list (nodes get it through
+    /// [`with_io`](crate::transport::with_io)).
+    pub(crate) fn stack_io<'s>(&'s mut self, stack: &'s mut HostStack) -> StackIo<'s> {
+        StackIo::new(stack, self.now, self.rng, self.outgoing)
     }
 }
 
@@ -199,7 +214,8 @@ pub trait StubHandler: 'static {
     }
 
     /// Called when a packet is delivered to this stub. The packet is
-    /// borrowed: its buffers are recycled by the engine afterwards.
+    /// borrowed: parse it in place (`UdpDatagram::parse`); the engine gives
+    /// its buffer back to the [`pool`] afterwards.
     fn on_packet(&mut self, ctx: &mut StubCtx<'_>, pkt: &Ipv4Packet);
 }
 
@@ -283,6 +299,7 @@ impl Node for EchoNode {
             }
             _ => {}
         }
+        pool::give(pkt.payload);
     }
 }
 
@@ -294,8 +311,9 @@ pub struct SinkNode {
 }
 
 impl Node for SinkNode {
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Ipv4Packet) {
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
         self.received += 1;
+        pool::give(pkt.payload);
     }
 }
 
@@ -430,7 +448,10 @@ pub struct Simulator {
     stub_blocks: Vec<StubBlock>,
     stubs: Vec<StubState>,
     stub_handler: Option<Box<dyn StubHandler>>,
-    stub_out_scratch: Vec<Ipv4Packet>,
+    /// Outgoing/timer lists reused by every callback context, so a
+    /// callback allocates none.
+    out_scratch: Vec<Ipv4Packet>,
+    timer_scratch: Vec<(Duration, u64)>,
     stub_timer_scratch: Vec<(Duration, StubTimer)>,
     events: TimeWheel<EventKind>,
     /// Undelivered packets of queued trains beyond the one wheel entry each
@@ -457,7 +478,8 @@ impl Simulator {
             stub_blocks: Vec::new(),
             stubs: Vec::new(),
             stub_handler: None,
-            stub_out_scratch: Vec::new(),
+            out_scratch: Vec::new(),
+            timer_scratch: Vec::new(),
             stub_timer_scratch: Vec::new(),
             events: TimeWheel::new(),
             train_backlog: 0,
@@ -1006,29 +1028,30 @@ impl Simulator {
     /// Runs a node callback with a freshly built [`Ctx`], then dispatches the
     /// side effects it produced.
     fn with_node_ctx(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>)) {
-        let (outgoing, timers) = {
+        let mut outgoing = std::mem::take(&mut self.out_scratch);
+        let mut timers = std::mem::take(&mut self.timer_scratch);
+        {
             let Simulator { nodes, rng, now, .. } = self;
             let slot = &mut nodes[id.0];
             let mut ctx =
-                Ctx { now: *now, self_id: id, addrs: &slot.addrs, rng, outgoing: Vec::new(), timers: Vec::new() };
+                Ctx { now: *now, self_id: id, addrs: &slot.addrs, rng, outgoing: &mut outgoing, timers: &mut timers };
             f(slot.node.as_mut(), &mut ctx);
-            (ctx.outgoing, ctx.timers)
-        };
-        for pkt in outgoing {
+        }
+        for pkt in outgoing.drain(..) {
             self.dispatch(id, pkt);
         }
-        for (delay, token) in timers {
+        for (delay, token) in timers.drain(..) {
             let time = self.now + delay;
             self.push_event(time, EventKind::Timer { node: id, token });
         }
+        self.out_scratch = outgoing;
+        self.timer_scratch = timers;
     }
 
     /// Runs a stub-handler callback with a freshly built [`StubCtx`], then
-    /// dispatches the side effects. The outgoing/timer scratch vectors are
-    /// reused across calls, so a quiescent farm schedules with zero
-    /// steady-state allocation.
+    /// dispatches the side effects, reusing the same scratch lists.
     fn with_stub_ctx(&mut self, id: StubId, f: impl FnOnce(&mut dyn StubHandler, &mut StubCtx<'_>)) {
-        let mut outgoing = std::mem::take(&mut self.stub_out_scratch);
+        let mut outgoing = std::mem::take(&mut self.out_scratch);
         let mut timers = std::mem::take(&mut self.stub_timer_scratch);
         {
             let Simulator { stub_handler, stubs, rng, now, .. } = self;
@@ -1050,7 +1073,7 @@ impl Simulator {
             let time = self.now + delay;
             self.push_event(time, EventKind::StubTimer { stub: id, timer });
         }
-        self.stub_out_scratch = outgoing;
+        self.out_scratch = outgoing;
         self.stub_timer_scratch = timers;
     }
 

@@ -1,13 +1,35 @@
-//! Thread-local packet-buffer pool.
+//! Thread-local packet-buffer pool and the buffer-lifecycle contract.
 //!
-//! Every UDP datagram or TCP segment used to allocate a fresh `Vec<u8>` on
-//! encode and drop it after delivery — at million-client farm scale that is
-//! two heap round-trips per simulated packet. The pool keeps a small
-//! per-thread free list of cleared byte buffers: encoders call [`take`], the
-//! engine (and any owner done with a packet) calls [`give`] when a payload
-//! buffer dies. Buffers are always handed out **cleared** and fully
-//! rewritten by the encoders, so reuse cannot leak bytes between packets and
-//! has no effect on determinism.
+//! A DNS/UDP packet's bytes live in **one** `Vec<u8>` from encode to death,
+//! and that buffer comes back here exactly once, where the packet dies. The
+//! pool is a small per-thread free list of cleared byte buffers; [`take`]
+//! hands one out (cleared, so reuse never leaks bytes between packets and has
+//! no effect on determinism) and [`give`] accepts it back.
+//!
+//! **Who takes.** The encoders of application payloads: `Message::encode`
+//! takes a buffer sized to the message plus the UDP header, TCP segmentation
+//! one per chunk plus the TCP header, and raw payload builders (the SadDNS
+//! spray) take with the same headroom.
+//!
+//! **One buffer per packet.** `UdpDatagram::into_packet` and
+//! `TcpSegment::into_packet` write the header into the payload's own buffer,
+//! and the resulting `Ipv4Packet` carries that same buffer.
+//! On receipt `HostStack::handle_packet` validates the header and checksum
+//! once and strips the header inside the same buffer, so the application's
+//! `UdpDatagram`/`TcpSegment` payload is still the sender's buffer.
+//!
+//! **Where each buffer dies and is given back.**
+//! - In transit, by the engine: egress-filtered, unroutable, lost,
+//!   MTU-rejected and in-transit-fragmented packets.
+//! - After a stub delivery, by the engine: `StubHandler::on_packet` borrows
+//!   the packet.
+//! - In the host stack: packets not addressed to the host, checksum or format
+//!   failures, closed ports, ICMP messages, fragments (reassembly copies
+//!   them) and sends that had to be fragmented.
+//! - In the application: a node owns every packet `Node::on_packet` hands it
+//!   and every payload in a `StackEvent` or `SocketEvent`, and gives the
+//!   buffer back once it has decoded the payload. A node that keeps or
+//!   forgets a buffer only costs a later [`take`] a miss.
 //!
 //! The free list is thread-local because simulations are single-threaded and
 //! campaign workers each run their own sims; nothing here is shared across
@@ -92,6 +114,19 @@ pub fn give(mut buf: Vec<u8>) {
     });
 }
 
+/// Writes `header` in front of `payload` inside the payload's own buffer:
+/// the payload bytes shift up in place. A buffer without room for the header
+/// grows by exactly that much first (a caller's exact-size vector, a
+/// zero-capacity control segment); pooled encoders leave the room.
+pub(crate) fn prepend(mut payload: Vec<u8>, header: &[u8]) -> Vec<u8> {
+    let len = payload.len();
+    payload.reserve_exact(header.len());
+    payload.extend_from_slice(header);
+    payload.copy_within(..len, header.len());
+    payload[..header.len()].copy_from_slice(header);
+    payload
+}
+
 /// Number of buffers currently pooled on this thread (for tests and
 /// instrumentation).
 pub fn pooled() -> usize {
@@ -138,6 +173,19 @@ mod tests {
         give(Vec::with_capacity(8));
         let b = take(1000);
         assert!(b.capacity() >= 1000);
+    }
+
+    #[test]
+    fn prepend_frames_in_place_when_there_is_room() {
+        let mut payload = Vec::with_capacity(16);
+        payload.extend_from_slice(b"payload");
+        let ptr = payload.as_ptr();
+        let framed = prepend(payload, b"hdr");
+        assert_eq!(framed, b"hdrpayload");
+        assert_eq!(framed.as_ptr(), ptr, "no second buffer when the payload has room");
+        // Without room the buffer grows first.
+        assert_eq!(prepend(b"xy".to_vec(), b"hdr"), b"hdrxy");
+        assert_eq!(prepend(Vec::new(), b"hdr"), b"hdr");
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::frag::{ReassemblyBuffer, ReassemblyConfig, ReassemblyResult};
 use crate::icmp::{IcmpMessage, Unreachable};
 use crate::ipv4::{Ipv4Packet, Protocol, DEFAULT_MTU, MIN_IPV4_MTU};
 use crate::pmtud::PathMtuCache;
+use crate::pool;
 use crate::ratelimit::{IcmpRateLimitPolicy, IcmpRateLimiter};
 use crate::tcp::{rst_reply, TcpSegment, TCP_HEADER_LEN};
 use crate::time::SimTime;
@@ -107,6 +108,9 @@ pub enum StackEvent {
         kind: Unreachable,
         /// Ports quoted from the offending datagram.
         quoted_ports: Option<(u16, u16)>,
+        /// `(destination, new path MTU)` when this fragmentation-needed
+        /// message lowered the path MTU towards a destination.
+        pmtu_update: Option<(Ipv4Addr, u16)>,
     },
     /// An ICMP echo reply was received (used by liveness probes).
     EchoReply {
@@ -122,14 +126,6 @@ pub enum StackEvent {
         /// Requester address.
         from: Ipv4Addr,
     },
-    /// The path MTU towards `dst` was lowered to `mtu` by a
-    /// fragmentation-needed message.
-    PmtuUpdate {
-        /// Destination whose path MTU changed.
-        dst: Ipv4Addr,
-        /// New path MTU.
-        mtu: u16,
-    },
     /// A UDP datagram arrived at a closed port (the stack may have generated
     /// an ICMP port-unreachable, subject to rate limiting).
     ClosedPort {
@@ -142,16 +138,6 @@ pub enum StackEvent {
     },
     /// A datagram or fragment was dropped (bad checksum, fragment rejected...).
     Dropped(&'static str),
-}
-
-/// The result of feeding one packet into the stack: zero or more application
-/// events plus zero or more reply packets that must be transmitted.
-#[derive(Debug, Clone, Default)]
-pub struct StackOutput {
-    /// Events for the application layer.
-    pub events: Vec<StackEvent>,
-    /// Packets the stack wants to send in response (ICMP errors, echo replies).
-    pub replies: Vec<Ipv4Packet>,
 }
 
 /// The per-host stack state.
@@ -289,16 +275,18 @@ impl HostStack {
     }
 
     /// Builds (and, if the path MTU towards the destination requires it,
-    /// fragments) a UDP datagram originating from this host.
-    pub fn send_udp<R: Rng>(&mut self, dgram: UdpDatagram, now: SimTime, rng: &mut R) -> Vec<Ipv4Packet> {
+    /// fragments) a UDP datagram originating from this host, appending the
+    /// packets to `out`.
+    pub fn send_udp<R: Rng>(&mut self, dgram: UdpDatagram, now: SimTime, rng: &mut R, out: &mut Vec<Ipv4Packet>) {
         let dst = dgram.dst;
         let ipid = self.next_ipid(dst, rng);
         let pkt = dgram.into_packet(ipid, self.config.ttl);
         let mtu = if self.config.pmtud_enabled { self.pmtu.mtu_for(dst, now) } else { DEFAULT_MTU };
         if pkt.wire_len() > usize::from(mtu) {
-            fragment_packet(&pkt, mtu)
+            out.extend(fragment_packet(&pkt, mtu));
+            pool::give(pkt.payload);
         } else {
-            vec![pkt]
+            out.push(pkt);
         }
     }
 
@@ -325,105 +313,117 @@ impl HostStack {
         IcmpMessage::EchoRequest { id, seq, payload: vec![] }.into_packet(src, dst, ipid, self.config.ttl)
     }
 
-    /// Feeds one received IPv4 packet through the stack.
-    pub fn handle_packet<R: Rng>(&mut self, pkt: &Ipv4Packet, now: SimTime, rng: &mut R) -> StackOutput {
-        let mut out = StackOutput::default();
+    /// Feeds one received IPv4 packet through the stack: reply packets (ICMP
+    /// errors, echo replies, RSTs) are appended to `replies`, and the event
+    /// for the application, if any, is returned.
+    ///
+    /// The stack owns the packet. A checksum-valid UDP datagram or TCP
+    /// segment for an open port is handed over in the packet's own buffer,
+    /// header stripped; every other packet dies here and its buffer goes
+    /// back to the [`pool`].
+    pub fn handle_packet<R: Rng>(
+        &mut self,
+        pkt: Ipv4Packet,
+        now: SimTime,
+        rng: &mut R,
+        replies: &mut Vec<Ipv4Packet>,
+    ) -> Option<StackEvent> {
         if !self.owns(pkt.header.dst) {
-            out.events.push(StackEvent::Dropped("not addressed to this host"));
-            return out;
+            pool::give(pkt.payload);
+            return Some(StackEvent::Dropped("not addressed to this host"));
         }
 
-        // 1. Reassembly of fragments. Whole packets are processed in place —
-        // cloning a borrowed packet per delivery is exactly the per-packet
-        // churn the buffer pool exists to avoid.
-        let reassembled;
-        let full: &Ipv4Packet = if pkt.header.is_fragment() {
+        // 1. Reassembly of fragments (the buffer copies them in).
+        let full = if pkt.header.is_fragment() {
             if !self.config.accept_fragments {
-                out.events.push(StackEvent::Dropped("fragments filtered"));
-                return out;
+                pool::give(pkt.payload);
+                return Some(StackEvent::Dropped("fragments filtered"));
             }
-            match self.reassembly.push(pkt, now) {
-                ReassemblyResult::Complete(p) => {
-                    reassembled = p;
-                    &reassembled
-                }
-                ReassemblyResult::Pending => return out,
-                ReassemblyResult::Dropped(_) => {
-                    out.events.push(StackEvent::Dropped("fragment dropped"));
-                    return out;
-                }
+            let result = self.reassembly.push(&pkt, now);
+            pool::give(pkt.payload);
+            match result {
+                ReassemblyResult::Complete(p) => p,
+                ReassemblyResult::Pending => return None,
+                ReassemblyResult::Dropped(_) => return Some(StackEvent::Dropped("fragment dropped")),
             }
         } else {
             pkt
         };
 
-        match full.header.protocol {
-            Protocol::Udp => self.handle_udp(full, now, rng, &mut out),
-            Protocol::Tcp => self.handle_tcp(full, rng, &mut out),
-            Protocol::Icmp => self.handle_icmp(full, now, rng, &mut out),
-            _ => out.events.push(StackEvent::Dropped("unsupported protocol")),
-        }
-        out
-    }
-
-    fn handle_tcp<R: Rng>(&mut self, pkt: &Ipv4Packet, rng: &mut R, out: &mut StackOutput) {
-        match TcpSegment::from_packet(pkt) {
-            Ok(seg) => {
-                if self.open_tcp_ports.contains(&seg.dst_port) {
-                    out.events.push(StackEvent::Tcp(seg));
-                } else {
-                    // RFC 793 §3.4: segments to closed ports are reset (RSTs
-                    // are not subject to the ICMP error rate limit — one
-                    // reason the TCP path has no SadDNS-style muting oracle).
-                    let rst = rst_reply(&seg);
-                    let rst_sent = rst.is_some();
-                    if let Some(rst) = rst {
-                        let ipid = self.next_ipid(rst.dst, rng);
-                        out.replies.push(rst.into_packet(ipid, self.config.ttl));
-                    }
-                    out.events.push(StackEvent::TcpClosedPort { from: seg.src, port: seg.dst_port, rst_sent });
-                }
+        Some(match full.header.protocol {
+            Protocol::Udp => self.handle_udp(full, now, rng, replies),
+            Protocol::Tcp => self.handle_tcp(full, rng, replies),
+            Protocol::Icmp => self.handle_icmp(full, now, rng, replies),
+            _ => {
+                pool::give(full.payload);
+                StackEvent::Dropped("unsupported protocol")
             }
-            Err(_) => out.events.push(StackEvent::Dropped("tcp checksum/format error")),
-        }
+        })
     }
 
-    fn handle_udp<R: Rng>(&mut self, pkt: &Ipv4Packet, now: SimTime, rng: &mut R, out: &mut StackOutput) {
-        match UdpDatagram::from_packet(pkt) {
-            Ok(dgram) => {
-                if self.open_ports.contains(&dgram.dst_port) {
-                    out.events.push(StackEvent::Udp(dgram));
-                } else {
-                    let allowed = self.icmp_limiter.allow(dgram.src, now);
-                    if allowed {
-                        let ipid = self.next_ipid(dgram.src, rng);
-                        let reply = IcmpMessage::port_unreachable(pkt).into_packet(
-                            pkt.header.dst,
-                            pkt.header.src,
-                            ipid,
-                            self.config.ttl,
-                        );
-                        out.replies.push(reply);
-                    }
-                    out.events.push(StackEvent::ClosedPort {
-                        from: dgram.src,
-                        port: dgram.dst_port,
-                        icmp_sent: allowed,
-                    });
-                }
-            }
-            Err(_) => out.events.push(StackEvent::Dropped("udp checksum/format error")),
-        }
-    }
-
-    fn handle_icmp<R: Rng>(&mut self, pkt: &Ipv4Packet, now: SimTime, rng: &mut R, out: &mut StackOutput) {
-        let Ok(msg) = IcmpMessage::decode(&pkt.payload) else {
-            out.events.push(StackEvent::Dropped("icmp format error"));
-            return;
+    fn handle_tcp<R: Rng>(&mut self, pkt: Ipv4Packet, rng: &mut R, replies: &mut Vec<Ipv4Packet>) -> StackEvent {
+        let Ok(seg) = TcpSegment::from_owned_packet(pkt) else {
+            return StackEvent::Dropped("tcp checksum/format error");
         };
-        match msg {
-            IcmpMessage::EchoRequest { id, seq, payload } => {
-                out.events.push(StackEvent::EchoRequest { from: pkt.header.src });
+        if self.open_tcp_ports.contains(&seg.dst_port) {
+            return StackEvent::Tcp(seg);
+        }
+        // RFC 793 §3.4: segments to closed ports are reset (RSTs are not
+        // subject to the ICMP error rate limit — one reason the TCP path has
+        // no SadDNS-style muting oracle).
+        let rst = rst_reply(&seg);
+        let rst_sent = rst.is_some();
+        if let Some(rst) = rst {
+            let ipid = self.next_ipid(rst.dst, rng);
+            replies.push(rst.into_packet(ipid, self.config.ttl));
+        }
+        let event = StackEvent::TcpClosedPort { from: seg.src, port: seg.dst_port, rst_sent };
+        pool::give(seg.payload);
+        event
+    }
+
+    fn handle_udp<R: Rng>(
+        &mut self,
+        pkt: Ipv4Packet,
+        now: SimTime,
+        rng: &mut R,
+        replies: &mut Vec<Ipv4Packet>,
+    ) -> StackEvent {
+        let event = match UdpDatagram::parse(&pkt).map(|(header, _)| header) {
+            Ok(header) if self.open_ports.contains(&header.dst_port) => {
+                return StackEvent::Udp(UdpDatagram::from_parsed(pkt, header));
+            }
+            Ok(header) => {
+                let from = pkt.header.src;
+                let allowed = self.icmp_limiter.allow(from, now);
+                if allowed {
+                    let ipid = self.next_ipid(from, rng);
+                    let reply = IcmpMessage::port_unreachable(&pkt).into_packet(
+                        pkt.header.dst,
+                        pkt.header.src,
+                        ipid,
+                        self.config.ttl,
+                    );
+                    replies.push(reply);
+                }
+                StackEvent::ClosedPort { from, port: header.dst_port, icmp_sent: allowed }
+            }
+            Err(_) => StackEvent::Dropped("udp checksum/format error"),
+        };
+        pool::give(pkt.payload);
+        event
+    }
+
+    fn handle_icmp<R: Rng>(
+        &mut self,
+        pkt: Ipv4Packet,
+        now: SimTime,
+        rng: &mut R,
+        replies: &mut Vec<Ipv4Packet>,
+    ) -> StackEvent {
+        let event = match IcmpMessage::decode(&pkt.payload) {
+            Err(_) => StackEvent::Dropped("icmp format error"),
+            Ok(IcmpMessage::EchoRequest { id, seq, payload }) => {
                 if self.config.respond_to_ping {
                     let ipid = self.next_ipid(pkt.header.src, rng);
                     let reply = IcmpMessage::EchoReply { id, seq, payload }.into_packet(
@@ -432,33 +432,30 @@ impl HostStack {
                         ipid,
                         self.config.ttl,
                     );
-                    out.replies.push(reply);
+                    replies.push(reply);
                 }
+                StackEvent::EchoRequest { from: pkt.header.src }
             }
-            IcmpMessage::EchoReply { id, seq, .. } => {
-                out.events.push(StackEvent::EchoReply { from: pkt.header.src, id, seq });
-            }
-            IcmpMessage::DestinationUnreachable { kind, .. } => {
-                let quoted_ports = msg_quoted_ports(&pkt.payload);
+            Ok(IcmpMessage::EchoReply { id, seq, .. }) => StackEvent::EchoReply { from: pkt.header.src, id, seq },
+            Ok(msg @ IcmpMessage::DestinationUnreachable { kind, .. }) => {
+                let mut pmtu_update = None;
                 if let Unreachable::FragmentationNeeded { mtu } = kind {
                     // PMTUD: only honour errors that quote a packet we could
                     // actually have sent (destination of the quoted header).
                     if self.config.pmtud_enabled {
-                        if let Some(quoted) = IcmpMessage::decode(&pkt.payload).ok().and_then(|m| m.quoted_header()) {
+                        if let Some(quoted) = msg.quoted_header() {
                             if self.owns(quoted.src) && self.pmtu.on_fragmentation_needed(quoted.dst, mtu, now) {
-                                out.events.push(StackEvent::PmtuUpdate { dst: quoted.dst, mtu: mtu.max(MIN_IPV4_MTU) });
+                                pmtu_update = Some((quoted.dst, mtu.max(MIN_IPV4_MTU)));
                             }
                         }
                     }
                 }
-                out.events.push(StackEvent::IcmpError { from: pkt.header.src, kind, quoted_ports });
+                StackEvent::IcmpError { from: pkt.header.src, kind, quoted_ports: msg.quoted_udp_ports(), pmtu_update }
             }
-        }
+        };
+        pool::give(pkt.payload);
+        event
     }
-}
-
-fn msg_quoted_ports(payload: &[u8]) -> Option<(u16, u16)> {
-    IcmpMessage::decode(payload).ok().and_then(|m| m.quoted_udp_ports())
 }
 
 #[cfg(test)]
@@ -478,6 +475,19 @@ mod tests {
         HostStack::with_defaults(vec![HOST])
     }
 
+    /// Feeds `pkt` through `s`, returning its event and reply packets.
+    fn feed(s: &mut HostStack, pkt: Ipv4Packet, rng: &mut ChaCha20Rng) -> (Option<StackEvent>, Vec<Ipv4Packet>) {
+        let mut replies = Vec::new();
+        let event = s.handle_packet(pkt, SimTime::ZERO, rng, &mut replies);
+        (event, replies)
+    }
+
+    fn send(s: &mut HostStack, dgram: UdpDatagram, rng: &mut ChaCha20Rng) -> Vec<Ipv4Packet> {
+        let mut out = Vec::new();
+        s.send_udp(dgram, SimTime::ZERO, rng, &mut out);
+        out
+    }
+
     fn udp_to(stack_addr: Ipv4Addr, port: u16, payload: &[u8], id: u16) -> Ipv4Packet {
         UdpDatagram::new(PEER, stack_addr, 53, port, payload.to_vec()).into_packet(id, 64)
     }
@@ -486,9 +496,9 @@ mod tests {
     fn delivers_to_open_port() {
         let mut s = stack();
         s.open_port(4444);
-        let out = s.handle_packet(&udp_to(HOST, 4444, b"hi", 1), SimTime::ZERO, &mut rng());
-        assert!(matches!(&out.events[0], StackEvent::Udp(d) if d.payload == b"hi"));
-        assert!(out.replies.is_empty());
+        let (event, replies) = feed(&mut s, udp_to(HOST, 4444, b"hi", 1), &mut rng());
+        assert!(matches!(&event, Some(StackEvent::Udp(d)) if d.payload == b"hi"));
+        assert!(replies.is_empty());
     }
 
     #[test]
@@ -497,8 +507,7 @@ mod tests {
         let mut r = rng();
         let mut icmp_replies = 0;
         for i in 0..60 {
-            let out = s.handle_packet(&udp_to(HOST, 5555, b"probe", i), SimTime::ZERO, &mut r);
-            icmp_replies += out.replies.len();
+            icmp_replies += feed(&mut s, udp_to(HOST, 5555, b"probe", i), &mut r).1.len();
         }
         // Linux default: only 50 ICMP errors in the same instant.
         assert_eq!(icmp_replies, 50);
@@ -509,20 +518,20 @@ mod tests {
     fn ignores_packets_for_other_hosts() {
         let mut s = stack();
         let other: Ipv4Addr = "9.9.9.9".parse().unwrap();
-        let out = s.handle_packet(&udp_to(other, 53, b"x", 3), SimTime::ZERO, &mut rng());
-        assert!(matches!(out.events[0], StackEvent::Dropped(_)));
+        let (event, _) = feed(&mut s, udp_to(other, 53, b"x", 3), &mut rng());
+        assert!(matches!(event, Some(StackEvent::Dropped(_))));
     }
 
     #[test]
     fn answers_ping_when_configured() {
         let mut s = stack();
         let ping = IcmpMessage::EchoRequest { id: 9, seq: 1, payload: vec![] }.into_packet(PEER, HOST, 7, 64);
-        let out = s.handle_packet(&ping, SimTime::ZERO, &mut rng());
-        assert_eq!(out.replies.len(), 1);
-        assert!(matches!(out.events[0], StackEvent::EchoRequest { .. }));
+        let (event, replies) = feed(&mut s, ping, &mut rng());
+        assert_eq!(replies.len(), 1);
+        assert!(matches!(event, Some(StackEvent::EchoRequest { .. })));
         let mut silent = HostStack::new(vec![HOST], StackConfig { respond_to_ping: false, ..Default::default() });
         let ping2 = IcmpMessage::EchoRequest { id: 9, seq: 1, payload: vec![] }.into_packet(PEER, HOST, 7, 64);
-        assert!(silent.handle_packet(&ping2, SimTime::ZERO, &mut rng()).replies.is_empty());
+        assert!(feed(&mut silent, ping2, &mut rng()).1.is_empty());
     }
 
     #[test]
@@ -530,14 +539,14 @@ mod tests {
         let mut s = stack();
         let mut r = rng();
         // Host sends a large response; initially unfragmented (1500 MTU).
-        let pkts = s.send_udp(UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), SimTime::ZERO, &mut r);
+        let pkts = send(&mut s, UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), &mut r);
         assert_eq!(pkts.len(), 1);
         // Attacker spoofs an ICMP frag-needed quoting that packet with MTU 68.
         let ptb = IcmpMessage::fragmentation_needed(&pkts[0], 68).into_packet(PEER, HOST, 9, 64);
-        let out = s.handle_packet(&ptb, SimTime::ZERO, &mut r);
-        assert!(out.events.iter().any(|e| matches!(e, StackEvent::PmtuUpdate { mtu: 68, .. })));
+        let (event, _) = feed(&mut s, ptb, &mut r);
+        assert!(matches!(event, Some(StackEvent::IcmpError { pmtu_update: Some((PEER, 68)), .. })));
         // The next large response is now fragmented down to the minimum MTU.
-        let pkts2 = s.send_udp(UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), SimTime::ZERO, &mut r);
+        let pkts2 = send(&mut s, UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), &mut r);
         assert!(pkts2.len() > 1);
         assert!(pkts2.iter().all(|p| p.wire_len() <= 68));
     }
@@ -547,11 +556,11 @@ mod tests {
         let cfg = StackConfig { min_accepted_mtu: 1280, ..Default::default() };
         let mut s = HostStack::new(vec![HOST], cfg);
         let mut r = rng();
-        let pkts = s.send_udp(UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), SimTime::ZERO, &mut r);
+        let pkts = send(&mut s, UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), &mut r);
         let ptb = IcmpMessage::fragmentation_needed(&pkts[0], 68).into_packet(PEER, HOST, 9, 64);
-        let out = s.handle_packet(&ptb, SimTime::ZERO, &mut r);
-        assert!(!out.events.iter().any(|e| matches!(e, StackEvent::PmtuUpdate { .. })));
-        let pkts2 = s.send_udp(UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), SimTime::ZERO, &mut r);
+        let (event, _) = feed(&mut s, ptb, &mut r);
+        assert!(matches!(event, Some(StackEvent::IcmpError { pmtu_update: None, .. })));
+        let pkts2 = send(&mut s, UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), &mut r);
         assert_eq!(pkts2.len(), 1);
     }
 
@@ -588,9 +597,8 @@ mod tests {
         let big = UdpDatagram::new(PEER, HOST, 53, 1000, vec![0u8; 1200]).into_packet(5, 64);
         let frags = fragment_packet(&big, 576);
         let mut r = rng();
-        for f in &frags {
-            let out = s.handle_packet(f, SimTime::ZERO, &mut r);
-            assert!(out.events.iter().all(|e| matches!(e, StackEvent::Dropped(_))));
+        for f in frags {
+            assert!(matches!(feed(&mut s, f, &mut r).0, Some(StackEvent::Dropped(_))));
         }
     }
 
@@ -602,13 +610,10 @@ mod tests {
         let frags = fragment_packet(&big, 576);
         let mut r = rng();
         let mut delivered = false;
-        for f in &frags {
-            let out = s.handle_packet(f, SimTime::ZERO, &mut r);
-            for e in out.events {
-                if let StackEvent::Udp(d) = e {
-                    assert_eq!(d.payload.len(), 1200);
-                    delivered = true;
-                }
+        for f in frags {
+            if let (Some(StackEvent::Udp(d)), _) = feed(&mut s, f, &mut r) {
+                assert_eq!(d.payload, vec![0xAB; 1200]);
+                delivered = true;
             }
         }
         assert!(delivered);
@@ -619,11 +624,11 @@ mod tests {
         let mut s = stack();
         let probe = UdpDatagram::new(HOST, PEER, 40000, 53, b"q".to_vec()).into_packet(3, 64);
         let err = IcmpMessage::port_unreachable(&probe).into_packet(PEER, HOST, 4, 64);
-        let out = s.handle_packet(&err, SimTime::ZERO, &mut rng());
-        assert!(out.events.iter().any(|e| matches!(
-            e,
-            StackEvent::IcmpError { kind: Unreachable::Port, quoted_ports: Some((40000, 53)), .. }
-        )));
+        let (event, _) = feed(&mut s, err, &mut rng());
+        assert!(matches!(
+            event,
+            Some(StackEvent::IcmpError { kind: Unreachable::Port, quoted_ports: Some((40000, 53)), .. })
+        ));
     }
 
     #[test]
@@ -642,17 +647,17 @@ mod tests {
             window: 512,
             payload: vec![],
         };
-        let out = s.handle_packet(&syn.clone().into_packet(1, 64), SimTime::ZERO, &mut rng());
-        assert!(matches!(&out.events[0], StackEvent::Tcp(seg) if seg.dst_port == 53 && seg.flags.syn));
-        assert!(out.replies.is_empty(), "connection state lives in the socket, not the stack");
+        let (event, replies) = feed(&mut s, syn.clone().into_packet(1, 64), &mut rng());
+        assert!(matches!(&event, Some(StackEvent::Tcp(seg)) if seg.dst_port == 53 && seg.flags.syn));
+        assert!(replies.is_empty(), "connection state lives in the socket, not the stack");
 
         // Closed port: RST, not ICMP — and not rate limited.
         let mut probe = syn;
         probe.dst_port = 9999;
-        let out = s.handle_packet(&probe.into_packet(2, 64), SimTime::ZERO, &mut rng());
-        assert!(matches!(out.events[0], StackEvent::TcpClosedPort { port: 9999, rst_sent: true, .. }));
-        assert_eq!(out.replies.len(), 1);
-        let rst = crate::tcp::TcpSegment::from_packet(&out.replies[0]).unwrap();
+        let (event, replies) = feed(&mut s, probe.into_packet(2, 64), &mut rng());
+        assert!(matches!(event, Some(StackEvent::TcpClosedPort { port: 9999, rst_sent: true, .. })));
+        assert_eq!(replies.len(), 1);
+        let rst = crate::tcp::TcpSegment::from_packet(&replies[0]).unwrap();
         assert!(rst.flags.rst);
     }
 
@@ -675,8 +680,8 @@ mod tests {
         let mut pkt = seg.into_packet(1, 64);
         pkt.payload[16] = 0; // zero the checksum: illegal for TCP
         pkt.payload[17] = 0;
-        let out = s.handle_packet(&pkt, SimTime::ZERO, &mut rng());
-        assert!(matches!(out.events[0], StackEvent::Dropped("tcp checksum/format error")));
+        let (event, _) = feed(&mut s, pkt, &mut rng());
+        assert!(matches!(event, Some(StackEvent::Dropped("tcp checksum/format error"))));
     }
 
     #[test]
@@ -685,9 +690,9 @@ mod tests {
         let mut r = rng();
         assert_eq!(s.tcp_mss_for(PEER, SimTime::ZERO), 1460);
         // A fragmentation-needed message lowers the path MTU and the MSS.
-        let pkts = s.send_udp(UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), SimTime::ZERO, &mut r);
+        let pkts = send(&mut s, UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), &mut r);
         let ptb = IcmpMessage::fragmentation_needed(&pkts[0], 576).into_packet(PEER, HOST, 9, 64);
-        s.handle_packet(&ptb, SimTime::ZERO, &mut r);
+        feed(&mut s, ptb, &mut r);
         assert_eq!(s.tcp_mss_for(PEER, SimTime::ZERO), 536);
     }
 

@@ -162,28 +162,31 @@ impl TcpSegment {
         buf
     }
 
-    /// Serialises header + payload (the IPv4 payload bytes).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = pool::take(TCP_HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.header_bytes(self.compute_checksum()));
-        out.extend_from_slice(&self.payload);
-        out
+    /// Serialises header + payload (the IPv4 payload bytes) into the
+    /// payload's own buffer: the header is written in front of the payload
+    /// in place when the buffer has [`TCP_HEADER_LEN`] bytes of spare
+    /// capacity, as segmentation leaves it.
+    pub fn encode(self) -> Vec<u8> {
+        let header = self.header_bytes(self.compute_checksum());
+        pool::prepend(self.payload, &header)
     }
 
     /// Wraps the segment in an IPv4 packet. TCP performs path-MTU discovery,
     /// so the Don't Fragment flag is always set.
     pub fn into_packet(self, identification: u16, ttl: u8) -> Ipv4Packet {
+        let (src, dst) = (self.src, self.dst);
         let payload = self.encode();
-        let mut header = Ipv4Header::new(self.src, self.dst, Protocol::Tcp, payload.len(), identification, ttl);
+        let mut header = Ipv4Header::new(src, dst, Protocol::Tcp, payload.len(), identification, ttl);
         header.dont_fragment = true;
-        pool::give(self.payload);
         Ipv4Packet::new(header, payload)
     }
 
-    /// Parses a TCP segment out of an IPv4 packet, always verifying the
+    /// Validates a TCP segment inside an IPv4 packet, always verifying the
     /// checksum (a zeroed checksum field is a verification failure, not an
-    /// opt-out as in UDP).
-    pub fn from_packet(pkt: &Ipv4Packet) -> Result<Self, TcpError> {
+    /// opt-out as in UDP). Returns the segment with an empty payload plus
+    /// the offset of the payload in `pkt.payload`: the one TCP parser behind
+    /// both constructors below.
+    fn parse(pkt: &Ipv4Packet) -> Result<(Self, usize), TcpError> {
         if pkt.header.protocol != Protocol::Tcp {
             return Err(TcpError::NotTcp);
         }
@@ -212,7 +215,7 @@ impl TcpSegment {
         if c.folded() != 0xffff {
             return Err(TcpError::BadChecksum);
         }
-        Ok(TcpSegment {
+        let seg = TcpSegment {
             src: pkt.header.src,
             dst: pkt.header.dst,
             src_port: u16::from_be_bytes([buf[0], buf[1]]),
@@ -221,8 +224,35 @@ impl TcpSegment {
             ack: u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]),
             flags: TcpFlags::from_byte(buf[13]),
             window: u16::from_be_bytes([buf[14], buf[15]]),
-            payload: buf[data_offset..].to_vec(),
-        })
+            payload: Vec::new(),
+        };
+        Ok((seg, data_offset))
+    }
+
+    /// Parses a TCP segment out of an IPv4 packet into a segment that owns a
+    /// copy of the payload.
+    pub fn from_packet(pkt: &Ipv4Packet) -> Result<Self, TcpError> {
+        let (mut seg, offset) = Self::parse(pkt)?;
+        seg.payload = pkt.payload[offset..].to_vec();
+        Ok(seg)
+    }
+
+    /// Parses a TCP segment out of an owned IPv4 packet without a copy: the
+    /// header is stripped inside the packet's own buffer. A packet that does
+    /// not parse dies here, its buffer given back to the pool.
+    pub(crate) fn from_owned_packet(pkt: Ipv4Packet) -> Result<Self, TcpError> {
+        match Self::parse(&pkt) {
+            Ok((mut seg, offset)) => {
+                let mut payload = pkt.payload;
+                payload.drain(..offset);
+                seg.payload = payload;
+                Ok(seg)
+            }
+            Err(e) => {
+                pool::give(pkt.payload);
+                Err(e)
+            }
+        }
     }
 }
 
@@ -455,7 +485,9 @@ impl TcpConnection {
                 let mut out = Vec::with_capacity(chunks.len());
                 for (i, chunk) in chunks.into_iter().enumerate() {
                     let flags = TcpFlags { ack: true, psh: i == last, ..Default::default() };
-                    let seg = self.segment(flags, self.snd_nxt, chunk.to_vec());
+                    let mut buf = pool::take(TCP_HEADER_LEN + chunk.len());
+                    buf.extend_from_slice(chunk);
+                    let seg = self.segment(flags, self.snd_nxt, buf);
                     self.snd_nxt = self.snd_nxt.wrapping_add(chunk.len() as u32);
                     self.bytes_sent += chunk.len() as u64;
                     out.push(seg);
@@ -729,14 +761,19 @@ impl crate::transport::Socket for TcpSocket {
         self.port
     }
 
-    fn send_to(&mut self, io: &mut StackIo<'_>, peer: Endpoint, payload: &[u8]) {
+    fn send_to(&mut self, io: &mut StackIo<'_>, peer: Endpoint, payload: Vec<u8>) {
         let local = Endpoint::new(io.stack.primary_addr(), self.port);
-        self.send_from(io, local, peer, payload);
+        self.send_from(io, local, peer, &payload);
+        pool::give(payload);
     }
 
-    fn handle(&mut self, io: &mut StackIo<'_>, event: &StackEvent) -> Vec<SocketEvent> {
+    fn handle(&mut self, io: &mut StackIo<'_>, event: StackEvent) -> Vec<SocketEvent> {
         match event {
-            StackEvent::Tcp(seg) => self.handle_segment(io, seg),
+            StackEvent::Tcp(seg) => {
+                let events = self.handle_segment(io, &seg);
+                pool::give(seg.payload);
+                events
+            }
             _ => Vec::new(),
         }
     }

@@ -36,26 +36,21 @@
 //! let mut server: Box<dyn Socket> = TcpTransport::listener().bind(&mut b, 80);
 //!
 //! // A sends a request: the socket opens the connection (SYN first).
-//! let mut wire = {
-//!     let mut io = StackIo::new(&mut a, SimTime::ZERO, &mut rng);
-//!     client.send_to(&mut io, Endpoint::new(b_addr, 80), b"GET /index");
-//!     io.out
-//! };
+//! let mut wire = Vec::new();
+//! let mut io = StackIo::new(&mut a, SimTime::ZERO, &mut rng, &mut wire);
+//! client.send_to(&mut io, Endpoint::new(b_addr, 80), b"GET /index".to_vec());
 //!
 //! // Shuttle packets between the two stacks until the network is quiet.
 //! let mut request = Vec::new();
 //! while let Some(pkt) = wire.pop() {
 //!     let (stack, sock) = if pkt.header.dst == a_addr { (&mut a, &mut client) } else { (&mut b, &mut server) };
-//!     let events = stack.handle_packet(&pkt, SimTime::ZERO, &mut rng).events;
-//!     let mut io = StackIo::new(stack, SimTime::ZERO, &mut rng);
-//!     for event in &events {
-//!         for se in sock.handle(&mut io, event) {
-//!             if let SocketEvent::Data { payload, .. } = se {
-//!                 request.extend_from_slice(&payload);
-//!             }
+//!     let mut io = StackIo::new(stack, SimTime::ZERO, &mut rng, &mut wire);
+//!     let Some(event) = io.receive(pkt) else { continue };
+//!     for se in sock.handle(&mut io, event) {
+//!         if let SocketEvent::Data { payload, .. } = se {
+//!             request.extend_from_slice(&payload);
 //!         }
 //!     }
-//!     wire.extend(io.out);
 //! }
 //!
 //! // The three-way handshake completed and the stream bytes arrived intact.
@@ -153,7 +148,8 @@ pub struct FlowStats {
 /// Everything a socket needs from its host to turn payloads into packets:
 /// the host stack (IP-ID allocation, path-MTU cache, fragmentation), the
 /// simulated clock, the simulation's seeded RNG (initial sequence numbers,
-/// random IP-IDs) and the queue of packets produced by the call.
+/// random IP-IDs) and the list the produced packets are appended to — inside
+/// a node, its [`Ctx`](crate::engine::Ctx)'s outgoing list (see [`with_io`]).
 pub struct StackIo<'a> {
     /// The host's network stack.
     pub stack: &'a mut HostStack,
@@ -161,22 +157,27 @@ pub struct StackIo<'a> {
     pub now: SimTime,
     /// The deterministic per-simulation RNG.
     pub rng: &'a mut ChaCha20Rng,
-    /// Packets produced (to be transmitted by the caller, e.g. via
-    /// [`Ctx::send`](crate::engine::Ctx::send)).
-    pub out: Vec<Ipv4Packet>,
+    /// Packets to transmit: every packet a call produces is appended here.
+    pub out: &'a mut Vec<Ipv4Packet>,
 }
 
 impl<'a> StackIo<'a> {
-    /// Creates an IO bundle over a host stack.
-    pub fn new(stack: &'a mut HostStack, now: SimTime, rng: &'a mut ChaCha20Rng) -> Self {
-        StackIo { stack, now, rng, out: Vec::new() }
+    /// Creates an IO bundle over a host stack, appending to `out`.
+    pub fn new(stack: &'a mut HostStack, now: SimTime, rng: &'a mut ChaCha20Rng, out: &'a mut Vec<Ipv4Packet>) -> Self {
+        StackIo { stack, now, rng, out }
+    }
+
+    /// Feeds one received packet through the host stack (see
+    /// [`HostStack::handle_packet`]): replies are queued, the application
+    /// event is returned.
+    pub fn receive(&mut self, pkt: Ipv4Packet) -> Option<StackEvent> {
+        self.stack.handle_packet(pkt, self.now, self.rng, self.out)
     }
 
     /// Builds (and, path MTU permitting, fragments) a UDP datagram and
     /// queues the resulting packets.
     pub fn send_udp(&mut self, dgram: UdpDatagram) {
-        let pkts = self.stack.send_udp(dgram, self.now, self.rng);
-        self.out.extend(pkts);
+        self.stack.send_udp(dgram, self.now, self.rng, self.out);
     }
 
     /// Builds a TCP segment packet (DF set, IP-ID per host policy) and
@@ -187,25 +188,15 @@ impl<'a> StackIo<'a> {
     }
 }
 
-/// Runs `f` with a [`StackIo`] over `stack` and transmits every packet it
-/// produced through the node's [`Ctx`](crate::engine::Ctx) — the one
-/// socket-dispatch idiom every node shares (build IO, run the socket call,
-/// send `io.out`), expressed once.
+/// Runs `f` with a [`StackIo`] over `stack` whose packets go straight into
+/// the node's [`Ctx`](crate::engine::Ctx) outgoing list — the one
+/// socket-dispatch idiom every node shares, expressed once.
 ///
 /// ```ignore
-/// let events = with_io(&mut self.stack, ctx, |io| self.sock.handle(io, &event));
+/// let events = with_io(&mut self.stack, ctx, |io| self.sock.handle(io, event));
 /// ```
 pub fn with_io<R>(stack: &mut HostStack, ctx: &mut crate::engine::Ctx<'_>, f: impl FnOnce(&mut StackIo<'_>) -> R) -> R {
-    let now = ctx.now();
-    let (result, out) = {
-        let mut io = StackIo::new(stack, now, ctx.rng());
-        let result = f(&mut io);
-        (result, io.out)
-    };
-    for pkt in out {
-        ctx.send(pkt);
-    }
-    result
+    f(&mut ctx.stack_io(stack))
 }
 
 /// An object-safe, transport-agnostic socket bound to one local port.
@@ -225,12 +216,19 @@ pub trait Socket {
     /// Sends `payload` towards `peer`: one datagram for UDP; for TCP the
     /// socket opens (or reuses) a connection to the peer, running the
     /// handshake first and segmenting the bytes to the connection's MSS.
-    fn send_to(&mut self, io: &mut StackIo<'_>, peer: Endpoint, payload: &[u8]);
+    ///
+    /// The socket takes the payload buffer: UDP frames it in place into the
+    /// one packet, TCP copies it into segments and gives it back to the
+    /// [`pool`](crate::pool). Encode with headroom (`pool::take(len +
+    /// UDP_HEADER_LEN)`) and the datagram needs no second buffer.
+    fn send_to(&mut self, io: &mut StackIo<'_>, peer: Endpoint, payload: Vec<u8>);
 
     /// Feeds one host-stack event through the socket, producing zero or more
     /// application-level [`SocketEvent`]s (and possibly reply packets into
-    /// `io.out` — ACKs, handshake steps).
-    fn handle(&mut self, io: &mut StackIo<'_>, event: &StackEvent) -> Vec<SocketEvent>;
+    /// `io.out` — ACKs, handshake steps). The application owns each `Data`
+    /// payload; a UDP one is the received packet's own buffer, which goes
+    /// back to the [`pool`](crate::pool) once the payload is decoded.
+    fn handle(&mut self, io: &mut StackIo<'_>, event: StackEvent) -> Vec<SocketEvent>;
 
     /// Actively closes the flow towards `peer` (TCP: FIN; UDP: no-op).
     fn close_peer(&mut self, io: &mut StackIo<'_>, peer: Endpoint);
@@ -269,18 +267,22 @@ impl Socket for UdpSocket {
         self.port
     }
 
-    fn send_to(&mut self, io: &mut StackIo<'_>, peer: Endpoint, payload: &[u8]) {
+    fn send_to(&mut self, io: &mut StackIo<'_>, peer: Endpoint, payload: Vec<u8>) {
         let src = io.stack.primary_addr();
-        io.send_udp(UdpDatagram::new(src, peer.addr, self.port, peer.port, payload.to_vec()));
+        io.send_udp(UdpDatagram::new(src, peer.addr, self.port, peer.port, payload));
     }
 
-    fn handle(&mut self, _io: &mut StackIo<'_>, event: &StackEvent) -> Vec<SocketEvent> {
+    fn handle(&mut self, _io: &mut StackIo<'_>, event: StackEvent) -> Vec<SocketEvent> {
         match event {
             StackEvent::Udp(dgram) if dgram.dst_port == self.port => vec![SocketEvent::Data {
                 peer: Endpoint::new(dgram.src, dgram.src_port),
                 local: Endpoint::new(dgram.dst, dgram.dst_port),
-                payload: dgram.payload.clone(),
+                payload: dgram.payload,
             }],
+            StackEvent::Udp(dgram) => {
+                crate::pool::give(dgram.payload);
+                Vec::new()
+            }
             _ => Vec::new(),
         }
     }
@@ -373,15 +375,17 @@ mod tests {
         assert_eq!(sender.protocol(), Protocol::Udp);
         assert_eq!(receiver.local_port(), 2222);
 
-        let out = {
-            let mut io = StackIo::new(&mut a, SimTime::ZERO, &mut rng);
-            sender.send_to(&mut io, Endpoint::new(B, 2222), b"ping");
-            io.out
-        };
+        let mut out = Vec::new();
+        sender.send_to(
+            &mut StackIo::new(&mut a, SimTime::ZERO, &mut rng, &mut out),
+            Endpoint::new(B, 2222),
+            b"ping".to_vec(),
+        );
         assert_eq!(out.len(), 1);
-        let events = b.handle_packet(&out[0], SimTime::ZERO, &mut rng).events;
-        let mut io = StackIo::new(&mut b, SimTime::ZERO, &mut rng);
-        let socket_events: Vec<SocketEvent> = events.iter().flat_map(|e| receiver.handle(&mut io, e)).collect();
+        let mut replies = Vec::new();
+        let mut io = StackIo::new(&mut b, SimTime::ZERO, &mut rng, &mut replies);
+        let event = io.receive(out.pop().unwrap()).unwrap();
+        let socket_events = receiver.handle(&mut io, event);
         assert_eq!(
             socket_events,
             vec![SocketEvent::Data {
@@ -402,27 +406,22 @@ mod tests {
         let mut client: Box<dyn Socket> = TcpTransport::client().bind(&mut a, 40000);
         let mut server: Box<dyn Socket> = TcpTransport::listener().bind(&mut b, 80);
 
-        let mut wire = {
-            let mut io = StackIo::new(&mut a, SimTime::ZERO, &mut rng);
-            client.send_to(&mut io, Endpoint::new(B, 80), b"hello over tcp");
-            io.out
-        };
+        let mut wire = Vec::new();
+        let mut io = StackIo::new(&mut a, SimTime::ZERO, &mut rng, &mut wire);
+        client.send_to(&mut io, Endpoint::new(B, 80), b"hello over tcp".to_vec());
         let mut received = Vec::new();
         let mut guard = 0;
         while let Some(pkt) = wire.pop() {
             guard += 1;
             assert!(guard < 64, "exchange did not quiesce");
             let (stack, sock) = if pkt.header.dst == A { (&mut a, &mut client) } else { (&mut b, &mut server) };
-            let events = stack.handle_packet(&pkt, SimTime::ZERO, &mut rng).events;
-            let mut io = StackIo::new(stack, SimTime::ZERO, &mut rng);
-            for event in &events {
-                for se in sock.handle(&mut io, event) {
-                    if let SocketEvent::Data { payload, .. } = se {
-                        received.extend_from_slice(&payload);
-                    }
+            let mut io = StackIo::new(stack, SimTime::ZERO, &mut rng, &mut wire);
+            let Some(event) = io.receive(pkt) else { continue };
+            for se in sock.handle(&mut io, event) {
+                if let SocketEvent::Data { payload, .. } = se {
+                    received.extend_from_slice(&payload);
                 }
             }
-            wire.extend(io.out);
         }
         assert_eq!(received, b"hello over tcp");
         assert_eq!(client.flows().len(), 1);

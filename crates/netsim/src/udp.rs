@@ -97,34 +97,37 @@ impl UdpDatagram {
         }
     }
 
-    /// Serialises the UDP header + payload (the IPv4 payload bytes).
-    pub fn encode(&self) -> Vec<u8> {
+    /// Serialises the UDP header + payload (the IPv4 payload bytes) into the
+    /// payload's own buffer: the header is written in front of the payload
+    /// in place when the buffer has [`UDP_HEADER_LEN`] bytes of spare
+    /// capacity, as every pooled encoder leaves it.
+    pub fn encode(self) -> Vec<u8> {
         let header = UdpHeader {
             src_port: self.src_port,
             dst_port: self.dst_port,
             length: self.udp_length(),
             checksum: self.compute_checksum(),
         };
-        let mut out = pool::take(self.udp_length() as usize);
-        out.extend_from_slice(&header.encode());
-        out.extend_from_slice(&self.payload);
-        out
+        pool::prepend(self.payload, &header.encode())
     }
 
-    /// Wraps the datagram in an IPv4 packet with the given identification and TTL.
+    /// Wraps the datagram in an IPv4 packet with the given identification and
+    /// TTL. The packet carries the payload's buffer (see [`encode`](Self::encode)).
     pub fn into_packet(self, identification: u16, ttl: u8) -> Ipv4Packet {
+        let (src, dst) = (self.src, self.dst);
         let payload = self.encode();
-        let header = Ipv4Header::new(self.src, self.dst, Protocol::Udp, payload.len(), identification, ttl);
-        pool::give(self.payload);
-        Ipv4Packet::new(header, payload)
+        Ipv4Packet::new(Ipv4Header::new(src, dst, Protocol::Udp, payload.len(), identification, ttl), payload)
     }
 
-    /// Parses a UDP datagram out of an IPv4 packet, verifying the checksum.
+    /// Validates the UDP header and checksum of an IPv4 packet and returns
+    /// the header plus the payload bytes, borrowed from the packet. This is
+    /// the one UDP parser: [`from_packet`](Self::from_packet) copies its
+    /// payload out, and the host stack hands the packet's own buffer over.
     ///
     /// This is the validation step that a spoofed FragDNS fragment must
     /// survive: after reassembly the attacker-modified payload is checksummed
     /// against the pseudo-header of the *genuine* first fragment.
-    pub fn from_packet(pkt: &Ipv4Packet) -> Result<Self, UdpError> {
+    pub fn parse(pkt: &Ipv4Packet) -> Result<(UdpHeader, &[u8]), UdpError> {
         if pkt.header.protocol != Protocol::Udp {
             return Err(UdpError::NotUdp);
         }
@@ -136,24 +139,31 @@ impl UdpDatagram {
         if declared < UDP_HEADER_LEN || declared > pkt.payload.len() {
             return Err(UdpError::BadLength);
         }
-        let mut payload = pool::take(declared - UDP_HEADER_LEN);
-        payload.extend_from_slice(&pkt.payload[UDP_HEADER_LEN..declared]);
-        let dgram = UdpDatagram {
-            src: pkt.header.src,
-            dst: pkt.header.dst,
-            src_port: header.src_port,
-            dst_port: header.dst_port,
-            payload,
-        };
         // Verify checksum (a zero checksum means "not computed" and is accepted).
         if header.checksum != 0 {
-            let mut c = checksum::pseudo_header(dgram.src, dgram.dst, Protocol::Udp.number(), header.length);
+            let mut c = checksum::pseudo_header(pkt.header.src, pkt.header.dst, Protocol::Udp.number(), header.length);
             c.add_bytes(&pkt.payload[..declared]);
             if c.folded() != 0xffff {
                 return Err(UdpError::BadChecksum);
             }
         }
-        Ok(dgram)
+        Ok((header, &pkt.payload[UDP_HEADER_LEN..declared]))
+    }
+
+    /// Parses a UDP datagram out of an IPv4 packet, verifying the checksum,
+    /// into a datagram that owns a copy of the payload.
+    pub fn from_packet(pkt: &Ipv4Packet) -> Result<Self, UdpError> {
+        let (header, payload) = Self::parse(pkt)?;
+        Ok(UdpDatagram::new(pkt.header.src, pkt.header.dst, header.src_port, header.dst_port, payload.to_vec()))
+    }
+
+    /// The datagram `parse(&pkt)` accepted with `header`, built without a
+    /// copy: the header is stripped inside the packet's own buffer.
+    pub(crate) fn from_parsed(pkt: Ipv4Packet, header: UdpHeader) -> Self {
+        let mut payload = pkt.payload;
+        payload.truncate(usize::from(header.length));
+        payload.drain(..UDP_HEADER_LEN);
+        UdpDatagram::new(pkt.header.src, pkt.header.dst, header.src_port, header.dst_port, payload)
     }
 }
 
