@@ -192,7 +192,7 @@ impl HttpResponseParser {
 /// the queried nameserver.
 pub struct ChallengeHost {
     stack: HostStack,
-    listener: Box<dyn Socket>,
+    listener: TcpSocket,
     intercept: TcpSocket,
     rx: HashMap<Endpoint, Vec<u8>>,
     intercept_rx: HashMap<Endpoint, Vec<u8>>,
@@ -214,10 +214,10 @@ impl ChallengeHost {
     /// A genuine challenge host at `addr` with no provisioned tokens.
     pub fn new(addr: Ipv4Addr) -> Self {
         let mut stack = HostStack::with_defaults(vec![addr]);
-        let listener = TcpTransport::listener().bind(&mut stack, well_known_ports::HTTP);
+        stack.open_tcp_port(well_known_ports::HTTP);
         ChallengeHost {
             stack,
-            listener,
+            listener: TcpSocket::listener(well_known_ports::HTTP),
             intercept: TcpSocket::listener(well_known_ports::HTTP),
             rx: HashMap::new(),
             intercept_rx: HashMap::new(),
@@ -368,7 +368,7 @@ impl Node for ChallengeHost {
         }
         let listener = &mut self.listener;
         let events = with_io(&mut self.stack, ctx, |io| match io.receive(pkt) {
-            Some(event @ StackEvent::Tcp(_)) => listener.handle(io, event),
+            Some(StackEvent::Tcp(seg)) => listener.handle(io, seg),
             _ => Vec::new(),
         });
         for se in events {

@@ -8,7 +8,7 @@
 //! authorization. For HTTP-01 it resolves the domain's A record, opens a
 //! real TCP connection to port 80 of whatever address came back (handshake,
 //! segmentation and teardown through the deterministic
-//! [`TcpSocket`](netsim::tcp::TcpSocket)) and compares the response body.
+//! [`TcpSocket`]) and compares the response body.
 //! Both paths terminate in a [`ValidationResult`] the authority folds into
 //! its quorum decision.
 
@@ -24,8 +24,7 @@ const TIMER_DEADLINE: u64 = 1;
 /// A validation host bound to one challenge attempt.
 pub struct ValidatorNode {
     stack: HostStack,
-    dns_sock: Box<dyn Socket>,
-    http_sock: Box<dyn Socket>,
+    http_sock: TcpSocket,
     resolver: Ipv4Addr,
     domain: DomainName,
     challenge: ChallengeType,
@@ -57,8 +56,8 @@ impl ValidatorNode {
         expected: &str,
     ) -> Self {
         let mut stack = HostStack::with_defaults(vec![addr]);
-        let dns_sock = UdpTransport.bind(&mut stack, well_known_ports::CA_VALIDATOR_DNS);
-        let http_sock = TcpTransport::client().bind(&mut stack, well_known_ports::CA_VALIDATOR_HTTP);
+        stack.open_port(well_known_ports::CA_VALIDATOR_DNS);
+        stack.open_tcp_port(well_known_ports::CA_VALIDATOR_HTTP);
         // The TXID is fixed per validator (derived from its name): like every
         // fixed client port in `well_known_ports`, drawing it from the sim
         // RNG would only perturb replay — the validator's resolver is not
@@ -66,8 +65,7 @@ impl ValidatorNode {
         let txid = crate::acme::fnv64(vantage.as_bytes()) as u16;
         ValidatorNode {
             stack,
-            dns_sock,
-            http_sock,
+            http_sock: TcpSocket::client(well_known_ports::CA_VALIDATOR_HTTP),
             resolver,
             domain: domain.clone(),
             challenge,
@@ -211,11 +209,14 @@ impl Node for ValidatorNode {
             TIMER_SEND_QUERY => {
                 let (name, qtype) = self.question();
                 let query = Message::query(self.txid, name, qtype);
-                let resolver = self.resolver;
-                let sock = &mut self.dns_sock;
-                with_io(&mut self.stack, ctx, |io| {
-                    sock.send_to(io, Endpoint::new(resolver, well_known_ports::DNS), query.encode())
-                });
+                let dgram = UdpDatagram::new(
+                    self.stack.primary_addr(),
+                    self.resolver,
+                    well_known_ports::CA_VALIDATOR_DNS,
+                    well_known_ports::DNS,
+                    query.encode(),
+                );
+                with_io(&mut self.stack, ctx, |io| io.send_udp(dgram));
             }
             TIMER_DEADLINE => {
                 // Whatever has not concluded by now is a failed validation;
@@ -239,9 +240,9 @@ impl Node for ValidatorNode {
                 }
                 netsim::pool::give(dgram.payload);
             }
-            Some(event @ StackEvent::Tcp(_)) => {
+            Some(StackEvent::Tcp(seg)) => {
                 let sock = &mut self.http_sock;
-                let events = with_io(&mut self.stack, ctx, |io| sock.handle(io, event));
+                let events = with_io(&mut self.stack, ctx, |io| sock.handle(io, seg));
                 let live = self.http_sock.flows();
                 if !live.is_empty() {
                     self.flows_seen = live;

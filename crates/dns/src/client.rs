@@ -48,12 +48,11 @@ struct PendingQuery {
     delay: Duration,
 }
 
-/// A stub resolver client: sends pre-programmed queries to a recursive
-/// resolver over the generic socket API and records the answers.
+/// A stub resolver client: sends pre-programmed queries from its UDP port
+/// to a recursive resolver and records the answers.
 pub struct StubClient {
     resolver: Ipv4Addr,
     stack: HostStack,
-    sock: Box<dyn Socket>,
     queue: VecDeque<PendingQuery>,
     next_txid: u16,
     /// Lookups completed so far.
@@ -66,8 +65,8 @@ impl StubClient {
     /// Creates a client that will use `resolver` for lookups.
     pub fn new(addr: Ipv4Addr, resolver: Ipv4Addr) -> Self {
         let mut stack = HostStack::with_defaults(vec![addr]);
-        let sock = UdpTransport.bind(&mut stack, crate::well_known_ports::STUB_CLIENT);
-        StubClient { resolver, stack, sock, queue: VecDeque::new(), next_txid: 1, completed: Vec::new(), failures: 0 }
+        stack.open_port(crate::well_known_ports::STUB_CLIENT);
+        StubClient { resolver, stack, queue: VecDeque::new(), next_txid: 1, completed: Vec::new(), failures: 0 }
     }
 
     /// Queues a lookup to be issued `delay` after simulation start.
@@ -96,11 +95,14 @@ impl StubClient {
         let txid = self.next_txid;
         self.next_txid = self.next_txid.wrapping_add(1);
         let msg = Message::query(txid, q.name.clone(), q.qtype);
-        let sock = &mut self.sock;
-        let resolver = self.resolver;
-        with_io(&mut self.stack, ctx, |io| {
-            sock.send_to(io, Endpoint::new(resolver, crate::well_known_ports::DNS), msg.encode())
-        });
+        let dgram = UdpDatagram::new(
+            self.stack.primary_addr(),
+            self.resolver,
+            crate::well_known_ports::STUB_CLIENT,
+            crate::well_known_ports::DNS,
+            msg.encode(),
+        );
+        with_io(&mut self.stack, ctx, |io| io.send_udp(dgram));
     }
 }
 
@@ -117,32 +119,26 @@ impl Node for StubClient {
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
         let now = ctx.now();
-        let sock = &mut self.sock;
-        let sock_events = with_io(&mut self.stack, ctx, |io| match io.receive(pkt) {
-            Some(event) => sock.handle(io, event),
-            None => Vec::new(),
-        });
-        for se in sock_events {
-            let SocketEvent::Data { payload, .. } = se else { continue };
-            let msg = Message::decode(&payload);
-            netsim::pool::give(payload);
-            let Ok(msg) = msg else { continue };
-            if !msg.header.is_response {
-                continue;
-            }
-            if msg.header.rcode != Rcode::NoError {
-                self.failures += 1;
-            }
-            if let Some(q) = msg.question() {
-                self.completed.push(CompletedLookup {
-                    name: q.name.clone(),
-                    qtype: q.qtype,
-                    rcode: msg.header.rcode,
-                    truncated: msg.header.truncated,
-                    answers: msg.answers.clone(),
-                    at: now,
-                });
-            }
+        // The stub's one open port is the only one the stack delivers to.
+        let Some(StackEvent::Udp(dgram)) = with_io(&mut self.stack, ctx, |io| io.receive(pkt)) else { return };
+        let msg = Message::decode(&dgram.payload);
+        netsim::pool::give(dgram.payload);
+        let Ok(msg) = msg else { return };
+        if !msg.header.is_response {
+            return;
+        }
+        if msg.header.rcode != Rcode::NoError {
+            self.failures += 1;
+        }
+        if let Some(q) = msg.question() {
+            self.completed.push(CompletedLookup {
+                name: q.name.clone(),
+                qtype: q.qtype,
+                rcode: msg.header.rcode,
+                truncated: msg.header.truncated,
+                answers: msg.answers.clone(),
+                at: now,
+            });
         }
     }
 }

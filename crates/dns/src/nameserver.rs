@@ -106,12 +106,11 @@ pub struct NameserverStats {
     pub tcp_queries: u64,
 }
 
-/// An authoritative nameserver serving one or more zones over the generic
-/// socket API: a UDP socket and a TCP listener, both on port 53.
+/// An authoritative nameserver serving one or more zones on port 53, over
+/// UDP and through a TCP listener.
 pub struct Nameserver {
     stack: HostStack,
-    udp: Box<dyn Socket>,
-    tcp: Box<dyn Socket>,
+    tcp: TcpSocket,
     tcp_rx: HashMap<Endpoint, TcpFrameBuffer>,
     zones: Vec<Zone>,
     config: NameserverConfig,
@@ -130,13 +129,14 @@ impl Nameserver {
             ..Default::default()
         };
         let mut stack = HostStack::new(vec![config.addr], stack_cfg);
-        let udp = UdpTransport.bind(&mut stack, crate::well_known_ports::DNS);
-        let tcp = TcpTransport::listener().bind(&mut stack, crate::well_known_ports::DNS);
+        stack.open_port(crate::well_known_ports::DNS);
+        stack.open_tcp_port(crate::well_known_ports::DNS);
+        let tcp = TcpSocket::listener(crate::well_known_ports::DNS);
         let rrl = match config.rrl_limit {
             Some(limit) => ResponseRateLimiter::new(limit),
             None => ResponseRateLimiter::disabled(),
         };
-        Nameserver { stack, udp, tcp, tcp_rx: HashMap::new(), zones, config, rrl, stats: NameserverStats::default() }
+        Nameserver { stack, tcp, tcp_rx: HashMap::new(), zones, config, rrl, stats: NameserverStats::default() }
     }
 
     /// The address this server listens on.
@@ -300,12 +300,12 @@ impl Nameserver {
         // Echo an OPT record advertising a large server-side buffer.
         response = response.with_edns(4096);
 
-        let payload = response.encode();
-        let udp = &mut self.udp;
+        let dgram =
+            UdpDatagram::new(self.config.addr, peer.addr, crate::well_known_ports::DNS, peer.port, response.encode());
         // The packets this one send queued: more than one means fragments.
         let packets = with_io(&mut self.stack, ctx, |io| {
             let queued = io.out.len();
-            udp.send_to(io, peer, payload);
+            io.send_udp(dgram);
             io.out.len() - queued
         });
         if packets > 1 {
@@ -346,9 +346,9 @@ impl Node for Nameserver {
                 }
                 netsim::pool::give(dgram.payload);
             }
-            Some(event @ StackEvent::Tcp(_)) => {
+            Some(StackEvent::Tcp(seg)) => {
                 let tcp = &mut self.tcp;
-                let sock_events = with_io(&mut self.stack, ctx, |io| tcp.handle(io, event));
+                let sock_events = with_io(&mut self.stack, ctx, |io| tcp.handle(io, seg));
                 for se in sock_events {
                     match se {
                         SocketEvent::Data { peer, payload, .. } => {
@@ -574,7 +574,7 @@ mod tests {
     /// A minimal TCP querier node used by the DNS-over-TCP tests.
     struct TcpQuerier {
         stack: HostStack,
-        sock: Box<dyn Socket>,
+        sock: TcpSocket,
         rx: TcpFrameBuffer,
         answers: Vec<Message>,
     }
@@ -582,7 +582,8 @@ mod tests {
     impl TcpQuerier {
         fn new(addr: Ipv4Addr) -> Self {
             let mut stack = HostStack::with_defaults(vec![addr]);
-            let sock = TcpTransport::client().bind(&mut stack, 45000);
+            stack.open_tcp_port(45000);
+            let sock = TcpSocket::client(45000);
             TcpQuerier { stack, sock, rx: TcpFrameBuffer::new(), answers: Vec::new() }
         }
     }
@@ -597,8 +598,8 @@ mod tests {
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
             let sock = &mut self.sock;
             let sock_events = with_io(&mut self.stack, ctx, |io| match io.receive(pkt) {
-                Some(event) => sock.handle(io, event),
-                None => Vec::new(),
+                Some(StackEvent::Tcp(seg)) => sock.handle(io, seg),
+                _ => Vec::new(),
             });
             for se in sock_events {
                 if let SocketEvent::Data { payload, .. } = se {

@@ -21,10 +21,10 @@
 //!   FragDNS, and the defragmentation cache itself.
 //!
 //! The resolver answers clients on port 53, performs recursion towards the
-//! configured delegations (or an upstream forwarder) through the generic
-//! socket API, retries on timeout and returns `SERVFAIL` when all retries
-//! fail — the symptom applications see when an attacker mounts a DoS through
-//! the cache.
+//! configured delegations (or an upstream forwarder) from an ephemeral UDP
+//! port per query or its one TCP client port, retries on timeout and
+//! returns `SERVFAIL` when all retries fail — the symptom applications see
+//! when an attacker mounts a DoS through the cache.
 
 use crate::cache::{AnyCachingPolicy, Cache, SharedCache};
 use crate::message::{frame_tcp, Message, Question, Rcode, TcpFrameBuffer};
@@ -260,16 +260,15 @@ pub struct Resolver {
     stack: HostStack,
     config: ResolverConfig,
     cache: SharedCache,
-    /// Client-facing UDP socket (port 53).
-    client_sock: Box<dyn Socket>,
-    /// One ephemeral UDP socket per outstanding UDP upstream query.
-    upstream_socks: FastHashMap<u16, Box<dyn Socket>>,
     /// The upstream TCP client socket (all connections share the fixed
     /// [`RESOLVER_TCP`] port; one connection per nameserver, reused).
-    tcp: Box<dyn Socket>,
+    tcp: TcpSocket,
     /// Per-nameserver reassembly of length-prefixed TCP answers.
     tcp_rx: HashMap<Endpoint, TcpFrameBuffer>,
     outstanding: FastHashMap<u64, Outstanding>,
+    /// The outstanding UDP query each ephemeral port belongs to. Every port
+    /// here is open on `stack`, whose port table (port 53 plus these) is
+    /// what the SadDNS scan probes.
     port_to_token: FastHashMap<u16, u64>,
     next_token: u64,
     next_sequential_port: u16,
@@ -294,8 +293,8 @@ impl Resolver {
             ..Default::default()
         };
         let mut stack = HostStack::new(vec![config.addr], stack_cfg);
-        let client_sock = UdpTransport.bind(&mut stack, crate::well_known_ports::DNS);
-        let tcp = TcpTransport::client().bind(&mut stack, RESOLVER_TCP);
+        stack.open_port(crate::well_known_ports::DNS);
+        stack.open_tcp_port(RESOLVER_TCP);
         let next_sequential_port = match config.port_policy {
             PortPolicy::Sequential(start) => start,
             _ => 10_000,
@@ -304,9 +303,7 @@ impl Resolver {
             stack,
             config,
             cache,
-            client_sock,
-            upstream_socks: FastHashMap::default(),
-            tcp,
+            tcp: TcpSocket::client(RESOLVER_TCP),
             tcp_rx: HashMap::new(),
             outstanding: FastHashMap::default(),
             port_to_token: FastHashMap::default(),
@@ -425,10 +422,13 @@ impl Resolver {
                 let tcp = &mut self.tcp;
                 with_io(&mut self.stack, ctx, |io| tcp.send_to(io, ns, framed));
             }
-            _ => match self.upstream_socks.get_mut(&entry.port) {
-                Some(sock) => with_io(&mut self.stack, ctx, |io| sock.send_to(io, ns, payload)),
-                None => netsim::pool::give(payload),
-            },
+            // Send only from a port bound on the stack: every UDP attempt
+            // opens its port (and maps it here) before it sends.
+            _ if self.port_to_token.contains_key(&entry.port) => {
+                let dgram = UdpDatagram::new(self.config.addr, ns.addr, entry.port, ns.port, payload);
+                with_io(&mut self.stack, ctx, |io| io.send_udp(dgram));
+            }
+            _ => netsim::pool::give(payload),
         }
         self.stats.upstream_queries += 1;
         ctx.set_timer(self.config.query_timeout, Self::timer_token(token, entry.attempt));
@@ -464,8 +464,7 @@ impl Resolver {
         let token = self.next_token;
         self.next_token += 1;
         if transport == Protocol::Udp {
-            let sock = UdpTransport.bind(&mut self.stack, port);
-            self.upstream_socks.insert(port, sock);
+            self.stack.open_port(port);
             self.port_to_token.insert(port, token);
         }
         self.outstanding.insert(
@@ -518,8 +517,8 @@ impl Resolver {
     }
 
     fn send_to_client(&mut self, client: ClientRef, payload: Vec<u8>, ctx: &mut Ctx<'_>) {
-        let sock = &mut self.client_sock;
-        with_io(&mut self.stack, ctx, |io| sock.send_to(io, Endpoint::new(client.addr, client.port), payload));
+        let dgram = UdpDatagram::new(self.config.addr, client.addr, crate::well_known_ports::DNS, client.port, payload);
+        with_io(&mut self.stack, ctx, |io| io.send_udp(dgram));
     }
 
     fn answer_client_error(
@@ -653,7 +652,6 @@ impl Resolver {
                 // fresh TXID; the UDP side of the query is torn down.
                 self.stats.tcp_fallbacks += 1;
                 self.port_to_token.remove(&entry.port);
-                self.upstream_socks.remove(&entry.port);
                 self.stack.close_port(entry.port);
                 let new_txid: u16 = ctx.rng().gen();
                 if let Some(e) = self.outstanding.get_mut(&token) {
@@ -749,10 +747,10 @@ impl Resolver {
         }
     }
 
-    /// Processes one TCP stack event through the upstream socket.
-    fn handle_tcp_event(&mut self, event: StackEvent, ctx: &mut Ctx<'_>) {
+    /// Processes one TCP segment through the upstream socket.
+    fn handle_tcp_segment(&mut self, seg: TcpSegment, ctx: &mut Ctx<'_>) {
         let tcp = &mut self.tcp;
-        let sock_events = with_io(&mut self.stack, ctx, |io| tcp.handle(io, event));
+        let sock_events = with_io(&mut self.stack, ctx, |io| tcp.handle(io, seg));
         for se in sock_events {
             match se {
                 SocketEvent::Data { peer, payload, .. } => {
@@ -774,7 +772,6 @@ impl Resolver {
         match entry.transport {
             Protocol::Udp => {
                 self.port_to_token.remove(&entry.port);
-                self.upstream_socks.remove(&entry.port);
                 self.stack.close_port(entry.port);
             }
             Protocol::Tcp => {
@@ -841,7 +838,7 @@ impl Resolver {
                         .outstanding
                         .iter()
                         .any(|(t, o)| *t != token && o.transport == Protocol::Tcp && o.nameserver == ns);
-                    let healthy = self.tcp.flows().iter().any(|f| f.peer == peer && f.state == "established");
+                    let healthy = self.tcp.connection(peer).is_some_and(|c| c.state == TcpState::Established);
                     if !(shared && healthy) {
                         self.tcp_rx.remove(&peer);
                         let tcp = &mut self.tcp;
@@ -851,11 +848,9 @@ impl Resolver {
                 _ => {
                     // New port per retry.
                     self.port_to_token.remove(&old_port);
-                    self.upstream_socks.remove(&old_port);
                     self.stack.close_port(old_port);
                     let new_port = self.allocate_port(ctx.rng());
-                    let sock = UdpTransport.bind(&mut self.stack, new_port);
-                    self.upstream_socks.insert(new_port, sock);
+                    self.stack.open_port(new_port);
                     if let Some(entry) = self.outstanding.get_mut(&token) {
                         entry.port = new_port;
                     }
@@ -882,7 +877,7 @@ impl Node for Resolver {
                 self.handle_client_query(dgram, ctx);
             }
             Some(StackEvent::Udp(dgram)) => self.handle_upstream_response(dgram, ctx),
-            Some(event @ StackEvent::Tcp(_)) => self.handle_tcp_event(event, ctx),
+            Some(StackEvent::Tcp(seg)) => self.handle_tcp_segment(seg, ctx),
             _ => {}
         }
     }
@@ -1390,5 +1385,40 @@ mod tests {
         let r = sim.node_ref::<Resolver>(resolver).unwrap();
         assert_eq!(r.outstanding_count(), 0, "no query left dangling");
         assert!(r.stats.tcp_upstream_queries >= 1);
+    }
+
+    /// The host stack's port table is the resolver's only record of bound
+    /// UDP ports: at every step of a timeout retry, a TC→TCP fallback and a
+    /// plain UDP answer, exactly port 53 plus one port per outstanding UDP
+    /// query is open — the set a SadDNS scan would find.
+    #[test]
+    fn open_ports_track_outstanding_udp_queries_at_every_step() {
+        let dead_ns: Ipv4Addr = "9.9.9.9".parse().unwrap();
+        let cfg = ResolverConfig { edns_size: 512, query_timeout: Duration::from_millis(300), ..resolver_config() }
+            .with_delegation("dead.example", vec![dead_ns], false)
+            .with_transport(UpstreamTransport::UdpTcFallback);
+        let mut s = setup_with_ns(cfg, truncating_ns_config(), victim_zone());
+        s.sim.inject(s.client, client_query("vict.im", RecordType::A, 1));
+        s.sim.inject(s.client, client_query("missing.vict.im", RecordType::A, 2));
+        s.sim.inject(s.client, client_query("www.dead.example", RecordType::A, 3));
+        let mut max_open = 0;
+        while s.sim.step() {
+            let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
+            let udp_queries = r.outstanding.values().filter(|o| o.transport == Protocol::Udp).count();
+            assert_eq!(r.stack().open_port_count(), 1 + udp_queries, "at {:?}", s.sim.now());
+            assert!(r.stack().is_port_open(crate::well_known_ports::DNS));
+            for port in r.outstanding_ports() {
+                assert!(r.stack().is_port_open(port), "outstanding port {port} is closed on the stack");
+            }
+            max_open = max_open.max(r.stack().open_port_count());
+        }
+        let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
+        assert_eq!(max_open, 4, "all three queries were out over UDP at once");
+        assert!(r.stats.timeouts > 1, "the dead nameserver's query was retried");
+        assert_eq!(r.stats.tcp_fallbacks, 1, "the truncated answer fell back to TCP");
+        assert_eq!(r.stats.responses_accepted, 2);
+        assert_eq!(r.outstanding_count(), 0);
+        assert_eq!(r.stack().open_port_count(), 1, "drained: only port 53 stays open");
+        assert!(r.stack().is_port_open(crate::well_known_ports::DNS));
     }
 }

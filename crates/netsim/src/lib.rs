@@ -7,10 +7,10 @@
 //!
 //! * byte-accurate **IPv4 / UDP / TCP / ICMP** wire formats with real
 //!   checksums ([`ipv4`], [`udp`], [`tcp`], [`icmp`], [`checksum`]),
-//! * a generic, object-safe **transport socket API** with a deterministic
-//!   TCP implementation (seeded ISNs, three-way handshake, MSS-based
-//!   segmentation, RST/FIN teardown) beside the UDP datagram path
-//!   ([`transport`], [`tcp`]),
+//! * concrete **transport sockets**: a deterministic TCP implementation
+//!   (seeded ISNs, three-way handshake, MSS-based segmentation, RST/FIN
+//!   teardown) beside the plain UDP datagram path, both bound through the
+//!   host stack's port table ([`transport`], [`tcp`]),
 //! * **IPv4 fragmentation and reassembly**, including the defragmentation
 //!   cache an attacker poisons in the FragDNS methodology ([`frag`]),
 //! * the **global ICMP error rate limit** side channel exploited by SadDNS
@@ -93,9 +93,7 @@ pub mod prelude {
     pub use crate::tcp::{TcpConnection, TcpFlags, TcpSegment, TcpSocket, TcpState};
     pub use crate::time::{Duration, SimTime};
     pub use crate::trace::{Trace, TraceEntry};
-    pub use crate::transport::{
-        with_io, Endpoint, FlowStats, Socket, SocketEvent, StackIo, TcpTransport, Transport, UdpSocket, UdpTransport,
-    };
+    pub use crate::transport::{with_io, Endpoint, FlowStats, SocketEvent, StackIo};
     pub use crate::udp::{UdpDatagram, UdpHeader};
     pub use std::net::Ipv4Addr;
 }

@@ -8,8 +8,8 @@
 //! whose predictability decides the FragDNS hit rate. DNS resolvers,
 //! nameservers, application servers and attacker hosts in the higher-level
 //! crates all embed a `HostStack` and feed packets through
-//! [`HostStack::handle_packet`]; transport state above the port table lives
-//! in the sockets of [`crate::transport`] and [`crate::tcp`].
+//! [`HostStack::handle_packet`]. The port table is the one record of bound
+//! ports; TCP connection state above it lives in [`crate::tcp::TcpSocket`].
 
 use crate::frag::fragment_packet;
 use crate::frag::{ReassemblyBuffer, ReassemblyConfig, ReassemblyResult};

@@ -19,14 +19,15 @@
 //!   segments of an open connection, so there is no retransmission queue —
 //!   every run of a seeded simulation produces byte-identical segment
 //!   interleavings.
-//! * [`TcpSocket`] — the stream implementation of the object-safe
-//!   [`Socket`](crate::transport::Socket) API, multiplexing any number of
-//!   connections over one bound local port (client or listener).
+//! * [`TcpSocket`] — the connections of one bound local port (client or
+//!   listener), multiplexed by endpoint pair. The port itself is bound on
+//!   the [`HostStack`](crate::stack::HostStack)
+//!   ([`open_tcp_port`](crate::stack::HostStack::open_tcp_port)), which
+//!   delivers segments only to open ports.
 
 use crate::checksum;
 use crate::ipv4::{Ipv4Header, Ipv4Packet, Protocol};
 use crate::pool;
-use crate::stack::StackEvent;
 use crate::transport::{Endpoint, FlowStats, SocketEvent, StackIo};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -645,10 +646,10 @@ impl TcpConnection {
     }
 }
 
-/// A TCP implementation of the object-safe [`Socket`](crate::transport::Socket)
-/// API: one bound local port, any number of connections keyed by
-/// `(peer, local)` endpoint pair (the local address varies when a hijacker
-/// terminates connections addressed to the host it impersonates).
+/// The TCP connections of one local port, keyed by `(peer, local)` endpoint
+/// pair (the local address varies when a hijacker terminates connections
+/// addressed to the host it impersonates). The port must also be open on
+/// the host stack, or the stack answers its segments with RST.
 #[derive(Debug)]
 pub struct TcpSocket {
     port: u16,
@@ -677,7 +678,19 @@ impl TcpSocket {
         self.conns.values()
     }
 
-    /// Feeds one TCP segment addressed to this socket's port.
+    /// Feeds one segment the host stack delivered (a
+    /// [`StackEvent::Tcp`](crate::stack::StackEvent::Tcp)), then gives its
+    /// buffer back to the [`pool`]. Returns the application-level events;
+    /// replies (ACKs, handshake steps) go into `io.out`.
+    pub fn handle(&mut self, io: &mut StackIo<'_>, seg: TcpSegment) -> Vec<SocketEvent> {
+        let events = self.handle_segment(io, &seg);
+        pool::give(seg.payload);
+        events
+    }
+
+    /// Feeds one TCP segment addressed to this socket's port, leaving its
+    /// buffer with the caller (a hijacker parses a copy of a packet it does
+    /// not own).
     pub fn handle_segment(&mut self, io: &mut StackIo<'_>, seg: &TcpSegment) -> Vec<SocketEvent> {
         if seg.dst_port != self.port {
             return Vec::new();
@@ -725,8 +738,7 @@ impl TcpSocket {
     /// Sends `payload` to `peer` from an explicit local endpoint, opening the
     /// connection (handshake first) if none exists. This is the spoofing
     /// entry point a hijacker uses to answer connections addressed to the
-    /// host it impersonates; ordinary hosts use
-    /// [`Socket::send_to`](crate::transport::Socket::send_to).
+    /// host it impersonates; ordinary hosts use [`send_to`](Self::send_to).
     pub fn send_from(&mut self, io: &mut StackIo<'_>, local: Endpoint, peer: Endpoint, payload: &[u8]) {
         let key = (peer, local);
         // A connection already winding down (we or the peer sent FIN) can
@@ -750,35 +762,19 @@ impl TcpSocket {
             io.send_tcp(seg);
         }
     }
-}
 
-impl crate::transport::Socket for TcpSocket {
-    fn protocol(&self) -> Protocol {
-        Protocol::Tcp
-    }
-
-    fn local_port(&self) -> u16 {
-        self.port
-    }
-
-    fn send_to(&mut self, io: &mut StackIo<'_>, peer: Endpoint, payload: Vec<u8>) {
+    /// Sends `payload` to `peer` from the host's primary address, opening
+    /// (or reusing) the connection: handshake first, then segments sized to
+    /// the connection's MSS. The bytes are copied into segments and the
+    /// buffer goes back to the [`pool`].
+    pub fn send_to(&mut self, io: &mut StackIo<'_>, peer: Endpoint, payload: Vec<u8>) {
         let local = Endpoint::new(io.stack.primary_addr(), self.port);
         self.send_from(io, local, peer, &payload);
         pool::give(payload);
     }
 
-    fn handle(&mut self, io: &mut StackIo<'_>, event: StackEvent) -> Vec<SocketEvent> {
-        match event {
-            StackEvent::Tcp(seg) => {
-                let events = self.handle_segment(io, &seg);
-                pool::give(seg.payload);
-                events
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    fn close_peer(&mut self, io: &mut StackIo<'_>, peer: Endpoint) {
+    /// Actively closes every connection towards `peer` (FIN).
+    pub fn close_peer(&mut self, io: &mut StackIo<'_>, peer: Endpoint) {
         let keys: Vec<(Endpoint, Endpoint)> = self.conns.keys().filter(|(p, _)| *p == peer).copied().collect();
         for key in keys {
             let remove = {
@@ -794,7 +790,10 @@ impl crate::transport::Socket for TcpSocket {
         }
     }
 
-    fn abort_peer(&mut self, io: &mut StackIo<'_>, peer: Endpoint) {
+    /// Aborts every connection towards `peer`: RST and drop it, the
+    /// SO_LINGER-zero behaviour a resolver uses before retrying a dead
+    /// upstream connection.
+    pub fn abort_peer(&mut self, io: &mut StackIo<'_>, peer: Endpoint) {
         let keys: Vec<(Endpoint, Endpoint)> = self.conns.keys().filter(|(p, _)| *p == peer).copied().collect();
         for key in keys {
             if let Some(mut conn) = self.conns.remove(&key) {
@@ -805,7 +804,8 @@ impl crate::transport::Socket for TcpSocket {
         }
     }
 
-    fn flows(&self) -> Vec<FlowStats> {
+    /// Per-connection statistics.
+    pub fn flows(&self) -> Vec<FlowStats> {
         self.conns
             .values()
             .map(|c| FlowStats {

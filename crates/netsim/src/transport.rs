@@ -1,20 +1,23 @@
-//! The generic, object-safe transport socket API.
+//! The transport layer's shared vocabulary: endpoints, socket events, flow
+//! statistics and the packet-building bundle a node hands to its sockets.
 //!
-//! Every simulated host used to hand-roll `UdpDatagram` construction against
-//! its [`HostStack`](crate::stack::HostStack); this module puts a uniform,
-//! transport-agnostic surface in between so the DNS nodes (and any future
-//! application) can speak UDP or TCP through the same four calls:
+//! A host binds a port by opening it on its [`HostStack`]:
+//! [`open_port`](HostStack::open_port) for UDP,
+//! [`open_tcp_port`](HostStack::open_tcp_port) for TCP. The stack's port
+//! table is the one record of bound ports: it delivers traffic for open ports
+//! and answers the rest with ICMP port-unreachable or RST, which is exactly
+//! what the SadDNS scan probes.
 //!
-//! * [`Transport`] — an object-safe factory binding a port on a host stack
-//!   and returning a `Box<dyn Socket>` ([`UdpTransport`],
-//!   [`TcpTransport`]);
-//! * [`Socket`] — an object-safe bound socket: `send_to` turns application
-//!   payloads into wire packets (a single datagram for UDP; handshake,
-//!   MSS-sized segments and teardown for TCP), `handle` consumes host-stack
-//!   events and surfaces [`SocketEvent`]s;
-//! * [`StackIo`] — the bundle of host stack, simulated time and seeded RNG a
-//!   socket needs to build packets (IP-ID allocation, path-MTU lookups,
-//!   initial sequence numbers) plus the outgoing packet queue.
+//! * **UDP** needs no socket object. A node sends with
+//!   [`StackIo::send_udp`] and receives [`StackEvent::Udp`], telling its
+//!   ports apart by `dst_port`.
+//! * **TCP** connections live in a [`TcpSocket`](crate::tcp::TcpSocket): one
+//!   per bound port, any number of connections. `send_to` runs the handshake
+//!   and segments the bytes to the connection's MSS; `handle` takes the
+//!   stack's [`StackEvent::Tcp`] segments and surfaces [`SocketEvent`]s.
+//! * [`StackIo`] bundles the host stack, simulated time, seeded RNG and the
+//!   outgoing packet list, the things building a packet needs (IP-ID
+//!   allocation, path-MTU lookups, initial sequence numbers).
 //!
 //! ## Example: a TCP exchange between two host stacks
 //!
@@ -31,9 +34,12 @@
 //! let mut a = HostStack::with_defaults(vec![a_addr]);
 //! let mut b = HostStack::with_defaults(vec![b_addr]);
 //!
-//! // Bind a TCP client on host A and a TCP listener on host B.
-//! let mut client: Box<dyn Socket> = TcpTransport::client().bind(&mut a, 40000);
-//! let mut server: Box<dyn Socket> = TcpTransport::listener().bind(&mut b, 80);
+//! // Bind a TCP client on host A and a TCP listener on host B: open the
+//! // ports on the stacks, which deliver segments only to open ports.
+//! a.open_tcp_port(40000);
+//! b.open_tcp_port(80);
+//! let mut client = TcpSocket::client(40000);
+//! let mut server = TcpSocket::listener(80);
 //!
 //! // A sends a request: the socket opens the connection (SYN first).
 //! let mut wire = Vec::new();
@@ -45,8 +51,8 @@
 //! while let Some(pkt) = wire.pop() {
 //!     let (stack, sock) = if pkt.header.dst == a_addr { (&mut a, &mut client) } else { (&mut b, &mut server) };
 //!     let mut io = StackIo::new(stack, SimTime::ZERO, &mut rng, &mut wire);
-//!     let Some(event) = io.receive(pkt) else { continue };
-//!     for se in sock.handle(&mut io, event) {
+//!     let Some(StackEvent::Tcp(seg)) = io.receive(pkt) else { continue };
+//!     for se in sock.handle(&mut io, seg) {
 //!         if let SocketEvent::Data { payload, .. } = se {
 //!             request.extend_from_slice(&payload);
 //!         }
@@ -55,7 +61,7 @@
 //!
 //! // The three-way handshake completed and the stream bytes arrived intact.
 //! assert_eq!(request, b"GET /index");
-//! assert_eq!(server.flows()[0].state, "established");
+//! assert_eq!(server.connection(Endpoint::new(a_addr, 40000)).unwrap().state, TcpState::Established);
 //! assert_eq!(server.flows()[0].bytes_received, 10);
 //! ```
 
@@ -91,12 +97,11 @@ impl fmt::Display for Endpoint {
     }
 }
 
-/// Events a [`Socket`] surfaces to the application layer.
+/// Events a [`TcpSocket`](crate::tcp::TcpSocket) surfaces to the application layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SocketEvent {
-    /// Application payload arrived from `peer`: one datagram's payload for
-    /// UDP, one in-order chunk of stream bytes for TCP (the application owns
-    /// any record framing, e.g. the RFC 1035 two-byte length prefix).
+    /// Stream bytes arrived from `peer`: one in-order chunk (the application
+    /// owns any record framing, e.g. the RFC 1035 two-byte length prefix).
     Data {
         /// Remote endpoint.
         peer: Endpoint,
@@ -128,7 +133,8 @@ pub enum SocketEvent {
     },
 }
 
-/// Per-flow transport statistics reported by [`Socket::flows`].
+/// Per-flow transport statistics reported by
+/// [`TcpSocket::flows`](crate::tcp::TcpSocket::flows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowStats {
     /// Transport protocol of the flow.
@@ -193,169 +199,16 @@ impl<'a> StackIo<'a> {
 /// socket-dispatch idiom every node shares, expressed once.
 ///
 /// ```ignore
-/// let events = with_io(&mut self.stack, ctx, |io| self.sock.handle(io, event));
+/// let events = with_io(&mut self.stack, ctx, |io| self.tcp.handle(io, seg));
 /// ```
 pub fn with_io<R>(stack: &mut HostStack, ctx: &mut crate::engine::Ctx<'_>, f: impl FnOnce(&mut StackIo<'_>) -> R) -> R {
     f(&mut ctx.stack_io(stack))
 }
 
-/// An object-safe, transport-agnostic socket bound to one local port.
-///
-/// Implementations: [`UdpSocket`] (datagrams) and
-/// [`TcpSocket`](crate::tcp::TcpSocket) (connections). Applications hold
-/// `Box<dyn Socket>` so the transport can be swapped without touching the
-/// protocol logic — this is what lets the DNS resolver re-query over TCP
-/// when a UDP answer comes back truncated (RFC 7766).
-pub trait Socket {
-    /// Transport protocol spoken by this socket.
-    fn protocol(&self) -> Protocol;
-
-    /// The bound local port.
-    fn local_port(&self) -> u16;
-
-    /// Sends `payload` towards `peer`: one datagram for UDP; for TCP the
-    /// socket opens (or reuses) a connection to the peer, running the
-    /// handshake first and segmenting the bytes to the connection's MSS.
-    ///
-    /// The socket takes the payload buffer: UDP frames it in place into the
-    /// one packet, TCP copies it into segments and gives it back to the
-    /// [`pool`](crate::pool). Encode with headroom (`pool::take(len +
-    /// UDP_HEADER_LEN)`) and the datagram needs no second buffer.
-    fn send_to(&mut self, io: &mut StackIo<'_>, peer: Endpoint, payload: Vec<u8>);
-
-    /// Feeds one host-stack event through the socket, producing zero or more
-    /// application-level [`SocketEvent`]s (and possibly reply packets into
-    /// `io.out` — ACKs, handshake steps). The application owns each `Data`
-    /// payload; a UDP one is the received packet's own buffer, which goes
-    /// back to the [`pool`](crate::pool) once the payload is decoded.
-    fn handle(&mut self, io: &mut StackIo<'_>, event: StackEvent) -> Vec<SocketEvent>;
-
-    /// Actively closes the flow towards `peer` (TCP: FIN; UDP: no-op).
-    fn close_peer(&mut self, io: &mut StackIo<'_>, peer: Endpoint);
-
-    /// Aborts the flow towards `peer` (TCP: RST and drop the connection, the
-    /// SO_LINGER-zero behaviour a resolver uses before retrying a dead
-    /// upstream connection; UDP: no-op).
-    fn abort_peer(&mut self, io: &mut StackIo<'_>, peer: Endpoint) {
-        let _ = (io, peer);
-    }
-
-    /// Per-flow statistics (TCP connections; empty for UDP).
-    fn flows(&self) -> Vec<FlowStats>;
-}
-
-/// The datagram implementation of [`Socket`]: stateless, one event per
-/// datagram, no flows.
-#[derive(Debug, Clone)]
-pub struct UdpSocket {
-    port: u16,
-}
-
-impl UdpSocket {
-    /// A UDP socket bound to `port`.
-    pub fn new(port: u16) -> Self {
-        UdpSocket { port }
-    }
-}
-
-impl Socket for UdpSocket {
-    fn protocol(&self) -> Protocol {
-        Protocol::Udp
-    }
-
-    fn local_port(&self) -> u16 {
-        self.port
-    }
-
-    fn send_to(&mut self, io: &mut StackIo<'_>, peer: Endpoint, payload: Vec<u8>) {
-        let src = io.stack.primary_addr();
-        io.send_udp(UdpDatagram::new(src, peer.addr, self.port, peer.port, payload));
-    }
-
-    fn handle(&mut self, _io: &mut StackIo<'_>, event: StackEvent) -> Vec<SocketEvent> {
-        match event {
-            StackEvent::Udp(dgram) if dgram.dst_port == self.port => vec![SocketEvent::Data {
-                peer: Endpoint::new(dgram.src, dgram.src_port),
-                local: Endpoint::new(dgram.dst, dgram.dst_port),
-                payload: dgram.payload,
-            }],
-            StackEvent::Udp(dgram) => {
-                crate::pool::give(dgram.payload);
-                Vec::new()
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    fn close_peer(&mut self, _io: &mut StackIo<'_>, _peer: Endpoint) {}
-
-    fn flows(&self) -> Vec<FlowStats> {
-        Vec::new()
-    }
-}
-
-/// An object-safe factory for sockets of one transport: binds the port on
-/// the host stack (so the stack demultiplexes matching packets) and returns
-/// the socket.
-pub trait Transport {
-    /// Transport protocol of the sockets this factory produces.
-    fn protocol(&self) -> Protocol;
-
-    /// Binds a socket on `port`.
-    fn bind(&self, stack: &mut HostStack, port: u16) -> Box<dyn Socket>;
-}
-
-/// Factory for [`UdpSocket`]s.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UdpTransport;
-
-impl Transport for UdpTransport {
-    fn protocol(&self) -> Protocol {
-        Protocol::Udp
-    }
-
-    fn bind(&self, stack: &mut HostStack, port: u16) -> Box<dyn Socket> {
-        stack.open_port(port);
-        Box::new(UdpSocket::new(port))
-    }
-}
-
-/// Factory for [`TcpSocket`](crate::tcp::TcpSocket)s.
-#[derive(Debug, Clone, Copy)]
-pub struct TcpTransport {
-    listening: bool,
-}
-
-impl TcpTransport {
-    /// Sockets that open outgoing connections only.
-    pub fn client() -> Self {
-        TcpTransport { listening: false }
-    }
-
-    /// Sockets that accept incoming connections.
-    pub fn listener() -> Self {
-        TcpTransport { listening: true }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn protocol(&self) -> Protocol {
-        Protocol::Tcp
-    }
-
-    fn bind(&self, stack: &mut HostStack, port: u16) -> Box<dyn Socket> {
-        stack.open_tcp_port(port);
-        if self.listening {
-            Box::new(crate::tcp::TcpSocket::listener(port))
-        } else {
-            Box::new(crate::tcp::TcpSocket::client(port))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::TcpSocket;
     use rand::SeedableRng;
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -365,46 +218,16 @@ mod tests {
         ChaCha20Rng::seed_from_u64(1)
     }
 
-    #[test]
-    fn udp_socket_roundtrip_through_stacks() {
-        let mut rng = rng();
-        let mut a = HostStack::with_defaults(vec![A]);
-        let mut b = HostStack::with_defaults(vec![B]);
-        let mut sender: Box<dyn Socket> = UdpTransport.bind(&mut a, 1111);
-        let mut receiver: Box<dyn Socket> = UdpTransport.bind(&mut b, 2222);
-        assert_eq!(sender.protocol(), Protocol::Udp);
-        assert_eq!(receiver.local_port(), 2222);
-
-        let mut out = Vec::new();
-        sender.send_to(
-            &mut StackIo::new(&mut a, SimTime::ZERO, &mut rng, &mut out),
-            Endpoint::new(B, 2222),
-            b"ping".to_vec(),
-        );
-        assert_eq!(out.len(), 1);
-        let mut replies = Vec::new();
-        let mut io = StackIo::new(&mut b, SimTime::ZERO, &mut rng, &mut replies);
-        let event = io.receive(out.pop().unwrap()).unwrap();
-        let socket_events = receiver.handle(&mut io, event);
-        assert_eq!(
-            socket_events,
-            vec![SocketEvent::Data {
-                peer: Endpoint::new(A, 1111),
-                local: Endpoint::new(B, 2222),
-                payload: b"ping".to_vec(),
-            }]
-        );
-        assert!(receiver.flows().is_empty());
-    }
-
     /// Runs the doctest scenario as a unit test so failures localise here.
     #[test]
     fn tcp_sockets_complete_a_full_exchange_between_stacks() {
         let mut rng = rng();
         let mut a = HostStack::with_defaults(vec![A]);
         let mut b = HostStack::with_defaults(vec![B]);
-        let mut client: Box<dyn Socket> = TcpTransport::client().bind(&mut a, 40000);
-        let mut server: Box<dyn Socket> = TcpTransport::listener().bind(&mut b, 80);
+        a.open_tcp_port(40000);
+        b.open_tcp_port(80);
+        let mut client = TcpSocket::client(40000);
+        let mut server = TcpSocket::listener(80);
 
         let mut wire = Vec::new();
         let mut io = StackIo::new(&mut a, SimTime::ZERO, &mut rng, &mut wire);
@@ -416,8 +239,8 @@ mod tests {
             assert!(guard < 64, "exchange did not quiesce");
             let (stack, sock) = if pkt.header.dst == A { (&mut a, &mut client) } else { (&mut b, &mut server) };
             let mut io = StackIo::new(stack, SimTime::ZERO, &mut rng, &mut wire);
-            let Some(event) = io.receive(pkt) else { continue };
-            for se in sock.handle(&mut io, event) {
+            let Some(StackEvent::Tcp(seg)) = io.receive(pkt) else { continue };
+            for se in sock.handle(&mut io, seg) {
                 if let SocketEvent::Data { payload, .. } = se {
                     received.extend_from_slice(&payload);
                 }
