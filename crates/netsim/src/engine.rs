@@ -31,6 +31,27 @@
 //! one [`Simulator::inject_train`] call: a single wheel entry that stands for
 //! the whole burst and builds each packet only when it is delivered, so the
 //! burst's working set is one packet rather than 2¹⁶.
+//!
+//! ## One pass per packet train
+//!
+//! Once a train's first packet is popped, no event can sort before its
+//! remaining packets: their seqs were reserved at inject time, and anything
+//! scheduled later gets a higher seq at a time no earlier than now. So the
+//! popped train leaves the wheel for good and is **held** in one slot beside
+//! it, which every step serves before the wheel until the train is spent.
+//!
+//! [`Simulator::run`] and [`Simulator::run_until`] go further when the trace
+//! is off and the receiver is a full [`Node`]: they hand the held train's
+//! packets, one after another, to the receiver's ordinary
+//! [`Node::on_packet`] inside **one** callback context, and stop after the
+//! first packet whose callback queued an outgoing packet or a timer. The
+//! counters and stats are then credited in bulk, exactly as per-packet
+//! delivery credits them. This is exact for every node: the engine assigns
+//! seqs and draws from the RNG only when it dispatches queued output, which
+//! happens after that stopping packet just as it would have, and nothing
+//! reads the engine's counters during a callback. [`Simulator::step`] still
+//! delivers exactly one packet per call, and with the trace on every packet
+//! gets its own context and its own trace entry.
 
 use crate::fasthash::FastHashMap;
 use crate::ipv4::{Ipv4Packet, Protocol};
@@ -385,6 +406,8 @@ impl TrainShape {
 }
 
 /// The undelivered tail of a packet train (see [`Simulator::inject_train`]).
+/// It sits in the wheel until its first packet is popped, then in the
+/// simulator's held slot until its last packet is delivered.
 struct Train {
     to: HostRef,
     from: Origin,
@@ -454,8 +477,12 @@ pub struct Simulator {
     timer_scratch: Vec<(Duration, u64)>,
     stub_timer_scratch: Vec<(Duration, StubTimer)>,
     events: TimeWheel<EventKind>,
-    /// Undelivered packets of queued trains beyond the one wheel entry each
-    /// train occupies, so [`Simulator::pending_events`] counts packets.
+    /// The popped train whose packets are delivered before any wheel event
+    /// (see the [module documentation](self)); its time is `now`.
+    held: Option<Box<Train>>,
+    /// Undelivered train packets not standing as a wheel entry: all but one
+    /// per queued train, plus all of the held train's, so
+    /// [`Simulator::pending_events`] counts packets.
     train_backlog: usize,
     now: SimTime,
     seq: u64,
@@ -482,6 +509,7 @@ impl Simulator {
             timer_scratch: Vec::new(),
             stub_timer_scratch: Vec::new(),
             events: TimeWheel::new(),
+            held: None,
             train_backlog: 0,
             now: SimTime::ZERO,
             seq: 0,
@@ -789,8 +817,11 @@ impl Simulator {
     /// When packet 0 would be delivered as-is (routable, not egress-filtered,
     /// lossless link, within the MTU) the train is one wheel entry holding
     /// `count` consecutive seqs, and packet `i` is built only when it is
-    /// delivered. Otherwise every packet takes the per-packet send path, so
-    /// loss draws, PTBs and drop traces are unchanged.
+    /// delivered. Once packet 0 is popped the train is held beside the wheel
+    /// and [`run`](Self::run) may deliver a run of its packets in one
+    /// callback context (see the [module documentation](self)). Otherwise
+    /// every packet takes the per-packet send path, so loss draws, PTBs and
+    /// drop traces are unchanged.
     ///
     /// # Panics
     ///
@@ -979,14 +1010,14 @@ impl Simulator {
         }
     }
 
-    /// Attributes a delivered packet to the sender's verdict breakdown.
-    fn count_delivered(&mut self, from: Origin) {
-        self.counters.delivered += 1;
+    /// Attributes `n` delivered packets to the sender's verdict breakdown.
+    fn count_delivered(&mut self, from: Origin, n: u64) {
+        self.counters.delivered += n;
         match from {
-            Origin::Node(id) => self.nodes[id.0].stats.delivered += 1,
+            Origin::Node(id) => self.nodes[id.0].stats.delivered += n,
             Origin::Stub(id) => {
                 let b = self.block_of_stub(id);
-                self.stub_blocks[b].stats.delivered += 1;
+                self.stub_blocks[b].stats.delivered += n;
             }
             Origin::Router => {}
         }
@@ -1027,16 +1058,16 @@ impl Simulator {
 
     /// Runs a node callback with a freshly built [`Ctx`], then dispatches the
     /// side effects it produced.
-    fn with_node_ctx(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>)) {
+    fn with_node_ctx<R>(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>) -> R) -> R {
         let mut outgoing = std::mem::take(&mut self.out_scratch);
         let mut timers = std::mem::take(&mut self.timer_scratch);
-        {
+        let result = {
             let Simulator { nodes, rng, now, .. } = self;
             let slot = &mut nodes[id.0];
             let mut ctx =
                 Ctx { now: *now, self_id: id, addrs: &slot.addrs, rng, outgoing: &mut outgoing, timers: &mut timers };
-            f(slot.node.as_mut(), &mut ctx);
-        }
+            f(slot.node.as_mut(), &mut ctx)
+        };
         for pkt in outgoing.drain(..) {
             self.dispatch(id, pkt);
         }
@@ -1046,6 +1077,7 @@ impl Simulator {
         }
         self.out_scratch = outgoing;
         self.timer_scratch = timers;
+        result
     }
 
     /// Runs a stub-handler callback with a freshly built [`StubCtx`], then
@@ -1078,7 +1110,7 @@ impl Simulator {
     }
 
     fn deliver(&mut self, to: HostRef, from: Origin, pkt: Ipv4Packet) {
-        self.count_delivered(from);
+        self.count_delivered(from, 1);
         match to {
             HostRef::Node(id) => {
                 self.nodes[id.0].stats.record_received(pkt.header.protocol, pkt.wire_len());
@@ -1106,52 +1138,99 @@ impl Simulator {
         }
     }
 
-    /// Processes a single event. Returns `false` when the event queue is empty.
+    /// Processes a single event: the held train's next packet if a train is
+    /// held, else the wheel's earliest event. A train delivers exactly one
+    /// packet per call. Returns `false` when the event queue is empty.
     pub fn step(&mut self) -> bool {
         self.start_nodes();
-        let Some((time, seq, kind)) = self.events.pop() else {
-            return false;
-        };
-        self.handle(time, seq, kind);
-        true
+        self.serve(SimTime::from_nanos(u64::MAX), false)
     }
 
-    /// Processes one popped event. A train delivers one packet per pop and
-    /// re-queues its tail at the next of its reserved seqs.
-    fn handle(&mut self, time: SimTime, seq: u64, kind: EventKind) {
-        self.counters.events_popped += 1;
+    /// Serves the next event due at or before `deadline`. With `batch`, a
+    /// held train may deliver several packets (see [`Self::deliver_held`]).
+    fn serve(&mut self, deadline: SimTime, batch: bool) -> bool {
+        if self.held.is_some() {
+            // The held train is due at `now`.
+            if self.now > deadline {
+                return false;
+            }
+            self.deliver_held(batch);
+            return true;
+        }
+        let Some((time, _, kind)) = self.events.pop_until(deadline) else {
+            return false;
+        };
         self.now = time;
         match kind {
             EventKind::Deliver { to, from, pkt } => self.deliver(to, from, pkt),
-            EventKind::Timer { node, token } => {
-                self.with_node_ctx(node, |n, ctx| n.on_timer(ctx, token));
+            EventKind::Timer { node, token } => self.with_node_ctx(node, |n, ctx| n.on_timer(ctx, token)),
+            EventKind::StubTimer { stub, timer } => self.with_stub_ctx(stub, |h, ctx| h.on_timer(ctx, timer)),
+            EventKind::Train(train) => {
+                // The train leaves the wheel for good: nothing can sort
+                // before its remaining packets, so they wait in the slot.
+                self.train_backlog += 1;
+                self.held = Some(train);
+                self.deliver_held(batch);
+                return true;
             }
-            EventKind::StubTimer { stub, timer } => {
-                self.with_stub_ctx(stub, |h, ctx| h.on_timer(ctx, timer));
-            }
-            EventKind::Train(mut train) => {
-                let pkt = train.next_packet();
-                let (to, from) = (train.to, train.from);
-                if train.next < train.count {
-                    self.train_backlog -= 1;
-                    self.events.push(time, seq + 1, EventKind::Train(train));
+        }
+        self.counters.events_popped += 1;
+        true
+    }
+
+    /// Delivers the held train's next packet. With `batch`, when the trace is
+    /// off and the receiver is a full node, it hands the receiver packet
+    /// after packet in one callback context, stops after the first whose
+    /// callback queued a packet or a timer, and credits the counters and
+    /// stats in bulk exactly as per-packet delivery would.
+    fn deliver_held(&mut self, batch: bool) {
+        let mut train = self.held.take().expect("a held train");
+        let delivered = match train.to {
+            HostRef::Node(id) if batch && !self.trace.enabled => {
+                let n = self.with_node_ctx(id, |node, ctx| {
+                    let mut n = 0u32;
+                    while train.next < train.count {
+                        node.on_packet(ctx, train.next_packet());
+                        n += 1;
+                        if !ctx.outgoing.is_empty() || !ctx.timers.is_empty() {
+                            break;
+                        }
+                    }
+                    n
+                });
+                let stats = &mut self.nodes[id.0].stats;
+                for _ in 0..n {
+                    stats.record_received(train.shape.protocol, train.shape.wire_len);
                 }
-                self.deliver(to, from, pkt);
+                self.count_delivered(train.from, u64::from(n));
+                n
             }
+            to => {
+                let pkt = train.next_packet();
+                self.deliver(to, train.from, pkt);
+                1
+            }
+        };
+        self.counters.events_popped += u64::from(delivered);
+        self.train_backlog -= delivered as usize;
+        if train.next < train.count {
+            self.held = Some(train);
         }
     }
 
-    /// Runs until the event queue is exhausted.
+    /// Runs until the event queue is exhausted, delivering a held train's
+    /// packets in one callback context where that is exact (see the
+    /// [module documentation](self)).
     pub fn run(&mut self) {
-        while self.step() {}
+        self.start_nodes();
+        while self.serve(SimTime::from_nanos(u64::MAX), true) {}
     }
 
-    /// Runs until the event queue is exhausted or the clock passes `deadline`.
+    /// Runs until the event queue is exhausted or the clock passes `deadline`,
+    /// batching train deliveries like [`run`](Self::run).
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start_nodes();
-        while let Some((time, seq, kind)) = self.events.pop_until(deadline) {
-            self.handle(time, seq, kind);
-        }
+        while self.serve(deadline, true) {}
         if self.now < deadline {
             self.now = deadline;
         }
@@ -1678,6 +1757,149 @@ mod tests {
         sim.connect(a, b, Link::default());
         sim.inject_train(a, 3, |i| udp(A, B, 10 + i as usize));
         sim.run();
+    }
+
+    /// What a [`Reactor`] does at the train packet whose IP ID is `k`.
+    #[derive(Clone, Copy)]
+    enum React {
+        Ignore,
+        ReplyAt(u16),
+        TimerAt(u16),
+    }
+
+    /// Logs every packet, with an RNG draw, and every timer; replies to or
+    /// arms a timer at one train packet.
+    struct Reactor {
+        react: React,
+        log: Vec<String>,
+    }
+    impl Node for Reactor {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+            let id = pkt.header.identification;
+            let draw: u16 = ctx.rng().gen();
+            self.log.push(format!("{} {} id={id} draw={draw}", ctx.now(), pkt.summary()));
+            match self.react {
+                React::ReplyAt(k) if k == id && pkt.header.src == A => {
+                    ctx.send(UdpDatagram::new(B, A, 2222, 1111, vec![7; 4]).into_packet(draw, 64));
+                }
+                React::TimerAt(k) if k == id && pkt.header.src == A => {
+                    ctx.set_timer(Duration::from_millis(1), u64::from(id));
+                }
+                _ => {}
+            }
+            pool::give(pkt.payload);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.log.push(format!("{} timer {token}", ctx.now()));
+        }
+    }
+
+    /// A host whose stack answers a closed port with rate-limited ICMP.
+    struct ClosedPortHost {
+        stack: HostStack,
+        log: Vec<String>,
+    }
+    impl Node for ClosedPortHost {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+            let event = crate::transport::with_io(&mut self.stack, ctx, |io| io.receive(pkt));
+            self.log.push(format!("{} {event:?}", ctx.now()));
+        }
+    }
+
+    /// Node `a` sends `b` a train of `count` UDP packets (IP IDs 0, 1, …);
+    /// `c` sends `b` one packet arriving just before and one just after it,
+    /// and `b` has a timer armed for that instant. The link back from `b` to
+    /// `a` is lossy, so dispatching `b`'s replies draws from the RNG.
+    fn train_world(receiver: impl Node, count: u32) -> (Simulator, [NodeId; 3]) {
+        let mut sim = Simulator::new(41);
+        let a = sim.add_node("a", vec![A], SinkNode::default());
+        let b = sim.add_node("b", vec![B], receiver);
+        let c = sim.add_node("c", vec![C], SinkNode::default());
+        let link = Link::with_latency(Duration::from_millis(5));
+        sim.connect_directed(a, b, link);
+        sim.connect_directed(b, a, link.loss(0.5));
+        sim.connect(c, b, link);
+        sim.inject(c, udp(C, B, 10));
+        sim.inject_train(a, count, |i| UdpDatagram::new(A, B, 1111, 2222, vec![9; 12]).into_packet(i as u16, 64));
+        sim.inject(c, udp(C, B, 20));
+        sim.schedule_timer(b, link.latency, 7);
+        (sim, [a, b, c])
+    }
+
+    /// Runs `world` one `step` at a time, with `run`, and with a few steps
+    /// then `run_until` the train's arrival then `run`. All three must agree
+    /// on the engine counters, every node's stats, the pending events, what
+    /// `observe` reads off the receiver, and the RNG's next draw; the mixed
+    /// run must also agree with the stepped one where `run_until` stops.
+    fn assert_run_matches_steps<N: Node, T: PartialEq + std::fmt::Debug>(
+        world: impl Fn() -> (Simulator, [NodeId; 3]),
+        observe: impl Fn(&N) -> T,
+    ) {
+        let snapshot = |sim: &Simulator, nodes: [NodeId; 3]| {
+            let stats: Vec<TrafficStats> = nodes.iter().map(|&n| sim.stats(n).clone()).collect();
+            (sim.counters(), stats, sim.pending_events(), observe(sim.node_ref::<N>(nodes[1]).unwrap()))
+        };
+        let finish = |mut sim: Simulator, nodes: [NodeId; 3]| (snapshot(&sim, nodes), sim.rng.gen::<u64>());
+
+        let (mut stepped, nodes) = world();
+        let (mut mixed, _) = world();
+        for _ in 0..3 {
+            assert!(mixed.step());
+        }
+        mixed.run_until(SimTime::ZERO + Duration::from_millis(5));
+        while stepped.counters().events_popped < mixed.counters().events_popped {
+            assert!(stepped.step());
+        }
+        assert_eq!(snapshot(&stepped, nodes), snapshot(&mixed, nodes), "where run_until stops");
+        while stepped.step() {}
+        mixed.run();
+        let expected = finish(stepped, nodes);
+        assert_eq!(finish(mixed, nodes), expected, "steps, then run_until and run");
+
+        let (mut run, _) = world();
+        run.run();
+        assert_eq!(finish(run, nodes), expected, "run");
+    }
+
+    #[test]
+    fn batched_train_delivery_matches_stepping() {
+        let reactor = |react| Reactor { react, log: Vec::new() };
+        let log = |n: &Reactor| n.log.clone();
+        let last = SPRAY as u16 - 1;
+        assert_run_matches_steps(|| train_world(reactor(React::Ignore), SPRAY), log);
+        for k in [0, 17, last] {
+            assert_run_matches_steps(|| train_world(reactor(React::ReplyAt(k)), SPRAY), log);
+            assert_run_matches_steps(|| train_world(reactor(React::TimerAt(k)), SPRAY), log);
+        }
+    }
+
+    #[test]
+    fn run_until_a_past_deadline_leaves_a_held_train_alone() {
+        let (mut sim, [_, b, _]) = train_world(Reactor { react: React::Ignore, log: Vec::new() }, SPRAY);
+        assert!(sim.step() && sim.step(), "c's packet, then the train's first");
+        let pending = sim.pending_events();
+        sim.run_until(SimTime::ZERO + Duration::from_millis(1));
+        assert_eq!(sim.pending_events(), pending, "the held train is due later than the deadline");
+        assert_eq!(sim.node_ref::<Reactor>(b).unwrap().log.len(), 2);
+        sim.run();
+        assert_eq!(sim.node_ref::<Reactor>(b).unwrap().log.len(), SPRAY as usize + 3);
+    }
+
+    #[test]
+    fn batched_train_to_a_closed_port_matches_stepping() {
+        // The global ICMP budget (50 tokens) runs out mid-train: the first
+        // packets each draw a port-unreachable, the rest are suppressed.
+        const COUNT: u32 = 120;
+        let host = || ClosedPortHost { stack: HostStack::with_defaults(vec![B]), log: Vec::new() };
+        let observe = |h: &ClosedPortHost| {
+            let limiter = h.stack.icmp_limiter();
+            (h.log.clone(), limiter.allowed, limiter.suppressed)
+        };
+        assert_run_matches_steps(|| train_world(host(), COUNT), observe);
+        let (mut sim, [_, b, _]) = train_world(host(), COUNT);
+        sim.run();
+        let limiter = sim.node_ref::<ClosedPortHost>(b).unwrap().stack.icmp_limiter();
+        assert_eq!((limiter.allowed, limiter.suppressed), (50, u64::from(COUNT) + 2 - 50));
     }
 
     #[test]

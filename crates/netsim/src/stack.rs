@@ -11,6 +11,7 @@
 //! [`HostStack::handle_packet`]. The port table is the one record of bound
 //! ports; TCP connection state above it lives in [`crate::tcp::TcpSocket`].
 
+use crate::fasthash::FastHasher;
 use crate::frag::fragment_packet;
 use crate::frag::{ReassemblyBuffer, ReassemblyConfig, ReassemblyResult};
 use crate::icmp::{IcmpMessage, Unreachable};
@@ -24,7 +25,12 @@ use crate::udp::UdpDatagram;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::net::Ipv4Addr;
+
+/// A port table probed once per received packet. Nothing iterates it, so the
+/// deterministic [`FastHasher`] replaces SipHash at no risk to output.
+type PortSet = HashSet<u16, BuildHasherDefault<FastHasher>>;
 
 /// How a host assigns IPv4 identification values to outgoing packets.
 ///
@@ -150,8 +156,8 @@ pub struct HostStack {
     /// Addresses owned by this host.
     pub addresses: Vec<Ipv4Addr>,
     config: StackConfig,
-    open_ports: HashSet<u16>,
-    open_tcp_ports: HashSet<u16>,
+    open_ports: PortSet,
+    open_tcp_ports: PortSet,
     reassembly: ReassemblyBuffer,
     icmp_limiter: IcmpRateLimiter,
     pmtu: PathMtuCache,
@@ -169,8 +175,8 @@ impl HostStack {
             icmp_limiter: IcmpRateLimiter::new(config.icmp_rate_limit),
             reassembly: ReassemblyBuffer::new(config.reassembly),
             pmtu,
-            open_ports: HashSet::new(),
-            open_tcp_ports: HashSet::new(),
+            open_ports: PortSet::default(),
+            open_tcp_ports: PortSet::default(),
             global_ipid: 1,
             per_dest_ipid: std::collections::HashMap::new(),
             config,

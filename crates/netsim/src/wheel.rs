@@ -140,8 +140,7 @@ impl<T> TimeWheel<T> {
     /// Schedules an event. `time` must not precede the time of the last
     /// popped event (the engine never schedules into the past). `seq` must be
     /// unique, and simultaneous events pop in `seq` order; it need not
-    /// increase with insertion order (the engine re-pushes a packet train at
-    /// a seq it reserved earlier).
+    /// increase with insertion order.
     pub fn push(&mut self, time: SimTime, seq: u64, value: T) {
         self.len += 1;
         let tick = tick_of(time);
