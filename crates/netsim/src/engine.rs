@@ -27,10 +27,12 @@
 //! `(SimTime, seq)` — identical pop order to the old binary heap, `O(1)`
 //! scheduling.
 //!
-//! A brute-force spray (SadDNS sends 2¹⁶ spoofed responses in one burst) is
-//! one [`Simulator::inject_train`] call: a single wheel entry that stands for
+//! An attacker flood (SadDNS sends 2,000 spoofed mute queries, batches of 50
+//! scan probes and 2¹⁶ spoofed responses) is one [`Simulator::inject_train`]
+//! call per run of same-shape packets: a single wheel entry that stands for
 //! the whole burst and builds each packet only when it is delivered, so the
-//! burst's working set is one packet rather than 2¹⁶.
+//! burst's working set is one packet rather than thousands. The packets are
+//! usually copies of one [`UdpTemplate`](crate::udp::UdpTemplate).
 //!
 //! ## One pass per packet train
 //!
@@ -1198,10 +1200,7 @@ impl Simulator {
                     }
                     n
                 });
-                let stats = &mut self.nodes[id.0].stats;
-                for _ in 0..n {
-                    stats.record_received(train.shape.protocol, train.shape.wire_len);
-                }
+                self.nodes[id.0].stats.record_received_n(train.shape.protocol, train.shape.wire_len, u64::from(n));
                 self.count_delivered(train.from, u64::from(n));
                 n
             }

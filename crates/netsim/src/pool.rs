@@ -8,8 +8,9 @@
 //!
 //! **Who takes.** The encoders of application payloads: `Message::encode`
 //! takes a buffer sized to the message plus the UDP header, TCP segmentation
-//! one per chunk plus the TCP header, and raw payload builders (the SadDNS
-//! spray) take with the same headroom.
+//! one per chunk plus the TCP header, raw payload builders take with the
+//! same headroom, and `UdpTemplate::packet` takes one per packet it copies
+//! (a template gives its own buffer back when it is dropped).
 //!
 //! **One buffer per packet.** `UdpDatagram::into_packet` and
 //! `TcpSegment::into_packet` write the header into the payload's own buffer,

@@ -68,12 +68,18 @@ impl TrafficStats {
 
     /// Records a received packet of the given protocol and wire length.
     pub fn record_received(&mut self, protocol: Protocol, wire_len: usize) {
-        self.packets_received += 1;
-        self.bytes_received += wire_len as u64;
+        self.record_received_n(protocol, wire_len, 1);
+    }
+
+    /// Records `n` received packets of the same protocol and wire length,
+    /// exactly as `n` [`record_received`](Self::record_received) calls would.
+    pub fn record_received_n(&mut self, protocol: Protocol, wire_len: usize, n: u64) {
+        self.packets_received += n;
+        self.bytes_received += wire_len as u64 * n;
         match protocol {
-            Protocol::Udp => self.udp_received += 1,
-            Protocol::Tcp => self.tcp_received += 1,
-            Protocol::Icmp => self.icmp_received += 1,
+            Protocol::Udp => self.udp_received += n,
+            Protocol::Tcp => self.tcp_received += n,
+            Protocol::Icmp => self.icmp_received += n,
             _ => {}
         }
     }
@@ -158,6 +164,22 @@ mod tests {
         assert_eq!(s.udp_received, 1);
         assert_eq!(s.packets_received, 1);
         assert_eq!(s.bytes_received, 500);
+    }
+
+    #[test]
+    fn bulk_receipt_equals_single_receipts() {
+        for protocol in [Protocol::Udp, Protocol::Tcp, Protocol::Icmp, Protocol::Other(89)] {
+            for n in [0, 1, 7, 65_536] {
+                let (mut bulk, mut single) = (TrafficStats::default(), TrafficStats::default());
+                bulk.record_received(Protocol::Udp, 40);
+                single.record_received(Protocol::Udp, 40);
+                bulk.record_received_n(protocol, 93, n);
+                for _ in 0..n {
+                    single.record_received(protocol, 93);
+                }
+                assert_eq!(bulk, single, "{n} x {protocol:?}");
+            }
+        }
     }
 
     #[test]

@@ -167,6 +167,112 @@ impl UdpDatagram {
     }
 }
 
+/// A UDP datagram framed into an IPv4 packet once, from which a flood of
+/// packets that differ from it in a few bytes is copied.
+///
+/// Attacker floods (spoofed queries, scan probes, a TXID spray) send
+/// thousands of datagrams that share addresses, length and almost every
+/// byte. [`packet`](Self::packet) copies the framed template into a pooled
+/// buffer, sets the IP ID, writes the caller's patches at datagram offsets
+/// (offset 0 is the first byte of the UDP header) and updates the UDP
+/// checksum incrementally (RFC 1624) by the change in the 16-bit words each
+/// patch touched, so no packet is encoded or summed again. The result is byte-for-byte the
+/// packet a full [`UdpDatagram::into_packet`] of the patched datagram gives.
+///
+/// ```
+/// use netsim::prelude::*;
+///
+/// let (src, dst): (Ipv4Addr, Ipv4Addr) = ("192.0.2.1".parse().unwrap(), "198.51.100.53".parse().unwrap());
+/// let template = UdpTemplate::new(UdpDatagram::new(src, dst, 53, 1000, b"id=0000".to_vec()), 64);
+/// // Destination port 1001 (datagram bytes 2-3) and payload byte 3 ('0' -> '7').
+/// let pkt = template.packet(42, &[(2, &1001u16.to_be_bytes()), (8 + 3, b"7")]);
+///
+/// let full = UdpDatagram::new(src, dst, 53, 1001, b"id=7000".to_vec()).into_packet(42, 64);
+/// assert_eq!(pkt.header, full.header);
+/// assert_eq!(pkt.payload, full.payload);
+/// let (header, payload) = UdpDatagram::parse(&pkt).expect("the updated checksum verifies");
+/// assert_eq!((header.dst_port, payload), (1001, &b"id=7000"[..]));
+/// ```
+#[derive(Debug)]
+pub struct UdpTemplate {
+    /// The framed datagram, with IP ID 0.
+    pkt: Ipv4Packet,
+    /// Its UDP checksum (datagram bytes 6-7).
+    checksum: u16,
+}
+
+/// Datagram bytes a template patch may not touch: the UDP length, which the
+/// pseudo-header covers too and the template's size fixes, and the checksum,
+/// which [`UdpTemplate::packet`] maintains itself.
+const UNPATCHABLE: std::ops::Range<usize> = 4..UDP_HEADER_LEN;
+
+impl UdpTemplate {
+    /// Frames `datagram` once with the given TTL.
+    pub fn new(datagram: UdpDatagram, ttl: u8) -> Self {
+        let pkt = datagram.into_packet(0, ttl);
+        let checksum = u16::from_be_bytes([pkt.payload[6], pkt.payload[7]]);
+        UdpTemplate { pkt, checksum }
+    }
+
+    /// The template's packet with IP ID `identification` and each
+    /// `(offset, bytes)` patch written at that datagram offset, in order
+    /// (a later patch overwrites an earlier one where they overlap).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a patch touches the UDP length or checksum field (bytes
+    /// 4-7) or runs past the end of the datagram.
+    #[inline]
+    pub fn packet(&self, identification: u16, patches: &[(usize, &[u8])]) -> Ipv4Packet {
+        let mut payload = pool::take(self.pkt.payload.len());
+        payload.extend_from_slice(&self.pkt.payload);
+        let mut ck = self.checksum;
+        for &(offset, bytes) in patches {
+            let end = offset + bytes.len();
+            assert!(
+                bytes.is_empty() || end <= UNPATCHABLE.start || offset >= UNPATCHABLE.end,
+                "UdpTemplate patch {offset}..{end} touches the UDP length or checksum field"
+            );
+            assert!(
+                end <= payload.len(),
+                "UdpTemplate patch {offset}..{end} runs past the {}-byte datagram",
+                payload.len()
+            );
+            // One RFC 1624 update covers every word the patch touched: it
+            // needs only their sums before and after. A byte at an even
+            // datagram offset is a word's high byte (the pseudo-header in
+            // front of the datagram is 12 bytes long).
+            let (mut old, mut new) = (0u64, 0u64);
+            for (at, (slot, &byte)) in payload[offset..end].iter_mut().zip(bytes).enumerate() {
+                let shift = if (offset + at) % 2 == 0 { 8 } else { 0 };
+                old += u64::from(*slot) << shift;
+                new += u64::from(byte) << shift;
+                *slot = byte;
+            }
+            ck = checksum::update(ck, fold(old), fold(new));
+        }
+        // A computed zero goes on the wire as all ones (RFC 768).
+        let ck = if ck == 0 { 0xffff } else { ck };
+        payload[6..8].copy_from_slice(&ck.to_be_bytes());
+        Ipv4Packet { header: Ipv4Header { identification, ..self.pkt.header }, payload }
+    }
+}
+
+impl Drop for UdpTemplate {
+    /// The template's buffer goes back to the pool, like a dead packet's.
+    fn drop(&mut self) {
+        pool::give(std::mem::take(&mut self.pkt.payload));
+    }
+}
+
+/// Folds a sum of 16-bit words to one word with end-around carry (RFC 1071).
+fn fold(mut sum: u64) -> u16 {
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    sum as u16
+}
+
 /// Computes the *partial* (non-complemented, folded) checksum contribution of
 /// a byte slice. FragDNS uses this to predict the contribution of the second
 /// fragment of the genuine response so that its spoofed replacement can carry
@@ -290,6 +396,32 @@ mod tests {
         let h = UdpHeader { src_port: 1194, dst_port: 500, length: 28, checksum: 0xbeef };
         assert_eq!(UdpHeader::decode(&h.encode()).unwrap(), h);
         assert!(UdpHeader::decode(&[0u8; 4]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "touches the UDP length or checksum field")]
+    fn template_refuses_to_patch_the_checksum() {
+        UdpTemplate::new(dgram(b"payload"), 64).packet(1, &[(7, &[0xab])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "touches the UDP length or checksum field")]
+    fn template_refuses_to_patch_the_length() {
+        UdpTemplate::new(dgram(b"payload"), 64).packet(1, &[(2, &[0, 1, 0])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past the")]
+    fn template_refuses_to_patch_past_the_end() {
+        UdpTemplate::new(dgram(b"payload"), 64).packet(1, &[(14, b"xy")]);
+    }
+
+    #[test]
+    fn template_patches_an_odd_final_byte() {
+        let template = UdpTemplate::new(dgram(b"odd"), 64);
+        let pkt = template.packet(5, &[(UDP_HEADER_LEN + 2, b"z"), (0, &[])]);
+        let full = dgram(b"odz").into_packet(5, 64);
+        assert_eq!((pkt.header, &pkt.payload), (full.header, &full.payload));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! In-place UDP/TCP framing: `into_packet` writes the transport header into
 //! the payload's own buffer, byte-for-byte what a separate `header ‖
 //! payload` encoding produces, and the host stack hands the received
-//! payload back in that same buffer after validating the checksum once.
+//! payload back in that same buffer after validating the checksum once. A
+//! `UdpTemplate` packet is byte-for-byte the full framing of the patched
+//! datagram.
 
 use cross_layer_attacks::netsim::checksum;
 use cross_layer_attacks::netsim::prelude::*;
@@ -140,6 +142,64 @@ proptest! {
         prop_assert_eq!(&seg.payload, &payload);
         prop_assert_eq!((seg.seq, seg.ack, seg.flags, seg.window), (seq, ack, flags, window));
         prop_assert_eq!(seg.payload.as_ptr(), received_at, "no copy on receipt");
+    }
+}
+
+/// Clamps a raw generated patch to one the template accepts: in the port
+/// fields (datagram bytes 0-3) or in the payload (from byte 8 on), and
+/// within the datagram.
+fn clamp_patch(len: usize, at: usize, bytes: &[u8]) -> (usize, Vec<u8>) {
+    let (offset, room) = match at % (len - 4) {
+        at if at < 4 => (at, 4 - at),
+        at => (at + 4, len - at - 4),
+    };
+    (offset, bytes[..bytes.len().min(room)].to_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A template packet equals the full framing of the patched datagram:
+    /// patches at odd offsets, straddling checksum words, overlapping each
+    /// other and rewriting the ports, over odd and even payload lengths.
+    #[test]
+    fn udp_template_patches_equal_a_full_framing(
+        payload in proptest::collection::vec(any::<u8>(), 0..300),
+        sport in any::<u16>(), dport in any::<u16>(),
+        id in any::<u16>(), ttl in 1u8..=255,
+        raw in proptest::collection::vec((any::<usize>(), proptest::collection::vec(any::<u8>(), 0..7)), 0..5),
+    ) {
+        let template = UdpTemplate::new(UdpDatagram::new(SRC, DST, sport, dport, payload.clone()), ttl);
+        let mut image = reference_udp(sport, dport, &payload);
+        let patches: Vec<(usize, Vec<u8>)> = raw.iter().map(|(at, bytes)| clamp_patch(image.len(), *at, bytes)).collect();
+        for (offset, bytes) in &patches {
+            image[*offset..*offset + bytes.len()].copy_from_slice(bytes);
+        }
+        let borrowed: Vec<(usize, &[u8])> = patches.iter().map(|(offset, bytes)| (*offset, &bytes[..])).collect();
+        let pkt = template.packet(id, &borrowed);
+
+        let (sport, dport) = (u16::from_be_bytes([image[0], image[1]]), u16::from_be_bytes([image[2], image[3]]));
+        let full = UdpDatagram::new(SRC, DST, sport, dport, image[8..].to_vec()).into_packet(id, ttl);
+        prop_assert_eq!(pkt.header, full.header);
+        prop_assert_eq!(&pkt.payload, &full.payload);
+        let (header, received) = UdpDatagram::parse(&pkt).expect("the updated checksum verifies");
+        prop_assert_eq!((header.src_port, header.dst_port, received), (sport, dport, &image[8..]));
+    }
+}
+
+/// A template keeps RFC 768's rule: a patch that makes the computed
+/// checksum 0x0000 sends 0xffff, and a patch away from such a datagram
+/// updates from the 0xffff stand-in like any other checksum.
+#[test]
+fn udp_template_sends_a_computed_zero_as_ffff() {
+    let zero = Ipv4Addr::UNSPECIFIED;
+    let summing_to_zero = UdpDatagram::new(zero, zero, 1, 2, vec![0xff, 0xd7]);
+    let other = UdpDatagram::new(zero, zero, 1, 2, vec![0x12, 0x34]);
+    for (from, to) in [(other.clone(), summing_to_zero.clone()), (summing_to_zero, other)] {
+        let pkt = UdpTemplate::new(from, 64).packet(3, &[(8, &to.payload)]);
+        let full = to.into_packet(3, 64);
+        assert_eq!(pkt.payload, full.payload);
+        assert!(UdpDatagram::parse(&pkt).is_ok());
     }
 }
 
