@@ -8,10 +8,9 @@
 //! against them (Section 4.3 / Table 1 footnote 2).
 
 use netsim::prelude::Duration;
-use serde::{Deserialize, Serialize};
 
 /// The middlebox type groups of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MiddleboxType {
     /// Stateful firewalls resolving filter-list hostnames.
     Firewall,
@@ -24,7 +23,7 @@ pub enum MiddleboxType {
 }
 
 /// When the middlebox issues its DNS queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TriggerBehaviour {
     /// Queries are re-issued on a fixed timer, independent of client traffic.
     Timer(Duration),
@@ -34,7 +33,7 @@ pub enum TriggerBehaviour {
 }
 
 /// How long the looked-up records are used before being refreshed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachingBehaviour {
     /// Honours the record TTL.
     HonoursTtl,
@@ -43,7 +42,7 @@ pub enum CachingBehaviour {
 }
 
 /// One row of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MiddleboxProfile {
     /// Middlebox type.
     pub kind: MiddleboxType,

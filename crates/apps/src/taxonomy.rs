@@ -10,10 +10,9 @@
 
 use attacks::outcome::PoisonMethod;
 use dns::prelude::RecordType;
-use serde::{Deserialize, Serialize};
 
 /// Application categories (left-most column of Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Network-access authentication (Radius / eduroam).
     Authentication,
@@ -36,7 +35,7 @@ pub enum Category {
 }
 
 /// How the application uses the DNS result (Table 1, "DNS used for").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DnsUse {
     /// Locate a direct communication partner (hostname → address).
     Location,
@@ -47,7 +46,7 @@ pub enum DnsUse {
 }
 
 /// Who controls the queried name (Table 1, "query name").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryNameControl {
     /// The attacker can choose the queried domain (user IDs, URLs, ...).
     AttackerChosen,
@@ -58,7 +57,7 @@ pub enum QueryNameControl {
 }
 
 /// How the target query is triggered (Table 1, "query trigger method").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TriggerMethod {
     /// The attacker connects/submits directly (open service, URL fetch).
     Direct,
@@ -77,7 +76,7 @@ pub enum TriggerMethod {
 }
 
 /// The attack outcome class (Table 1, "Cache Poisoning impact").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Impact {
     /// Traffic/service redirection to an attacker host.
     Hijack,
@@ -88,7 +87,7 @@ pub enum Impact {
 }
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplicationProfile {
     /// Category.
     pub category: Category,

@@ -3,11 +3,10 @@
 
 use dns::prelude::DomainName;
 use netsim::prelude::{Duration, TrafficStats};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// The three off-path cache-poisoning methodologies of Section 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoisonMethod {
     /// Intercepting DNS packets with a BGP prefix hijack (Section 3.1).
     HijackDns,
@@ -88,7 +87,7 @@ impl std::fmt::Display for PoisonMethod {
 }
 
 /// Visibility class of a method (Table 6, "Stealthiness").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stealth {
     /// Control-plane manipulation visible in the global routing table
     /// (sub-prefix hijack).
@@ -105,7 +104,7 @@ pub enum Stealth {
 }
 
 /// Why an attack attempt failed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailureReason {
     /// A structural precondition does not hold (e.g. /24 announcement, no
     /// global ICMP limit, fragments filtered, response too small).
@@ -117,7 +116,7 @@ pub enum FailureReason {
 }
 
 /// The result of one attack run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackReport {
     /// The methodology used.
     pub method: PoisonMethod,
@@ -200,7 +199,7 @@ telemetry::counters! {
     /// Aggregate over repeated attack runs (the paper reports averages over many
     /// SadDNS runs: 471 s, 497 iterations, ~987 K packets). Exported under
     /// `attacks.<slug>.*` for the attack's method.
-    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Default, PartialEq)]
     pub struct AttackAggregate {
         /// Number of runs.
         pub runs: u64 => "runs",

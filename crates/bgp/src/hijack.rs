@@ -24,7 +24,6 @@ use netsim::prefix::Prefix;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The longest prefix length most networks accept from eBGP neighbours.
@@ -38,7 +37,7 @@ pub fn subprefix_hijackable(announced: Prefix) -> bool {
 }
 
 /// An announcement in the hijack analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Announcement {
     /// The announced prefix.
     pub prefix: Prefix,
@@ -47,7 +46,7 @@ pub struct Announcement {
 }
 
 /// Result of evaluating a hijack attempt against a topology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HijackOutcome {
     /// Fraction of ASes whose traffic for the target is captured by the attacker.
     pub captured_fraction: f64,

@@ -16,12 +16,11 @@
 //! paper's same-prefix-hijack simulation uses (Section 5.1.2).
 
 use crate::topology::{AsId, AsTopology, Relationship};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// The relationship class through which a route was learned.
 /// Ordering: `Customer` is most preferred, `Provider` least.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RouteClass {
     /// Route learned from a provider (least preferred).
     Provider,
@@ -34,7 +33,7 @@ pub enum RouteClass {
 }
 
 /// A best route from one AS towards an origin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteInfo {
     /// How the route was learned.
     pub class: RouteClass,

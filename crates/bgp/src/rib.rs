@@ -8,12 +8,11 @@
 use crate::rpki::{validate, Roa, RovPolicy, Validity};
 use crate::topology::AsId;
 use netsim::prefix::Prefix;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// One candidate route for a prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RibEntry {
     /// The announced prefix.
     pub prefix: Prefix,
@@ -26,7 +25,7 @@ pub struct RibEntry {
 }
 
 /// A routing table of one AS.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Rib {
     /// ROV policy applied when installing routes.
     pub rov: RovPolicy,

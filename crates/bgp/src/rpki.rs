@@ -12,12 +12,11 @@
 
 use crate::topology::AsId;
 use netsim::prefix::Prefix;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// A Route Origin Authorisation: `origin` may announce `prefix` up to
 /// `max_length`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Roa {
     /// The authorised prefix.
     pub prefix: Prefix,
@@ -35,7 +34,7 @@ impl Roa {
 }
 
 /// RFC 6811 route origin validation states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Validity {
     /// A ROA covers the announcement and authorises the origin.
     Valid,
@@ -61,7 +60,7 @@ pub fn validate(prefix: Prefix, origin: AsId, roas: &[Roa]) -> Validity {
 /// A publication point (repository) hosting ROAs. In the real system this is
 /// an rsync/RRDP server found through a DNS name; here the `host` address is
 /// what a (possibly poisoned) DNS lookup returned for that name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RpkiRepository {
     /// DNS name of the publication point (e.g. `rpki.ripe.example`).
     pub hostname: String,
@@ -79,7 +78,7 @@ impl RpkiRepository {
 }
 
 /// Outcome of one relying-party synchronisation attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncOutcome {
     /// The RP reached the genuine repository and refreshed its ROAs.
     Synced,
@@ -93,7 +92,7 @@ pub enum SyncOutcome {
 }
 
 /// The relying party (RPKI validator + cache) that routers query.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RelyingParty {
     /// Currently validated ROAs (empty until the first successful sync, or
     /// after cached data expired following failed syncs).
@@ -144,7 +143,7 @@ impl RelyingParty {
 }
 
 /// A router's route-origin-validation policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RovPolicy {
     /// The AS does not perform ROV at all (the common case in the Internet).
     #[default]

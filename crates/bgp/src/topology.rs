@@ -14,11 +14,10 @@
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// An autonomous system number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AsId(pub u32);
 
 impl std::fmt::Display for AsId {
@@ -30,7 +29,7 @@ impl std::fmt::Display for AsId {
 /// Size/role class of an AS (used by the topology generator and by the
 /// population models, which e.g. give universities large announcements and
 /// RPKI repository operators /24s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsTier {
     /// Transit-free tier-1 provider.
     Tier1,
@@ -42,7 +41,7 @@ pub enum AsTier {
 
 /// Business relationship between two adjacent ASes, from the perspective of
 /// the first AS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relationship {
     /// The neighbour is a customer (we provide transit to them).
     Customer,
@@ -53,7 +52,7 @@ pub enum Relationship {
 }
 
 /// The AS-level topology graph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AsTopology {
     // BTreeMaps, not HashMaps: iteration order (e.g. `ases()`) must be a
     // pure function of the contents, or two same-seed topologies would feed

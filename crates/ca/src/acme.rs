@@ -11,12 +11,11 @@
 
 use dns::prelude::*;
 use netsim::prelude::{Duration, FlowStats, SimTime, TrafficStats};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two domain-validation challenge types the CA implements (RFC 8555
 /// §8.3, §8.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChallengeType {
     /// `http-01`: the CA resolves the domain's A record and fetches
     /// `/.well-known/acme-challenge/<token>` from port 80 of that address.
@@ -57,7 +56,7 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
 /// An ACME account (the certificate requester): the thumbprint is what key
 /// authorizations bind tokens to, so two accounts provisioning the same
 /// token still produce distinguishable challenge contents.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AcmeAccount {
     /// Account identifier (contact handle).
     pub id: String,
@@ -84,7 +83,7 @@ pub fn http_challenge_path(token: &str) -> String {
 
 /// One certificate order: a domain, the chosen challenge type, and the
 /// token/key-authorization pair the validators will look for.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Order {
     /// Order serial (also the certificate serial on success).
     pub serial: u64,
@@ -110,7 +109,7 @@ impl Order {
 }
 
 /// The artifact a completed issuance produces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Certificate serial (= order serial).
     pub serial: u64,
@@ -127,7 +126,7 @@ pub struct Certificate {
 }
 
 /// Why an order was refused.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RefusalReason {
     /// The primary validation did not observe the key authorization.
     ChallengeMismatch {
@@ -153,7 +152,7 @@ pub enum RefusalReason {
 }
 
 /// The CA's decision on one order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IssuanceOutcome {
     /// The certificate was issued.
     Issued(Certificate),
@@ -177,7 +176,7 @@ impl IssuanceOutcome {
 }
 
 /// Result of one validation host's challenge attempt (primary or vantage).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidationResult {
     /// Name of the validation host (`"ca"` for the primary, vantage names
     /// otherwise).

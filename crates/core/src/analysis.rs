@@ -20,10 +20,9 @@ use crate::report::{pct, TextTable};
 use attacks::prelude::*;
 use bgp::prelude::{same_prefix_success_rate, AsTopology};
 use netsim::prelude::Duration;
-use serde::{Deserialize, Serialize};
 
 /// One effectiveness row (per method variant).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodComparison {
     /// Method variant name (matching the paper's Table 6 columns).
     pub variant: String,
@@ -42,7 +41,7 @@ pub struct MethodComparison {
 }
 
 /// The full Table 6 reproduction plus the raw simulated reports backing it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonReport {
     /// Rows, in the paper's column order: sub-prefix hijack, same-prefix
     /// hijack, SadDNS, FragDNS (random IPID), FragDNS (global IPID).
@@ -53,7 +52,7 @@ pub struct ComparisonReport {
 
 /// Simulated SadDNS effectiveness statistics (averaged over runs against the
 /// narrowed port space) plus the extrapolation to the full ephemeral range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SadDnsEffectiveness {
     /// Runs performed.
     pub runs: u64,

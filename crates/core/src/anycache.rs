@@ -9,10 +9,9 @@
 use crate::report::TextTable;
 use attacks::prelude::{QueryTrigger, VictimEnvConfig};
 use dns::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Result for one implementation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnyCachingResult {
     /// Implementation display name.
     pub implementation: String,

@@ -17,7 +17,6 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,7 +28,7 @@ use std::sync::mpsc;
 pub const SHARD_SIZE: usize = 4096;
 
 /// Configuration shared by every sharded campaign.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// Master seed; all shard streams are derived from it.
     pub seed: u64,
@@ -50,11 +49,6 @@ impl CampaignConfig {
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
-    }
-
-    /// A configuration using every available hardware thread.
-    pub fn max_parallel(seed: u64, sample_cap: u64) -> Self {
-        Self::new(seed, sample_cap).with_workers(available_workers())
     }
 }
 

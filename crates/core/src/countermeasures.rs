@@ -9,10 +9,9 @@ use crate::report::TextTable;
 use attacks::prelude::*;
 use dns::prelude::UpstreamTransport;
 use netsim::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A deployable defence from Section 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Defence {
     /// No defence beyond RFC 5452 (the baseline).
     None,
@@ -160,7 +159,7 @@ impl Defence {
 }
 
 /// Result of one (method, defence) cell of the ablation matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationCell {
     /// The poisoning methodology.
     pub method: PoisonMethod,

@@ -27,10 +27,9 @@ use apps::prelude::*;
 use attacks::prelude::*;
 use bgp::prelude::*;
 use dns::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of the RPKI downgrade scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RpkiDowngradeOutcome {
     /// Whether the cache poisoning of the repository hostname succeeded.
     pub dns_poisoned: bool,
@@ -100,7 +99,7 @@ pub fn rpki_downgrade_scenario(seed: u64) -> RpkiDowngradeOutcome {
 }
 
 /// Outcome of the password-recovery scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccountTakeoverOutcome {
     /// Whether the MX/A poisoning succeeded.
     pub dns_poisoned: bool,
@@ -128,7 +127,7 @@ pub fn password_recovery_scenario(seed: u64) -> AccountTakeoverOutcome {
 }
 
 /// Outcome of the SPF downgrade scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpfDowngradeOutcome {
     /// SPF verdict for the attacker's spoofed mail before the attack.
     pub before: SpfVerdict,

@@ -14,13 +14,12 @@ use attacks::prelude::{SadDnsAttack, SadDnsConfig};
 use dns::farm::{run_farm_shard, FarmClientHandler, FarmConfig, FarmStats};
 use dns::prelude::*;
 use netsim::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Stream salt separating farm shard seeds from every other campaign.
 pub const FARM_SALT: u64 = 0xFA12_2021;
 
 /// Configuration of a sharded farm run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FarmCampaignConfig {
     /// Master seed.
     pub seed: u64,
@@ -89,7 +88,8 @@ pub struct LoadedSadDnsReport {
     pub report: attacks::outcome::AttackReport,
     /// Background clients simulated.
     pub background_clients: u32,
-    /// Background queries the resolver answered during the attack.
+    /// Queries the background clients sent during the attack. Unlike the two
+    /// resolver deltas below, it leaves out the attacker's own trigger query.
     pub background_queries: u64,
     /// Background queries answered from cache.
     pub background_cache_answers: u64,
@@ -148,20 +148,21 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
     // names through the same resolver the attacker is racing. The attack's
     // target (`www.vict.im`) is deliberately absent — if the background had
     // already cached it, the trigger query would be a cache hit and never
-    // open the ephemeral port the attack races for.
-    let names: Vec<DomainName> = ["vict.im", "login.vict.im", "ntp.vict.im", "rpki.vict.im"]
-        .iter()
-        .map(|n| n.parse().expect("valid name"))
-        .collect();
-    sim.add_stub_block("bg", "100.64.0.0".parse().expect("addr"), clients);
-    let handler = FarmClientHandler {
-        targets: vec![addrs::RESOLVER],
-        names,
-        mean_think: Duration::from_millis(800),
-        // Keep load flowing through the whole attack window.
-        end: SimTime::ZERO + Duration::from_secs(600),
-    };
-    sim.set_stub_handler(handler);
+    // open the ephemeral port the attack races for. With no clients the run
+    // is the idle baseline, and there is no block at all.
+    if clients > 0 {
+        sim.add_stub_block("bg", "100.64.0.0".parse().expect("addr"), clients);
+        sim.set_stub_handler(FarmClientHandler {
+            targets: vec![addrs::RESOLVER],
+            names: ["vict.im", "login.vict.im", "ntp.vict.im", "rpki.vict.im"]
+                .iter()
+                .map(|n| n.parse().expect("valid name"))
+                .collect(),
+            mean_think: Duration::from_millis(800),
+            // Keep load flowing through the whole attack window.
+            end: SimTime::ZERO + Duration::from_secs(600),
+        });
+    }
 
     // Warm-up: let the background population prime the cache before the
     // attack begins. Without it, clients whose names miss *while the
@@ -174,6 +175,8 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
     attack_cfg.scan_range = (40000, 40255);
     attack_cfg.max_iterations = 2;
     let baseline = env.resolver(&sim).stats.clone();
+    let background_sent = |sim: &Simulator| sim.stub_states().iter().map(|s| u64::from(s.sent)).sum::<u64>();
+    let baseline_sent = background_sent(&sim);
     let trace = sim.trace_mut();
     trace.enabled = true;
     trace.capacity = 256;
@@ -189,7 +192,7 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
     LoadedSadDnsReport {
         report,
         background_clients: clients,
-        background_queries: rs.client_queries - baseline.client_queries,
+        background_queries: background_sent(&sim) - baseline_sent,
         background_cache_answers: rs.cache_answers - baseline.cache_answers,
         background_upstream: rs.upstream_queries - baseline.upstream_queries,
         packets_delivered: sim.counters().delivered,
@@ -263,6 +266,13 @@ mod tests {
             !loaded.report.success,
             "the trace is dumped exactly when the chain fails"
         );
+    }
+
+    #[test]
+    fn zero_clients_run_the_idle_baseline() {
+        let idle = saddns_under_load(21, 0);
+        assert_eq!(idle.background_clients, 0);
+        assert_eq!(idle.background_queries, 0, "no block, so no background query reaches the resolver");
     }
 
     #[test]

@@ -12,10 +12,9 @@ use crate::population::{self, DatasetSpec, DomainBlock, DomainProfile, ResolverB
 use crate::report::TextTable;
 use crate::vulnscan;
 use rand_chacha::ChaCha20Rng;
-use serde::{Deserialize, Serialize};
 
 /// A cumulative distribution: `(x, fraction ≤ x)` points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     /// Series label.
     pub label: String,
@@ -263,7 +262,7 @@ pub fn figure4_edns_vs_fragment_with(cfg: &CampaignConfig) -> (Cdf, Cdf) {
 telemetry::counters! {
     /// Figure 5: overlap of the vulnerable sets (per methodology). Its merge
     /// is the campaign reducer for Figure 5.
-    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct VennCounts {
         /// Vulnerable to HijackDNS only.
         pub only_hijack: u64,

@@ -15,10 +15,9 @@ use crate::population::{self, DatasetSpec, DomainBlock, DomainProfile, ResolverB
 use crate::report::{pct, TextTable};
 use crate::vulnscan;
 use rand_chacha::ChaCha20Rng;
-use serde::{Deserialize, Serialize};
 
 /// One row of the Table 3 reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolverDatasetResult {
     /// Dataset name.
     pub dataset: String,
@@ -37,7 +36,7 @@ pub struct ResolverDatasetResult {
 }
 
 /// One row of the Table 4 reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainDatasetResult {
     /// Dataset name.
     pub dataset: String,
@@ -66,7 +65,7 @@ pub const DEFAULT_SAMPLE_CAP: u64 = 20_000;
 telemetry::counters! {
     /// Per-shard classification counts of one resolver dataset — the mergeable
     /// tally behind Table 3.
-    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct ResolverClassCounts {
         /// Elements observed.
         pub n: u64,
@@ -110,7 +109,7 @@ impl Tally for ResolverClassCounts {
 telemetry::counters! {
     /// Per-shard classification counts of one domain dataset — the mergeable
     /// tally behind Table 4.
-    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct DomainClassCounts {
         /// Elements observed.
         pub n: u64,

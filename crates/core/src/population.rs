@@ -15,10 +15,9 @@
 use crate::campaign::{self, CampaignConfig};
 use dns::profiles::ResolverImplementation;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Security-relevant properties of one recursive resolver back-end.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolverProfile {
     /// Length of the BGP announcement covering the resolver's address.
     pub announced_prefix_len: u8,
@@ -37,7 +36,7 @@ pub struct ResolverProfile {
 }
 
 /// Security-relevant properties of one domain (represented by its nameservers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainProfile {
     /// Length of the BGP announcement covering the (majority of) nameservers.
     pub announced_prefix_len: u8,
@@ -58,7 +57,7 @@ pub struct DomainProfile {
 }
 
 /// A named dataset specification with calibrated property probabilities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Dataset name as it appears in the paper's table.
     pub name: &'static str,

@@ -51,13 +51,12 @@ use attacks::prelude::*;
 use bgp::prelude::*;
 use dns::prelude::*;
 use netsim::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 /// The unified application-layer verdict produced by an [`ExploitStage`]:
 /// what the application actually did with the (possibly poisoned) answer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExploitVerdict {
     /// SPF/DMARC evaluation at a receiving mail server.
     Spf(SpfVerdict),
@@ -82,7 +81,7 @@ pub enum ExploitVerdict {
 }
 
 /// The CA's decision on the attacker's certificate order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CertIssuance {
     /// Domain validation passed and the certificate was issued — the
     /// attacker now holds a fraudulent certificate for the victim's domain.
@@ -344,7 +343,7 @@ pub enum AttackPhase {
 
 /// The composed outcome of one scenario run: the poisoning stage's
 /// [`AttackReport`] plus the application verdicts observed before and after.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioOutcome {
     /// Defences that were in place.
     pub defences: Vec<Defence>,

@@ -13,14 +13,13 @@
 use crate::name::DomainName;
 use crate::rdata::{RData, RecordType, ResourceRecord};
 use netsim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 /// How a resolver caches and reuses the contents of `ANY` responses
 /// (Table 5 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnyCachingPolicy {
     /// The records from an `ANY` response are cached and used to answer
     /// subsequent specific queries without re-querying (BIND 9.14,
@@ -35,7 +34,7 @@ pub enum AnyCachingPolicy {
 }
 
 /// One cached record set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntry {
     /// The cached records.
     pub records: Vec<ResourceRecord>,

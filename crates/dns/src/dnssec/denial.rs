@@ -10,12 +10,11 @@ use super::keyed_hash;
 use super::sign::canonical_cmp;
 use crate::name::DomainName;
 use crate::rdata::{RData, RecordType, ResourceRecord};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// NSEC3 hashing parameters (RFC 5155 §5), shared by the NSEC3PARAM-style
 /// zone configuration and every NSEC3 record the zone emits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Nsec3Params {
     /// Salt mixed into each hash iteration.
     pub salt: Vec<u8>,

@@ -6,7 +6,6 @@ use crate::name::DomainName;
 use crate::rdata::RData;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
-use serde::{Deserialize, Serialize};
 
 /// The private algorithm number the simulation signs with (PRIVATEDNS).
 pub const SIM_ALGORITHM: u8 = 253;
@@ -23,7 +22,7 @@ pub const KSK_FLAGS: u16 = 257;
 /// One signing keypair. The "public key" bytes double as the keyed-hash MAC
 /// key (see the module docs on the crypto stand-in), so holding a `KeyPair`
 /// is what grants the ability to sign.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyPair {
     /// DNSKEY flags: [`ZSK_FLAGS`] or [`KSK_FLAGS`].
     pub flags: u16,
@@ -91,7 +90,7 @@ pub fn ds_digest(owner: &DomainName, dnskey: &RData) -> Vec<u8> {
 
 /// A resolver-side trust anchor: the DS a validating resolver holds for a
 /// zone, against which the zone's KSK must verify.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DsAnchor {
     /// Key tag of the anchored KSK.
     pub key_tag: u16,
@@ -117,7 +116,7 @@ impl DsAnchor {
 }
 
 /// Lifecycle state of a ZSK in the RFC 6781 rollover timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RolloverState {
     /// Published in the DNSKEY RRset ahead of use, so caches warm up.
     PrePublish,
@@ -130,7 +129,7 @@ pub enum RolloverState {
 /// The zone's key inventory: one KSK and a ZSK timeline. Successor keys are
 /// derived from the same seed with an incrementing index, so the whole
 /// rollover history is a pure function of the seed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyManager {
     seed: u64,
     next_index: u32,

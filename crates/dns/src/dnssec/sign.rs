@@ -36,11 +36,10 @@ use super::{keyed_hash, sim_secs};
 use crate::name::{cmp_label_seqs, DomainName};
 use crate::rdata::{RData, RecordType, ResourceRecord};
 use netsim::prelude::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// How the zone proves nonexistence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DenialConfig {
     /// Plain NSEC: a chain over the real owner names in canonical order.
     /// Walkable — the chain enumerates the zone.
@@ -51,7 +50,7 @@ pub enum DenialConfig {
 }
 
 /// Operational signing parameters, the policy half of the pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SigningPolicy {
     /// How long signatures stay valid after inception.
     pub validity: Duration,

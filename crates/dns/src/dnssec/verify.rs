@@ -12,11 +12,10 @@ use super::keys::{key_tag_of, DsAnchor};
 use super::sign::compute_signature;
 use crate::name::DomainName;
 use crate::rdata::{RData, RecordType, ResourceRecord};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The RFC 4033 validation states the simulation distinguishes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Validation {
     /// Every RRset verified up to the trust anchor.
     Secure,

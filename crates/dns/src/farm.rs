@@ -26,7 +26,6 @@ use netsim::engine::{NodeId, StubCtx, StubHandler, StubId, StubTimer};
 use netsim::prelude::{Ipv4Addr, Simulator, UdpDatagram};
 use netsim::time::{Duration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The authoritative nameserver for the synthetic load zone.
 pub const FARM_NAMESERVER: Ipv4Addr = Ipv4Addr::new(123, 0, 1, 53);
@@ -39,7 +38,7 @@ pub const FARM_CLIENT_BASE: Ipv4Addr = Ipv4Addr::new(100, 64, 0, 0);
 pub const TIMER_NEXT_QUERY: u8 = 1;
 
 /// Configuration of one farm simulation (one shard of the big population).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FarmConfig {
     /// Simulator seed.
     pub seed: u64,
@@ -89,7 +88,7 @@ telemetry::counters! {
     /// here is a pure function of the seed (wall-clock timing deliberately lives
     /// outside, in the bench harness), so equality across worker counts is the
     /// determinism contract. Exported under `dns.farm.*`.
-    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct FarmStats {
         /// Stub clients simulated.
         pub clients: u64 => "clients",

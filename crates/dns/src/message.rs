@@ -9,11 +9,10 @@
 use crate::name::{CompressionTable, DomainName, NameError};
 use crate::rdata::{RData, RecordType, ResourceRecord};
 use netsim::udp::UDP_HEADER_LEN;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// DNS response codes (subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rcode {
     /// No error.
     NoError,
@@ -55,7 +54,7 @@ impl Rcode {
 }
 
 /// The DNS message header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
     /// Transaction identifier — 16 bits of the 32-bit challenge space.
     pub id: u16,
@@ -207,7 +206,7 @@ impl TcpFrameBuffer {
 }
 
 /// A question section entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Question {
     /// Queried name (case carries 0x20 entropy).
     pub name: DomainName,
@@ -216,7 +215,7 @@ pub struct Question {
 }
 
 /// A full DNS message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Header.
     pub header: Header,

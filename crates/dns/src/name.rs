@@ -9,7 +9,6 @@
 //! section travels in the first, genuine fragment.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -52,7 +51,7 @@ fn is_label_byte(b: u8) -> bool {
 ///
 /// Case is preserved (for 0x20 encoding) but comparisons and hashing are
 /// case-insensitive, as required by RFC 1035 / RFC 4343.
-#[derive(Clone, Eq, Serialize, Deserialize)]
+#[derive(Clone, Eq)]
 pub struct DomainName {
     wire: Vec<u8>,
 }

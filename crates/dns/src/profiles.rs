@@ -8,10 +8,9 @@
 //! in the measurement campaigns (default EDNS buffer size, 0x20 usage).
 
 use crate::cache::AnyCachingPolicy;
-use serde::{Deserialize, Serialize};
 
 /// The resolver implementations evaluated in Table 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResolverImplementation {
     /// ISC BIND 9.14.0.
     Bind9_14,
@@ -85,13 +84,6 @@ impl ResolverImplementation {
             ResolverImplementation::SystemdResolved245 => 512,
             ResolverImplementation::Dnsmasq2_79 => 4096,
         }
-    }
-
-    /// Whether the implementation applies 0x20 case randomisation by default.
-    pub fn uses_0x20_by_default(&self) -> bool {
-        // None of the five shipped with 0x20 on by default at the studied
-        // versions; it is an opt-in countermeasure evaluated in Section 6.
-        false
     }
 }
 

@@ -10,12 +10,11 @@
 //! response sizes past the fragmentation threshold.
 
 use crate::name::{CompressionTable, DomainName, NameError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// DNS record/query types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordType {
     /// IPv4 address record.
     A,
@@ -116,7 +115,7 @@ impl fmt::Display for RecordType {
 }
 
 /// Record data, one variant per supported type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RData {
     /// IPv4 address.
     A(Ipv4Addr),
@@ -666,7 +665,7 @@ fn decode_type_bitmap(bytes: &[u8]) -> Result<Vec<RecordType>, NameError> {
 }
 
 /// A resource record: owner name, class/TTL and typed data.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceRecord {
     /// Owner name.
     pub name: DomainName,

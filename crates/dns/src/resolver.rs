@@ -328,11 +328,6 @@ impl Resolver {
         self.cache.borrow_mut()
     }
 
-    /// The shareable cache handle (clone it into sibling frontends).
-    pub fn shared_cache(&self) -> SharedCache {
-        self.cache.clone()
-    }
-
     /// Exports this resolver's deterministic counters into a telemetry
     /// snapshot: `dns.resolver.*` (see [`ResolverStats::export_metrics`])
     /// plus the cache's `dns.cache.*` hit/miss/expired/insertion counters.

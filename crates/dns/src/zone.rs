@@ -14,7 +14,6 @@ use crate::dnssec::sign::{DenialConfig, Signer, SigningPolicy};
 use crate::name::DomainName;
 use crate::rdata::{RData, RecordType, ResourceRecord};
 use netsim::prelude::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -33,7 +32,7 @@ pub enum LookupResult {
 
 /// The signing state of a signed zone: its key inventory, policy, and the
 /// simulated time of the last pipeline pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZoneSigning {
     /// KSK/ZSK inventory, including any in-flight rollover.
     pub keys: KeyManager,
@@ -44,7 +43,7 @@ pub struct ZoneSigning {
 }
 
 /// An authoritative zone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zone {
     /// The zone origin (apex).
     pub origin: DomainName,

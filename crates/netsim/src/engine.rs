@@ -468,8 +468,6 @@ pub struct Simulator {
     addr_map: FastHashMap<Ipv4Addr, NodeId>,
     route_overrides: Vec<(Prefix, NodeId)>,
     links: FastHashMap<(NodeId, NodeId), Link>,
-    default_link: Link,
-    stub_link: Link,
     stub_blocks: Vec<StubBlock>,
     stubs: Vec<StubState>,
     stub_handler: Option<Box<dyn StubHandler>>,
@@ -502,8 +500,6 @@ impl Simulator {
             addr_map: FastHashMap::default(),
             route_overrides: Vec::new(),
             links: FastHashMap::default(),
-            default_link: Link::default(),
-            stub_link: Link::default(),
             stub_blocks: Vec::new(),
             stubs: Vec::new(),
             stub_handler: None,
@@ -567,8 +563,9 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics when the range wraps the IPv4 address space, overlaps an
-    /// existing stub block, or contains an address already owned by a node.
+    /// Panics when the block is empty, the range wraps the IPv4 address
+    /// space, overlaps an existing stub block, or contains an address already
+    /// owned by a node.
     pub fn add_stub_block(&mut self, name: &str, base: Ipv4Addr, count: u32) -> StubId {
         assert!(count > 0, "stub block {name:?} must hold at least one client");
         let base_u = u32::from(base);
@@ -606,11 +603,6 @@ impl Simulator {
     /// Installs the behaviour shared by every stub client.
     pub fn set_stub_handler(&mut self, handler: impl StubHandler) {
         self.stub_handler = Some(Box::new(handler));
-    }
-
-    /// Sets the link parameters used for all traffic to or from stub clients.
-    pub fn set_stub_link(&mut self, link: Link) {
-        self.stub_link = link;
     }
 
     /// Number of stub clients across all blocks.
@@ -656,11 +648,6 @@ impl Simulator {
         self.nodes[id.0].egress_filtering = enabled;
     }
 
-    /// Sets the default link used between nodes with no explicit link.
-    pub fn set_default_link(&mut self, link: Link) {
-        self.default_link = link;
-    }
-
     /// Installs a (bidirectional) link between two nodes.
     pub fn connect(&mut self, a: NodeId, b: NodeId, link: Link) {
         self.links.insert((a, b), link);
@@ -684,11 +671,6 @@ impl Simulator {
     /// Removes all route overrides covering the given prefix exactly.
     pub fn clear_route_override(&mut self, prefix: Prefix) {
         self.route_overrides.retain(|(p, _)| *p != prefix);
-    }
-
-    /// Removes every route override (hijack withdrawn).
-    pub fn clear_all_route_overrides(&mut self) {
-        self.route_overrides.clear();
     }
 
     /// Current simulated time.
@@ -801,12 +783,6 @@ impl Simulator {
         self.push_event(time, EventKind::Timer { node, token });
     }
 
-    /// Schedules a typed timer for a stub client, from outside the handler.
-    pub fn schedule_stub_timer(&mut self, stub: StubId, delay: Duration, timer: StubTimer) {
-        let time = self.now + delay;
-        self.push_event(time, EventKind::StubTimer { stub, timer });
-    }
-
     /// Injects a packet as if `from` had sent it right now.
     pub fn inject(&mut self, from: NodeId, pkt: Ipv4Packet) {
         self.dispatch(from, pkt);
@@ -851,9 +827,7 @@ impl Simulator {
             }
             return;
         };
-        for _ in 0..count {
-            self.nodes[from.0].stats.record_sent(shape.protocol, shape.wire_len);
-        }
+        self.nodes[from.0].stats.record_sent(shape.protocol, shape.wire_len, u64::from(count));
         let seq = self.seq;
         self.seq += u64::from(count);
         self.train_backlog += count as usize - 1;
@@ -897,7 +871,7 @@ impl Simulator {
         let protocol = pkt.header.protocol;
         match from {
             Origin::Node(id) => {
-                self.nodes[id.0].stats.record_sent(protocol, wire_len);
+                self.nodes[id.0].stats.record_sent(protocol, wire_len, 1);
                 // Egress filtering of spoofed sources (BCP 38).
                 if self.nodes[id.0].egress_filtering && !self.nodes[id.0].addrs.contains(&pkt.header.src) {
                     self.nodes[id.0].stats.spoofed_filtered += 1;
@@ -912,7 +886,7 @@ impl Simulator {
             }
             Origin::Stub(id) => {
                 let b = self.block_of_stub(id);
-                self.stub_blocks[b].stats.record_sent(protocol, wire_len);
+                self.stub_blocks[b].stats.record_sent(protocol, wire_len, 1);
                 self.stubs[id.0 as usize].sent += 1;
             }
             Origin::Router => {}
@@ -1026,12 +1000,12 @@ impl Simulator {
     }
 
     /// The link governing a flow. Node-to-node flows use the configured link
-    /// table; any flow touching a stub client uses the stub link.
+    /// table; any other flow, and a node pair with no link installed, uses
+    /// [`Link::default`].
     fn link_between(&self, from: Origin, to: HostRef) -> Link {
         match (from, to) {
-            (Origin::Node(a), HostRef::Node(b)) => *self.links.get(&(a, b)).unwrap_or(&self.default_link),
-            (Origin::Router, HostRef::Node(_)) => self.default_link,
-            _ => self.stub_link,
+            (Origin::Node(a), HostRef::Node(b)) => self.links.get(&(a, b)).copied().unwrap_or_default(),
+            _ => Link::default(),
         }
     }
 
@@ -1115,7 +1089,7 @@ impl Simulator {
         self.count_delivered(from, 1);
         match to {
             HostRef::Node(id) => {
-                self.nodes[id.0].stats.record_received(pkt.header.protocol, pkt.wire_len());
+                self.nodes[id.0].stats.record_received(pkt.header.protocol, pkt.wire_len(), 1);
                 if self.trace.enabled {
                     let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
                     let to_name = self.nodes[id.0].name.clone();
@@ -1125,7 +1099,7 @@ impl Simulator {
             }
             HostRef::Stub(id) => {
                 let b = self.block_of_stub(id);
-                self.stub_blocks[b].stats.record_received(pkt.header.protocol, pkt.wire_len());
+                self.stub_blocks[b].stats.record_received(pkt.header.protocol, pkt.wire_len(), 1);
                 self.stubs[id.0 as usize].received += 1;
                 if self.trace.enabled {
                     let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
@@ -1200,7 +1174,7 @@ impl Simulator {
                     }
                     n
                 });
-                self.nodes[id.0].stats.record_received_n(train.shape.protocol, train.shape.wire_len, u64::from(n));
+                self.nodes[id.0].stats.record_received(train.shape.protocol, train.shape.wire_len, u64::from(n));
                 self.count_delivered(train.from, u64::from(n));
                 n
             }

@@ -19,7 +19,6 @@
 
 use crate::ipv4::{Ipv4Header, Ipv4Packet, IPV4_HEADER_LEN};
 use crate::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -55,7 +54,7 @@ pub fn fragment_packet(pkt: &Ipv4Packet, mtu: u16) -> Vec<Ipv4Packet> {
 
 /// How the reassembler treats a fragment that overlaps data already held for
 /// the same datagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverlapPolicy {
     /// Keep the bytes that arrived first (classic permissive behaviour; this
     /// is what lets a pre-planted spoofed fragment win against the genuine
@@ -67,7 +66,7 @@ pub enum OverlapPolicy {
 }
 
 /// Configuration of a [`ReassemblyBuffer`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReassemblyConfig {
     /// Maximum number of datagrams concurrently pending reassembly.
     pub max_pending: usize,
@@ -102,7 +101,7 @@ pub enum ReassemblyResult {
 }
 
 /// Why a fragment was dropped by the reassembler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// The pending-datagram table is full.
     BufferFull,

@@ -13,12 +13,11 @@
 
 use crate::checksum;
 use crate::ipv4::{Ipv4Header, Ipv4Packet, Protocol, IPV4_HEADER_LEN};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Destination-unreachable sub-codes relevant to the attacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Unreachable {
     /// Code 0: network unreachable.
     Network,
@@ -45,7 +44,7 @@ impl Unreachable {
 }
 
 /// A decoded ICMP message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IcmpMessage {
     /// Echo request (type 8).
     EchoRequest {

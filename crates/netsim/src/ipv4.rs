@@ -8,7 +8,6 @@
 
 use crate::checksum;
 use crate::trace::PacketSummary;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -24,7 +23,7 @@ pub const MIN_IPV4_MTU: u16 = 68;
 pub const DEFAULT_MTU: u16 = 1500;
 
 /// IP protocol numbers used by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// ICMP (protocol number 1).
     Icmp,
@@ -70,7 +69,7 @@ impl fmt::Display for Protocol {
 }
 
 /// A decoded IPv4 header (without options).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// The identification field shared by all fragments of a datagram.
     pub identification: u16,
@@ -186,7 +185,7 @@ impl Ipv4Header {
 }
 
 /// A full IPv4 packet: header plus upper-layer payload bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ipv4Packet {
     /// The IPv4 header.
     pub header: Ipv4Header,

@@ -8,10 +8,9 @@
 
 use crate::ipv4::DEFAULT_MTU;
 use crate::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Properties of a directed or undirected link between two nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// One-way propagation delay.
     pub latency: Duration,

@@ -12,12 +12,11 @@
 
 use crate::ipv4::{DEFAULT_MTU, MIN_IPV4_MTU};
 use crate::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Per-destination path MTU cache.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PathMtuCache {
     /// MTU assumed when no entry exists.
     pub default_mtu: u16,

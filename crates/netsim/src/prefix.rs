@@ -10,13 +10,12 @@
 //! considered *sub-prefix hijackable* exactly when its covering announcement
 //! is shorter than /24 (Section 5.1.2).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 /// An IPv4 CIDR prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Prefix {
     /// Network address (host bits are zeroed by the constructor).
     pub addr: Ipv4Addr,

@@ -13,10 +13,9 @@
 //! the measurement campaigns can mix vulnerable and patched resolvers.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A classic token bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TokenBucket {
     capacity: u32,
     tokens: f64,
@@ -59,7 +58,7 @@ impl TokenBucket {
 }
 
 /// How a host limits the ICMP error messages it originates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IcmpRateLimitPolicy {
     /// A single bucket shared by all destinations (Linux default prior to the
     /// SadDNS patches) — **vulnerable** to the side channel.

@@ -23,7 +23,6 @@ use crate::tcp::{rst_reply, TcpSegment, TCP_HEADER_LEN};
 use crate::time::SimTime;
 use crate::udp::UdpDatagram;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
 use std::net::Ipv4Addr;
@@ -39,7 +38,7 @@ type PortSet = HashSet<u16, BuildHasherDefault<FastHasher>>;
 /// extrapolates — median hit rate ≈ 20 %), **per-destination** counters
 /// (predictable only with an on-path vantage) and **random** IPIDs
 /// (hit rate ≈ 1/1024 with a 64-entry defragmentation cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IpIdPolicy {
     /// One counter shared by all destinations, incremented per packet.
     GlobalCounter,
@@ -311,12 +310,6 @@ impl HostStack {
         let dst = seg.dst;
         let ipid = self.next_ipid(dst, rng);
         seg.into_packet(ipid, self.config.ttl)
-    }
-
-    /// Builds an ICMP echo request towards `dst`.
-    pub fn send_ping<R: Rng>(&mut self, src: Ipv4Addr, dst: Ipv4Addr, id: u16, seq: u16, rng: &mut R) -> Ipv4Packet {
-        let ipid = self.next_ipid(dst, rng);
-        IcmpMessage::EchoRequest { id, seq, payload: vec![] }.into_packet(src, dst, ipid, self.config.ttl)
     }
 
     /// Feeds one received IPv4 packet through the stack: reply packets (ICMP

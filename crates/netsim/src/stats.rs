@@ -8,11 +8,10 @@
 
 use crate::ipv4::Protocol;
 use crate::transport::FlowStats;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Counters kept per simulated node.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Packets handed to the network by this node.
     pub packets_sent: u64,
@@ -54,26 +53,22 @@ pub struct TrafficStats {
 }
 
 impl TrafficStats {
-    /// Records a sent packet of the given protocol and wire length.
-    pub fn record_sent(&mut self, protocol: Protocol, wire_len: usize) {
-        self.packets_sent += 1;
-        self.bytes_sent += wire_len as u64;
+    /// Records `n` sent packets of the same protocol and wire length, exactly
+    /// as `n` calls with `n = 1` would.
+    pub fn record_sent(&mut self, protocol: Protocol, wire_len: usize, n: u64) {
+        self.packets_sent += n;
+        self.bytes_sent += wire_len as u64 * n;
         match protocol {
-            Protocol::Udp => self.udp_sent += 1,
-            Protocol::Tcp => self.tcp_sent += 1,
-            Protocol::Icmp => self.icmp_sent += 1,
+            Protocol::Udp => self.udp_sent += n,
+            Protocol::Tcp => self.tcp_sent += n,
+            Protocol::Icmp => self.icmp_sent += n,
             _ => {}
         }
     }
 
-    /// Records a received packet of the given protocol and wire length.
-    pub fn record_received(&mut self, protocol: Protocol, wire_len: usize) {
-        self.record_received_n(protocol, wire_len, 1);
-    }
-
     /// Records `n` received packets of the same protocol and wire length,
-    /// exactly as `n` [`record_received`](Self::record_received) calls would.
-    pub fn record_received_n(&mut self, protocol: Protocol, wire_len: usize, n: u64) {
+    /// exactly as `n` calls with `n = 1` would.
+    pub fn record_received(&mut self, protocol: Protocol, wire_len: usize, n: u64) {
         self.packets_received += n;
         self.bytes_received += wire_len as u64 * n;
         match protocol {
@@ -93,7 +88,7 @@ impl TrafficStats {
     /// ```
     /// use netsim::prelude::*;
     /// let mut stats = TrafficStats::default();
-    /// stats.record_sent(netsim::ipv4::Protocol::Tcp, 60);
+    /// stats.record_sent(netsim::ipv4::Protocol::Tcp, 60, 1);
     /// let flow = FlowStats {
     ///     protocol: netsim::ipv4::Protocol::Tcp,
     ///     local: Endpoint::new("30.0.0.1".parse().unwrap(), 49152),
@@ -154,9 +149,9 @@ mod tests {
     #[test]
     fn records_by_protocol() {
         let mut s = TrafficStats::default();
-        s.record_sent(Protocol::Udp, 100);
-        s.record_sent(Protocol::Icmp, 60);
-        s.record_received(Protocol::Udp, 500);
+        s.record_sent(Protocol::Udp, 100, 1);
+        s.record_sent(Protocol::Icmp, 60, 1);
+        s.record_received(Protocol::Udp, 500, 1);
         assert_eq!(s.packets_sent, 2);
         assert_eq!(s.bytes_sent, 160);
         assert_eq!(s.udp_sent, 1);
@@ -167,15 +162,19 @@ mod tests {
     }
 
     #[test]
-    fn bulk_receipt_equals_single_receipts() {
+    fn bulk_records_equal_single_records() {
         for protocol in [Protocol::Udp, Protocol::Tcp, Protocol::Icmp, Protocol::Other(89)] {
             for n in [0, 1, 7, 65_536] {
                 let (mut bulk, mut single) = (TrafficStats::default(), TrafficStats::default());
-                bulk.record_received(Protocol::Udp, 40);
-                single.record_received(Protocol::Udp, 40);
-                bulk.record_received_n(protocol, 93, n);
+                for s in [&mut bulk, &mut single] {
+                    s.record_sent(Protocol::Udp, 40, 1);
+                    s.record_received(Protocol::Udp, 40, 1);
+                }
+                bulk.record_sent(protocol, 71, n);
+                bulk.record_received(protocol, 93, n);
                 for _ in 0..n {
-                    single.record_received(protocol, 93);
+                    single.record_sent(protocol, 71, 1);
+                    single.record_received(protocol, 93, 1);
                 }
                 assert_eq!(bulk, single, "{n} x {protocol:?}");
             }
@@ -185,8 +184,8 @@ mod tests {
     #[test]
     fn tcp_counted_in_its_own_column() {
         let mut s = TrafficStats::default();
-        s.record_sent(Protocol::Tcp, 40);
-        s.record_received(Protocol::Tcp, 52);
+        s.record_sent(Protocol::Tcp, 40, 1);
+        s.record_received(Protocol::Tcp, 52, 1);
         assert_eq!(s.packets_sent, 1);
         assert_eq!(s.tcp_sent, 1);
         assert_eq!(s.tcp_received, 1);
@@ -198,8 +197,8 @@ mod tests {
     fn render_includes_totals_and_per_flow_lines() {
         use crate::transport::Endpoint;
         let mut s = TrafficStats::default();
-        s.record_sent(Protocol::Tcp, 60);
-        s.record_received(Protocol::Tcp, 52);
+        s.record_sent(Protocol::Tcp, 60, 1);
+        s.record_received(Protocol::Tcp, 52, 1);
         s.spoofed_filtered = 2;
         let flows = vec![
             FlowStats {
@@ -231,7 +230,7 @@ mod tests {
     #[test]
     fn render_without_flows_or_drops_is_one_line() {
         let mut s = TrafficStats::default();
-        s.record_sent(Protocol::Udp, 90);
+        s.record_sent(Protocol::Udp, 90, 1);
         let text = s.render("client", &[]);
         assert_eq!(text.lines().count(), 1);
         assert!(text.contains("udp 1"));
@@ -240,7 +239,7 @@ mod tests {
     #[test]
     fn render_breaks_down_verdicts() {
         let mut s = TrafficStats::default();
-        s.record_sent(Protocol::Udp, 90);
+        s.record_sent(Protocol::Udp, 90, 1);
         s.delivered = 4;
         s.link_loss = 2;
         s.mtu_exceeded = 1;
@@ -252,7 +251,7 @@ mod tests {
     #[test]
     fn other_protocols_counted_only_in_totals() {
         let mut s = TrafficStats::default();
-        s.record_sent(Protocol::Other(89), 40);
+        s.record_sent(Protocol::Other(89), 40, 1);
         assert_eq!(s.packets_sent, 1);
         assert_eq!(s.udp_sent, 0);
         assert_eq!(s.tcp_sent, 0);

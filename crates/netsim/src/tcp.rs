@@ -30,7 +30,6 @@ use crate::ipv4::{Ipv4Header, Ipv4Packet, Protocol};
 use crate::pool;
 use crate::transport::{Endpoint, FlowStats, SocketEvent, StackIo};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -39,7 +38,7 @@ use std::net::Ipv4Addr;
 pub const TCP_HEADER_LEN: usize = 20;
 
 /// The decoded TCP flag bits this workspace models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpFlags {
     /// No more data from sender (teardown).
     pub fin: bool,
@@ -107,7 +106,7 @@ impl fmt::Display for TcpFlags {
 
 /// A full TCP segment together with the IPv4 addresses needed for the
 /// pseudo-header checksum.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpSegment {
     /// IPv4 source address.
     pub src: Ipv4Addr,
@@ -318,7 +317,7 @@ impl std::error::Error for TcpError {}
 /// Connection states of the RFC 793 state machine (LISTEN is a property of
 /// the [`TcpSocket`]; TIME_WAIT collapses straight to closed because the
 /// simulated network cannot deliver old duplicates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
     /// SYN sent, waiting for SYN|ACK.
     SynSent,
@@ -381,7 +380,7 @@ pub struct TcpReaction {
 }
 
 /// One TCP connection's deterministic state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpConnection {
     /// Local endpoint (for hosts answering hijacked traffic this may be an
     /// address the host does not own — source spoofing at the stream layer).

@@ -5,12 +5,11 @@
 //! newtype keeps wall-clock time (`std::time`) out of the simulation so that
 //! experiments are fully deterministic and can be run faster than real time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A span of simulated time, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Duration {
@@ -101,7 +100,7 @@ impl fmt::Display for Duration {
 }
 
 /// An instant on the simulated clock (nanoseconds since experiment start).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -71,12 +71,11 @@ use crate::tcp::TcpSegment;
 use crate::time::SimTime;
 use crate::udp::UdpDatagram;
 use rand_chacha::ChaCha20Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// A transport endpoint: an IPv4 address and a port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Endpoint {
     /// IPv4 address.
     pub addr: Ipv4Addr,

@@ -9,7 +9,6 @@
 use crate::checksum::{self, Checksum};
 use crate::ipv4::{Ipv4Header, Ipv4Packet, Protocol};
 use crate::pool;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -17,7 +16,7 @@ use std::net::Ipv4Addr;
 pub const UDP_HEADER_LEN: usize = 8;
 
 /// A decoded UDP header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpHeader {
     /// Source port (the resolver's randomised ephemeral port for queries).
     pub src_port: u16,
@@ -56,7 +55,7 @@ impl UdpHeader {
 
 /// A full UDP datagram together with the IPv4 addresses needed for the
 /// pseudo-header checksum.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UdpDatagram {
     /// IPv4 source address.
     pub src: Ipv4Addr,

@@ -72,6 +72,9 @@ fn parse_args() -> Args {
             other => usage_error(&format!("unknown flag {other}")),
         }
     }
+    if args.cfg.shards > args.cfg.hosts {
+        usage_error(&format!("--shards {} exceeds --hosts {}: a shard needs a host", args.cfg.shards, args.cfg.hosts));
+    }
     args
 }
 
