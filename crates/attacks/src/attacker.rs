@@ -192,7 +192,7 @@ impl AttackerNode {
 }
 
 impl Node for AttackerNode {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
         let now = ctx.now();
         self.raw_observed.push((now, pkt.clone()));
         // Packets not addressed to the attacker only ever reach it because a
@@ -201,16 +201,15 @@ impl Node for AttackerNode {
         // traffic — and, when impersonation is on, terminate hijacked TCP
         // connections as the host the victim dialled.
         if !self.stack.owns(pkt.header.dst) {
-            if let Ok(dgram) = UdpDatagram::from_packet(&pkt) {
+            if let Ok(dgram) = UdpDatagram::from_packet(pkt) {
                 self.udp_observed.push(ObservedUdp {
                     at: now,
                     ip_identification: pkt.header.identification,
                     datagram: dgram,
                 });
             } else if pkt.header.protocol == Protocol::Tcp && self.answer_dns_queries {
-                self.handle_hijacked_tcp(&pkt, ctx);
+                self.handle_hijacked_tcp(pkt, ctx);
             }
-            netsim::pool::give(pkt.payload);
             return;
         }
         let (dst, ip_identification) = (pkt.header.dst, pkt.header.identification);
@@ -227,7 +226,7 @@ impl Node for AttackerNode {
         match event {
             Some(StackEvent::Udp(dgram)) => {
                 if self.answer_dns_queries && dgram.dst_port == 53 {
-                    if let Ok(query) = Message::decode(&dgram.payload) {
+                    if let Ok(query) = Message::decode(dgram.payload) {
                         if !query.header.is_response {
                             if let Some(q) = query.question().cloned() {
                                 let mut resp = Message::response_for(&query);
@@ -239,7 +238,7 @@ impl Node for AttackerNode {
                         }
                     }
                 }
-                self.udp_observed.push(ObservedUdp { at: now, ip_identification, datagram: dgram });
+                self.udp_observed.push(ObservedUdp { at: now, ip_identification, datagram: dgram.to_datagram() });
             }
             Some(StackEvent::IcmpError { from, kind, quoted_ports, .. }) => {
                 self.icmp_observed.push(ObservedIcmp { at: now, from, kind, quoted_ports });

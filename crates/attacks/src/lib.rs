@@ -11,7 +11,7 @@
 //!   defragmentation cache, with exact UDP-checksum compensation ([`craft`]);
 //! * [`attacker`] — the off-path attacker host model (spoofing, recording,
 //!   optional impersonation);
-//! * [`env`] — the standard victim environment (resolver, nameserver,
+//! * [`env`](mod@env) — the standard victim environment (resolver, nameserver,
 //!   client, attacker) mirroring the paper's experimental setup;
 //! * [`outcome`] — attack reports and the accounting behind Table 6.
 //!

@@ -18,15 +18,18 @@
 //! 4. **brute-force the TXID** — with the port known, spray spoofed responses
 //!    for all 2¹⁶ transaction IDs.
 //!
-//! All three floods are packet trains ([`Simulator::inject_train`]) copied
+//! All three floods are packet trains ([`Simulator::inject_train`]) written
 //! from one [`UdpTemplate`] each: the mute queries are one train per run of
 //! equal wire length (`mute0`…`mute9`, `mute10`…`mute99`, …) with the TXID
 //! and the label digits patched, a scan batch is one train with the
 //! destination port patched, and the spray is one train with the TXID
-//! patched. Every packet is still built in full and checksummed (the
-//! template updates the UDP checksum incrementally), and the trains reserve
-//! the seqs the single injections would have, so the delivery order and
-//! every outcome are those of packet-by-packet injection.
+//! patched. A train keeps one buffer from its first packet to its last: the
+//! engine writes each packet into it with [`UdpTemplate::write`] and lends
+//! it to the receiver, whose stack verifies the UDP checksum (the template
+//! updates it incrementally) and hands the resolver a view of the bytes in
+//! place. The trains reserve the seqs the single injections would have, so
+//! the delivery order and every outcome are those of packet-by-packet
+//! injection.
 
 use crate::env::{QueryTrigger, VictimEnv};
 use crate::outcome::{AttackReport, FailureReason, PoisonMethod};
@@ -125,18 +128,18 @@ fn mute_runs(count: u32) -> impl Iterator<Item = (u32, u32)> {
 }
 
 /// Mute queries `start..end` (one run of [`mute_runs`]) as a train: packet
-/// `k` is query `start + k`, copied from the run's template with its TXID,
+/// `k` is query `start + k`, written from the run's template with its TXID,
 /// its label digits and its IP ID patched.
 fn mute_train(
     cfg: &SadDnsConfig,
     resolver: Ipv4Addr,
     nameserver: Ipv4Addr,
     start: u32,
-) -> impl FnMut(u32) -> Ipv4Packet + 'static {
+) -> impl FnMut(u32, &mut Ipv4Packet) + 'static {
     let (query, labelled) = mute_query(cfg, resolver, nameserver, start);
     let template = UdpTemplate::new(query, 64);
     let width = start.checked_ilog10().map_or(1, |log| log as usize + 1);
-    move |k| {
+    move |k, pkt| {
         let i = start + k;
         let txid = (i as u16).to_be_bytes();
         let mut digits = [0u8; 10];
@@ -146,12 +149,12 @@ fn mute_train(
             rest /= 10;
         }
         let digits = if labelled { &digits[..width] } else { &[] };
-        template.packet(i as u16, &[(TXID_AT, &txid), (MUTE_DIGITS_AT, digits)])
+        template.write(pkt, i as u16, &[(TXID_AT, &txid), (MUTE_DIGITS_AT, digits)]);
     }
 }
 
-/// A batch of `batch_size` spoofed scan probes as a train, all from one
-/// template with the destination port and IP ID patched: first the
+/// A batch of `batch_size` spoofed scan probes as a train, all written from
+/// one template with the destination port and IP ID patched: first the
 /// candidate `ports` (IP IDs `1000 + k`), then pads to ports 2, 3, … that
 /// are (almost certainly) closed (IP IDs `2000 + k`), so the batch always
 /// carries exactly `batch_size` probes.
@@ -160,18 +163,18 @@ fn probe_train(
     nameserver: Ipv4Addr,
     resolver: Ipv4Addr,
     ports: &[u16],
-) -> impl FnMut(u32) -> Ipv4Packet + 'static {
+) -> impl FnMut(u32, &mut Ipv4Packet) + 'static {
     let candidates: Vec<u16> = ports.iter().take(usize::from(batch_size)).copied().collect();
     let mut zeros = netsim::pool::take(UDP_HEADER_LEN + 8);
     zeros.resize(8, 0);
     let template = UdpTemplate::new(UdpDatagram::new(nameserver, resolver, 53, 0, zeros), 64);
-    move |k| {
+    move |k, pkt| {
         let k = k as u16;
         let (port, id) = match candidates.get(usize::from(k)) {
             Some(&port) => (port, 1000 + k),
             None => (2 + k - candidates.len() as u16, 2000 + k),
         };
-        template.packet(id, &[(DST_PORT_AT, &port.to_be_bytes())])
+        template.write(pkt, id, &[(DST_PORT_AT, &port.to_be_bytes())]);
     }
 }
 
@@ -186,18 +189,18 @@ fn spray_response(cfg: &SadDnsConfig) -> Message {
 }
 
 /// The TXID spray at `port` as a train: packet `k` is the forged answer with
-/// TXID and IP ID `k`, copied from one template.
+/// TXID and IP ID `k`, written from one template.
 fn spray_train(
     cfg: &SadDnsConfig,
     nameserver: Ipv4Addr,
     resolver: Ipv4Addr,
     port: u16,
-) -> impl FnMut(u32) -> Ipv4Packet + 'static {
+) -> impl FnMut(u32, &mut Ipv4Packet) + 'static {
     let response = UdpDatagram::new(nameserver, resolver, 53, port, spray_response(cfg).encode());
     let template = UdpTemplate::new(response, 64);
-    move |k| {
+    move |k, pkt| {
         let txid = k as u16;
-        template.packet(txid, &[(TXID_AT, &txid.to_be_bytes())])
+        template.write(pkt, txid, &[(TXID_AT, &txid.to_be_bytes())]);
     }
 }
 
@@ -297,8 +300,9 @@ impl SadDnsAttack {
     fn spray_txids(&self, sim: &mut Simulator, env: &VictimEnv, port: u16) -> u64 {
         let cfg = &self.config;
         let space: u32 = if cfg.full_txid_sweep { 1 << 16 } else { 4096 };
-        // One train: each response is built from the template only when it
-        // is delivered, so the spray's working set is one packet, not 2^16.
+        // One train: each response is written from the template into the
+        // train's one buffer only when it is delivered, so the spray's
+        // working set is one packet, not 2^16.
         sim.inject_train(env.attacker, space, spray_train(cfg, env.nameserver_addr, env.resolver_addr, port));
         sim.run_for(Duration::from_millis(200));
         u64::from(space)
@@ -540,13 +544,20 @@ mod tests {
         }
     }
 
+    /// The one buffer a train's packets are written into, empty as the
+    /// engine starts it.
+    fn train_buffer() -> Ipv4Packet {
+        let header = Ipv4Header::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED, Protocol::Other(0), 0, 0, 0);
+        Ipv4Packet::new(header, Vec::new())
+    }
+
     /// Asserts that `framed` is byte-for-byte `expected` and that the UDP
-    /// parser accepts its checksum, then returns both buffers to the pool.
-    fn assert_framed_like(framed: Ipv4Packet, expected: Ipv4Packet, what: &str) {
+    /// parser accepts its checksum, then returns `expected`'s buffer to the
+    /// pool.
+    fn assert_framed_like(framed: &Ipv4Packet, expected: Ipv4Packet, what: &str) {
         assert_eq!(framed.header, expected.header, "{what}");
         assert_eq!(framed.payload, expected.payload, "{what}");
-        assert!(UdpDatagram::parse(&framed).is_ok(), "{what}: the checksum verifies");
-        netsim::pool::give(framed.payload);
+        assert!(UdpDatagram::parse(framed).is_ok(), "{what}: the checksum verifies");
         netsim::pool::give(expected.payload);
     }
 
@@ -555,10 +566,12 @@ mod tests {
     fn assert_mute_queries_framed_like_a_full_encode(cfg: &SadDnsConfig) -> Vec<(u32, u32)> {
         let runs: Vec<(u32, u32)> = mute_runs(cfg.mute_queries).collect();
         for &(start, end) in &runs {
-            let mut make = mute_train(cfg, addrs::RESOLVER, addrs::NAMESERVER, start);
+            let mut fill = mute_train(cfg, addrs::RESOLVER, addrs::NAMESERVER, start);
+            let mut pkt = train_buffer();
             for i in start..end {
+                fill(i - start, &mut pkt);
                 let (query, _) = mute_query(cfg, addrs::RESOLVER, addrs::NAMESERVER, i);
-                assert_framed_like(make(i - start), query.into_packet(i as u16, 64), &format!("mute query {i}"));
+                assert_framed_like(&pkt, query.into_packet(i as u16, 64), &format!("mute query {i}"));
             }
         }
         runs
@@ -598,13 +611,15 @@ mod tests {
         let full: Vec<u16> = (40000..40000 + batch).collect();
         let halves = [&full[..], &full[..21], &full[..1], &[]];
         for ports in halves {
-            let mut make = probe_train(batch, addrs::NAMESERVER, addrs::RESOLVER, ports);
+            let mut fill = probe_train(batch, addrs::NAMESERVER, addrs::RESOLVER, ports);
+            let mut pkt = train_buffer();
             for k in 0..batch {
+                fill(u32::from(k), &mut pkt);
                 let expected = match ports.get(usize::from(k)) {
                     Some(&port) => probe(port, 1000 + k),
                     None => probe(2 + k - ports.len() as u16, 2000 + k),
                 };
-                assert_framed_like(make(u32::from(k)), expected, &format!("probe {k} of {} candidates", ports.len()));
+                assert_framed_like(&pkt, expected, &format!("probe {k} of {} candidates", ports.len()));
             }
         }
     }
@@ -613,13 +628,15 @@ mod tests {
     fn every_spray_txid_is_framed_like_a_full_encode() {
         let cfg = attack_cfg();
         let port = 40123;
-        let mut make = spray_train(&cfg, addrs::NAMESERVER, addrs::RESOLVER, port);
+        let mut fill = spray_train(&cfg, addrs::NAMESERVER, addrs::RESOLVER, port);
+        let mut pkt = train_buffer();
         let mut msg = spray_response(&cfg);
         for txid in 0..=u16::MAX {
+            fill(u32::from(txid), &mut pkt);
             msg.header.id = txid;
             let expected =
                 UdpDatagram::new(addrs::NAMESERVER, addrs::RESOLVER, 53, port, msg.encode()).into_packet(txid, 64);
-            assert_framed_like(make(u32::from(txid)), expected, &format!("txid {txid}"));
+            assert_framed_like(&pkt, expected, &format!("txid {txid}"));
         }
     }
 

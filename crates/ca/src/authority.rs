@@ -11,9 +11,9 @@
 //! resolvers and validation hosts placed at distinct stub ASes of the `bgp`
 //! topology. The pipeline runs the challenge from every vantage, folds the
 //! results through the quorum rule and either mints a
-//! [`Certificate`](crate::acme::Certificate) or refuses the order, with the
+//! [`Certificate`] or refuses the order, with the
 //! exact packet/byte cost of validation accounted in the
-//! [`IssuanceReport`](crate::acme::IssuanceReport).
+//! [`IssuanceReport`].
 
 use crate::acme::{
     challenge_name, AcmeAccount, Certificate, ChallengeType, IssuanceOutcome, IssuanceReport, Order, RefusalReason,

@@ -4,7 +4,7 @@
 //! The exchange is the smallest thing that still exercises real transport:
 //! one request line with headers, one response with `Content-Length` and
 //! `Connection: close`, carried over the deterministic
-//! [`TcpSocket`](netsim::tcp::TcpSocket) (3-way handshake, MSS segmentation,
+//! [`TcpSocket`] (3-way handshake, MSS segmentation,
 //! FIN teardown). The same node type plays both sides of the paper's story:
 //! the **genuine** web host that serves the real account's provisioned
 //! tokens (and 404s everyone else's), and the **attacker's** host, which
@@ -350,19 +350,19 @@ impl ChallengeHost {
 }
 
 impl Node for ChallengeHost {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
         if !self.stack.owns(pkt.header.dst) {
             // Hijacked traffic only ever reaches this host through a route
             // override; a genuine host ignores it.
             if !self.impersonate {
                 return;
             }
-            if let Ok(dgram) = UdpDatagram::from_packet(&pkt) {
+            if let Ok(dgram) = UdpDatagram::from_packet(pkt) {
                 if dgram.dst_port == well_known_ports::DNS {
                     self.answer_intercepted_dns(pkt.header.dst, &dgram, ctx);
                 }
             } else if pkt.header.protocol == Protocol::Tcp {
-                self.serve_hijacked(&pkt, ctx);
+                self.serve_hijacked(pkt, ctx);
             }
             return;
         }

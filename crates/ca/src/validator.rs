@@ -228,17 +228,14 @@ impl Node for ValidatorNode {
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
         match with_io(&mut self.stack, ctx, |io| io.receive(pkt)) {
-            Some(StackEvent::Udp(dgram)) => {
-                if dgram.dst_port == well_known_ports::CA_VALIDATOR_DNS {
-                    if let Ok(msg) = Message::decode(&dgram.payload) {
-                        if msg.header.is_response {
-                            self.handle_dns_answer(&msg, ctx);
-                        }
+            Some(StackEvent::Udp(dgram)) if dgram.dst_port == well_known_ports::CA_VALIDATOR_DNS => {
+                if let Ok(msg) = Message::decode(dgram.payload) {
+                    if msg.header.is_response {
+                        self.handle_dns_answer(&msg, ctx);
                     }
                 }
-                netsim::pool::give(dgram.payload);
             }
             Some(StackEvent::Tcp(seg)) => {
                 let sock = &mut self.http_sock;

@@ -111,7 +111,7 @@ pub fn derive_seed(seed: u64, salt: u64, index: u64) -> u64 {
 /// grid's inner loop pays one `mix64` per cell instead of re-deriving the
 /// invariant prefix every time. `SeedStream::new(seed, salt).at(i)` is
 /// definitionally [`derive_seed`]`(seed, salt, i)` — both call through the
-/// same private [`stream_state`].
+/// same private `stream_state`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedStream {
     state: u64,

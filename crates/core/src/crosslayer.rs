@@ -3,7 +3,7 @@
 //! let the *application* consume the poisoned records and observe the damage.
 //!
 //! The three headline scenarios are thin instantiations of the
-//! [`Scenario`](crate::scenario::Scenario) pipeline — an
+//! [`Scenario`] pipeline — an
 //! [`ExploitStage`](crate::scenario::ExploitStage) plugged on top of an
 //! attack vector — and the functions here keep their historical signatures
 //! and byte-identical outcomes (locked by `tests/golden/crosslayer.txt`):

@@ -571,7 +571,7 @@ impl DomainBlock {
 ///
 /// Consumes the RNG stream exactly like `count` calls to [`draw_resolver`]
 /// and appends the identical field values (same draws, integer-domain
-/// comparisons — see [`bool_threshold`]).
+/// comparisons — see the private `bool_threshold`).
 pub fn fill_resolver_block<R: Rng>(spec: &DatasetSpec, rng: &mut R, count: usize, block: &mut ResolverBlock) {
     let t_hijack = bool_threshold(spec.p_subprefix_hijackable);
     let t_saddns = bool_threshold(spec.p_saddns);

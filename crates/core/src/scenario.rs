@@ -433,7 +433,7 @@ impl Scenario {
     /// The environment configuration `run` will build: the base config after
     /// the vector's `prepare_env` and every defence's `apply`. This is the
     /// seed-independent part of a run — snapshot it in an
-    /// [`EnvTemplate`](attacks::prelude::EnvTemplate) to stamp out many
+    /// [`EnvTemplate`] to stamp out many
     /// independently-seeded runs of the same cell via [`run_in`](Self::run_in).
     ///
     /// # Panics
@@ -573,7 +573,7 @@ pub const DNSSEC_GRID_SALT: u64 = 0xd5ec_5a17_9e0f_2b63;
 /// sharded campaign engine: `runs_per_cell` independently-seeded scenario
 /// runs per (methodology, defence) cell, folded into per-cell
 /// [`AttackAggregate`]s. Run `r` of cell `(m, d)` is seeded by
-/// [`derive_seed`]`(base_seed, SCENARIO_GRID_SALT ⊕ f(m, d), r)` — a pure
+/// [`derive_seed`](crate::campaign::derive_seed)`(base_seed, SCENARIO_GRID_SALT ⊕ f(m, d), r)` — a pure
 /// function of the cell coordinates and run number, **never of the grid
 /// shape** — so the matrix is byte-identical for every worker count *and*
 /// appending a defence row or methodology column reseeds nothing that

@@ -117,13 +117,11 @@ impl Node for StubClient {
         self.send_query(token as usize, ctx);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
         let now = ctx.now();
         // The stub's one open port is the only one the stack delivers to.
         let Some(StackEvent::Udp(dgram)) = with_io(&mut self.stack, ctx, |io| io.receive(pkt)) else { return };
-        let msg = Message::decode(&dgram.payload);
-        netsim::pool::give(dgram.payload);
-        let Ok(msg) = msg else { return };
+        let Ok(msg) = Message::decode(dgram.payload) else { return };
         if !msg.header.is_response {
             return;
         }

@@ -338,13 +338,10 @@ impl Nameserver {
 }
 
 impl Node for Nameserver {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
         match with_io(&mut self.stack, ctx, |io| io.receive(pkt)) {
-            Some(StackEvent::Udp(dgram)) => {
-                if dgram.dst_port == crate::well_known_ports::DNS {
-                    self.serve_udp(Endpoint::new(dgram.src, dgram.src_port), &dgram.payload, ctx);
-                }
-                netsim::pool::give(dgram.payload);
+            Some(StackEvent::Udp(dgram)) if dgram.dst_port == crate::well_known_ports::DNS => {
+                self.serve_udp(Endpoint::new(dgram.src, dgram.src_port), dgram.payload, ctx);
             }
             Some(StackEvent::Tcp(seg)) => {
                 let tcp = &mut self.tcp;
@@ -595,7 +592,7 @@ mod tests {
             with_io(&mut self.stack, ctx, |io| sock.send_to(io, Endpoint::new(NS_ADDR, 53), frame_tcp(&q.encode())));
         }
 
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
             let sock = &mut self.sock;
             let sock_events = with_io(&mut self.stack, ctx, |io| match io.receive(pkt) {
                 Some(StackEvent::Tcp(seg)) => sock.handle(io, seg),

@@ -528,10 +528,8 @@ impl Resolver {
         self.send_to_client(client, payload, ctx);
     }
 
-    fn handle_client_query(&mut self, dgram: UdpDatagram, ctx: &mut Ctx<'_>) {
-        let query = Message::decode(&dgram.payload);
-        netsim::pool::give(dgram.payload);
-        let Ok(mut query) = query else { return };
+    fn handle_client_query(&mut self, dgram: UdpView<'_>, ctx: &mut Ctx<'_>) {
+        let Ok(mut query) = Message::decode(dgram.payload) else { return };
         if query.header.is_response || query.questions.is_empty() {
             return;
         }
@@ -573,18 +571,16 @@ impl Resolver {
     }
 
     /// Validates and ingests an upstream response delivered to a UDP
-    /// ephemeral port. The datagram's buffer dies here.
-    fn handle_upstream_response(&mut self, dgram: UdpDatagram, ctx: &mut Ctx<'_>) {
-        let response = self.decode_upstream(&dgram);
-        netsim::pool::give(dgram.payload);
-        if let Some((token, response)) = response {
+    /// ephemeral port.
+    fn handle_upstream_response(&mut self, dgram: UdpView<'_>, ctx: &mut Ctx<'_>) {
+        if let Some((token, response)) = self.decode_upstream(dgram) {
             self.ingest_upstream_response(token, response, ctx);
         }
     }
 
     /// The outstanding query an upstream datagram answers, and its decoded
     /// response, unless the datagram is rejected first.
-    fn decode_upstream(&mut self, dgram: &UdpDatagram) -> Option<(u64, Message)> {
+    fn decode_upstream(&mut self, dgram: UdpView<'_>) -> Option<(u64, Message)> {
         let &token = self.port_to_token.get(&dgram.dst_port)?;
         // Fast header peek before the full parse: the TXID and QR bit sit at
         // fixed offsets, so off-path floods sweeping the TXID space (SadDNS
@@ -607,7 +603,7 @@ impl Resolver {
             }
             _ => return None, // shorter than a header: Message::decode would fail
         }
-        let response = Message::decode(&dgram.payload).ok()?;
+        let response = Message::decode(dgram.payload).ok()?;
         response.header.is_response.then_some((token, response))
     }
 
@@ -866,7 +862,7 @@ impl Resolver {
 }
 
 impl Node for Resolver {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
         match with_io(&mut self.stack, ctx, |io| io.receive(pkt)) {
             Some(StackEvent::Udp(dgram)) if dgram.dst_port == crate::well_known_ports::DNS => {
                 self.handle_client_query(dgram, ctx);

@@ -23,14 +23,23 @@
 //! timers carry a typed [`StubTimer`] token namespaced by [`StubId`] (two
 //! clients can never alias each other's retransmit timers), and delivered
 //! packet buffers are recycled through [`crate::pool`]. The event queue
-//! itself is a hierarchical [`TimeWheel`](crate::wheel::TimeWheel) keyed by
+//! itself is a hierarchical [`TimeWheel`] keyed by
 //! `(SimTime, seq)` — identical pop order to the old binary heap, `O(1)`
 //! scheduling.
+//!
+//! ## The engine owns every packet in flight
+//!
+//! A delivered packet is **lent** to its receiver: [`Node::on_packet`] gets
+//! `&mut Ipv4Packet` and [`StubHandler::on_packet`] `&Ipv4Packet`, and when
+//! the callback returns the engine gives whatever buffer is left back to the
+//! [`pool`]. No receiver gives anything back; one that wants to keep the
+//! bytes clones them or moves the buffer out.
 //!
 //! An attacker flood (SadDNS sends 2,000 spoofed mute queries, batches of 50
 //! scan probes and 2¹⁶ spoofed responses) is one [`Simulator::inject_train`]
 //! call per run of same-shape packets: a single wheel entry that stands for
-//! the whole burst and builds each packet only when it is delivered, so the
+//! the whole burst and writes each packet only when it is delivered, into
+//! **one** buffer the train keeps from its first packet to its last, so the
 //! burst's working set is one packet rather than thousands. The packets are
 //! usually copies of one [`UdpTemplate`](crate::udp::UdpTemplate).
 //!
@@ -43,20 +52,23 @@
 //! it, which every step serves before the wheel until the train is spent.
 //!
 //! [`Simulator::run`] and [`Simulator::run_until`] go further when the trace
-//! is off and the receiver is a full [`Node`]: they hand the held train's
-//! packets, one after another, to the receiver's ordinary
-//! [`Node::on_packet`] inside **one** callback context, and stop after the
-//! first packet whose callback queued an outgoing packet or a timer. The
-//! counters and stats are then credited in bulk, exactly as per-packet
-//! delivery credits them. This is exact for every node: the engine assigns
-//! seqs and draws from the RNG only when it dispatches queued output, which
-//! happens after that stopping packet just as it would have, and nothing
-//! reads the engine's counters during a callback. [`Simulator::step`] still
-//! delivers exactly one packet per call, and with the trace on every packet
-//! gets its own context and its own trace entry.
+//! is off and the receiver is a full [`Node`]: they write the held train's
+//! packets, one after another, into the train's buffer and lend each to the
+//! receiver's ordinary [`Node::on_packet`] inside **one** callback context,
+//! and stop after the first packet whose callback queued an outgoing packet
+//! or a timer. The counters and stats are then credited in bulk, exactly as
+//! per-packet delivery credits them. This is exact for every node: the
+//! engine assigns seqs and draws from the RNG only when it dispatches queued
+//! output, which happens after that stopping packet just as it would have,
+//! and nothing reads the engine's counters during a callback.
+//! [`Simulator::step`] still delivers exactly one packet per call, and with
+//! the trace on every packet gets its own context and its own trace entry;
+//! both lend the same train buffer. A receiver that moves the buffer out
+//! keeps it, and the train takes a fresh one from the pool for its next
+//! packet.
 
 use crate::fasthash::FastHashMap;
-use crate::ipv4::{Ipv4Packet, Protocol};
+use crate::ipv4::{Ipv4Header, Ipv4Packet, Protocol};
 use crate::link::Link;
 use crate::pool;
 use crate::prefix::Prefix;
@@ -106,12 +118,14 @@ impl<T: Any> AsAny for T {
 pub trait Node: AsAny + 'static {
     /// Called when a packet addressed (or routed) to this node is delivered.
     ///
-    /// The node owns the packet and its buffer. Feeding it to the host stack
-    /// ([`StackIo::receive`](crate::transport::StackIo::receive)) hands the
-    /// buffer on: the stack either gives it back to the [`pool`] or passes
-    /// it up in the event's payload, which the node gives back once it has
-    /// decoded it. A node that keeps the packet keeps the buffer.
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet);
+    /// The packet is lent: the engine owns it, and once the callback returns
+    /// it gives whatever buffer is left back to the [`pool`]. Read it in
+    /// place, or feed it to the host stack
+    /// ([`StackIo::receive`](crate::transport::StackIo::receive)), whose UDP
+    /// event borrows the packet's bytes. A node that keeps the packet clones
+    /// it; one that moves the buffer out (`std::mem::take(&mut pkt.payload)`,
+    /// as the stack does for a TCP segment) owns that buffer from then on.
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet);
 
     /// Called when a timer previously scheduled via [`Ctx::set_timer`] fires.
     ///
@@ -305,7 +319,7 @@ pub struct EchoNode {
 }
 
 impl Node for EchoNode {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
         match pkt.header.protocol {
             Protocol::Udp => self.udp_seen += 1,
             Protocol::Icmp => {
@@ -322,7 +336,6 @@ impl Node for EchoNode {
             }
             _ => {}
         }
-        pool::give(pkt.payload);
     }
 }
 
@@ -334,9 +347,8 @@ pub struct SinkNode {
 }
 
 impl Node for SinkNode {
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: &mut Ipv4Packet) {
         self.received += 1;
-        pool::give(pkt.payload);
     }
 }
 
@@ -414,26 +426,40 @@ struct Train {
     to: HostRef,
     from: Origin,
     shape: TrainShape,
-    /// Packet 0, built at inject time to read the shape.
-    first: Option<Ipv4Packet>,
+    /// The train's one buffer: packet 0 from inject time until it is
+    /// delivered, then each later packet, written when it is delivered.
+    pkt: Ipv4Packet,
     /// Index of the next packet to deliver.
     next: u32,
     count: u32,
-    make: Box<dyn FnMut(u32) -> Ipv4Packet>,
+    fill: Box<TrainFill>,
 }
 
+/// Writes packet `i` of a train into the packet it is lent.
+type TrainFill = dyn FnMut(u32, &mut Ipv4Packet);
+
 impl Train {
-    /// Builds (or, for packet 0, hands over) the next packet.
-    fn next_packet(&mut self) -> Ipv4Packet {
+    /// Writes the next packet into the train's buffer (packet 0 is there
+    /// already) and lends it. A buffer the previous receiver moved out is
+    /// replaced from the pool first.
+    fn next_packet(&mut self) -> &mut Ipv4Packet {
         let i = self.next;
         self.next += 1;
-        let pkt = match self.first.take() {
-            Some(pkt) => pkt,
-            None => (self.make)(i),
-        };
-        self.shape.check(i, &pkt);
-        pkt
+        if i > 0 {
+            if self.pkt.payload.capacity() == 0 {
+                self.pkt.payload = pool::take(self.shape.wire_len);
+            }
+            (self.fill)(i, &mut self.pkt);
+            self.shape.check(i, &self.pkt);
+        }
+        &mut self.pkt
     }
+}
+
+/// A packet with an empty pooled buffer, for a train's `fill` to write.
+fn blank_packet(capacity: usize) -> Ipv4Packet {
+    let header = Ipv4Header::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED, Protocol::Other(0), 0, 0, 0);
+    Ipv4Packet { header, payload: pool::take(capacity) }
 }
 
 telemetry::counters! {
@@ -788,28 +814,33 @@ impl Simulator {
         self.dispatch(from, pkt);
     }
 
-    /// Injects `count` packets as if `from` had sent `make(0)`, `make(1)`, …
-    /// right now — exactly like `count` consecutive [`inject`](Self::inject)
-    /// calls: same delivery order, trace entries, stats and counters.
+    /// Injects `count` packets as if `from` had sent them right now, packet
+    /// `i` being what `fill(i, pkt)` writes into `pkt` — exactly like `count`
+    /// consecutive [`inject`](Self::inject) calls: same delivery order, trace
+    /// entries, stats and counters. `fill` must write the whole packet,
+    /// header and payload (the payload it is handed is empty, or holds a
+    /// previous packet of the train).
     ///
     /// When packet 0 would be delivered as-is (routable, not egress-filtered,
     /// lossless link, within the MTU) the train is one wheel entry holding
-    /// `count` consecutive seqs, and packet `i` is built only when it is
-    /// delivered. Once packet 0 is popped the train is held beside the wheel
-    /// and [`run`](Self::run) may deliver a run of its packets in one
-    /// callback context (see the [module documentation](self)). Otherwise
-    /// every packet takes the per-packet send path, so loss draws, PTBs and
-    /// drop traces are unchanged.
+    /// `count` consecutive seqs and one buffer: packet `i` is written into it
+    /// only when it is delivered. Once packet 0 is popped the train is held
+    /// beside the wheel and [`run`](Self::run) may deliver a run of its
+    /// packets in one callback context (see the [module documentation](self)).
+    /// Otherwise every packet is filled into its own pooled buffer and takes
+    /// the per-packet send path, so loss draws, PTBs and drop traces are
+    /// unchanged.
     ///
     /// # Panics
     ///
     /// Panics when a packet's source, destination, protocol or wire length
     /// differs from packet 0's: one verdict covers the whole train.
-    pub fn inject_train(&mut self, from: NodeId, count: u32, mut make: impl FnMut(u32) -> Ipv4Packet + 'static) {
+    pub fn inject_train(&mut self, from: NodeId, count: u32, mut fill: impl FnMut(u32, &mut Ipv4Packet) + 'static) {
         if count == 0 {
             return;
         }
-        let first = make(0);
+        let mut first = blank_packet(0);
+        fill(0, &mut first);
         let shape = TrainShape::of(&first);
         let slot = &self.nodes[from.0];
         let filtered = slot.egress_filtering && !slot.addrs.contains(&shape.src);
@@ -821,7 +852,8 @@ impl Simulator {
         else {
             self.dispatch(from, first);
             for i in 1..count {
-                let pkt = make(i);
+                let mut pkt = blank_packet(shape.wire_len);
+                fill(i, &mut pkt);
                 shape.check(i, &pkt);
                 self.dispatch(from, pkt);
             }
@@ -831,7 +863,7 @@ impl Simulator {
         let seq = self.seq;
         self.seq += u64::from(count);
         self.train_backlog += count as usize - 1;
-        let train = Train { to, from: origin, shape, first: Some(first), next: 0, count, make: Box::new(make) };
+        let train = Train { to, from: origin, shape, pkt: first, next: 0, count, fill: Box::new(fill) };
         self.events.push(self.now + link.latency, seq, EventKind::Train(Box::new(train)));
     }
 
@@ -1085,7 +1117,8 @@ impl Simulator {
         self.stub_timer_scratch = timers;
     }
 
-    fn deliver(&mut self, to: HostRef, from: Origin, pkt: Ipv4Packet) {
+    /// Lends `pkt` to its receiver; the caller still owns it afterwards.
+    fn deliver(&mut self, to: HostRef, from: Origin, pkt: &mut Ipv4Packet) {
         self.count_delivered(from, 1);
         match to {
             HostRef::Node(id) => {
@@ -1093,7 +1126,7 @@ impl Simulator {
                 if self.trace.enabled {
                     let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
                     let to_name = self.nodes[id.0].name.clone();
-                    self.trace.record_packet(self.now, from_name, to_name, &pkt, TraceVerdict::Delivered);
+                    self.trace.record_packet(self.now, from_name, to_name, pkt, TraceVerdict::Delivered);
                 }
                 self.with_node_ctx(id, |node, ctx| node.on_packet(ctx, pkt));
             }
@@ -1104,12 +1137,9 @@ impl Simulator {
                 if self.trace.enabled {
                     let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
                     let to_name = Self::stub_label(&self.stub_blocks, id);
-                    self.trace.record_packet(self.now, from_name, to_name, &pkt, TraceVerdict::Delivered);
+                    self.trace.record_packet(self.now, from_name, to_name, pkt, TraceVerdict::Delivered);
                 }
-                self.with_stub_ctx(id, |handler, ctx| handler.on_packet(ctx, &pkt));
-                // Stub deliveries borrow the packet, so the engine still owns
-                // the buffer here and can recycle it.
-                pool::give(pkt.payload);
+                self.with_stub_ctx(id, |handler, ctx| handler.on_packet(ctx, pkt));
             }
         }
     }
@@ -1138,7 +1168,10 @@ impl Simulator {
         };
         self.now = time;
         match kind {
-            EventKind::Deliver { to, from, pkt } => self.deliver(to, from, pkt),
+            EventKind::Deliver { to, from, mut pkt } => {
+                self.deliver(to, from, &mut pkt);
+                pool::give(pkt.payload);
+            }
             EventKind::Timer { node, token } => self.with_node_ctx(node, |n, ctx| n.on_timer(ctx, token)),
             EventKind::StubTimer { stub, timer } => self.with_stub_ctx(stub, |h, ctx| h.on_timer(ctx, timer)),
             EventKind::Train(train) => {
@@ -1155,10 +1188,11 @@ impl Simulator {
     }
 
     /// Delivers the held train's next packet. With `batch`, when the trace is
-    /// off and the receiver is a full node, it hands the receiver packet
+    /// off and the receiver is a full node, it lends the receiver packet
     /// after packet in one callback context, stops after the first whose
     /// callback queued a packet or a timer, and credits the counters and
-    /// stats in bulk exactly as per-packet delivery would.
+    /// stats in bulk exactly as per-packet delivery would. A spent train's
+    /// buffer goes back to the pool.
     fn deliver_held(&mut self, batch: bool) {
         let mut train = self.held.take().expect("a held train");
         let delivered = match train.to {
@@ -1179,8 +1213,7 @@ impl Simulator {
                 n
             }
             to => {
-                let pkt = train.next_packet();
-                self.deliver(to, train.from, pkt);
+                self.deliver(to, train.from, train.next_packet());
                 1
             }
         };
@@ -1188,6 +1221,8 @@ impl Simulator {
         self.train_backlog -= delivered as usize;
         if train.next < train.count {
             self.held = Some(train);
+        } else {
+            pool::give(train.pkt.payload);
         }
     }
 
@@ -1225,7 +1260,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::udp::UdpDatagram;
+    use crate::udp::{UdpDatagram, UdpTemplate, UDP_HEADER_LEN};
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -1549,7 +1584,7 @@ mod tests {
             fired: Vec<u64>,
         }
         impl Node for TimerNode {
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Ipv4Packet) {}
+            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: &mut Ipv4Packet) {}
             fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
                 self.fired.push(token);
             }
@@ -1573,7 +1608,7 @@ mod tests {
                 self.started_at = Some(ctx.now());
                 ctx.set_timer(Duration::from_millis(1), 99);
             }
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Ipv4Packet) {}
+            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: &mut Ipv4Packet) {}
         }
         let mut sim = Simulator::new(12);
         let n = sim.add_node("s", vec![A], Starter { started_at: None });
@@ -1609,18 +1644,26 @@ mod tests {
         assert_eq!(sim.pending_events(), 2);
     }
 
-    /// Logs every packet (time, summary, IP ID) and timer it sees, and
-    /// echoes UDP back to the source so deliveries schedule more traffic.
+    /// Logs every packet (time, summary, IP ID, bytes) and timer it sees,
+    /// and echoes UDP back to the source so deliveries schedule more
+    /// traffic. With `take_every: k` it moves the buffer out of every packet
+    /// whose IP ID is a multiple of `k`, and keeps it.
     #[derive(Default)]
     struct LogNode {
+        take_every: Option<u16>,
         log: Vec<String>,
+        taken: Vec<Vec<u8>>,
     }
     impl Node for LogNode {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
-            self.log.push(format!("{} {} id={}", ctx.now(), pkt.summary(), pkt.header.identification));
-            if let Ok(d) = UdpDatagram::from_packet(&pkt) {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
+            let id = pkt.header.identification;
+            self.log.push(format!("{} {} id={id} {:?}", ctx.now(), pkt.summary(), pkt.payload));
+            if let Ok(d) = UdpDatagram::from_packet(pkt) {
                 let ipid = ctx.rng().gen();
                 ctx.send(UdpDatagram::new(d.dst, d.src, d.dst_port, d.src_port, d.payload).into_packet(ipid, 64));
+            }
+            if self.take_every.is_some_and(|k| id.is_multiple_of(k)) {
+                self.taken.push(std::mem::take(&mut pkt.payload));
             }
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -1630,26 +1673,44 @@ mod tests {
 
     const SPRAY: u32 = 48;
 
+    /// Packet `i` of a spray: IP ID `i`, twelve payload bytes of `i`.
+    fn spray_packet(src: Ipv4Addr, i: u32) -> Ipv4Packet {
+        UdpDatagram::new(src, B, 1111, 2222, vec![i as u8; 12]).into_packet(i as u16, 64)
+    }
+
+    /// The spray as a train: every packet written from one template into
+    /// the train's buffer.
+    fn spray_train(src: Ipv4Addr) -> impl FnMut(u32, &mut Ipv4Packet) {
+        let template = UdpTemplate::new(UdpDatagram::new(src, B, 1111, 2222, vec![0; 12]), 64);
+        move |i, pkt| template.write(pkt, i as u16, &[(UDP_HEADER_LEN, &[i as u8; 12])])
+    }
+
     /// Node `a` sprays `SPRAY` packets from `src` at `b`, either as one train
-    /// or as a loop of `inject` calls; `c` sends `b` one packet just before
-    /// and one just after the spray, arriving at the same time, and `b` has a
-    /// timer armed for that instant.
-    fn spray_world(link: Link, src: Ipv4Addr, filtered: bool, train: bool) -> (Simulator, [NodeId; 3]) {
+    /// or as a loop of `inject` calls of fully framed packets; `c` sends `b`
+    /// one packet just before and one just after the spray, arriving at the
+    /// same time, and `b` has a timer armed for that instant. `b` takes the
+    /// buffer of every `take_every`-th packet.
+    fn spray_world(
+        link: Link,
+        src: Ipv4Addr,
+        filtered: bool,
+        take_every: Option<u16>,
+        train: bool,
+    ) -> (Simulator, [NodeId; 3]) {
         let mut sim = Simulator::new(21);
         sim.trace_mut().enabled = true;
         let a = sim.add_node("a", vec![A], SinkNode::default());
-        let b = sim.add_node("b", vec![B], LogNode::default());
+        let b = sim.add_node("b", vec![B], LogNode { take_every, ..LogNode::default() });
         let c = sim.add_node("c", vec![C], SinkNode::default());
         sim.connect(a, b, link);
         sim.connect(c, b, Link::with_latency(link.latency));
         sim.set_egress_filtering(a, filtered);
         sim.inject(c, udp(C, B, 10));
-        let make = move |i: u32| UdpDatagram::new(src, B, 1111, 2222, vec![i as u8; 12]).into_packet(i as u16, 64);
         if train {
-            sim.inject_train(a, SPRAY, make);
+            sim.inject_train(a, SPRAY, spray_train(src));
         } else {
             for i in 0..SPRAY {
-                sim.inject(a, make(i));
+                sim.inject(a, spray_packet(src, i));
             }
         }
         sim.inject(c, udp(C, B, 20));
@@ -1677,9 +1738,14 @@ mod tests {
     /// Runs the loop and the train side by side, comparing after the inject,
     /// after every single step through the burst, and at the end. Returns the
     /// train's simulator.
-    fn check_train_matches_inject_loop(link: Link, src: Ipv4Addr, filtered: bool) -> Simulator {
-        let (mut looped, nodes) = spray_world(link, src, filtered, false);
-        let (mut train, _) = spray_world(link, src, filtered, true);
+    fn check_train_matches_inject_loop(
+        link: Link,
+        src: Ipv4Addr,
+        filtered: bool,
+        take_every: Option<u16>,
+    ) -> Simulator {
+        let (mut looped, nodes) = spray_world(link, src, filtered, take_every, false);
+        let (mut train, _) = spray_world(link, src, filtered, take_every, true);
         assert_same(&looped, &train, nodes);
         for _ in 0..SPRAY + 8 {
             assert_eq!(looped.step(), train.step());
@@ -1694,31 +1760,43 @@ mod tests {
     #[test]
     fn packet_train_matches_inject_loop() {
         let link = Link::with_latency(Duration::from_millis(5));
-        let (looped, _) = spray_world(link, A, false, false);
-        let (mut train, _) = spray_world(link, A, false, true);
+        let (looped, _) = spray_world(link, A, false, None, false);
+        let (mut train, _) = spray_world(link, A, false, None, true);
         // One wheel entry stands for the whole burst, but it counts as SPRAY.
         assert_eq!(train.events.len(), 4);
         assert_eq!(looped.events.len() as u32, SPRAY + 3);
         assert_eq!(train.pending_events(), looped.pending_events());
         train.run();
         assert_eq!(train.counters().delivered, 2 * u64::from(SPRAY) + 4, "spray, echoes, and c's two packets");
-        check_train_matches_inject_loop(link, A, false);
+        check_train_matches_inject_loop(link, A, false, None);
     }
 
     #[test]
     fn packet_train_eager_paths_match_inject_loop() {
         let spoofed = Ipv4Addr::new(10, 0, 0, 9);
         let link = Link::with_latency(Duration::from_millis(5));
-        let filtered = check_train_matches_inject_loop(link, spoofed, true);
+        let filtered = check_train_matches_inject_loop(link, spoofed, true, None);
         assert_eq!(filtered.counters().egress_filtered, u64::from(SPRAY));
-        let lossy = check_train_matches_inject_loop(link.loss(0.5), A, false);
+        let lossy = check_train_matches_inject_loop(link.loss(0.5), A, false, None);
         let lost = lossy.counters().link_loss;
         assert!(lost > 0 && lost < 2 * u64::from(SPRAY), "some of the spray and its echoes were lost: {lost}");
-        let oversized = check_train_matches_inject_loop(link.mtu(36).fragmenting(false), A, false);
+        let oversized = check_train_matches_inject_loop(link.mtu(36).fragmenting(false), A, false, None);
         assert_eq!(oversized.counters().mtu_exceeded, u64::from(SPRAY));
         assert_eq!(oversized.stats(NodeId(0)).icmp_received, u64::from(SPRAY), "one PTB per sprayed packet");
-        let fragmented = check_train_matches_inject_loop(link.mtu(36), A, false);
+        let fragmented = check_train_matches_inject_loop(link.mtu(36), A, false, None);
         assert!(fragmented.counters().delivered > 2 * u64::from(SPRAY), "fragments delivered separately");
+    }
+
+    #[test]
+    fn packet_train_survives_a_receiver_that_takes_buffers() {
+        let link = Link::with_latency(Duration::from_millis(5));
+        // Every packet (c's two, IP ID 1, included), or every third spray packet.
+        for (take_every, taken) in [(1, SPRAY as usize + 2), (3, SPRAY.div_ceil(3) as usize)] {
+            let train = check_train_matches_inject_loop(link, A, false, Some(take_every));
+            assert_eq!(train.node_ref::<LogNode>(NodeId(1)).unwrap().taken.len(), taken);
+            let lossy = check_train_matches_inject_loop(link.loss(0.5), A, false, Some(take_every));
+            assert!(lossy.counters().link_loss > 0);
+        }
     }
 
     #[test]
@@ -1728,39 +1806,48 @@ mod tests {
         let a = sim.add_node("a", vec![A], SinkNode::default());
         let b = sim.add_node("b", vec![B], SinkNode::default());
         sim.connect(a, b, Link::default());
-        sim.inject_train(a, 3, |i| udp(A, B, 10 + i as usize));
+        sim.inject_train(a, 3, |i, pkt| *pkt = udp(A, B, 10 + i as usize));
         sim.run();
     }
 
-    /// What a [`Reactor`] does at the train packet whose IP ID is `k`.
+    /// What a [`Reactor`] does at the train packet whose IP ID is `k`, or,
+    /// for `TakeEvery(k)`, at every train packet whose IP ID is a multiple
+    /// of `k`: it moves that packet's buffer out.
     #[derive(Clone, Copy)]
     enum React {
         Ignore,
         ReplyAt(u16),
         TimerAt(u16),
+        TakeEvery(u16),
     }
 
-    /// Logs every packet, with an RNG draw, and every timer; replies to or
-    /// arms a timer at one train packet.
+    /// Logs every packet, with an RNG draw, and every timer; replies to,
+    /// arms a timer at or takes the buffer of train packets. Every train
+    /// packet must be byte-identical to packet `k` of [`train_world`]'s
+    /// train, however the buffer it was written into was left.
     struct Reactor {
         react: React,
         log: Vec<String>,
     }
     impl Node for Reactor {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
             let id = pkt.header.identification;
             let draw: u16 = ctx.rng().gen();
             self.log.push(format!("{} {} id={id} draw={draw}", ctx.now(), pkt.summary()));
+            let train_packet = pkt.header.src == A;
+            if train_packet {
+                assert_eq!(*pkt, train_packet_at(u32::from(id)), "train packet {id}");
+            }
             match self.react {
-                React::ReplyAt(k) if k == id && pkt.header.src == A => {
+                React::ReplyAt(k) if k == id && train_packet => {
                     ctx.send(UdpDatagram::new(B, A, 2222, 1111, vec![7; 4]).into_packet(draw, 64));
                 }
-                React::TimerAt(k) if k == id && pkt.header.src == A => {
+                React::TimerAt(k) if k == id && train_packet => {
                     ctx.set_timer(Duration::from_millis(1), u64::from(id));
                 }
+                React::TakeEvery(k) if id.is_multiple_of(k) && train_packet => drop(std::mem::take(&mut pkt.payload)),
                 _ => {}
             }
-            pool::give(pkt.payload);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
             self.log.push(format!("{} timer {token}", ctx.now()));
@@ -1773,16 +1860,24 @@ mod tests {
         log: Vec<String>,
     }
     impl Node for ClosedPortHost {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
             let event = crate::transport::with_io(&mut self.stack, ctx, |io| io.receive(pkt));
             self.log.push(format!("{} {event:?}", ctx.now()));
         }
     }
 
-    /// Node `a` sends `b` a train of `count` UDP packets (IP IDs 0, 1, …);
-    /// `c` sends `b` one packet arriving just before and one just after it,
-    /// and `b` has a timer armed for that instant. The link back from `b` to
-    /// `a` is lossy, so dispatching `b`'s replies draws from the RNG.
+    /// Packet `k` of [`train_world`]'s train: IP ID `k`, payload bytes that
+    /// differ from packet to packet.
+    fn train_packet_at(k: u32) -> Ipv4Packet {
+        let payload = (0..12).map(|j| (k * 7 + j) as u8).collect();
+        UdpDatagram::new(A, B, 1111, 2222, payload).into_packet(k as u16, 64)
+    }
+
+    /// Node `a` sends `b` a train of `count` UDP packets (IP IDs 0, 1, …),
+    /// written from one template; `c` sends `b` one packet arriving just
+    /// before and one just after it, and `b` has a timer armed for that
+    /// instant. The link back from `b` to `a` is lossy, so dispatching `b`'s
+    /// replies draws from the RNG.
     fn train_world(receiver: impl Node, count: u32) -> (Simulator, [NodeId; 3]) {
         let mut sim = Simulator::new(41);
         let a = sim.add_node("a", vec![A], SinkNode::default());
@@ -1793,7 +1888,11 @@ mod tests {
         sim.connect_directed(b, a, link.loss(0.5));
         sim.connect(c, b, link);
         sim.inject(c, udp(C, B, 10));
-        sim.inject_train(a, count, |i| UdpDatagram::new(A, B, 1111, 2222, vec![9; 12]).into_packet(i as u16, 64));
+        let template = UdpTemplate::new(UdpDatagram::new(A, B, 1111, 2222, vec![0; 12]), 64);
+        sim.inject_train(a, count, move |k, pkt| {
+            let payload: Vec<u8> = (0..12).map(|j| (k * 7 + j) as u8).collect();
+            template.write(pkt, k as u16, &[(UDP_HEADER_LEN, &payload)]);
+        });
         sim.inject(c, udp(C, B, 20));
         sim.schedule_timer(b, link.latency, 7);
         (sim, [a, b, c])
@@ -1843,6 +1942,19 @@ mod tests {
         for k in [0, 17, last] {
             assert_run_matches_steps(|| train_world(reactor(React::ReplyAt(k)), SPRAY), log);
             assert_run_matches_steps(|| train_world(reactor(React::TimerAt(k)), SPRAY), log);
+        }
+    }
+
+    #[test]
+    fn batched_train_delivery_survives_a_receiver_that_takes_buffers() {
+        // The receiver checks every packet against a full framing, so a
+        // buffer the train failed to replace or to rewrite fails there.
+        let log = |n: &Reactor| n.log.clone();
+        for k in [1, 2, 5] {
+            assert_run_matches_steps(
+                || train_world(Reactor { react: React::TakeEvery(k), log: Vec::new() }, SPRAY),
+                log,
+            );
         }
     }
 
@@ -1920,9 +2032,9 @@ mod tests {
     #[derive(Default)]
     struct UdpEchoServer;
     impl Node for UdpEchoServer {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
             if pkt.header.protocol == Protocol::Udp {
-                if let Ok(d) = UdpDatagram::from_packet(&pkt) {
+                if let Ok(d) = UdpDatagram::from_packet(pkt) {
                     let reply = UdpDatagram::new(d.dst, d.src, d.dst_port, d.src_port, d.payload);
                     let ipid = ctx.rng().gen();
                     ctx.send(reply.into_packet(ipid, 64));

@@ -94,7 +94,7 @@ pub mod prelude {
     pub use crate::time::{Duration, SimTime};
     pub use crate::trace::{Trace, TraceEntry};
     pub use crate::transport::{with_io, Endpoint, FlowStats, SocketEvent, StackIo};
-    pub use crate::udp::{UdpDatagram, UdpHeader, UdpTemplate};
+    pub use crate::udp::{UdpDatagram, UdpHeader, UdpTemplate, UdpView};
     pub use std::net::Ipv4Addr;
 }
 

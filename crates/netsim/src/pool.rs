@@ -6,31 +6,43 @@
 //! hands one out (cleared, so reuse never leaks bytes between packets and has
 //! no effect on determinism) and [`give`] accepts it back.
 //!
+//! **The engine owns every packet in flight; receivers borrow; the engine
+//! recycles.** Once a packet is sent it belongs to the engine until it dies.
+//! A receiver gets it on loan (`Node::on_packet` takes `&mut Ipv4Packet`,
+//! `StubHandler::on_packet` takes `&Ipv4Packet`), and when the callback
+//! returns the engine gives whatever buffer is left back here. No
+//! application gives a received buffer back.
+//!
 //! **Who takes.** The encoders of application payloads: `Message::encode`
 //! takes a buffer sized to the message plus the UDP header, TCP segmentation
-//! one per chunk plus the TCP header, raw payload builders take with the
-//! same headroom, and `UdpTemplate::packet` takes one per packet it copies
-//! (a template gives its own buffer back when it is dropped).
+//! one per chunk plus the TCP header, and raw payload builders take with the
+//! same headroom. A packet train (`Simulator::inject_train`) takes one buffer
+//! for all its packets, which `UdpTemplate::write` overwrites packet after
+//! packet (a template gives its own buffer back when it is dropped); only a
+//! train that cannot travel as one (a lossy, filtered, too-small or
+//! unrouted path) takes one per packet.
 //!
 //! **One buffer per packet.** `UdpDatagram::into_packet` and
 //! `TcpSegment::into_packet` write the header into the payload's own buffer,
-//! and the resulting `Ipv4Packet` carries that same buffer.
-//! On receipt `HostStack::handle_packet` validates the header and checksum
-//! once and strips the header inside the same buffer, so the application's
-//! `UdpDatagram`/`TcpSegment` payload is still the sender's buffer.
+//! and the resulting `Ipv4Packet` carries that same buffer. On receipt
+//! `HostStack::handle_packet` validates the header and checksum once; a UDP
+//! datagram comes up as a `UdpView` borrowing the packet's bytes, and a TCP
+//! segment moves the buffer out of the packet and strips the header in place.
 //!
 //! **Where each buffer dies and is given back.**
 //! - In transit, by the engine: egress-filtered, unroutable, lost,
 //!   MTU-rejected and in-transit-fragmented packets.
-//! - After a stub delivery, by the engine: `StubHandler::on_packet` borrows
-//!   the packet.
-//! - In the host stack: packets not addressed to the host, checksum or format
-//!   failures, closed ports, ICMP messages, fragments (reassembly copies
-//!   them) and sends that had to be fragmented.
-//! - In the application: a node owns every packet `Node::on_packet` hands it
-//!   and every payload in a `StackEvent` or `SocketEvent`, and gives the
-//!   buffer back once it has decoded the payload. A node that keeps or
-//!   forgets a buffer only costs a later [`take`] a miss.
+//! - After delivery, by the engine: every lent packet's buffer, unless the
+//!   receiver moved it out (what is left then has no capacity, and [`give`]
+//!   ignores it). A train's buffer when its last packet is delivered.
+//! - In the host stack: the buffer of a fragment that completes a datagram
+//!   (the reassembled packet takes its place in the lent packet), the buffer
+//!   of a TCP segment for a closed port, and sends that had to be
+//!   fragmented.
+//! - In the TCP socket: the buffer of every segment `TcpSocket::handle`
+//!   takes.
+//! - In the application: `SocketEvent::Data` payloads, once decoded. A node
+//!   that keeps or forgets a buffer only costs a later [`take`] a miss.
 //!
 //! The free list is thread-local because simulations are single-threaded and
 //! campaign workers each run their own sims; nothing here is shared across
@@ -67,8 +79,8 @@ telemetry::counters! {
         pub misses: u64 => "misses",
         /// Buffers accepted back into the free list by [`give`].
         pub returned: u64 => "returned",
-        /// Buffers [`give`] declined to pool (oversized, zero-capacity, or the
-        /// free list was full) — each one is a heap deallocation.
+        /// Buffers [`give`] declined to pool (oversized, or the free list
+        /// was full) — each one is a heap deallocation.
         pub dropped: u64 => "dropped",
     }
     pub fn merge;
@@ -100,12 +112,16 @@ pub fn take(capacity: usize) -> Vec<u8> {
     })
 }
 
-/// Returns a dead buffer to the pool (cleared first). Oversized or
-/// zero-capacity buffers are simply dropped.
+/// Returns a dead buffer to the pool (cleared first). Oversized buffers are
+/// simply dropped. A zero-capacity one is no buffer at all (what is left of
+/// a packet whose buffer was moved out) and is ignored.
 pub fn give(mut buf: Vec<u8>) {
+    if buf.capacity() == 0 {
+        return;
+    }
     POOL.with(|p| {
         let mut p = p.borrow_mut();
-        if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_CAPACITY || p.free.len() >= MAX_POOLED {
+        if buf.capacity() > MAX_POOLED_CAPACITY || p.free.len() >= MAX_POOLED {
             p.counters.dropped += 1;
             return;
         }
@@ -201,6 +217,8 @@ mod tests {
         give(b);
         let b = take(32);
         give(vec![0u8; MAX_POOLED_CAPACITY + 1]);
+        // A moved-out buffer: nothing to pool and nothing to free.
+        give(Vec::new());
         give(b);
         let c = counters();
         assert_eq!(c.misses, 1);

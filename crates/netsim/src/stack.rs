@@ -21,7 +21,7 @@ use crate::pool;
 use crate::ratelimit::{IcmpRateLimitPolicy, IcmpRateLimiter};
 use crate::tcp::{rst_reply, TcpSegment, TCP_HEADER_LEN};
 use crate::time::SimTime;
-use crate::udp::UdpDatagram;
+use crate::udp::{UdpDatagram, UdpView};
 use rand::Rng;
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
@@ -87,11 +87,13 @@ impl Default for StackConfig {
     }
 }
 
-/// Events surfaced to the application layer by [`HostStack::handle_packet`].
+/// Events surfaced to the application layer by [`HostStack::handle_packet`],
+/// borrowing from the received packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StackEvent {
-    /// A (reassembled, checksum-valid) UDP datagram addressed to an open port.
-    Udp(UdpDatagram),
+pub enum StackEvent<'p> {
+    /// A (reassembled, checksum-valid) UDP datagram addressed to an open
+    /// port, borrowed from the packet.
+    Udp(UdpView<'p>),
     /// A checksum-valid TCP segment addressed to an open TCP port; connection
     /// state is kept by the [`TcpSocket`](crate::tcp::TcpSocket) bound there.
     Tcp(TcpSegment),
@@ -316,52 +318,51 @@ impl HostStack {
     /// errors, echo replies, RSTs) are appended to `replies`, and the event
     /// for the application, if any, is returned.
     ///
-    /// The stack owns the packet. A checksum-valid UDP datagram or TCP
-    /// segment for an open port is handed over in the packet's own buffer,
-    /// header stripped; every other packet dies here and its buffer goes
-    /// back to the [`pool`].
-    pub fn handle_packet<R: Rng>(
+    /// The packet is borrowed, and its owner (the engine, for a delivered
+    /// packet) recycles its buffer afterwards. A checksum-valid UDP datagram
+    /// for an open port comes up as a [`UdpView`] of the packet's bytes. A
+    /// fragment that completes a datagram is replaced in `*pkt` by the
+    /// reassembled packet, which the view then borrows; the fragment's
+    /// buffer goes back to the [`pool`]. A TCP segment for an open port
+    /// moves the packet's buffer out, header stripped in place.
+    pub fn handle_packet<'p, R: Rng>(
         &mut self,
-        pkt: Ipv4Packet,
+        pkt: &'p mut Ipv4Packet,
         now: SimTime,
         rng: &mut R,
         replies: &mut Vec<Ipv4Packet>,
-    ) -> Option<StackEvent> {
+    ) -> Option<StackEvent<'p>> {
         if !self.owns(pkt.header.dst) {
-            pool::give(pkt.payload);
             return Some(StackEvent::Dropped("not addressed to this host"));
         }
 
         // 1. Reassembly of fragments (the buffer copies them in).
-        let full = if pkt.header.is_fragment() {
+        if pkt.header.is_fragment() {
             if !self.config.accept_fragments {
-                pool::give(pkt.payload);
                 return Some(StackEvent::Dropped("fragments filtered"));
             }
-            let result = self.reassembly.push(&pkt, now);
-            pool::give(pkt.payload);
-            match result {
-                ReassemblyResult::Complete(p) => p,
+            match self.reassembly.push(pkt, now) {
+                ReassemblyResult::Complete(full) => pool::give(std::mem::replace(pkt, full).payload),
                 ReassemblyResult::Pending => return None,
                 ReassemblyResult::Dropped(_) => return Some(StackEvent::Dropped("fragment dropped")),
             }
-        } else {
-            pkt
-        };
+        }
 
-        Some(match full.header.protocol {
-            Protocol::Udp => self.handle_udp(full, now, rng, replies),
-            Protocol::Tcp => self.handle_tcp(full, rng, replies),
-            Protocol::Icmp => self.handle_icmp(full, now, rng, replies),
-            _ => {
-                pool::give(full.payload);
-                StackEvent::Dropped("unsupported protocol")
-            }
+        Some(match pkt.header.protocol {
+            Protocol::Udp => self.handle_udp(pkt, now, rng, replies),
+            Protocol::Tcp => self.handle_tcp(pkt, rng, replies),
+            Protocol::Icmp => self.handle_icmp(pkt, now, rng, replies),
+            _ => StackEvent::Dropped("unsupported protocol"),
         })
     }
 
-    fn handle_tcp<R: Rng>(&mut self, pkt: Ipv4Packet, rng: &mut R, replies: &mut Vec<Ipv4Packet>) -> StackEvent {
-        let Ok(seg) = TcpSegment::from_owned_packet(pkt) else {
+    fn handle_tcp<R: Rng>(
+        &mut self,
+        pkt: &mut Ipv4Packet,
+        rng: &mut R,
+        replies: &mut Vec<Ipv4Packet>,
+    ) -> StackEvent<'static> {
+        let Ok(seg) = TcpSegment::take_from_packet(pkt) else {
             return StackEvent::Dropped("tcp checksum/format error");
         };
         if self.open_tcp_ports.contains(&seg.dst_port) {
@@ -381,23 +382,21 @@ impl HostStack {
         event
     }
 
-    fn handle_udp<R: Rng>(
+    fn handle_udp<'p, R: Rng>(
         &mut self,
-        pkt: Ipv4Packet,
+        pkt: &'p Ipv4Packet,
         now: SimTime,
         rng: &mut R,
         replies: &mut Vec<Ipv4Packet>,
-    ) -> StackEvent {
-        let event = match UdpDatagram::parse(&pkt).map(|(header, _)| header) {
-            Ok(header) if self.open_ports.contains(&header.dst_port) => {
-                return StackEvent::Udp(UdpDatagram::from_parsed(pkt, header));
-            }
-            Ok(header) => {
+    ) -> StackEvent<'p> {
+        match UdpDatagram::parse(pkt) {
+            Ok(view) if self.open_ports.contains(&view.dst_port) => StackEvent::Udp(view),
+            Ok(view) => {
                 let from = pkt.header.src;
                 let allowed = self.icmp_limiter.allow(from, now);
                 if allowed {
                     let ipid = self.next_ipid(from, rng);
-                    let reply = IcmpMessage::port_unreachable(&pkt).into_packet(
+                    let reply = IcmpMessage::port_unreachable(pkt).into_packet(
                         pkt.header.dst,
                         pkt.header.src,
                         ipid,
@@ -405,22 +404,20 @@ impl HostStack {
                     );
                     replies.push(reply);
                 }
-                StackEvent::ClosedPort { from, port: header.dst_port, icmp_sent: allowed }
+                StackEvent::ClosedPort { from, port: view.dst_port, icmp_sent: allowed }
             }
             Err(_) => StackEvent::Dropped("udp checksum/format error"),
-        };
-        pool::give(pkt.payload);
-        event
+        }
     }
 
     fn handle_icmp<R: Rng>(
         &mut self,
-        pkt: Ipv4Packet,
+        pkt: &Ipv4Packet,
         now: SimTime,
         rng: &mut R,
         replies: &mut Vec<Ipv4Packet>,
-    ) -> StackEvent {
-        let event = match IcmpMessage::decode(&pkt.payload) {
+    ) -> StackEvent<'static> {
+        match IcmpMessage::decode(&pkt.payload) {
             Err(_) => StackEvent::Dropped("icmp format error"),
             Ok(IcmpMessage::EchoRequest { id, seq, payload }) => {
                 if self.config.respond_to_ping {
@@ -451,9 +448,7 @@ impl HostStack {
                 }
                 StackEvent::IcmpError { from: pkt.header.src, kind, quoted_ports: msg.quoted_udp_ports(), pmtu_update }
             }
-        };
-        pool::give(pkt.payload);
-        event
+        }
     }
 }
 
@@ -475,7 +470,11 @@ mod tests {
     }
 
     /// Feeds `pkt` through `s`, returning its event and reply packets.
-    fn feed(s: &mut HostStack, pkt: Ipv4Packet, rng: &mut ChaCha20Rng) -> (Option<StackEvent>, Vec<Ipv4Packet>) {
+    fn feed<'p>(
+        s: &mut HostStack,
+        pkt: &'p mut Ipv4Packet,
+        rng: &mut ChaCha20Rng,
+    ) -> (Option<StackEvent<'p>>, Vec<Ipv4Packet>) {
         let mut replies = Vec::new();
         let event = s.handle_packet(pkt, SimTime::ZERO, rng, &mut replies);
         (event, replies)
@@ -495,7 +494,8 @@ mod tests {
     fn delivers_to_open_port() {
         let mut s = stack();
         s.open_port(4444);
-        let (event, replies) = feed(&mut s, udp_to(HOST, 4444, b"hi", 1), &mut rng());
+        let mut pkt = udp_to(HOST, 4444, b"hi", 1);
+        let (event, replies) = feed(&mut s, &mut pkt, &mut rng());
         assert!(matches!(&event, Some(StackEvent::Udp(d)) if d.payload == b"hi"));
         assert!(replies.is_empty());
     }
@@ -506,7 +506,7 @@ mod tests {
         let mut r = rng();
         let mut icmp_replies = 0;
         for i in 0..60 {
-            icmp_replies += feed(&mut s, udp_to(HOST, 5555, b"probe", i), &mut r).1.len();
+            icmp_replies += feed(&mut s, &mut udp_to(HOST, 5555, b"probe", i), &mut r).1.len();
         }
         // Linux default: only 50 ICMP errors in the same instant.
         assert_eq!(icmp_replies, 50);
@@ -517,20 +517,21 @@ mod tests {
     fn ignores_packets_for_other_hosts() {
         let mut s = stack();
         let other: Ipv4Addr = "9.9.9.9".parse().unwrap();
-        let (event, _) = feed(&mut s, udp_to(other, 53, b"x", 3), &mut rng());
+        let mut pkt = udp_to(other, 53, b"x", 3);
+        let (event, _) = feed(&mut s, &mut pkt, &mut rng());
         assert!(matches!(event, Some(StackEvent::Dropped(_))));
     }
 
     #[test]
     fn answers_ping_when_configured() {
         let mut s = stack();
-        let ping = IcmpMessage::EchoRequest { id: 9, seq: 1, payload: vec![] }.into_packet(PEER, HOST, 7, 64);
-        let (event, replies) = feed(&mut s, ping, &mut rng());
+        let mut ping = IcmpMessage::EchoRequest { id: 9, seq: 1, payload: vec![] }.into_packet(PEER, HOST, 7, 64);
+        let (event, replies) = feed(&mut s, &mut ping, &mut rng());
         assert_eq!(replies.len(), 1);
         assert!(matches!(event, Some(StackEvent::EchoRequest { .. })));
         let mut silent = HostStack::new(vec![HOST], StackConfig { respond_to_ping: false, ..Default::default() });
-        let ping2 = IcmpMessage::EchoRequest { id: 9, seq: 1, payload: vec![] }.into_packet(PEER, HOST, 7, 64);
-        assert!(feed(&mut silent, ping2, &mut rng()).1.is_empty());
+        let mut ping2 = IcmpMessage::EchoRequest { id: 9, seq: 1, payload: vec![] }.into_packet(PEER, HOST, 7, 64);
+        assert!(feed(&mut silent, &mut ping2, &mut rng()).1.is_empty());
     }
 
     #[test]
@@ -541,8 +542,8 @@ mod tests {
         let pkts = send(&mut s, UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), &mut r);
         assert_eq!(pkts.len(), 1);
         // Attacker spoofs an ICMP frag-needed quoting that packet with MTU 68.
-        let ptb = IcmpMessage::fragmentation_needed(&pkts[0], 68).into_packet(PEER, HOST, 9, 64);
-        let (event, _) = feed(&mut s, ptb, &mut r);
+        let mut ptb = IcmpMessage::fragmentation_needed(&pkts[0], 68).into_packet(PEER, HOST, 9, 64);
+        let (event, _) = feed(&mut s, &mut ptb, &mut r);
         assert!(matches!(event, Some(StackEvent::IcmpError { pmtu_update: Some((PEER, 68)), .. })));
         // The next large response is now fragmented down to the minimum MTU.
         let pkts2 = send(&mut s, UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), &mut r);
@@ -556,8 +557,8 @@ mod tests {
         let mut s = HostStack::new(vec![HOST], cfg);
         let mut r = rng();
         let pkts = send(&mut s, UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), &mut r);
-        let ptb = IcmpMessage::fragmentation_needed(&pkts[0], 68).into_packet(PEER, HOST, 9, 64);
-        let (event, _) = feed(&mut s, ptb, &mut r);
+        let mut ptb = IcmpMessage::fragmentation_needed(&pkts[0], 68).into_packet(PEER, HOST, 9, 64);
+        let (event, _) = feed(&mut s, &mut ptb, &mut r);
         assert!(matches!(event, Some(StackEvent::IcmpError { pmtu_update: None, .. })));
         let pkts2 = send(&mut s, UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), &mut r);
         assert_eq!(pkts2.len(), 1);
@@ -596,8 +597,8 @@ mod tests {
         let big = UdpDatagram::new(PEER, HOST, 53, 1000, vec![0u8; 1200]).into_packet(5, 64);
         let frags = fragment_packet(&big, 576);
         let mut r = rng();
-        for f in frags {
-            assert!(matches!(feed(&mut s, f, &mut r).0, Some(StackEvent::Dropped(_))));
+        for mut f in frags {
+            assert!(matches!(feed(&mut s, &mut f, &mut r).0, Some(StackEvent::Dropped(_))));
         }
     }
 
@@ -605,25 +606,41 @@ mod tests {
     fn fragmented_udp_delivered_after_reassembly() {
         let mut s = stack();
         s.open_port(1000);
-        let big = UdpDatagram::new(PEER, HOST, 53, 1000, vec![0xAB; 1200]).into_packet(5, 64);
-        let frags = fragment_packet(&big, 576);
+        let payload: Vec<u8> = (0..1200u32).map(|i| (i % 251) as u8).collect();
+        let big = UdpDatagram::new(PEER, HOST, 53, 1000, payload.clone()).into_packet(5, 64);
+        let mut frags = fragment_packet(&big, 576);
+        let count = frags.len() as u64;
+        let mut last = frags.pop().expect("the datagram was fragmented");
         let mut r = rng();
-        let mut delivered = false;
-        for f in frags {
-            if let (Some(StackEvent::Udp(d)), _) = feed(&mut s, f, &mut r) {
-                assert_eq!(d.payload, vec![0xAB; 1200]);
-                delivered = true;
-            }
+        let returned = pool::counters().returned;
+        // The earlier fragments wait in the reassembly buffer, which copies
+        // them; their owner recycles their buffers, as the engine does.
+        for mut f in frags {
+            assert_eq!(feed(&mut s, &mut f, &mut r).0, None);
+            pool::give(f.payload);
         }
-        assert!(delivered);
+        // The last one completes the datagram: the stack writes the
+        // reassembled packet over it, and the view borrows that.
+        let last_buffer = last.payload.as_ptr();
+        let Some(StackEvent::Udp(view)) = feed(&mut s, &mut last, &mut r).0 else {
+            panic!("the last fragment completes a datagram for an open port");
+        };
+        assert_eq!(view.payload, &payload[..]);
+        assert_eq!((view.src, view.dst, view.src_port, view.dst_port), (PEER, HOST, 53, 1000));
+        assert_eq!((last.header, &last.payload), (big.header, &big.payload), "the packet is the whole datagram");
+        // The stack gave the last fragment's buffer back itself, so every
+        // fragment's buffer is pooled.
+        assert_eq!(pool::counters().returned - returned, count);
+        let reused = pool::take(0);
+        assert_eq!(reused.as_ptr(), last_buffer, "the buffer given back last is the last fragment's");
     }
 
     #[test]
     fn icmp_error_reports_quoted_ports() {
         let mut s = stack();
         let probe = UdpDatagram::new(HOST, PEER, 40000, 53, b"q".to_vec()).into_packet(3, 64);
-        let err = IcmpMessage::port_unreachable(&probe).into_packet(PEER, HOST, 4, 64);
-        let (event, _) = feed(&mut s, err, &mut rng());
+        let mut err = IcmpMessage::port_unreachable(&probe).into_packet(PEER, HOST, 4, 64);
+        let (event, _) = feed(&mut s, &mut err, &mut rng());
         assert!(matches!(
             event,
             Some(StackEvent::IcmpError { kind: Unreachable::Port, quoted_ports: Some((40000, 53)), .. })
@@ -646,14 +663,16 @@ mod tests {
             window: 512,
             payload: vec![],
         };
-        let (event, replies) = feed(&mut s, syn.clone().into_packet(1, 64), &mut rng());
+        let mut pkt = syn.clone().into_packet(1, 64);
+        let (event, replies) = feed(&mut s, &mut pkt, &mut rng());
         assert!(matches!(&event, Some(StackEvent::Tcp(seg)) if seg.dst_port == 53 && seg.flags.syn));
         assert!(replies.is_empty(), "connection state lives in the socket, not the stack");
 
         // Closed port: RST, not ICMP — and not rate limited.
         let mut probe = syn;
         probe.dst_port = 9999;
-        let (event, replies) = feed(&mut s, probe.into_packet(2, 64), &mut rng());
+        let mut pkt = probe.into_packet(2, 64);
+        let (event, replies) = feed(&mut s, &mut pkt, &mut rng());
         assert!(matches!(event, Some(StackEvent::TcpClosedPort { port: 9999, rst_sent: true, .. })));
         assert_eq!(replies.len(), 1);
         let rst = crate::tcp::TcpSegment::from_packet(&replies[0]).unwrap();
@@ -679,7 +698,7 @@ mod tests {
         let mut pkt = seg.into_packet(1, 64);
         pkt.payload[16] = 0; // zero the checksum: illegal for TCP
         pkt.payload[17] = 0;
-        let (event, _) = feed(&mut s, pkt, &mut rng());
+        let (event, _) = feed(&mut s, &mut pkt, &mut rng());
         assert!(matches!(event, Some(StackEvent::Dropped("tcp checksum/format error"))));
     }
 
@@ -690,8 +709,8 @@ mod tests {
         assert_eq!(s.tcp_mss_for(PEER, SimTime::ZERO), 1460);
         // A fragmentation-needed message lowers the path MTU and the MSS.
         let pkts = send(&mut s, UdpDatagram::new(HOST, PEER, 53, 3333, vec![0u8; 1300]), &mut r);
-        let ptb = IcmpMessage::fragmentation_needed(&pkts[0], 576).into_packet(PEER, HOST, 9, 64);
-        feed(&mut s, ptb, &mut r);
+        let mut ptb = IcmpMessage::fragmentation_needed(&pkts[0], 576).into_packet(PEER, HOST, 9, 64);
+        feed(&mut s, &mut ptb, &mut r);
         assert_eq!(s.tcp_mss_for(PEER, SimTime::ZERO), 536);
     }
 

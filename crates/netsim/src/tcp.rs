@@ -237,22 +237,16 @@ impl TcpSegment {
         Ok(seg)
     }
 
-    /// Parses a TCP segment out of an owned IPv4 packet without a copy: the
-    /// header is stripped inside the packet's own buffer. A packet that does
-    /// not parse dies here, its buffer given back to the pool.
-    pub(crate) fn from_owned_packet(pkt: Ipv4Packet) -> Result<Self, TcpError> {
-        match Self::parse(&pkt) {
-            Ok((mut seg, offset)) => {
-                let mut payload = pkt.payload;
-                payload.drain(..offset);
-                seg.payload = payload;
-                Ok(seg)
-            }
-            Err(e) => {
-                pool::give(pkt.payload);
-                Err(e)
-            }
-        }
+    /// Parses a TCP segment out of a received IPv4 packet without a copy:
+    /// the segment moves the packet's buffer out and strips the header in
+    /// place, leaving the packet an empty payload. A packet that does not
+    /// parse keeps its buffer.
+    pub(crate) fn take_from_packet(pkt: &mut Ipv4Packet) -> Result<Self, TcpError> {
+        let (mut seg, offset) = Self::parse(pkt)?;
+        let mut payload = std::mem::take(&mut pkt.payload);
+        payload.drain(..offset);
+        seg.payload = payload;
+        Ok(seg)
     }
 }
 

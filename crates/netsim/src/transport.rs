@@ -10,11 +10,13 @@
 //!
 //! * **UDP** needs no socket object. A node sends with
 //!   [`StackIo::send_udp`] and receives [`StackEvent::Udp`], telling its
-//!   ports apart by `dst_port`.
+//!   ports apart by `dst_port`. The event borrows the received packet's
+//!   bytes, so a node parses the payload where it lies.
 //! * **TCP** connections live in a [`TcpSocket`](crate::tcp::TcpSocket): one
 //!   per bound port, any number of connections. `send_to` runs the handshake
 //!   and segments the bytes to the connection's MSS; `handle` takes the
-//!   stack's [`StackEvent::Tcp`] segments and surfaces [`SocketEvent`]s.
+//!   stack's [`StackEvent::Tcp`] segments, which own the buffer the stack
+//!   moved out of the packet, and surfaces [`SocketEvent`]s.
 //! * [`StackIo`] bundles the host stack, simulated time, seeded RNG and the
 //!   outgoing packet list, the things building a packet needs (IP-ID
 //!   allocation, path-MTU lookups, initial sequence numbers).
@@ -46,12 +48,13 @@
 //! let mut io = StackIo::new(&mut a, SimTime::ZERO, &mut rng, &mut wire);
 //! client.send_to(&mut io, Endpoint::new(b_addr, 80), b"GET /index".to_vec());
 //!
-//! // Shuttle packets between the two stacks until the network is quiet.
+//! // Shuttle packets between the two stacks until the network is quiet. The
+//! // stack borrows each packet, as a node borrows it from the engine.
 //! let mut request = Vec::new();
-//! while let Some(pkt) = wire.pop() {
+//! while let Some(mut pkt) = wire.pop() {
 //!     let (stack, sock) = if pkt.header.dst == a_addr { (&mut a, &mut client) } else { (&mut b, &mut server) };
 //!     let mut io = StackIo::new(stack, SimTime::ZERO, &mut rng, &mut wire);
-//!     let Some(StackEvent::Tcp(seg)) = io.receive(pkt) else { continue };
+//!     let Some(StackEvent::Tcp(seg)) = io.receive(&mut pkt) else { continue };
 //!     for se in sock.handle(&mut io, seg) {
 //!         if let SocketEvent::Data { payload, .. } = se {
 //!             request.extend_from_slice(&payload);
@@ -174,8 +177,8 @@ impl<'a> StackIo<'a> {
 
     /// Feeds one received packet through the host stack (see
     /// [`HostStack::handle_packet`]): replies are queued, the application
-    /// event is returned.
-    pub fn receive(&mut self, pkt: Ipv4Packet) -> Option<StackEvent> {
+    /// event, which borrows from the packet, is returned.
+    pub fn receive<'p>(&mut self, pkt: &'p mut Ipv4Packet) -> Option<StackEvent<'p>> {
         self.stack.handle_packet(pkt, self.now, self.rng, self.out)
     }
 
@@ -233,12 +236,12 @@ mod tests {
         client.send_to(&mut io, Endpoint::new(B, 80), b"hello over tcp".to_vec());
         let mut received = Vec::new();
         let mut guard = 0;
-        while let Some(pkt) = wire.pop() {
+        while let Some(mut pkt) = wire.pop() {
             guard += 1;
             assert!(guard < 64, "exchange did not quiesce");
             let (stack, sock) = if pkt.header.dst == A { (&mut a, &mut client) } else { (&mut b, &mut server) };
             let mut io = StackIo::new(stack, SimTime::ZERO, &mut rng, &mut wire);
-            let Some(StackEvent::Tcp(seg)) = io.receive(pkt) else { continue };
+            let Some(StackEvent::Tcp(seg)) = io.receive(&mut pkt) else { continue };
             for se in sock.handle(&mut io, seg) {
                 if let SocketEvent::Data { payload, .. } = se {
                     received.extend_from_slice(&payload);

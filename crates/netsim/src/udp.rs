@@ -118,15 +118,15 @@ impl UdpDatagram {
         Ipv4Packet::new(Ipv4Header::new(src, dst, Protocol::Udp, payload.len(), identification, ttl), payload)
     }
 
-    /// Validates the UDP header and checksum of an IPv4 packet and returns
-    /// the header plus the payload bytes, borrowed from the packet. This is
-    /// the one UDP parser: [`from_packet`](Self::from_packet) copies its
-    /// payload out, and the host stack hands the packet's own buffer over.
+    /// Validates the UDP header and checksum of an IPv4 packet and returns a
+    /// view of the datagram, its payload borrowed from the packet. This is
+    /// the one UDP parser: the host stack hands its view up, and
+    /// [`from_packet`](Self::from_packet) copies the payload out.
     ///
     /// This is the validation step that a spoofed FragDNS fragment must
     /// survive: after reassembly the attacker-modified payload is checksummed
     /// against the pseudo-header of the *genuine* first fragment.
-    pub fn parse(pkt: &Ipv4Packet) -> Result<(UdpHeader, &[u8]), UdpError> {
+    pub fn parse(pkt: &Ipv4Packet) -> Result<UdpView<'_>, UdpError> {
         if pkt.header.protocol != Protocol::Udp {
             return Err(UdpError::NotUdp);
         }
@@ -146,23 +146,44 @@ impl UdpDatagram {
                 return Err(UdpError::BadChecksum);
             }
         }
-        Ok((header, &pkt.payload[UDP_HEADER_LEN..declared]))
+        Ok(UdpView {
+            src: pkt.header.src,
+            dst: pkt.header.dst,
+            src_port: header.src_port,
+            dst_port: header.dst_port,
+            payload: &pkt.payload[UDP_HEADER_LEN..declared],
+        })
     }
 
     /// Parses a UDP datagram out of an IPv4 packet, verifying the checksum,
     /// into a datagram that owns a copy of the payload.
     pub fn from_packet(pkt: &Ipv4Packet) -> Result<Self, UdpError> {
-        let (header, payload) = Self::parse(pkt)?;
-        Ok(UdpDatagram::new(pkt.header.src, pkt.header.dst, header.src_port, header.dst_port, payload.to_vec()))
+        Self::parse(pkt).map(|view| view.to_datagram())
     }
+}
 
-    /// The datagram `parse(&pkt)` accepted with `header`, built without a
-    /// copy: the header is stripped inside the packet's own buffer.
-    pub(crate) fn from_parsed(pkt: Ipv4Packet, header: UdpHeader) -> Self {
-        let mut payload = pkt.payload;
-        payload.truncate(usize::from(header.length));
-        payload.drain(..UDP_HEADER_LEN);
-        UdpDatagram::new(pkt.header.src, pkt.header.dst, header.src_port, header.dst_port, payload)
+/// A checked UDP datagram, borrowed from the packet that carried it: what
+/// [`UdpDatagram::parse`] returns and the host stack hands up in
+/// [`StackEvent::Udp`](crate::stack::StackEvent::Udp). The payload is the
+/// packet's own bytes, so receiving copies nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UdpView<'p> {
+    /// IPv4 source address.
+    pub src: Ipv4Addr,
+    /// IPv4 destination address.
+    pub dst: Ipv4Addr,
+    /// UDP source port.
+    pub src_port: u16,
+    /// UDP destination port.
+    pub dst_port: u16,
+    /// Application payload, borrowed from the packet.
+    pub payload: &'p [u8],
+}
+
+impl UdpView<'_> {
+    /// A datagram owning a copy of the payload, for a receiver that keeps it.
+    pub fn to_datagram(&self) -> UdpDatagram {
+        UdpDatagram::new(self.src, self.dst, self.src_port, self.dst_port, self.payload.to_vec())
     }
 }
 
@@ -171,26 +192,34 @@ impl UdpDatagram {
 ///
 /// Attacker floods (spoofed queries, scan probes, a TXID spray) send
 /// thousands of datagrams that share addresses, length and almost every
-/// byte. [`packet`](Self::packet) copies the framed template into a pooled
-/// buffer, sets the IP ID, writes the caller's patches at datagram offsets
-/// (offset 0 is the first byte of the UDP header) and updates the UDP
-/// checksum incrementally (RFC 1624) by the change in the 16-bit words each
-/// patch touched, so no packet is encoded or summed again. The result is byte-for-byte the
-/// packet a full [`UdpDatagram::into_packet`] of the patched datagram gives.
+/// byte. [`write`](Self::write) copies the framed template into a packet the
+/// caller lends (a packet train lends one buffer for the whole train), sets
+/// the IP ID, writes the caller's patches at datagram offsets (offset 0 is
+/// the first byte of the UDP header) and updates the UDP checksum
+/// incrementally (RFC 1624) by the change in the 16-bit words each patch
+/// touched, so no packet is encoded or summed again. The result is
+/// byte-for-byte the packet a full [`UdpDatagram::into_packet`] of the
+/// patched datagram gives.
 ///
 /// ```
 /// use netsim::prelude::*;
 ///
 /// let (src, dst): (Ipv4Addr, Ipv4Addr) = ("192.0.2.1".parse().unwrap(), "198.51.100.53".parse().unwrap());
 /// let template = UdpTemplate::new(UdpDatagram::new(src, dst, 53, 1000, b"id=0000".to_vec()), 64);
+/// // Any packet serves as the buffer: `write` replaces its header and bytes.
+/// let mut pkt = UdpDatagram::new(dst, src, 9, 9, b"old".to_vec()).into_packet(0, 1);
 /// // Destination port 1001 (datagram bytes 2-3) and payload byte 3 ('0' -> '7').
-/// let pkt = template.packet(42, &[(2, &1001u16.to_be_bytes()), (8 + 3, b"7")]);
+/// template.write(&mut pkt, 42, &[(2, &1001u16.to_be_bytes()), (8 + 3, b"7")]);
 ///
 /// let full = UdpDatagram::new(src, dst, 53, 1001, b"id=7000".to_vec()).into_packet(42, 64);
 /// assert_eq!(pkt.header, full.header);
 /// assert_eq!(pkt.payload, full.payload);
-/// let (header, payload) = UdpDatagram::parse(&pkt).expect("the updated checksum verifies");
-/// assert_eq!((header.dst_port, payload), (1001, &b"id=7000"[..]));
+/// let view = UdpDatagram::parse(&pkt).expect("the updated checksum verifies");
+/// assert_eq!((view.dst_port, view.payload), (1001, &b"id=7000"[..]));
+///
+/// // The next packet overwrites the first in the same buffer.
+/// template.write(&mut pkt, 43, &[]);
+/// assert_eq!(UdpDatagram::parse(&pkt).unwrap().payload, b"id=0000");
 /// ```
 #[derive(Debug)]
 pub struct UdpTemplate {
@@ -202,7 +231,7 @@ pub struct UdpTemplate {
 
 /// Datagram bytes a template patch may not touch: the UDP length, which the
 /// pseudo-header covers too and the template's size fixes, and the checksum,
-/// which [`UdpTemplate::packet`] maintains itself.
+/// which [`UdpTemplate::write`] maintains itself.
 const UNPATCHABLE: std::ops::Range<usize> = 4..UDP_HEADER_LEN;
 
 impl UdpTemplate {
@@ -213,17 +242,20 @@ impl UdpTemplate {
         UdpTemplate { pkt, checksum }
     }
 
-    /// The template's packet with IP ID `identification` and each
-    /// `(offset, bytes)` patch written at that datagram offset, in order
-    /// (a later patch overwrites an earlier one where they overlap).
+    /// Writes the template's packet into `pkt`, replacing its header and
+    /// bytes but keeping its buffer: IP ID `identification`, and each
+    /// `(offset, bytes)` patch written at that datagram offset, in order (a
+    /// later patch overwrites an earlier one where they overlap).
     ///
     /// # Panics
     ///
     /// Panics when a patch touches the UDP length or checksum field (bytes
     /// 4-7) or runs past the end of the datagram.
     #[inline]
-    pub fn packet(&self, identification: u16, patches: &[(usize, &[u8])]) -> Ipv4Packet {
-        let mut payload = pool::take(self.pkt.payload.len());
+    pub fn write(&self, pkt: &mut Ipv4Packet, identification: u16, patches: &[(usize, &[u8])]) {
+        pkt.header = Ipv4Header { identification, ..self.pkt.header };
+        let payload = &mut pkt.payload;
+        payload.clear();
         payload.extend_from_slice(&self.pkt.payload);
         let mut ck = self.checksum;
         for &(offset, bytes) in patches {
@@ -253,7 +285,6 @@ impl UdpTemplate {
         // A computed zero goes on the wire as all ones (RFC 768).
         let ck = if ck == 0 { 0xffff } else { ck };
         payload[6..8].copy_from_slice(&ck.to_be_bytes());
-        Ipv4Packet { header: Ipv4Header { identification, ..self.pkt.header }, payload }
     }
 }
 
@@ -397,28 +428,36 @@ mod tests {
         assert!(UdpHeader::decode(&[0u8; 4]).is_err());
     }
 
+    /// Writes `template` with `patches` into a packet whose buffer held a
+    /// longer datagram before.
+    fn written(template: &UdpTemplate, id: u16, patches: &[(usize, &[u8])]) -> Ipv4Packet {
+        let mut pkt = dgram(&[0xee; 64]).into_packet(9, 1);
+        template.write(&mut pkt, id, patches);
+        pkt
+    }
+
     #[test]
     #[should_panic(expected = "touches the UDP length or checksum field")]
     fn template_refuses_to_patch_the_checksum() {
-        UdpTemplate::new(dgram(b"payload"), 64).packet(1, &[(7, &[0xab])]);
+        written(&UdpTemplate::new(dgram(b"payload"), 64), 1, &[(7, &[0xab])]);
     }
 
     #[test]
     #[should_panic(expected = "touches the UDP length or checksum field")]
     fn template_refuses_to_patch_the_length() {
-        UdpTemplate::new(dgram(b"payload"), 64).packet(1, &[(2, &[0, 1, 0])]);
+        written(&UdpTemplate::new(dgram(b"payload"), 64), 1, &[(2, &[0, 1, 0])]);
     }
 
     #[test]
     #[should_panic(expected = "runs past the")]
     fn template_refuses_to_patch_past_the_end() {
-        UdpTemplate::new(dgram(b"payload"), 64).packet(1, &[(14, b"xy")]);
+        written(&UdpTemplate::new(dgram(b"payload"), 64), 1, &[(14, b"xy")]);
     }
 
     #[test]
     fn template_patches_an_odd_final_byte() {
         let template = UdpTemplate::new(dgram(b"odd"), 64);
-        let pkt = template.packet(5, &[(UDP_HEADER_LEN + 2, b"z"), (0, &[])]);
+        let pkt = written(&template, 5, &[(UDP_HEADER_LEN + 2, b"z"), (0, &[])]);
         let full = dgram(b"odz").into_packet(5, 64);
         assert_eq!((pkt.header, &pkt.payload), (full.header, &full.payload));
     }

@@ -204,7 +204,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -4,7 +4,7 @@
 //! runs and platforms, which is what the simulator's reproducibility
 //! guarantees require; they are not bit-identical to upstream `rand_chacha`.
 //!
-//! Blocks are computed [`LANES`] at a time in an interleaved (lane-per-block)
+//! Blocks are computed `LANES` at a time in an interleaved (lane-per-block)
 //! layout so the compiler vectorises the quarter rounds; on `x86_64` the
 //! kernel is additionally compiled at the AVX2 and AVX-512 feature levels and
 //! selected once at runtime. Every path performs the same integer arithmetic,

@@ -1,9 +1,10 @@
 //! In-place UDP/TCP framing: `into_packet` writes the transport header into
 //! the payload's own buffer, byte-for-byte what a separate `header ‖
-//! payload` encoding produces, and the host stack hands the received
-//! payload back in that same buffer after validating the checksum once. A
-//! `UdpTemplate` packet is byte-for-byte the full framing of the patched
-//! datagram.
+//! payload` encoding produces, and after validating the checksum once the
+//! host stack hands a received UDP payload up as a view of the packet's own
+//! bytes and a TCP payload in the packet's own buffer. A `UdpTemplate`
+//! writes the full framing of the patched datagram into whatever buffer it
+//! is lent.
 
 use cross_layer_attacks::netsim::checksum;
 use cross_layer_attacks::netsim::prelude::*;
@@ -59,7 +60,7 @@ fn reference_tcp(seg: &TcpSegment, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Feeds `pkt` to a host owning `DST` with `port` open (UDP and TCP).
-fn receive(pkt: Ipv4Packet, port: u16) -> Option<StackEvent> {
+fn receive(pkt: &mut Ipv4Packet, port: u16) -> Option<StackEvent<'_>> {
     let mut host = HostStack::with_defaults(vec![DST]);
     host.open_port(port);
     host.open_tcp_port(port);
@@ -91,20 +92,21 @@ proptest! {
         let i = tamper % (tampered.payload.len() - 2);
         tampered.payload[if i < 6 { i } else { i + 2 }] ^= 0x01;
         prop_assert!(UdpDatagram::parse(&tampered).is_err());
-        prop_assert!(matches!(receive(tampered, dport), Some(StackEvent::Dropped(_))));
+        prop_assert!(matches!(receive(&mut tampered, dport), Some(StackEvent::Dropped(_))));
 
-        // The stack hands the payload over in the received buffer.
+        // The stack hands the payload up as a view of the received bytes.
+        let mut pkt = pkt;
         let received_at = pkt.payload.as_ptr();
-        let dgram = match receive(pkt, dport) {
+        let dgram = match receive(&mut pkt, dport) {
             Some(StackEvent::Udp(dgram)) => dgram,
             other => {
                 prop_assert!(false, "a valid datagram to an open port is delivered, got {:?}", other);
                 unreachable!()
             }
         };
-        prop_assert_eq!(&dgram.payload, &payload);
-        prop_assert_eq!((dgram.src, dgram.src_port, dgram.dst_port), (SRC, sport, dport));
-        prop_assert_eq!(dgram.payload.as_ptr(), received_at, "no copy on receipt");
+        prop_assert_eq!(dgram.payload, &payload[..]);
+        prop_assert_eq!((dgram.src, dgram.dst, dgram.src_port, dgram.dst_port), (SRC, DST, sport, dport));
+        prop_assert_eq!(dgram.payload.as_ptr(), received_at.wrapping_add(8), "no copy on receipt");
     }
 
     #[test]
@@ -129,10 +131,14 @@ proptest! {
         let i = tamper % tampered.payload.len();
         tampered.payload[i] ^= 0x01;
         prop_assert!(TcpSegment::from_packet(&tampered).is_err());
-        prop_assert!(matches!(receive(tampered, 53), Some(StackEvent::Dropped(_))));
+        let tampered_bytes = tampered.payload.clone();
+        prop_assert!(matches!(receive(&mut tampered, 53), Some(StackEvent::Dropped(_))));
+        prop_assert_eq!(&tampered.payload, &tampered_bytes, "a rejected segment leaves the packet its buffer");
 
+        // The stack moves the received buffer into the segment.
+        let mut pkt = pkt;
         let received_at = pkt.payload.as_ptr();
-        let seg = match receive(pkt, 53) {
+        let seg = match receive(&mut pkt, 53) {
             Some(StackEvent::Tcp(seg)) => seg,
             other => {
                 prop_assert!(false, "a valid segment to an open port is delivered, got {:?}", other);
@@ -142,6 +148,7 @@ proptest! {
         prop_assert_eq!(&seg.payload, &payload);
         prop_assert_eq!((seg.seq, seg.ack, seg.flags, seg.window), (seq, ack, flags, window));
         prop_assert_eq!(seg.payload.as_ptr(), received_at, "no copy on receipt");
+        prop_assert_eq!(pkt.payload.capacity(), 0, "the segment took the packet's buffer");
     }
 }
 
@@ -176,14 +183,16 @@ proptest! {
             image[*offset..*offset + bytes.len()].copy_from_slice(bytes);
         }
         let borrowed: Vec<(usize, &[u8])> = patches.iter().map(|(offset, bytes)| (*offset, &bytes[..])).collect();
-        let pkt = template.packet(id, &borrowed);
+        // The buffer held a datagram of another length, as a train's does.
+        let mut pkt = UdpDatagram::new(DST, SRC, 7, 9, vec![0xa5; 301 - payload.len()]).into_packet(1, 1);
+        template.write(&mut pkt, id, &borrowed);
 
         let (sport, dport) = (u16::from_be_bytes([image[0], image[1]]), u16::from_be_bytes([image[2], image[3]]));
         let full = UdpDatagram::new(SRC, DST, sport, dport, image[8..].to_vec()).into_packet(id, ttl);
         prop_assert_eq!(pkt.header, full.header);
         prop_assert_eq!(&pkt.payload, &full.payload);
-        let (header, received) = UdpDatagram::parse(&pkt).expect("the updated checksum verifies");
-        prop_assert_eq!((header.src_port, header.dst_port, received), (sport, dport, &image[8..]));
+        let view = UdpDatagram::parse(&pkt).expect("the updated checksum verifies");
+        prop_assert_eq!((view.src_port, view.dst_port, view.payload), (sport, dport, &image[8..]));
     }
 }
 
@@ -196,7 +205,8 @@ fn udp_template_sends_a_computed_zero_as_ffff() {
     let summing_to_zero = UdpDatagram::new(zero, zero, 1, 2, vec![0xff, 0xd7]);
     let other = UdpDatagram::new(zero, zero, 1, 2, vec![0x12, 0x34]);
     for (from, to) in [(other.clone(), summing_to_zero.clone()), (summing_to_zero, other)] {
-        let pkt = UdpTemplate::new(from, 64).packet(3, &[(8, &to.payload)]);
+        let mut pkt = from.clone().into_packet(9, 1);
+        UdpTemplate::new(from, 64).write(&mut pkt, 3, &[(8, &to.payload)]);
         let full = to.into_packet(3, 64);
         assert_eq!(pkt.payload, full.payload);
         assert!(UdpDatagram::parse(&pkt).is_ok());
@@ -211,6 +221,6 @@ fn computed_zero_udp_checksum_is_sent_as_ffff_in_place() {
     for spare in [0, 8] {
         let pkt = UdpDatagram::new(zero, zero, 1, 2, with_spare(&[0xff, 0xd7], spare)).into_packet(1, 64);
         assert_eq!(pkt.payload[6..8], [0xff, 0xff]);
-        assert_eq!(UdpDatagram::parse(&pkt).map(|(_, payload)| payload.to_vec()), Ok(vec![0xff, 0xd7]));
+        assert_eq!(UdpDatagram::parse(&pkt).map(|view| view.payload.to_vec()), Ok(vec![0xff, 0xd7]));
     }
 }
