@@ -527,14 +527,12 @@ mod tests {
         let recorded = SadDnsAttack::new(attack_cfg()).run(&mut sim_b, &env_b);
         assert!(sim_b.trace().packets().count() > 1 << 16, "the spray was traced");
         assert_eq!(plain, recorded, "recording must not perturb the attack");
-        // The untraced run delivers the spray in batches, the traced one
-        // packet by packet: the resolver, its ICMP limiter and every node's
-        // traffic must not tell them apart.
+        // Both runs deliver the spray in batches through the same loop, one
+        // of them recording every packet: the resolver, its ICMP limiter and
+        // every node's traffic must not tell them apart.
         assert_eq!(sim_a.counters(), sim_b.counters(), "nor the engine's work");
         let (resolver_a, resolver_b) = (env_a.resolver(&sim_a), env_b.resolver(&sim_b));
         assert_eq!(resolver_a.stats, resolver_b.stats);
-        // The mute trains reach the nameserver batched in one run and packet
-        // by packet in the other.
         assert_eq!(env_a.nameserver(&sim_a).stats, env_b.nameserver(&sim_b).stats);
         let icmp = |r: &Resolver| (r.stack().icmp_limiter().allowed, r.stack().icmp_limiter().suppressed);
         assert_eq!(icmp(resolver_a), icmp(resolver_b));

@@ -464,7 +464,7 @@ impl Scenario {
     /// (locked by the template-equivalence tests): only the seed-independent
     /// derivation is skipped. The packet trace is disabled — a
     /// [`ScenarioOutcome`] never exposes it, and grid campaigns would
-    /// otherwise pay a formatted trace entry per simulated packet.
+    /// otherwise pay a recorded trace entry per simulated packet.
     ///
     /// With `Some(metrics)`, the run's telemetry — the victim resolver's
     /// counters (`dns.*`) and the simulator's engine counters (`engine.*`) —

@@ -94,12 +94,6 @@ pub fn base32hex_decode(s: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// The owner name of the NSEC3 record for `name`: the base32hex hash as a
-/// single label under the zone apex.
-pub fn nsec3_owner(name: &DomainName, params: &Nsec3Params, origin: &DomainName) -> DomainName {
-    origin.prepend(&base32hex_encode(&nsec3_hash(name, params))).expect("base32hex NSEC3 labels fit label limits")
-}
-
 /// Whether the NSEC span `(owner, next)` covers `name` (strictly between
 /// the two in canonical order, with wraparound on the last span).
 pub fn nsec_covers(owner: &DomainName, next: &DomainName, name: &DomainName) -> bool {

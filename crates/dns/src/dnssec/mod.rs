@@ -31,7 +31,7 @@ pub mod keys;
 pub mod sign;
 pub mod verify;
 
-pub use denial::{nsec3_hash, nsec3_owner, Nsec3Params};
+pub use denial::{nsec3_hash, Nsec3Params};
 pub use keys::{DsAnchor, KeyManager, KeyPair, RolloverState, SIM_ALGORITHM, SIM_DIGEST};
 pub use sign::{canonical_cmp, canonical_rrset_bytes, DenialConfig, Signer, SigningPolicy};
 pub use verify::{Validation, Validator};

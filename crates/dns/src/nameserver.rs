@@ -637,7 +637,7 @@ mod tests {
     #[test]
     fn ipid_policy_observable_from_responses() {
         // Global counter: consecutive responses carry consecutive IPIDs.
-        let (sim, ns, _) = ask(
+        let (sim, ns, resolver) = ask(
             server(NameserverConfig::new(NS_ADDR).with_ipid(IpIdPolicy::GlobalCounter)),
             (0..3).map(|i| query_packet("vict.im", RecordType::A, i, 4096)).collect(),
         );
@@ -646,7 +646,7 @@ mod tests {
             .packets()
             .filter(|p| {
                 p.verdict == netsim::trace::TraceVerdict::Delivered
-                    && p.to == "resolver"
+                    && p.to == Some(netsim::engine::Origin::Node(resolver))
                     && p.packet.protocol == Protocol::Udp
             })
             .map(|p| p.packet.identification)

@@ -51,21 +51,21 @@
 //! popped train leaves the wheel for good and is **held** in one slot beside
 //! it, which every step serves before the wheel until the train is spent.
 //!
-//! [`Simulator::run`] and [`Simulator::run_until`] go further when the trace
-//! is off and the receiver is a full [`Node`]: they write the held train's
-//! packets, one after another, into the train's buffer and lend each to the
-//! receiver's ordinary [`Node::on_packet`] inside **one** callback context,
-//! and stop after the first packet whose callback queued an outgoing packet
-//! or a timer. The counters and stats are then credited in bulk, exactly as
-//! per-packet delivery credits them. This is exact for every node: the
-//! engine assigns seqs and draws from the RNG only when it dispatches queued
-//! output, which happens after that stopping packet just as it would have,
-//! and nothing reads the engine's counters during a callback.
-//! [`Simulator::step`] still delivers exactly one packet per call, and with
-//! the trace on every packet gets its own context and its own trace entry;
-//! both lend the same train buffer. A receiver that moves the buffer out
-//! keeps it, and the train takes a fresh one from the pool for its next
-//! packet.
+//! A full [`Node`] receives a held train through one loop: it writes the
+//! train's packets, one after another, into the train's buffer, records
+//! each packet's trace entry and lends it to the receiver's ordinary
+//! [`Node::on_packet`] inside **one** callback context, and stops after the
+//! first packet whose callback queued an outgoing packet or a timer. The
+//! counters and stats are then credited in bulk, exactly as per-packet
+//! delivery credits them. This is exact for every node: the engine assigns
+//! seqs and draws from the RNG only when it dispatches queued output, which
+//! happens after that stopping packet just as it would have, and nothing
+//! reads the engine's counters during a callback. [`Simulator::run`] and
+//! [`Simulator::run_until`] let the loop run on; [`Simulator::step`] stops
+//! it after one packet. A trace entry holds ids, not names, so the traced
+//! loop allocates nothing per packet either. A stub client receives a train
+//! one packet per step. A receiver that moves the buffer out keeps it, and
+//! the train takes a fresh one from the pool for its next packet.
 
 use crate::fasthash::FastHashMap;
 use crate::ipv4::{Ipv4Header, Ipv4Packet, Protocol};
@@ -75,7 +75,7 @@ use crate::prefix::Prefix;
 use crate::stack::HostStack;
 use crate::stats::TrafficStats;
 use crate::time::{Duration, SimTime};
-use crate::trace::{Trace, TraceEntry, TraceVerdict};
+use crate::trace::{Trace, TraceEntry, TraceVerdict, TraceView};
 use crate::transport::StackIo;
 use crate::wheel::TimeWheel;
 use crate::{frag, icmp::IcmpMessage};
@@ -352,8 +352,8 @@ impl Node for SinkNode {
     }
 }
 
-struct NodeSlot {
-    name: String,
+pub(crate) struct NodeSlot {
+    pub(crate) name: String,
     node: Box<dyn Node>,
     addrs: Vec<Ipv4Addr>,
     egress_filtering: bool,
@@ -361,36 +361,40 @@ struct NodeSlot {
 }
 
 /// A contiguous range of arena-hosted stub clients.
-struct StubBlock {
-    name: String,
+pub(crate) struct StubBlock {
+    pub(crate) name: String,
     /// Block base address as a big-endian u32.
     base: u32,
     /// Number of clients in the block.
     count: u32,
     /// Arena index of the first client.
-    first: u32,
+    pub(crate) first: u32,
     /// Aggregate traffic counters for the whole block.
     stats: TrafficStats,
 }
 
-/// Who sent a packet (for stats, egress filtering and trace labels).
-#[derive(Debug, Clone, Copy)]
-enum Origin {
+impl StubBlock {
+    /// Whether stub `id` is one of this block's clients.
+    pub(crate) fn holds(&self, id: StubId) -> bool {
+        id.0 >= self.first && id.0 - self.first < self.count
+    }
+}
+
+/// A host that sends or receives packets: the id that routing, stats and
+/// trace entries ([`PacketEntry`](crate::trace::PacketEntry)) carry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Origin {
+    /// A full node.
     Node(NodeId),
+    /// A stub client.
     Stub(StubId),
-    /// ICMP errors originated by the network itself (PTB from a link router).
+    /// The network itself, which only sends: ICMP errors a link router
+    /// originates (PTB).
     Router,
 }
 
-/// Who receives a packet.
-#[derive(Debug, Clone, Copy)]
-enum HostRef {
-    Node(NodeId),
-    Stub(StubId),
-}
-
 enum EventKind {
-    Deliver { to: HostRef, from: Origin, pkt: Ipv4Packet },
+    Deliver { to: Origin, from: Origin, pkt: Ipv4Packet },
     Timer { node: NodeId, token: u64 },
     StubTimer { stub: StubId, timer: StubTimer },
     Train(Box<Train>),
@@ -423,7 +427,7 @@ impl TrainShape {
 /// It sits in the wheel until its first packet is popped, then in the
 /// simulator's held slot until its last packet is delivered.
 struct Train {
-    to: HostRef,
+    to: Origin,
     from: Origin,
     shape: TrainShape,
     /// The train's one buffer: packet 0 from inject time until it is
@@ -631,11 +635,6 @@ impl Simulator {
         self.stub_handler = Some(Box::new(handler));
     }
 
-    /// Number of stub clients across all blocks.
-    pub fn stub_count(&self) -> usize {
-        self.stubs.len()
-    }
-
     /// State of one stub client.
     pub fn stub_state(&self, id: StubId) -> &StubState {
         &self.stubs[id.0 as usize]
@@ -665,7 +664,7 @@ impl Simulator {
     }
 
     fn block_of_stub(&self, id: StubId) -> usize {
-        self.stub_blocks.iter().position(|b| id.0 >= b.first && id.0 - b.first < b.count).expect("stub id out of range")
+        self.stub_blocks.iter().position(|b| b.holds(id)).expect("stub id out of range")
     }
 
     /// Enables or disables egress filtering (BCP 38) for a node: when enabled,
@@ -740,9 +739,10 @@ impl Simulator {
         m.incr("engine.trace.dropped", self.trace.dropped());
     }
 
-    /// The event trace (packets and spans; off by default).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    /// The event trace (packets and spans; off by default), with the node
+    /// and stub-block names that label its packets when it is printed.
+    pub fn trace(&self) -> TraceView<'_> {
+        TraceView { trace: &self.trace, nodes: &self.nodes, blocks: &self.stub_blocks }
     }
 
     /// Mutable access to the event trace (e.g. to turn it on or bound it).
@@ -796,11 +796,11 @@ impl Simulator {
 
     /// Full routing including the stub arena: overrides, then node address
     /// ownership, then stub blocks.
-    fn host_lookup(&self, addr: Ipv4Addr) -> Option<HostRef> {
+    fn host_lookup(&self, addr: Ipv4Addr) -> Option<Origin> {
         if let Some(node) = self.route_lookup(addr) {
-            return Some(HostRef::Node(node));
+            return Some(Origin::Node(node));
         }
-        self.stub_lookup(addr).map(HostRef::Stub)
+        self.stub_lookup(addr).map(Origin::Stub)
     }
 
     /// Schedules a timer for a node, from outside the node itself.
@@ -811,7 +811,7 @@ impl Simulator {
 
     /// Injects a packet as if `from` had sent it right now.
     pub fn inject(&mut self, from: NodeId, pkt: Ipv4Packet) {
-        self.dispatch(from, pkt);
+        self.dispatch(Origin::Node(from), pkt);
     }
 
     /// Injects `count` packets as if `from` had sent them right now, packet
@@ -826,7 +826,8 @@ impl Simulator {
     /// `count` consecutive seqs and one buffer: packet `i` is written into it
     /// only when it is delivered. Once packet 0 is popped the train is held
     /// beside the wheel and [`run`](Self::run) may deliver a run of its
-    /// packets in one callback context (see the [module documentation](self)).
+    /// packets to a full node in one callback context, traced or not (see the
+    /// [module documentation](self)).
     /// Otherwise every packet is filled into its own pooled buffer and takes
     /// the per-packet send path, so loss draws, PTBs and drop traces are
     /// unchanged.
@@ -850,12 +851,12 @@ impl Simulator {
             .map(|to| (to, self.link_between(origin, to)))
             .filter(|(_, link)| link.loss == 0.0 && shape.wire_len <= usize::from(link.mtu))
         else {
-            self.dispatch(from, first);
+            self.dispatch(origin, first);
             for i in 1..count {
                 let mut pkt = blank_packet(shape.wire_len);
                 fill(i, &mut pkt);
                 shape.check(i, &pkt);
-                self.dispatch(from, pkt);
+                self.dispatch(origin, pkt);
             }
             return;
         };
@@ -873,32 +874,8 @@ impl Simulator {
         self.events.push(time, seq, kind);
     }
 
-    /// The trace label for a packet origin. Only called when tracing is
-    /// enabled, so the stub `String` allocation never taxes big runs.
-    fn origin_label(nodes: &[NodeSlot], blocks: &[StubBlock], from: Origin) -> String {
-        match from {
-            Origin::Node(id) => nodes[id.0].name.clone(),
-            Origin::Stub(id) => Self::stub_label(blocks, id),
-            Origin::Router => "router".to_string(),
-        }
-    }
-
-    fn stub_label(blocks: &[StubBlock], id: StubId) -> String {
-        for b in blocks {
-            if id.0 >= b.first && id.0 - b.first < b.count {
-                return format!("{}{}", b.name, id.0 - b.first);
-            }
-        }
-        format!("stub{}", id.0)
-    }
-
-    /// Routes and schedules one packet sent by a full node.
-    fn dispatch(&mut self, from: NodeId, pkt: Ipv4Packet) {
-        self.dispatch_from(Origin::Node(from), pkt);
-    }
-
-    /// Routes and schedules one packet from any origin.
-    fn dispatch_from(&mut self, from: Origin, pkt: Ipv4Packet) {
+    /// Routes and schedules one packet sent by a node or a stub client.
+    fn dispatch(&mut self, from: Origin, pkt: Ipv4Packet) {
         let wire_len = pkt.wire_len();
         let protocol = pkt.header.protocol;
         match from {
@@ -908,10 +885,7 @@ impl Simulator {
                 if self.nodes[id.0].egress_filtering && !self.nodes[id.0].addrs.contains(&pkt.header.src) {
                     self.nodes[id.0].stats.spoofed_filtered += 1;
                     self.counters.egress_filtered += 1;
-                    if self.trace.enabled {
-                        let from_name = self.nodes[id.0].name.clone();
-                        self.trace.record_packet(self.now, from_name, "-".into(), &pkt, TraceVerdict::EgressFiltered);
-                    }
+                    self.trace.record_packet(self.now, from, None, &pkt, TraceVerdict::EgressFiltered);
                     pool::give(pkt.payload);
                     return;
                 }
@@ -926,11 +900,7 @@ impl Simulator {
 
         // Routing (route overrides model hijacked prefixes).
         let Some(to) = self.host_lookup(pkt.header.dst) else {
-            self.count_transit_drop(from, TraceVerdict::NoRoute);
-            if self.trace.enabled {
-                let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
-                self.trace.record_packet(self.now, from_name, "-".into(), &pkt, TraceVerdict::NoRoute);
-            }
+            self.drop_in_transit(from, None, &pkt, TraceVerdict::NoRoute);
             pool::give(pkt.payload);
             return;
         };
@@ -938,12 +908,7 @@ impl Simulator {
 
         // Random loss.
         if link.loss > 0.0 && self.rng.gen::<f64>() < link.loss {
-            self.count_transit_drop(from, TraceVerdict::LinkLoss);
-            if self.trace.enabled {
-                let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
-                let to_name = self.host_label(to);
-                self.trace.record_packet(self.now, from_name, to_name, &pkt, TraceVerdict::LinkLoss);
-            }
+            self.drop_in_transit(from, Some(to), &pkt, TraceVerdict::LinkLoss);
             pool::give(pkt.payload);
             return;
         }
@@ -951,12 +916,7 @@ impl Simulator {
         // MTU handling by the "router" on the link.
         if pkt.wire_len() > usize::from(link.mtu) {
             if pkt.header.dont_fragment || !link.fragment_in_transit {
-                self.count_transit_drop(from, TraceVerdict::MtuExceeded);
-                if self.trace.enabled {
-                    let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
-                    let to_name = self.host_label(to);
-                    self.trace.record_packet(self.now, from_name, to_name, &pkt, TraceVerdict::MtuExceeded);
-                }
+                self.drop_in_transit(from, Some(to), &pkt, TraceVerdict::MtuExceeded);
                 // Generate an ICMP fragmentation-needed back to the sender,
                 // originated "by the network" (source = destination address of
                 // the oversized packet, a common real-world pattern for
@@ -969,12 +929,7 @@ impl Simulator {
                 );
                 pool::give(pkt.payload);
                 let time = self.now + link.latency;
-                let back_to = match from {
-                    Origin::Node(id) => HostRef::Node(id),
-                    Origin::Stub(id) => HostRef::Stub(id),
-                    Origin::Router => return,
-                };
-                self.push_event(time, EventKind::Deliver { to: back_to, from: Origin::Router, pkt: ptb });
+                self.push_event(time, EventKind::Deliver { to: from, from: Origin::Router, pkt: ptb });
                 return;
             }
             // Fragment in transit.
@@ -991,8 +946,10 @@ impl Simulator {
     }
 
     /// Attributes a transit drop to the sender's stats, broken down by the
-    /// verdict that caused it, and bumps the engine-wide verdict counter.
-    fn count_transit_drop(&mut self, from: Origin, verdict: TraceVerdict) {
+    /// verdict that caused it, bumps the engine-wide verdict counter and
+    /// traces the packet.
+    fn drop_in_transit(&mut self, from: Origin, to: Option<Origin>, pkt: &Ipv4Packet, verdict: TraceVerdict) {
+        self.trace.record_packet(self.now, from, to, pkt, verdict);
         match verdict {
             TraceVerdict::NoRoute => self.counters.no_route += 1,
             TraceVerdict::LinkLoss => self.counters.link_loss += 1,
@@ -1034,17 +991,10 @@ impl Simulator {
     /// The link governing a flow. Node-to-node flows use the configured link
     /// table; any other flow, and a node pair with no link installed, uses
     /// [`Link::default`].
-    fn link_between(&self, from: Origin, to: HostRef) -> Link {
+    fn link_between(&self, from: Origin, to: Origin) -> Link {
         match (from, to) {
-            (Origin::Node(a), HostRef::Node(b)) => self.links.get(&(a, b)).copied().unwrap_or_default(),
+            (Origin::Node(a), Origin::Node(b)) => self.links.get(&(a, b)).copied().unwrap_or_default(),
             _ => Link::default(),
-        }
-    }
-
-    fn host_label(&self, to: HostRef) -> String {
-        match to {
-            HostRef::Node(id) => self.nodes[id.0].name.clone(),
-            HostRef::Stub(id) => Self::stub_label(&self.stub_blocks, id),
         }
     }
 
@@ -1055,7 +1005,7 @@ impl Simulator {
         self.started = true;
         for idx in 0..self.nodes.len() {
             let id = NodeId(idx);
-            self.with_node_ctx(id, |node, ctx| node.on_start(ctx));
+            self.with_node_ctx(id, |node, ctx, _| node.on_start(ctx));
         }
         if self.stub_handler.is_some() {
             for idx in 0..self.stubs.len() {
@@ -1064,20 +1014,20 @@ impl Simulator {
         }
     }
 
-    /// Runs a node callback with a freshly built [`Ctx`], then dispatches the
-    /// side effects it produced.
-    fn with_node_ctx<R>(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>) -> R) -> R {
+    /// Runs a node callback with a freshly built [`Ctx`] and the trace, then
+    /// dispatches the side effects it produced.
+    fn with_node_ctx(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>, &mut Trace)) {
         let mut outgoing = std::mem::take(&mut self.out_scratch);
         let mut timers = std::mem::take(&mut self.timer_scratch);
-        let result = {
-            let Simulator { nodes, rng, now, .. } = self;
+        {
+            let Simulator { nodes, rng, now, trace, .. } = self;
             let slot = &mut nodes[id.0];
             let mut ctx =
                 Ctx { now: *now, self_id: id, addrs: &slot.addrs, rng, outgoing: &mut outgoing, timers: &mut timers };
-            f(slot.node.as_mut(), &mut ctx)
-        };
+            f(slot.node.as_mut(), &mut ctx, trace);
+        }
         for pkt in outgoing.drain(..) {
-            self.dispatch(id, pkt);
+            self.dispatch(Origin::Node(id), pkt);
         }
         for (delay, token) in timers.drain(..) {
             let time = self.now + delay;
@@ -1085,7 +1035,6 @@ impl Simulator {
         }
         self.out_scratch = outgoing;
         self.timer_scratch = timers;
-        result
     }
 
     /// Runs a stub-handler callback with a freshly built [`StubCtx`], then
@@ -1107,7 +1056,7 @@ impl Simulator {
             f(handler.as_mut(), &mut ctx);
         }
         for pkt in outgoing.drain(..) {
-            self.dispatch_from(Origin::Stub(id), pkt);
+            self.dispatch(Origin::Stub(id), pkt);
         }
         for (delay, timer) in timers.drain(..) {
             let time = self.now + delay;
@@ -1118,29 +1067,21 @@ impl Simulator {
     }
 
     /// Lends `pkt` to its receiver; the caller still owns it afterwards.
-    fn deliver(&mut self, to: HostRef, from: Origin, pkt: &mut Ipv4Packet) {
+    fn deliver(&mut self, to: Origin, from: Origin, pkt: &mut Ipv4Packet) {
         self.count_delivered(from, 1);
+        self.trace.record_packet(self.now, from, Some(to), pkt, TraceVerdict::Delivered);
         match to {
-            HostRef::Node(id) => {
+            Origin::Node(id) => {
                 self.nodes[id.0].stats.record_received(pkt.header.protocol, pkt.wire_len(), 1);
-                if self.trace.enabled {
-                    let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
-                    let to_name = self.nodes[id.0].name.clone();
-                    self.trace.record_packet(self.now, from_name, to_name, pkt, TraceVerdict::Delivered);
-                }
-                self.with_node_ctx(id, |node, ctx| node.on_packet(ctx, pkt));
+                self.with_node_ctx(id, |node, ctx, _| node.on_packet(ctx, pkt));
             }
-            HostRef::Stub(id) => {
+            Origin::Stub(id) => {
                 let b = self.block_of_stub(id);
                 self.stub_blocks[b].stats.record_received(pkt.header.protocol, pkt.wire_len(), 1);
                 self.stubs[id.0 as usize].received += 1;
-                if self.trace.enabled {
-                    let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
-                    let to_name = Self::stub_label(&self.stub_blocks, id);
-                    self.trace.record_packet(self.now, from_name, to_name, pkt, TraceVerdict::Delivered);
-                }
                 self.with_stub_ctx(id, |handler, ctx| handler.on_packet(ctx, pkt));
             }
+            Origin::Router => unreachable!("routing never delivers to the network itself"),
         }
     }
 
@@ -1149,18 +1090,18 @@ impl Simulator {
     /// packet per call. Returns `false` when the event queue is empty.
     pub fn step(&mut self) -> bool {
         self.start_nodes();
-        self.serve(SimTime::from_nanos(u64::MAX), false)
+        self.serve(SimTime::from_nanos(u64::MAX), 1)
     }
 
-    /// Serves the next event due at or before `deadline`. With `batch`, a
-    /// held train may deliver several packets (see [`Self::deliver_held`]).
-    fn serve(&mut self, deadline: SimTime, batch: bool) -> bool {
+    /// Serves the next event due at or before `deadline`. A held train
+    /// delivers up to `limit` packets (see [`Self::deliver_held`]).
+    fn serve(&mut self, deadline: SimTime, limit: u32) -> bool {
         if self.held.is_some() {
             // The held train is due at `now`.
             if self.now > deadline {
                 return false;
             }
-            self.deliver_held(batch);
+            self.deliver_held(limit);
             return true;
         }
         let Some((time, _, kind)) = self.events.pop_until(deadline) else {
@@ -1172,14 +1113,14 @@ impl Simulator {
                 self.deliver(to, from, &mut pkt);
                 pool::give(pkt.payload);
             }
-            EventKind::Timer { node, token } => self.with_node_ctx(node, |n, ctx| n.on_timer(ctx, token)),
+            EventKind::Timer { node, token } => self.with_node_ctx(node, |n, ctx, _| n.on_timer(ctx, token)),
             EventKind::StubTimer { stub, timer } => self.with_stub_ctx(stub, |h, ctx| h.on_timer(ctx, timer)),
             EventKind::Train(train) => {
                 // The train leaves the wheel for good: nothing can sort
                 // before its remaining packets, so they wait in the slot.
                 self.train_backlog += 1;
                 self.held = Some(train);
-                self.deliver_held(batch);
+                self.deliver_held(limit);
                 return true;
             }
         }
@@ -1187,36 +1128,35 @@ impl Simulator {
         true
     }
 
-    /// Delivers the held train's next packet. With `batch`, when the trace is
-    /// off and the receiver is a full node, it lends the receiver packet
-    /// after packet in one callback context, stops after the first whose
-    /// callback queued a packet or a timer, and credits the counters and
-    /// stats in bulk exactly as per-packet delivery would. A spent train's
-    /// buffer goes back to the pool.
-    fn deliver_held(&mut self, batch: bool) {
+    /// Delivers up to `limit` of the held train's packets. A full node is
+    /// lent packet after packet in one callback context, each traced just
+    /// before it is lent, until the first whose callback queued a packet or
+    /// a timer; the counters and stats are then credited in bulk exactly as
+    /// per-packet delivery would. A stub client gets one packet. A spent
+    /// train's buffer goes back to the pool.
+    fn deliver_held(&mut self, limit: u32) {
         let mut train = self.held.take().expect("a held train");
-        let delivered = match train.to {
-            HostRef::Node(id) if batch && !self.trace.enabled => {
-                let n = self.with_node_ctx(id, |node, ctx| {
-                    let mut n = 0u32;
-                    while train.next < train.count {
-                        node.on_packet(ctx, train.next_packet());
-                        n += 1;
+        let (from, first) = (train.from, train.next);
+        match train.to {
+            Origin::Node(id) => {
+                let last = train.count.min(first.saturating_add(limit));
+                self.with_node_ctx(id, |node, ctx, trace| {
+                    while train.next < last {
+                        let pkt = train.next_packet();
+                        trace.record_packet(ctx.now, from, Some(Origin::Node(id)), pkt, TraceVerdict::Delivered);
+                        node.on_packet(ctx, pkt);
                         if !ctx.outgoing.is_empty() || !ctx.timers.is_empty() {
                             break;
                         }
                     }
-                    n
                 });
-                self.nodes[id.0].stats.record_received(train.shape.protocol, train.shape.wire_len, u64::from(n));
-                self.count_delivered(train.from, u64::from(n));
-                n
+                let n = u64::from(train.next - first);
+                self.nodes[id.0].stats.record_received(train.shape.protocol, train.shape.wire_len, n);
+                self.count_delivered(from, n);
             }
-            to => {
-                self.deliver(to, train.from, train.next_packet());
-                1
-            }
-        };
+            to => self.deliver(to, from, train.next_packet()),
+        }
+        let delivered = train.next - first;
         self.counters.events_popped += u64::from(delivered);
         self.train_backlog -= delivered as usize;
         if train.next < train.count {
@@ -1231,14 +1171,14 @@ impl Simulator {
     /// [module documentation](self)).
     pub fn run(&mut self) {
         self.start_nodes();
-        while self.serve(SimTime::from_nanos(u64::MAX), true) {}
+        while self.serve(SimTime::from_nanos(u64::MAX), u32::MAX) {}
     }
 
     /// Runs until the event queue is exhausted or the clock passes `deadline`,
     /// batching train deliveries like [`run`](Self::run).
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start_nodes();
-        while self.serve(deadline, true) {}
+        while self.serve(deadline, u32::MAX) {}
         if self.now < deadline {
             self.now = deadline;
         }
@@ -1308,7 +1248,8 @@ mod tests {
         assert_eq!(sim.stats(a).dropped_in_transit, 1);
         assert_eq!(sim.stats(a).no_route, 1);
         assert_eq!(sim.counters().no_route, 1);
-        let traced = sim.trace().packets().filter(|p| p.verdict == TraceVerdict::NoRoute);
+        let trace = sim.trace();
+        let traced = trace.packets().filter(|p| p.verdict == TraceVerdict::NoRoute);
         assert_eq!(traced.map(|p| p.packet.protocol).collect::<Vec<_>>(), vec![Protocol::Udp]);
     }
 
@@ -1366,18 +1307,23 @@ mod tests {
         big.header.dont_fragment = true;
         sim.inject(a, big);
         sim.run();
-        let mut seen: Vec<(TraceVerdict, &str, &str, Protocol)> =
-            sim.trace().packets().map(|p| (p.verdict, p.from.as_str(), p.to.as_str(), p.packet.protocol)).collect();
-        seen.sort_by_key(|&(v, from, to, _)| (v as u8, from, to));
+        let trace = sim.trace();
+        let mut seen: Vec<String> = trace
+            .packets()
+            .map(|p| {
+                format!("[{}] {} -> {} {}", p.verdict, trace.label(Some(p.from)), trace.label(p.to), p.packet.protocol)
+            })
+            .collect();
+        seen.sort_unstable();
         assert_eq!(
             seen,
             [
-                (TraceVerdict::Delivered, "a", "b", Protocol::Udp),
-                (TraceVerdict::Delivered, "router", "a", Protocol::Icmp),
-                (TraceVerdict::NoRoute, "a", "-", Protocol::Udp),
-                (TraceVerdict::LinkLoss, "a", "c", Protocol::Udp),
-                (TraceVerdict::EgressFiltered, "a", "-", Protocol::Udp),
-                (TraceVerdict::MtuExceeded, "a", "b", Protocol::Udp),
+                "[delivered] a -> b UDP",
+                "[delivered] router -> a ICMP",
+                "[egress-filtered] a -> - UDP",
+                "[link-loss] a -> c UDP",
+                "[mtu-exceeded] a -> b UDP",
+                "[no-route] a -> - UDP",
             ]
         );
     }
@@ -1899,38 +1845,60 @@ mod tests {
     }
 
     /// Runs `world` one `step` at a time, with `run`, and with a few steps
-    /// then `run_until` the train's arrival then `run`. All three must agree
-    /// on the engine counters, every node's stats, the pending events, what
-    /// `observe` reads off the receiver, and the RNG's next draw; the mixed
+    /// then `run_until` the train's arrival then `run`, each with the trace
+    /// off and on. All three must agree on the engine counters, every node's
+    /// stats, the pending events, what `observe` reads off the receiver, the
+    /// RNG's next draw and the trace (`render` and `dump_last`); the mixed
     /// run must also agree with the stepped one where `run_until` stops.
+    /// The traced runs must agree with the untraced ones on all but the
+    /// trace, and trace every packet's fate.
     fn assert_run_matches_steps<N: Node, T: PartialEq + std::fmt::Debug>(
         world: impl Fn() -> (Simulator, [NodeId; 3]),
         observe: impl Fn(&N) -> T,
     ) {
         let snapshot = |sim: &Simulator, nodes: [NodeId; 3]| {
             let stats: Vec<TrafficStats> = nodes.iter().map(|&n| sim.stats(n).clone()).collect();
-            (sim.counters(), stats, sim.pending_events(), observe(sim.node_ref::<N>(nodes[1]).unwrap()))
+            let state = (sim.counters(), stats, sim.pending_events(), observe(sim.node_ref::<N>(nodes[1]).unwrap()));
+            (state, sim.trace().render(), sim.trace().dump_last(64))
         };
         let finish = |mut sim: Simulator, nodes: [NodeId; 3]| (snapshot(&sim, nodes), sim.rng.gen::<u64>());
+        // A step serves one event, and one train packet is one event.
+        let step = |sim: &mut Simulator| {
+            let popped = sim.counters().events_popped;
+            let served = sim.step();
+            assert_eq!(sim.counters().events_popped, popped + u64::from(served), "one event per step");
+            served
+        };
+        let all_modes = |traced: bool| {
+            let world = || {
+                let (mut sim, nodes) = world();
+                sim.trace_mut().enabled = traced;
+                (sim, nodes)
+            };
+            let (mut stepped, nodes) = world();
+            let (mut mixed, _) = world();
+            for _ in 0..3 {
+                assert!(step(&mut mixed));
+            }
+            mixed.run_until(SimTime::ZERO + Duration::from_millis(5));
+            while stepped.counters().events_popped < mixed.counters().events_popped {
+                assert!(step(&mut stepped));
+            }
+            assert_eq!(snapshot(&stepped, nodes), snapshot(&mixed, nodes), "where run_until stops");
+            while step(&mut stepped) {}
+            mixed.run();
+            let expected = finish(stepped, nodes);
+            assert_eq!(finish(mixed, nodes), expected, "steps, then run_until and run");
 
-        let (mut stepped, nodes) = world();
-        let (mut mixed, _) = world();
-        for _ in 0..3 {
-            assert!(mixed.step());
-        }
-        mixed.run_until(SimTime::ZERO + Duration::from_millis(5));
-        while stepped.counters().events_popped < mixed.counters().events_popped {
-            assert!(stepped.step());
-        }
-        assert_eq!(snapshot(&stepped, nodes), snapshot(&mixed, nodes), "where run_until stops");
-        while stepped.step() {}
-        mixed.run();
-        let expected = finish(stepped, nodes);
-        assert_eq!(finish(mixed, nodes), expected, "steps, then run_until and run");
-
-        let (mut run, _) = world();
-        run.run();
-        assert_eq!(finish(run, nodes), expected, "run");
+            let (mut run, _) = world();
+            run.run();
+            assert_eq!(finish(run, nodes), expected, "run");
+            expected
+        };
+        let (((plain, ..), plain_draw), ((traced, render, _), draw)) = (all_modes(false), all_modes(true));
+        let fates = traced.0.delivered + traced.0.no_route + traced.0.link_loss;
+        assert_eq!(render.lines().count() as u64, fates, "every packet's fate is traced");
+        assert_eq!((plain, plain_draw), (traced, draw), "the trace does not perturb the run");
     }
 
     #[test]
@@ -1999,7 +1967,8 @@ mod tests {
                 sim.inject(a, udp(A, B, 10 + i));
             }
             sim.run();
-            sim.trace().packets().map(|e| e.to_string()).collect()
+            let trace = sim.trace();
+            trace.packets().map(|e| trace.line(e).to_string()).collect()
         }
         assert_eq!(run_once(42), run_once(42));
         assert_ne!(run_once(42), run_once(43));
@@ -2071,9 +2040,11 @@ mod tests {
         sim.add_stub_block("client", "100.64.0.0".parse().unwrap(), 2);
         sim.set_stub_handler(PingHandler { target: server_addr });
         sim.run();
-        let mut hops: Vec<(&str, &str)> = sim.trace().packets().map(|p| (p.from.as_str(), p.to.as_str())).collect();
+        let trace = sim.trace();
+        let mut hops: Vec<String> =
+            trace.packets().map(|p| format!("{} -> {}", trace.label(Some(p.from)), trace.label(p.to))).collect();
         hops.sort_unstable();
-        assert_eq!(hops, [("client0", "server"), ("client1", "server"), ("server", "client0"), ("server", "client1")]);
+        assert_eq!(hops, ["client0 -> server", "client1 -> server", "server -> client0", "server -> client1"]);
     }
 
     #[test]
@@ -2085,7 +2056,7 @@ mod tests {
         assert_eq!(sim.stub_lookup("100.64.2.255".parse().unwrap()), Some(StubId(first.0 + 511)));
         assert_eq!(sim.stub_lookup("100.64.3.0".parse().unwrap()), None);
         assert_eq!(sim.stub_lookup("100.70.0.3".parse().unwrap()), Some(StubId(a.0 + 3)));
-        assert_eq!(sim.stub_count(), 516);
+        assert_eq!(sim.stub_states().len(), 516);
     }
 
     #[test]

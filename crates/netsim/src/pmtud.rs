@@ -73,11 +73,6 @@ impl PathMtuCache {
         }
     }
 
-    /// Whether a (non-expired) learned entry exists for `dst`.
-    pub fn has_entry(&self, dst: Ipv4Addr, now: SimTime) -> bool {
-        self.mtu_for(dst, now) != self.default_mtu
-    }
-
     /// Drops expired entries.
     pub fn expire(&mut self, now: SimTime) {
         let lifetime = self.entry_lifetime;
@@ -120,7 +115,6 @@ mod tests {
         let mut cache = PathMtuCache::new();
         assert!(cache.on_fragmentation_needed(DST, 548, SimTime::ZERO));
         assert_eq!(cache.mtu_for(DST, SimTime::ZERO), 548);
-        assert!(cache.has_entry(DST, SimTime::ZERO));
         assert_eq!(cache.len(), 1);
     }
 

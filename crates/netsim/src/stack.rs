@@ -226,11 +226,6 @@ impl HostStack {
         self.open_tcp_ports.insert(port);
     }
 
-    /// Closes a TCP port.
-    pub fn close_tcp_port(&mut self, port: u16) {
-        self.open_tcp_ports.remove(&port);
-    }
-
     /// Whether a TCP port is currently open.
     pub fn is_tcp_port_open(&self, port: u16) -> bool {
         self.open_tcp_ports.contains(&port)
@@ -721,9 +716,9 @@ mod tests {
         assert!(!s.is_tcp_port_open(53));
         s.open_tcp_port(53);
         assert!(s.is_tcp_port_open(53));
-        s.close_tcp_port(53);
-        assert!(!s.is_tcp_port_open(53));
-        assert!(s.is_port_open(53), "closing the TCP port leaves UDP open");
+        s.close_port(53);
+        assert!(!s.is_port_open(53));
+        assert!(s.is_tcp_port_open(53), "closing the UDP port leaves TCP open");
     }
 
     #[test]

@@ -4,29 +4,37 @@
 //! and FragDNS attacks. The [`Trace`] records, in simulated time, every
 //! packet the engine delivers (or drops) and the phase spans an attack
 //! marks with [`Simulator::span_enter`] / [`Simulator::span_exit`].
-//! Entries are typed: a packet keeps its node labels, its verdict and a
-//! `Copy` [`PacketSummary`] of its headers, formatted only when printed, so
-//! tests filter on fields rather than on text.
+//! Entries are typed and `Copy` apart from a span's detail: a packet keeps
+//! the ids of its sender and receiver ([`Origin`]), its verdict and a
+//! [`PacketSummary`] of its headers, so recording one allocates nothing and
+//! tests filter on fields rather than on text. Names are looked up only
+//! when the trace is printed, through the [`TraceView`] that
+//! [`Simulator::trace`] returns: it pairs the trace with the simulator's
+//! node and stub-block names.
 //!
 //! Two views read the same entries:
-//! * [`Trace::render`] prints the packet lines only — the figures'
+//! * [`TraceView::render`] prints the packet lines only — the figures'
 //!   message-sequence view the examples print and the golden fixture locks;
-//! * [`Trace::dump_last`] interleaves the last N packets and spans — the
+//! * [`TraceView::dump_last`] interleaves the last N packets and spans — the
 //!   post-mortem of a failed run.
 //!
 //! The trace is off by default (`enabled == false`), so campaigns pay one
 //! branch per packet. Bounded (`capacity > 0`), it is a ring that discards
 //! its oldest entry in O(1) and counts the discard in [`Trace::dropped`].
 //!
+//! [`Simulator::trace`]: crate::engine::Simulator::trace
 //! [`Simulator::span_enter`]: crate::engine::Simulator::span_enter
 //! [`Simulator::span_exit`]: crate::engine::Simulator::span_exit
 
+use crate::engine::{NodeSlot, Origin, StubBlock};
 use crate::ipv4::{Ipv4Packet, Protocol};
 use crate::tcp::TcpFlags;
 use crate::time::SimTime;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 use std::net::Ipv4Addr;
+use std::ops::Deref;
 
 /// The fate of a traced packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,25 +105,20 @@ impl fmt::Display for PacketSummary {
     }
 }
 
-/// One recorded packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One recorded packet. It holds the ids of its sender and receiver, not
+/// their names: a [`TraceView`] looks the names up when it prints the entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketEntry {
     /// When the engine processed the packet.
     pub time: SimTime,
-    /// Name of the sending node.
-    pub from: String,
-    /// Name of the receiving node ("-" when undeliverable).
-    pub to: String,
+    /// The sender.
+    pub from: Origin,
+    /// The receiver (`None` when undeliverable).
+    pub to: Option<Origin>,
     /// The packet's headers.
     pub packet: PacketSummary,
     /// What happened to the packet.
     pub verdict: TraceVerdict,
-}
-
-impl fmt::Display for PacketEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {:>16} -> {:<16} [{}] {}", self.time, self.from, self.to, self.verdict, self.packet)
-    }
 }
 
 /// One recorded event: a packet or a span boundary.
@@ -139,17 +142,6 @@ pub enum TraceEntry {
         /// Static span name.
         name: &'static str,
     },
-}
-
-impl fmt::Display for TraceEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceEntry::Packet(p) => p.fmt(f),
-            TraceEntry::SpanEnter { time, name, detail } if detail.is_empty() => write!(f, "{time} > {name}"),
-            TraceEntry::SpanEnter { time, name, detail } => write!(f, "{time} > {name} {detail}"),
-            TraceEntry::SpanExit { time, name } => write!(f, "{time} < {name}"),
-        }
-    }
 }
 
 /// The event recorder: a ring of [`TraceEntry`]s, off by default.
@@ -180,16 +172,19 @@ impl Trace {
         self.entries.push_back(entry);
     }
 
-    /// Records a packet with its node labels and verdict (if enabled).
+    /// Records a packet with its sender, receiver and verdict (if enabled).
+    #[inline]
     pub(crate) fn record_packet(
         &mut self,
         time: SimTime,
-        from: String,
-        to: String,
+        from: Origin,
+        to: Option<Origin>,
         pkt: &Ipv4Packet,
         verdict: TraceVerdict,
     ) {
-        self.record(TraceEntry::Packet(PacketEntry { time, from, to, packet: pkt.summary(), verdict }));
+        if self.enabled {
+            self.record(TraceEntry::Packet(PacketEntry { time, from, to, packet: pkt.summary(), verdict }));
+        }
     }
 
     /// All retained entries, oldest first.
@@ -211,6 +206,51 @@ impl Trace {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
+}
+
+/// A [`Trace`] with its simulator's node and stub-block names, which label
+/// its packet entries when they are printed. It is what
+/// [`Simulator::trace`](crate::engine::Simulator::trace) returns, and it
+/// derefs to the [`Trace`].
+#[derive(Clone, Copy)]
+pub struct TraceView<'a> {
+    pub(crate) trace: &'a Trace,
+    pub(crate) nodes: &'a [NodeSlot],
+    pub(crate) blocks: &'a [StubBlock],
+}
+
+impl Deref for TraceView<'_> {
+    type Target = Trace;
+
+    fn deref(&self) -> &Trace {
+        self.trace
+    }
+}
+
+impl<'a> TraceView<'a> {
+    /// The name of a packet's sender or receiver: the node's name, the stub
+    /// block's name followed by the client's index in the block, `router`,
+    /// or `-` for the receiver of an undeliverable packet.
+    pub(crate) fn label(&self, host: Option<Origin>) -> Cow<'a, str> {
+        match host {
+            Some(Origin::Node(id)) => Cow::Borrowed(&self.nodes[id.0].name),
+            Some(Origin::Stub(id)) => {
+                let block = self.blocks.iter().find(|b| b.holds(id)).expect("stub id out of range");
+                Cow::Owned(format!("{}{}", block.name, id.0 - block.first))
+            }
+            Some(Origin::Router) => Cow::Borrowed("router"),
+            None => Cow::Borrowed("-"),
+        }
+    }
+
+    /// The trace line of a packet entry, with its hosts' names.
+    pub fn line(&self, p: &'a PacketEntry) -> impl fmt::Display + 'a {
+        let view = *self;
+        fmt::from_fn(move |f| {
+            let (from, to) = (view.label(Some(p.from)), view.label(p.to));
+            write!(f, "{} {from:>16} -> {to:<16} [{}] {}", p.time, p.verdict, p.packet)
+        })
+    }
 
     /// Renders the packet entries as a multi-line string (one line per
     /// packet), the message-sequence view of an attack. When the capacity
@@ -218,8 +258,8 @@ impl Trace {
     /// missing.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for p in self.packets() {
-            let _ = writeln!(out, "{p}");
+        for p in self.trace.packets() {
+            let _ = writeln!(out, "{}", self.line(p));
         }
         if self.dropped > 0 {
             let _ = writeln!(out, "({} older entries dropped at the {}-entry capacity)", self.dropped, self.capacity);
@@ -230,11 +270,16 @@ impl Trace {
     /// The post-mortem: a header line, then the last `n` retained entries
     /// (all of them when fewer), packets and spans interleaved in order.
     pub fn dump_last(&self, n: usize) -> String {
-        let keep = n.min(self.entries.len());
-        let mut out =
-            format!("trace: last {keep} of {} entries ({} older dropped)\n", self.entries.len(), self.dropped);
-        for e in self.entries.iter().skip(self.entries.len() - keep) {
-            let _ = writeln!(out, "{e}");
+        let entries = &self.trace.entries;
+        let keep = n.min(entries.len());
+        let mut out = format!("trace: last {keep} of {} entries ({} older dropped)\n", entries.len(), self.dropped);
+        for e in entries.iter().skip(entries.len() - keep) {
+            let _ = match e {
+                TraceEntry::Packet(p) => writeln!(out, "{}", self.line(p)),
+                TraceEntry::SpanEnter { time, name, detail } if detail.is_empty() => writeln!(out, "{time} > {name}"),
+                TraceEntry::SpanEnter { time, name, detail } => writeln!(out, "{time} > {name} {detail}"),
+                TraceEntry::SpanExit { time, name } => writeln!(out, "{time} < {name}"),
+            };
         }
         out
     }
@@ -243,25 +288,40 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{NodeId, Simulator, SinkNode};
     use crate::udp::UdpDatagram;
+
+    const A: Origin = Origin::Node(NodeId(0));
+    const B: Option<Origin> = Some(Origin::Node(NodeId(1)));
 
     fn packet(i: u16) -> Ipv4Packet {
         UdpDatagram::new("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap(), 1, 2, vec![]).into_packet(i, 64)
     }
 
+    /// A simulator with nodes `a` and `b`, whose trace is on with `capacity`.
+    fn two_nodes(capacity: usize) -> Simulator {
+        let mut sim = Simulator::new(0);
+        sim.add_node("a", vec!["10.0.0.1".parse().unwrap()], SinkNode::default());
+        sim.add_node("b", vec!["10.0.0.2".parse().unwrap()], SinkNode::default());
+        *sim.trace_mut() = Trace { enabled: true, capacity, ..Trace::default() };
+        sim
+    }
+
     #[test]
     fn ring_bounds_mixed_entries_and_renders_packets_only() {
         let mut off = Trace::default();
-        off.record_packet(SimTime::ZERO, "a".into(), "b".into(), &packet(0), TraceVerdict::Delivered);
+        off.record_packet(SimTime::ZERO, A, B, &packet(0), TraceVerdict::Delivered);
         assert_eq!(off.entries().len(), 0, "the trace is off by default");
 
-        let mut t = Trace { enabled: true, capacity: 4, ..Trace::default() };
+        let mut sim = two_nodes(4);
+        let t = sim.trace_mut();
         for i in 0..4u16 {
             let time = SimTime::from_nanos(u64::from(i));
             t.record(TraceEntry::SpanEnter { time, name: "phase", detail: format!("step {i}") });
-            t.record_packet(time, "a".into(), "b".into(), &packet(i), TraceVerdict::Delivered);
+            t.record_packet(time, A, B, &packet(i), TraceVerdict::Delivered);
             t.record(TraceEntry::SpanExit { time, name: "phase" });
         }
+        let t = sim.trace();
         assert_eq!(t.entries().len(), 4);
         assert_eq!(t.dropped(), 8);
 
@@ -272,7 +332,7 @@ mod tests {
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines[0], "trace: last 3 of 4 entries (8 older dropped)");
         assert!(lines[1].ends_with("> phase step 3"), "{}", lines[1]);
-        assert!(lines[2].contains("[delivered] UDP 10.0.0.1 -> 10.0.0.2 len=28"), "{}", lines[2]);
+        assert!(lines[2].contains("a -> b                [delivered] UDP 10.0.0.1 -> 10.0.0.2 len=28"), "{}", lines[2]);
         assert!(lines[3].ends_with("< phase"), "{}", lines[3]);
         assert_eq!(lines.len(), 4);
 
@@ -285,43 +345,45 @@ mod tests {
 
     #[test]
     fn unbounded_trace_never_drops() {
-        let mut t = Trace { enabled: true, ..Trace::default() };
+        let mut sim = two_nodes(0);
         for i in 0..100u16 {
-            t.record_packet(
+            sim.trace_mut().record_packet(
                 SimTime::from_nanos(u64::from(i)),
-                "a".into(),
-                "b".into(),
+                A,
+                None,
                 &packet(i),
                 TraceVerdict::NoRoute,
             );
         }
-        assert_eq!(t.dropped(), 0);
-        let rendered = t.render();
+        assert_eq!(sim.trace().dropped(), 0);
+        let rendered = sim.trace().render();
         assert_eq!(rendered.lines().count(), 100);
-        assert!(rendered.lines().all(|l| l.contains("[no-route]")));
+        assert!(rendered.lines().all(|l| l.contains(" a -> -                [no-route]")), "{rendered}");
         assert!(!rendered.contains("dropped"));
     }
 
     #[test]
     fn shrinking_the_capacity_trims_the_oldest_entries() {
-        let mut t = Trace { enabled: true, ..Trace::default() };
+        let mut sim = two_nodes(0);
+        let t = sim.trace_mut();
         for i in 0..5u16 {
-            t.record_packet(SimTime::ZERO, "a".into(), "b".into(), &packet(i), TraceVerdict::Delivered);
+            t.record_packet(SimTime::ZERO, A, B, &packet(i), TraceVerdict::Delivered);
         }
         t.capacity = 2;
-        t.record_packet(SimTime::ZERO, "a".into(), "b".into(), &packet(5), TraceVerdict::Delivered);
-        let ids: Vec<u16> = t.packets().map(|p| p.packet.identification).collect();
+        t.record_packet(SimTime::ZERO, A, B, &packet(5), TraceVerdict::Delivered);
+        let ids: Vec<u16> = sim.trace().packets().map(|p| p.packet.identification).collect();
         assert_eq!(ids, vec![4, 5]);
-        assert_eq!(t.dropped(), 4);
+        assert_eq!(sim.trace().dropped(), 4);
     }
 
     #[test]
     fn dump_last_clamps_to_the_retained_entries() {
-        let mut t = Trace { enabled: true, ..Trace::default() };
+        let mut sim = two_nodes(0);
+        let t = sim.trace_mut();
         t.record(TraceEntry::SpanEnter { time: SimTime::ZERO, name: "saddns.scan", detail: String::new() });
         t.record(TraceEntry::SpanExit { time: SimTime::ZERO, name: "saddns.scan" });
-        assert_eq!(t.dump_last(0), "trace: last 0 of 2 entries (0 older dropped)\n");
-        let all = t.dump_last(64);
+        assert_eq!(sim.trace().dump_last(0), "trace: last 0 of 2 entries (0 older dropped)\n");
+        let all = sim.trace().dump_last(64);
         assert_eq!(all.lines().skip(1).collect::<Vec<_>>(), ["t+0.000000s > saddns.scan", "t+0.000000s < saddns.scan"]);
     }
 

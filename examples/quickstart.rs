@@ -44,8 +44,9 @@ fn main() {
     // And the packet-level trace of the attack (Figure 2's message flow).
     println!();
     println!("== last packets of the attack (trace excerpt) ==");
-    let packets: Vec<_> = sim.trace().packets().collect();
+    let trace = sim.trace();
+    let packets: Vec<_> = trace.packets().collect();
     for packet in &packets[packets.len().saturating_sub(12)..] {
-        println!("{packet}");
+        println!("{}", trace.line(packet));
     }
 }

@@ -41,6 +41,7 @@ fn main() {
     println!("attacker packets : {}", report.attacker_packets);
     println!("attacker bytes   : {}", report.attacker_bytes);
     println!("simulated time   : {}", report.duration);
+    println!("traced packets   : {}", sim.trace().packets().count());
     for note in &report.notes {
         println!("note: {note}");
     }

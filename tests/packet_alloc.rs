@@ -3,7 +3,8 @@
 //! and the packet-buffer pool serves almost every buffer it hands out. A
 //! packet train does better: it writes all its packets into one buffer and
 //! the engine lends that buffer to the receiver, so a 2¹⁶-packet TXID spray
-//! at a resolver takes a constant number of buffers and allocations. A
+//! at a resolver takes a constant number of buffers and allocations, with
+//! the packet trace on as well as off. A
 //! counting global allocator checks both; the count is per thread, so the
 //! test harness's own threads cannot disturb it.
 
@@ -69,8 +70,10 @@ fn farm_packets_allocate_within_budget_and_hit_the_pool() {
     assert!(misses * 20 <= takes, "{misses} of {takes} pool takes missed (more than 5 %)");
 }
 
-#[test]
-fn a_spray_train_to_a_resolver_takes_no_buffer_per_packet() {
+/// Sprays all 2¹⁶ TXIDs at a resolver's open port as one train and checks
+/// that the spray takes at most 4 pool buffers and 64 heap allocations.
+/// With `traced`, the simulator's trace is on, as a 256-entry ring.
+fn spray_a_resolver(traced: bool) -> Simulator {
     const SPRAY: u32 = 1 << 16;
     let resolver_addr = Ipv4Addr::new(30, 0, 0, 1);
     let client_addr = Ipv4Addr::new(30, 0, 0, 25);
@@ -80,6 +83,9 @@ fn a_spray_train_to_a_resolver_takes_no_buffer_per_packet() {
     let ns_addr = Ipv4Addr::new(123, 0, 0, 53);
     let config = ResolverConfig::new(resolver_addr).with_delegation("vict.im", vec![ns_addr], false);
     let mut sim = Simulator::new(7);
+    let trace = sim.trace_mut();
+    trace.enabled = traced;
+    trace.capacity = 256;
     let resolver = sim.add_node("resolver", vec![resolver_addr], Resolver::new(config));
     let client = sim.add_node("client", vec![client_addr], SinkNode::default());
     let attacker = sim.add_node("attacker", vec![attacker_addr], SinkNode::default());
@@ -109,4 +115,22 @@ fn a_spray_train_to_a_resolver_takes_no_buffer_per_packet() {
     let takes = pool_after.hits + pool_after.misses - pool_before.hits - pool_before.misses;
     assert!(takes <= 4, "{takes} pool takes for a {SPRAY}-packet train");
     assert!(allocated <= 64, "{allocated} heap allocations for a {SPRAY}-packet train");
+    sim
+}
+
+#[test]
+fn a_spray_train_to_a_resolver_takes_no_buffer_per_packet() {
+    spray_a_resolver(false);
+}
+
+#[test]
+fn a_traced_spray_train_allocates_nothing_per_packet() {
+    // A 256-entry ring: every packet's fate is recorded, and all but the
+    // last 256 are counted as dropped, without a heap allocation per packet.
+    let sim = spray_a_resolver(true);
+    let c = sim.counters();
+    let fates = c.delivered + c.no_route + c.link_loss + c.egress_filtered + c.mtu_exceeded;
+    assert!(fates > 1 << 16);
+    assert_eq!(sim.trace().entries().len(), 256);
+    assert_eq!(sim.trace().dropped(), fates - 256);
 }
