@@ -179,16 +179,6 @@ impl AttackerNode {
             }
         }
     }
-
-    /// The IP identification values of packets received from `src`, in
-    /// arrival order — the FragDNS IPID sampling probe.
-    pub fn observed_ipids_from(&self, src: Ipv4Addr) -> Vec<u16> {
-        self.raw_observed
-            .iter()
-            .filter(|(_, p)| p.header.src == src && p.header.protocol == Protocol::Udp)
-            .map(|(_, p)| p.header.identification)
-            .collect()
-    }
 }
 
 impl Node for AttackerNode {
@@ -303,6 +293,12 @@ mod tests {
         }
         sim.run();
         let attacker = sim.node_ref::<AttackerNode>(a).unwrap();
-        assert_eq!(attacker.observed_ipids_from(OTHER), vec![100, 101, 102]);
+        let ipids: Vec<u16> = attacker
+            .raw_observed
+            .iter()
+            .filter(|(_, p)| p.header.src == OTHER && p.header.protocol == Protocol::Udp)
+            .map(|(_, p)| p.header.identification)
+            .collect();
+        assert_eq!(ipids, vec![100, 101, 102]);
     }
 }

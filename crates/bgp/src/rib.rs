@@ -69,11 +69,6 @@ impl Rib {
             .and_then(|(_, entries)| entries.iter().min_by_key(|e| (e.path_len, e.origin.0)).copied())
     }
 
-    /// All installed prefixes.
-    pub fn prefixes(&self) -> impl Iterator<Item = &Prefix> {
-        self.routes.keys()
-    }
-
     /// Number of installed prefixes.
     pub fn len(&self) -> usize {
         self.routes.len()

@@ -91,10 +91,12 @@ pub struct LoadedSadDnsReport {
     /// Queries the background clients sent during the attack. Unlike the two
     /// resolver deltas below, it leaves out the attacker's own trigger query.
     pub background_queries: u64,
-    /// Background queries answered from cache.
+    /// Queries the resolver answered from cache during the attack, the
+    /// attacker's included (a resolver-wide delta).
     pub background_cache_answers: u64,
-    /// Ephemeral-port noise: upstream queries the background load opened
-    /// while the attacker was scanning.
+    /// Upstream queries the resolver sent during the attack: background cache
+    /// misses (the port noise the scan contends with) and the attacker's
+    /// trigger query, so the idle baseline reads 1 (a resolver-wide delta).
     pub background_upstream: u64,
     /// Total packets delivered in the simulation.
     pub packets_delivered: u64,

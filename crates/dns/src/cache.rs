@@ -187,11 +187,6 @@ impl Cache {
         self.cached_a(name, now) == Some(addr)
     }
 
-    /// Removes expired entries.
-    pub fn evict_expired(&mut self, now: SimTime) {
-        self.entries.retain(|_, e| e.expires > now);
-    }
-
     /// Removes everything (the operator's "flush the cache" remediation).
     pub fn flush(&mut self) {
         self.entries.clear();
@@ -310,7 +305,7 @@ mod tests {
         assert_eq!(c.expired, 1, "a plain absent-key miss is not an expired miss");
         assert_eq!(c.misses, 2);
         assert_eq!(c.len_at(after), 0);
-        c.evict_expired(after);
+        c.entries.retain(|_, e| e.expires > after);
         assert!(c.is_empty());
     }
 

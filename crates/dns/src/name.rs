@@ -231,11 +231,6 @@ impl DomainName {
         self.wire == other.wire
     }
 
-    /// The number of 0x20 entropy bits this name provides (one per ASCII letter).
-    pub fn entropy_0x20_bits(&self) -> u32 {
-        self.wire.iter().filter(|b| b.is_ascii_alphabetic()).count() as u32
-    }
-
     /// Returns a lowercased copy (canonical form).
     pub fn to_lowercase(&self) -> DomainName {
         DomainName { wire: self.wire.to_ascii_lowercase() }
@@ -622,7 +617,8 @@ mod tests {
         let cased = name.randomize_case(&mut rng);
         assert_eq!(cased, name, "case-insensitive equality preserved");
         assert!(!cased.eq_case_sensitive(&name.to_lowercase()) || cased.eq_case_sensitive(&name.to_lowercase()));
-        assert_eq!(name.entropy_0x20_bits(), 28);
+        // One 0x20 entropy bit per ASCII letter.
+        assert_eq!(name.wire.iter().filter(|b| b.is_ascii_alphabetic()).count(), 28);
         // With 28 letters the probability of the identity transform is 2^-28;
         // with this seed the casing must differ.
         assert!(!cased.eq_case_sensitive(&name));

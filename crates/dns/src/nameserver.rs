@@ -172,12 +172,6 @@ impl Nameserver {
         self.stack.pmtu().mtu_for(dst, now)
     }
 
-    /// The value the next global-counter IPID would take (measurement hook
-    /// for the FragDNS IPID-predictability probe).
-    pub fn peek_ipid(&self) -> u16 {
-        self.stack.peek_global_ipid()
-    }
-
     /// Builds the response message for a query, without transmitting it.
     /// Public so vulnerability scanners can reason about response sizes.
     pub fn answer_query(&self, query: &Message, rng: &mut impl Rng) -> Message {
@@ -637,7 +631,7 @@ mod tests {
     #[test]
     fn ipid_policy_observable_from_responses() {
         // Global counter: consecutive responses carry consecutive IPIDs.
-        let (sim, ns, resolver) = ask(
+        let (mut sim, ns, resolver) = ask(
             server(NameserverConfig::new(NS_ADDR).with_ipid(IpIdPolicy::GlobalCounter)),
             (0..3).map(|i| query_packet("vict.im", RecordType::A, i, 4096)).collect(),
         );
@@ -652,7 +646,8 @@ mod tests {
             .map(|p| p.packet.identification)
             .collect();
         assert_eq!(ids, vec![1, 2, 3], "the three responses carry consecutive IPIDs");
-        let srv = sim.node_ref::<Nameserver>(ns).unwrap();
-        assert_eq!(srv.peek_ipid(), 4, "global counter advanced once per response (starting at 1)");
+        let srv = sim.node_mut::<Nameserver>(ns).unwrap();
+        let next = srv.stack.next_ipid(RESOLVER, &mut ChaCha20Rng::seed_from_u64(1));
+        assert_eq!(next, 4, "global counter advanced once per response (starting at 1)");
     }
 }

@@ -160,12 +160,6 @@ impl Zone {
         self.signing.as_ref()
     }
 
-    /// Mutable signing state (for rollover steps); call [`Zone::resign`]
-    /// afterwards so the published records catch up.
-    pub fn signing_mut(&mut self) -> Option<&mut ZoneSigning> {
-        self.signing.as_mut()
-    }
-
     /// The DS trust anchor a validating resolver should hold for this zone.
     pub fn trust_anchor(&self) -> Option<DsAnchor> {
         self.signing.as_ref().map(|s| s.keys.anchor(&self.origin))
@@ -500,7 +494,7 @@ mod tests {
     fn resign_after_rollover_keeps_the_zone_valid() {
         let mut z = signed_victim_zone(SigningPolicy::default());
         let anchor = z.trust_anchor().unwrap();
-        let signing = z.signing_mut().unwrap();
+        let signing = z.signing.as_mut().unwrap();
         signing.keys.start_rollover();
         signing.keys.promote_rollover();
         z.resign(SimTime::from_secs(60));

@@ -22,7 +22,8 @@
 //!
 //! Past findings live as minimised corpus entries under `corpus/<target>/`;
 //! [`replay_corpus`] re-runs all of them and is wired into tier-1
-//! `cargo test`. `fuzz_smoke --bless` rewrites the canonical entries.
+//! `cargo test`. The umbrella crate's `fuzz_smoke` example rewrites the
+//! canonical entries: `cargo run --example fuzz_smoke -- --bless`.
 
 #![warn(missing_docs)]
 

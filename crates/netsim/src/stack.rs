@@ -270,12 +270,6 @@ impl HostStack {
         }
     }
 
-    /// Peeks at the value the *next* global-counter IPID would have — used by
-    /// the FragDNS measurement probe that samples a nameserver's counter.
-    pub fn peek_global_ipid(&self) -> u16 {
-        self.global_ipid
-    }
-
     /// Builds (and, if the path MTU towards the destination requires it,
     /// fragments) a UDP datagram originating from this host, appending the
     /// packets to `out`.

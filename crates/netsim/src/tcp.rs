@@ -666,11 +666,6 @@ impl TcpSocket {
         self.conns.iter().find(|((p, _), _)| *p == peer).map(|(_, c)| c)
     }
 
-    /// All live connections.
-    pub fn connections(&self) -> impl Iterator<Item = &TcpConnection> {
-        self.conns.values()
-    }
-
     /// Feeds one segment the host stack delivered (a
     /// [`StackEvent::Tcp`](crate::stack::StackEvent::Tcp)), then gives its
     /// buffer back to the [`pool`]. Returns the application-level events;

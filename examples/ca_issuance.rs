@@ -6,36 +6,13 @@
 //! ```text
 //! cargo run --release --example ca_issuance -- [--seed N]
 //! ```
+//!
+//! `--help` exits 0; an unknown flag or a bad value exits 2.
 
 use cross_layer_attacks::attacks::prelude::PoisonMethod;
 use cross_layer_attacks::ca::prelude::*;
+use cross_layer_attacks::cli;
 use cross_layer_attacks::xlayer_core::prelude::*;
-
-const USAGE: &str = "usage: ca_issuance [--seed N]";
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}\n{USAGE}");
-    std::process::exit(2)
-}
-
-fn parse_seed() -> u64 {
-    let mut seed = 2021u64;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => {
-                let value = it.next().unwrap_or_else(|| usage_error("--seed requires a value"));
-                seed = value.parse().unwrap_or_else(|e| usage_error(&format!("invalid --seed: {value} ({e})")));
-            }
-            "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0)
-            }
-            other => usage_error(&format!("unknown flag {other}")),
-        }
-    }
-    seed
-}
 
 fn genuine_issuance(seed: u64, challenge: ChallengeType) {
     let mut authority = CertificateAuthority::new(CaConfig::standard(seed));
@@ -67,7 +44,7 @@ fn indent(s: &str) -> String {
 }
 
 fn main() {
-    let seed = parse_seed();
+    let seed = cli::from_env(cli::ca_issuance);
     println!("== Genuine issuance (seed {seed}) ==");
     genuine_issuance(seed, ChallengeType::Dns01);
     genuine_issuance(seed, ChallengeType::Http01);

@@ -16,71 +16,14 @@
 //! packets and phase spans of the simulator's trace if the chain fails.
 //! `--metrics` prints the merged telemetry snapshot of the farm run (and of
 //! the loaded SadDNS run, when enabled).
+//! `--help` exits 0; an unknown flag or a bad value exits 2.
 
-use cross_layer_attacks::netsim::prelude::Duration;
+use cross_layer_attacks::cli;
 use cross_layer_attacks::xlayer_core::prelude::*;
 use std::time::Instant;
 
-struct Args {
-    cfg: FarmCampaignConfig,
-    check_workers: Option<usize>,
-    loaded_saddns: Option<u32>,
-    metrics: bool,
-}
-
-const USAGE: &str = "usage: engine_farm [--seed N] [--hosts N] [--shards N] [--workers N] [--duration-ms N]
-       [--think-ms N] [--names N] [--resolvers N] [--check-workers N] [--loaded-saddns N] [--metrics]";
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}\n{USAGE}");
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        cfg: FarmCampaignConfig { workers: available_workers(), ..Default::default() },
-        check_workers: None,
-        loaded_saddns: None,
-        metrics: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut grab = |name: &str| {
-            let value = it.next().unwrap_or_else(|| usage_error(&format!("{name} requires a value")));
-            value.parse::<u64>().unwrap_or_else(|e| usage_error(&format!("invalid value for {name}: {value} ({e})")))
-        };
-        let mut grab_u32 = |name: &str| {
-            let value = grab(name);
-            u32::try_from(value).unwrap_or_else(|e| usage_error(&format!("invalid value for {name}: {value} ({e})")))
-        };
-        match flag.as_str() {
-            "--seed" => args.cfg.seed = grab("--seed"),
-            "--hosts" => args.cfg.hosts = grab_u32("--hosts").max(1),
-            "--shards" => args.cfg.shards = grab_u32("--shards").max(1),
-            "--workers" => args.cfg.workers = grab("--workers").max(1) as usize,
-            "--duration-ms" => args.cfg.shard.duration = Duration::from_millis(grab("--duration-ms").max(1)),
-            "--think-ms" => args.cfg.shard.mean_think = Duration::from_millis(grab("--think-ms").max(1)),
-            "--names" => args.cfg.shard.names = grab_u32("--names").max(1),
-            "--resolvers" => args.cfg.shard.resolvers = grab_u32("--resolvers").max(1),
-            "--check-workers" => args.check_workers = Some(grab("--check-workers").max(1) as usize),
-            "--loaded-saddns" => args.loaded_saddns = Some(grab_u32("--loaded-saddns")),
-            "--metrics" => args.metrics = true,
-            "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0)
-            }
-            other => usage_error(&format!("unknown flag {other}")),
-        }
-    }
-    if args.cfg.shards > args.cfg.hosts {
-        usage_error(&format!("--shards {} exceeds --hosts {}: a shard needs a host", args.cfg.shards, args.cfg.hosts));
-    }
-    args
-}
-
 fn main() {
-    let args = parse_args();
-    let cfg = args.cfg;
+    let cli::FarmArgs { cfg, check_workers, loaded_saddns, metrics } = cli::from_env(cli::engine_farm);
     println!(
         "engine farm: seed={} hosts={} shards={} workers={} (of {} available) \
          resolvers/shard={} names={} think={} sim-duration={}",
@@ -96,7 +39,7 @@ fn main() {
     );
 
     let started = Instant::now();
-    let (stats, farm_metrics) = if args.metrics {
+    let (stats, farm_metrics) = if metrics {
         let (stats, metrics) = run_farm_campaign_with_metrics(&cfg);
         (stats, Some(metrics))
     } else {
@@ -124,13 +67,13 @@ fn main() {
         print!("{}", metrics.render());
     }
 
-    if let Some(check) = args.check_workers {
+    if let Some(check) = check_workers {
         let again = run_farm_campaign(&FarmCampaignConfig { workers: check, ..cfg.clone() });
         assert_eq!(again, stats, "workers={} changed the farm stats vs workers={}", check, cfg.workers);
         println!("  determinism: workers={} reproduces workers={} byte-for-byte", check, cfg.workers);
     }
 
-    if let Some(clients) = args.loaded_saddns {
+    if let Some(clients) = loaded_saddns {
         let loaded = saddns_under_load(cfg.seed, clients);
         println!(
             "  saddns under load: success={} background-clients={} background-queries={} \
@@ -144,7 +87,7 @@ fn main() {
         if let Some(log) = &loaded.post_mortem {
             print!("{log}");
         }
-        if args.metrics {
+        if metrics {
             println!("  loaded-saddns telemetry snapshot:");
             print!("{}", loaded.metrics.render());
         }

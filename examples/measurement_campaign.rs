@@ -12,50 +12,14 @@
 //! `--workers` fans the campaign shards out across a thread pool; results
 //! are byte-identical for every worker count (the engine's determinism
 //! contract), so the knob only changes wall-clock time.
+//! `--help` exits 0; an unknown flag or a bad value exits 2.
 
+use cross_layer_attacks::cli;
 use cross_layer_attacks::xlayer_core::prelude::*;
 use std::time::Instant;
 
-struct Args {
-    seed: u64,
-    cap: u64,
-    workers: usize,
-    saddns_runs: u64,
-}
-
-const USAGE: &str = "usage: measurement_campaign [--seed N] [--cap N] [--workers N] [--saddns-runs N]";
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}\n{USAGE}");
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { seed: 2021, cap: 20_000, workers: available_workers(), saddns_runs: 1 };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut grab = |name: &str| {
-            let value = it.next().unwrap_or_else(|| usage_error(&format!("{name} requires a value")));
-            value.parse::<u64>().unwrap_or_else(|e| usage_error(&format!("invalid value for {name}: {value} ({e})")))
-        };
-        match flag.as_str() {
-            "--seed" => args.seed = grab("--seed"),
-            "--cap" => args.cap = grab("--cap"),
-            "--workers" => args.workers = grab("--workers").max(1) as usize,
-            "--saddns-runs" => args.saddns_runs = grab("--saddns-runs").max(1),
-            "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0)
-            }
-            other => usage_error(&format!("unknown flag {other}")),
-        }
-    }
-    args
-}
-
 fn main() {
-    let args = parse_args();
-    let cfg = CampaignConfig::new(args.seed, args.cap).with_workers(args.workers);
+    let cli::CampaignArgs { cfg, saddns_runs } = cli::from_env(cli::measurement_campaign);
     println!(
         "campaign engine: seed={} cap={} workers={} (of {} available), shard size {}",
         cfg.seed,
@@ -79,7 +43,7 @@ fn main() {
     println!("{}", render_table5(&t5));
 
     // Reuse the Table 3/4 rows computed above instead of re-running both campaigns.
-    let t6 = run_table6_from(&t3, &t4, cfg.seed, args.saddns_runs);
+    let t6 = run_table6_from(&t3, &t4, cfg.seed, saddns_runs);
     println!("{}", render_table6(&t6));
 
     let fig3 = figure3_prefix_distributions_with(&cfg);

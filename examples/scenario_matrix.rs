@@ -13,50 +13,15 @@
 //! `--metrics` additionally runs the grids through the recorded evaluation
 //! path and prints the merged telemetry snapshot (`attacks.*`, `dns.*`,
 //! `engine.*`, `campaign.*`) — byte-identical at any worker count.
+//! `--help` exits 0; an unknown flag or a bad value exits 2.
 
 use cross_layer_attacks::attacks::prelude::*;
+use cross_layer_attacks::cli;
 use cross_layer_attacks::xlayer_core::prelude::*;
 use std::time::Instant;
 
-struct Args {
-    seed: u64,
-    runs: u64,
-    workers: usize,
-    metrics: bool,
-}
-
-const USAGE: &str = "usage: scenario_matrix [--seed N] [--runs N] [--workers N] [--metrics]";
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}\n{USAGE}");
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { seed: 2021, runs: 3, workers: available_workers(), metrics: false };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut grab = |name: &str| {
-            let value = it.next().unwrap_or_else(|| usage_error(&format!("{name} requires a value")));
-            value.parse::<u64>().unwrap_or_else(|e| usage_error(&format!("invalid value for {name}: {value} ({e})")))
-        };
-        match flag.as_str() {
-            "--seed" => args.seed = grab("--seed"),
-            "--runs" => args.runs = grab("--runs").max(1),
-            "--workers" => args.workers = grab("--workers").max(1) as usize,
-            "--metrics" => args.metrics = true,
-            "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0)
-            }
-            other => usage_error(&format!("unknown flag {other}")),
-        }
-    }
-    args
-}
-
 fn main() {
-    let args = parse_args();
+    let args = cli::from_env(cli::scenario_matrix);
     let campaign = ScenarioCampaign::full_grid(args.seed, args.runs);
     println!(
         "scenario campaign: seed={} runs/cell={} grid={}x{} ({} attack simulations) workers={} (of {} available)",

@@ -28,6 +28,8 @@
 //! ```
 #![forbid(unsafe_code)]
 
+pub mod cli;
+
 pub use apps;
 pub use attacks;
 pub use bgp;
