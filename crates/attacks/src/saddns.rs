@@ -474,11 +474,12 @@ mod tests {
     fn delivered_packets_sum_over_nodes_and_stub_block() {
         let (mut sim, env) = saddns_env(false, false, true);
         let first = sim.add_stub_block("bg", "100.64.0.0".parse().unwrap(), 50);
-        let names = vec!["vict.im".parse().unwrap(), "ntp.vict.im".parse().unwrap()];
+        let questions =
+            ["vict.im", "ntp.vict.im"].map(|n| Question { name: n.parse().unwrap(), qtype: RecordType::A }).to_vec();
         let end = SimTime::ZERO + Duration::from_secs(600);
         sim.set_stub_handler(dns::farm::FarmClientHandler {
             targets: vec![addrs::RESOLVER],
-            names,
+            questions,
             mean_think: Duration::from_millis(800),
             end,
         });

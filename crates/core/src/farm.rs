@@ -156,9 +156,9 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
         sim.add_stub_block("bg", "100.64.0.0".parse().expect("addr"), clients);
         sim.set_stub_handler(FarmClientHandler {
             targets: vec![addrs::RESOLVER],
-            names: ["vict.im", "login.vict.im", "ntp.vict.im", "rpki.vict.im"]
+            questions: ["vict.im", "login.vict.im", "ntp.vict.im", "rpki.vict.im"]
                 .iter()
-                .map(|n| n.parse().expect("valid name"))
+                .map(|n| Question { name: n.parse().expect("valid name"), qtype: RecordType::A })
                 .collect(),
             mean_think: Duration::from_millis(800),
             // Keep load flowing through the whole attack window.

@@ -739,9 +739,15 @@ impl ScenarioCampaign {
         }
     }
 
-    /// Total number of grid elements.
-    pub fn population(&self) -> usize {
-        self.methods.len() * self.defences.len() * self.runs_per_cell.max(1) as usize
+    /// Total number of grid elements, or `None` when that is more than
+    /// `usize` can count.
+    pub fn population(&self) -> Option<usize> {
+        let runs = usize::try_from(self.runs_per_cell.max(1)).ok()?;
+        (self.methods.len() * self.defences.len()).checked_mul(runs)
+    }
+
+    fn runnable_population(&self) -> usize {
+        self.population().expect("a grid larger than the address space cannot run")
     }
 
     /// Decomposes a flat grid index into (method index, defence index, run).
@@ -761,8 +767,11 @@ impl ScenarioCampaign {
     }
 
     /// Evaluates the grid across `workers` threads.
+    ///
+    /// # Panics
+    /// When [`ScenarioCampaign::population`] is `None`.
     pub fn run(&self, workers: usize) -> ScenarioMatrix {
-        self.matrix_from(run_grid(self, self.population(), workers, None))
+        self.matrix_from(run_grid(self, self.runnable_population(), workers, None))
     }
 
     /// Evaluates the grid across `workers` threads and returns the merged
@@ -770,7 +779,7 @@ impl ScenarioCampaign {
     /// engine counters (`dns.*`, `engine.*`) plus the per-methodology attack
     /// aggregates (`attacks.<slug>.*`). Per-block snapshots are merged in
     /// block order, so the snapshot — like the matrix — is byte-identical at
-    /// any worker count.
+    /// any worker count. Panics where [`ScenarioCampaign::run`] does.
     ///
     /// ```
     /// use xlayer_core::prelude::*;
@@ -790,7 +799,7 @@ impl ScenarioCampaign {
     /// ```
     pub fn run_with_metrics(&self, workers: usize) -> (ScenarioMatrix, telemetry::MetricsSnapshot) {
         let mut metrics = telemetry::MetricsSnapshot::new();
-        let tally = run_grid(self, self.population(), workers, Some(&mut metrics));
+        let tally = run_grid(self, self.runnable_population(), workers, Some(&mut metrics));
         (self.matrix_from(tally), metrics)
     }
 
@@ -957,7 +966,7 @@ mod tests {
             runs_per_cell: 2,
             salt: SCENARIO_GRID_SALT,
         };
-        assert_eq!(campaign.population(), 8);
+        assert_eq!(campaign.population(), Some(8));
         let matrix = campaign.run(1);
         // Undefended cells succeed on every seed; fragment filtering blocks
         // FragDNS on every seed.

@@ -10,7 +10,7 @@
 //! cached `ANY` response, which lets an attacker poison with an inflated
 //! (fragmentable) `ANY` response and still hit ordinary `A` lookups.
 
-use crate::name::DomainName;
+use crate::name::{hash_wire, DomainName, WireName};
 use crate::rdata::{RData, RecordType, ResourceRecord};
 use netsim::time::{Duration, SimTime};
 use std::collections::HashMap;
@@ -48,20 +48,32 @@ pub struct CacheEntry {
 
 /// A `(name, type)` cache key, owned or borrowed. Owned keys borrow as
 /// `dyn KeyView`, so a lookup hashes and compares the caller's name in place
-/// instead of building an owned key.
+/// (an owned [`DomainName`] or a received name on the stack) instead of
+/// building an owned key.
 trait KeyView {
-    fn parts(&self) -> (&DomainName, u16);
+    // Two methods, not one returning both: a slice and a type together come
+    // back through memory, and every call here goes through the vtable.
+    fn wire(&self) -> &[u8];
+    fn rtype(&self) -> u16;
 }
 
 impl KeyView for (DomainName, u16) {
-    fn parts(&self) -> (&DomainName, u16) {
-        (&self.0, self.1)
+    fn wire(&self) -> &[u8] {
+        self.0.wire()
+    }
+
+    fn rtype(&self) -> u16 {
+        self.1
     }
 }
 
-impl KeyView for (&DomainName, u16) {
-    fn parts(&self) -> (&DomainName, u16) {
-        (self.0, self.1)
+impl KeyView for (&[u8], u16) {
+    fn wire(&self) -> &[u8] {
+        self.0
+    }
+
+    fn rtype(&self) -> u16 {
+        self.1
     }
 }
 
@@ -71,16 +83,19 @@ impl<'a> std::borrow::Borrow<dyn KeyView + 'a> for (DomainName, u16) {
     }
 }
 
-/// The same hash as the owned tuple's: `&DomainName` hashes as the name.
+/// The same hash as the owned tuple's: the name's case-folded wire labels,
+/// then the type.
 impl Hash for dyn KeyView + '_ {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.parts().hash(state);
+        hash_wire(self.wire(), state);
+        self.rtype().hash(state);
     }
 }
 
+/// The same equality as the owned tuple's: case-insensitive names.
 impl PartialEq for dyn KeyView + '_ {
     fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
+        self.wire().eq_ignore_ascii_case(other.wire()) && self.rtype() == other.rtype()
     }
 }
 
@@ -143,12 +158,12 @@ impl Cache {
     /// may satisfy the lookup.
     pub fn lookup_with_policy(
         &mut self,
-        name: &DomainName,
+        name: &impl WireName,
         rtype: RecordType,
         now: SimTime,
         allow_any_derived: bool,
     ) -> Option<&[ResourceRecord]> {
-        match self.entries.get(&(name, rtype.number()) as &dyn KeyView) {
+        match self.entries.get(&(name.wire(), rtype.number()) as &dyn KeyView) {
             Some(entry) if entry.expires > now && (allow_any_derived || !entry.from_any) => {
                 self.hits += 1;
                 Some(&entry.records)
@@ -172,7 +187,7 @@ impl Cache {
 
     /// Non-mutating peek that ignores hit/miss accounting.
     pub fn peek(&self, name: &DomainName, rtype: RecordType, now: SimTime) -> Option<&CacheEntry> {
-        self.entries.get(&(name, rtype.number()) as &dyn KeyView).filter(|e| e.expires > now)
+        self.entries.get(&(name.wire(), rtype.number()) as &dyn KeyView).filter(|e| e.expires > now)
     }
 
     /// Convenience used everywhere in the attack evaluations: the first `A`
@@ -289,6 +304,18 @@ mod tests {
         let mut c = Cache::new();
         c.insert_records(&[a("VICT.IM", 300, "30.0.0.25")], SimTime::ZERO, false);
         assert!(c.lookup(&n("vict.im"), RecordType::A, SimTime::ZERO).is_some());
+    }
+
+    #[test]
+    fn a_name_on_the_stack_finds_the_owned_key() {
+        let mut c = Cache::new();
+        c.insert_records(&[a("vict.im", 300, "30.0.0.25")], SimTime::ZERO, false);
+        let mut wire = Vec::new();
+        DomainName::from_labels(["ViCt", "IM"]).unwrap().encode(&mut wire, None);
+        let (received, _) = crate::name::NameBuf::decode(&wire, 0).unwrap();
+        assert_eq!(c.lookup_with_policy(&received, RecordType::A, SimTime::ZERO, true).map(<[_]>::len), Some(1));
+        assert!(c.lookup_with_policy(&received, RecordType::TXT, SimTime::ZERO, true).is_none());
+        assert_eq!((c.hits, c.misses), (1, 1));
     }
 
     #[test]

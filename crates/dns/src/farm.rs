@@ -15,8 +15,7 @@
 //! given the same seed.
 
 use crate::cache::SharedCache;
-use crate::message::{Message, Rcode};
-use crate::name::DomainName;
+use crate::message::{Header, Message, MessageView, Question, Rcode};
 use crate::nameserver::{Nameserver, NameserverConfig};
 use crate::rdata::RecordType;
 use crate::resolver::{Resolver, ResolverConfig};
@@ -119,12 +118,18 @@ telemetry::counters! {
 
 /// The shared behaviour of every background client: think (exponential),
 /// query a random name at the nearest anycast frontend, count the answer.
+///
+/// Once the packet pool is warm a client makes no heap allocation per
+/// query: it encodes a prebuilt question through [`Message::encode_parts`]
+/// into a pooled buffer, and reads the
+/// answer's rcode from a [`MessageView`] over the received bytes. The view
+/// checks the whole answer, so a malformed one is not counted.
 pub struct FarmClientHandler {
     /// Anycast frontends; client `i` sticks to frontend `i % len` (the
     /// stable-routing approximation of anycast catchments).
     pub targets: Vec<Ipv4Addr>,
-    /// The query-name pool, built once and shared by all clients.
-    pub names: Vec<DomainName>,
+    /// The query pool, built once and shared by all clients.
+    pub questions: Vec<Question>,
     /// Mean think time between queries.
     pub mean_think: Duration,
     /// No queries are scheduled at or after this time.
@@ -132,10 +137,16 @@ pub struct FarmClientHandler {
 }
 
 impl FarmClientHandler {
-    /// Builds the handler for a pool of `names` synthetic zone names.
+    /// Builds the handler for a pool of `names` synthetic zone names, each
+    /// queried for its `A` record.
     pub fn new(targets: Vec<Ipv4Addr>, names: u32, mean_think: Duration, end: SimTime) -> Self {
-        let names = (0..names).map(|i| format!("q{i}.load.test").parse().expect("synthetic name is valid")).collect();
-        FarmClientHandler { targets, names, mean_think, end }
+        let questions = (0..names)
+            .map(|i| Question {
+                name: format!("q{i}.load.test").parse().expect("synthetic name is valid"),
+                qtype: RecordType::A,
+            })
+            .collect();
+        FarmClientHandler { targets, questions, mean_think, end }
     }
 
     fn schedule_next(&self, ctx: &mut StubCtx<'_>) {
@@ -155,13 +166,12 @@ impl StubHandler for FarmClientHandler {
         if timer.kind != TIMER_NEXT_QUERY {
             return;
         }
-        let name = self.names[ctx.rng().gen_range(0..self.names.len())].clone();
+        let question = &self.questions[ctx.rng().gen_range(0..self.questions.len())];
         let txid: u16 = ctx.rng().gen();
         let target = self.targets[ctx.id().0 as usize % self.targets.len()];
-        let query = Message::query(txid, name, RecordType::A);
-        let pkt =
-            UdpDatagram::new(ctx.addr(), target, well_known_ports::STUB_CLIENT, well_known_ports::DNS, query.encode())
-                .into_packet(txid, 64);
+        let query = Message::encode_parts(&Header::query(txid), std::slice::from_ref(question), [&[], &[], &[]]);
+        let pkt = UdpDatagram::new(ctx.addr(), target, well_known_ports::STUB_CLIENT, well_known_ports::DNS, query)
+            .into_packet(txid, 64);
         ctx.send(pkt);
         self.schedule_next(ctx);
     }
@@ -169,9 +179,9 @@ impl StubHandler for FarmClientHandler {
     fn on_packet(&mut self, ctx: &mut StubCtx<'_>, pkt: &netsim::prelude::Ipv4Packet) {
         // `data` counts parsed DNS responses; `failed` counts error rcodes.
         if let Ok(dgram) = UdpDatagram::parse(pkt) {
-            if let Ok(msg) = Message::decode(dgram.payload) {
+            if let Ok(msg) = MessageView::parse(dgram.payload) {
                 ctx.state_mut().data += 1;
-                if msg.header.rcode != Rcode::NoError {
+                if msg.header().rcode != Rcode::NoError {
                     ctx.state_mut().failed += 1;
                 }
             }
@@ -312,6 +322,39 @@ mod tests {
         assert_eq!(run_farm_shard(small()), run_farm_shard(small()));
         let other = FarmConfig { seed: 12, ..small() };
         assert_ne!(run_farm_shard(other), run_farm_shard(small()));
+    }
+
+    #[test]
+    fn malformed_answers_are_not_counted() {
+        // One client that never queries (its handler's end is time zero),
+        // and a node at its frontend's address that sends it answers.
+        let mut sim = Simulator::new(1);
+        let frontend = sim.add_node("frontend", vec![FARM_RESOLVER_BASE], netsim::prelude::SinkNode::default());
+        sim.add_stub_block("client", FARM_CLIENT_BASE, 1);
+        sim.set_stub_handler(FarmClientHandler::new(
+            vec![FARM_RESOLVER_BASE],
+            1,
+            Duration::from_secs(1),
+            SimTime::ZERO,
+        ));
+        let mut answer = Message::response_for(&Message::query(7, "q0.load.test".parse().unwrap(), RecordType::A));
+        answer.answers.push(crate::rdata::ResourceRecord::new(
+            "q0.load.test".parse().unwrap(),
+            300,
+            crate::rdata::RData::A(Ipv4Addr::new(10, 99, 0, 0)),
+        ));
+        let mut deliver = |payload: Vec<u8>| {
+            let (from, to) = (FARM_RESOLVER_BASE, FARM_CLIENT_BASE);
+            let dgram = UdpDatagram::new(from, to, well_known_ports::DNS, well_known_ports::STUB_CLIENT, payload);
+            sim.inject(frontend, dgram.into_packet(1, 64));
+            sim.run();
+            let client = &sim.stub_states()[0];
+            (client.received, client.data, client.failed)
+        };
+        for (n, (what, bytes)) in crate::message::malformed(&answer).into_iter().enumerate() {
+            assert_eq!(deliver(bytes), (n as u32 + 1, 0, 0), "{what}: delivered, but no response counted");
+        }
+        assert_eq!(deliver(answer.encode()), (5, 1, 0), "a well-formed answer counts");
     }
 
     #[test]

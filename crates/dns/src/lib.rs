@@ -80,8 +80,8 @@ pub mod prelude {
     pub use crate::dnssec::{
         DenialConfig, DsAnchor, KeyManager, KeyPair, RolloverState, Signer, SigningPolicy, Validation, Validator,
     };
-    pub use crate::message::{frame_tcp, Header, Message, Question, Rcode, TcpFrameBuffer};
-    pub use crate::name::{CompressionTable, DomainName};
+    pub use crate::message::{frame_tcp, Header, Message, MessageView, Question, Rcode, TcpFrameBuffer};
+    pub use crate::name::{CompressionTable, DomainName, NameBuf, WireName};
     pub use crate::nameserver::{Nameserver, NameserverConfig, NameserverStats};
     pub use crate::profiles::ResolverImplementation;
     pub use crate::rdata::{RData, RecordType, ResourceRecord};

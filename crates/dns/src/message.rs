@@ -1,12 +1,18 @@
 //! DNS message header, questions and the full message codec.
 //!
+//! There is one message parser, the walk behind [`MessageView::parse`]: it
+//! checks a whole received message in place, every question and record, and
+//! allocates nothing. A hot path reads the header and the first question
+//! from the view. [`Message::decode`] is `MessageView::parse(buf)?.to_owned()`,
+//! taken as one pass: the same walk, building the owned message as it goes.
+//!
 //! The 16-bit transaction identifier (TXID) in the header is — together with
 //! the UDP source port — the challenge-response defence of RFC 5452 that all
 //! three poisoning methodologies must defeat: HijackDNS reads it off the
 //! intercepted query, SadDNS brute-forces it after recovering the port, and
 //! FragDNS avoids it entirely because it sits in the first fragment.
 
-use crate::name::{CompressionTable, DomainName, NameError};
+use crate::name::{encode_wire, CompressionTable, DomainName, NameBuf, NameError, WireName};
 use crate::rdata::{RData, RecordType, ResourceRecord};
 use netsim::udp::UDP_HEADER_LEN;
 use std::fmt;
@@ -205,11 +211,12 @@ impl TcpFrameBuffer {
     }
 }
 
-/// A question section entry.
+/// A question section entry. The name is owned by default; a
+/// [`MessageView`] holds its question's name on the stack ([`NameBuf`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Question {
+pub struct Question<N = DomainName> {
     /// Queried name (case carries 0x20 entropy).
-    pub name: DomainName,
+    pub name: N,
     /// Queried type.
     pub qtype: RecordType,
 }
@@ -288,9 +295,10 @@ impl Message {
         Self::encode_parts(&self.header, &self.questions, [&self.answers, &self.authorities, &self.additionals])
     }
 
-    /// The one DNS encoder, over borrowed sections (answers, authorities,
-    /// additionals), so a resolver encodes a cache hit straight from the
-    /// cached records.
+    /// The one DNS encoder, over borrowed questions and sections (answers,
+    /// authorities, additionals), so a resolver encodes a cache hit straight
+    /// from the received question and the cached records. Name compression
+    /// keeps its table on the stack for messages of normal size.
     ///
     /// The wire image goes into a pooled buffer sized to the message plus
     /// [`UDP_HEADER_LEN`] of headroom: `UdpDatagram::into_packet` then
@@ -298,10 +306,14 @@ impl Message {
     /// it until it dies. The size counts owner names uncompressed, which
     /// covers the record data of small answers; a larger message grows the
     /// buffer.
-    pub fn encode_parts(header: &Header, questions: &[Question], sections: [&[ResourceRecord]; 3]) -> Vec<u8> {
+    pub fn encode_parts<N: WireName>(
+        header: &Header,
+        questions: &[Question<N>],
+        sections: [&[ResourceRecord]; 3],
+    ) -> Vec<u8> {
         let records = || sections.iter().flat_map(|section| section.iter());
         let size = 12
-            + questions.iter().map(|q| q.name.wire_len() + 4).sum::<usize>()
+            + questions.iter().map(|q| q.name.wire().len() + 5).sum::<usize>()
             + records().map(|rr| rr.name.wire_len() + 10).sum::<usize>();
         let mut buf = netsim::pool::take(size + UDP_HEADER_LEN);
         let mut compression = CompressionTable::default();
@@ -332,7 +344,7 @@ impl Message {
             buf.extend_from_slice(&(section.len() as u16).to_be_bytes());
         }
         for q in questions {
-            q.name.encode(&mut buf, Some(&mut compression));
+            encode_wire(q.name.wire(), &mut buf, Some(&mut compression));
             buf.extend_from_slice(&q.qtype.number().to_be_bytes());
             buf.extend_from_slice(&1u16.to_be_bytes()); // class IN
         }
@@ -342,61 +354,29 @@ impl Message {
         buf
     }
 
-    /// Parses a message from wire bytes.
+    /// Parses a message from wire bytes. This is the walk of
+    /// [`MessageView::parse`] that also builds every question and record as
+    /// it goes, so it accepts exactly the messages `parse` accepts and
+    /// returns `MessageView::parse(buf)?.to_owned()`, in one pass.
     pub fn decode(buf: &[u8]) -> Result<Self, NameError> {
-        if buf.len() < 12 {
-            return Err(NameError::Truncated);
-        }
-        let id = u16::from_be_bytes([buf[0], buf[1]]);
-        let flags = u16::from_be_bytes([buf[2], buf[3]]);
-        let header = Header {
-            id,
-            is_response: flags & 0x8000 != 0,
-            authoritative: flags & 0x0400 != 0,
-            truncated: flags & 0x0200 != 0,
-            recursion_desired: flags & 0x0100 != 0,
-            recursion_available: flags & 0x0080 != 0,
-            authenticated_data: flags & 0x0020 != 0,
-            rcode: Rcode::from_u4((flags & 0x000F) as u8),
-        };
-        let qdcount = u16::from_be_bytes([buf[4], buf[5]]) as usize;
-        let ancount = u16::from_be_bytes([buf[6], buf[7]]) as usize;
-        let nscount = u16::from_be_bytes([buf[8], buf[9]]) as usize;
-        let arcount = u16::from_be_bytes([buf[10], buf[11]]) as usize;
         // Capacity is bounded by what the buffer could possibly hold (a
         // question is ≥ 5 bytes, a record ≥ 11), never by the claimed count
         // alone: a 12-byte message claiming 65535 records must not allocate
         // megabytes before the first parse failure.
         // Regression (fuzz: dns_message/count_balloon.bin).
-        let body = buf.len() - 12;
-        let mut pos = 12;
-        let mut questions = Vec::with_capacity(qdcount.min(body / 5));
-        for _ in 0..qdcount {
-            let (name, next) = DomainName::decode(buf, pos)?;
-            let fixed = buf.get(next..next + 4).ok_or(NameError::Truncated)?;
-            let qtype = RecordType::from_number(u16::from_be_bytes([fixed[0], fixed[1]]));
-            questions.push(Question { name, qtype });
-            pos = next + 4;
-        }
-        let read_section = |count: usize, pos: &mut usize| -> Result<Vec<ResourceRecord>, NameError> {
-            let mut out = Vec::with_capacity(count.min(body / 11));
-            for _ in 0..count {
-                let (rr, next) = ResourceRecord::decode(buf, *pos)?;
-                out.push(rr);
-                *pos = next;
-            }
-            Ok(out)
+        let body = buf.len().saturating_sub(12);
+        let count = |at: usize, min_len: usize| {
+            buf.get(at..at + 2).map_or(0, |c| usize::from(u16::from_be_bytes([c[0], c[1]])).min(body / min_len))
         };
-        let answers = read_section(ancount, &mut pos)?;
-        let authorities = read_section(nscount, &mut pos)?;
-        let additionals = read_section(arcount, &mut pos)?;
-        if pos != buf.len() {
-            // Bytes after the last counted record are a smuggling vector
-            // (two parsers can disagree about what the message "is"), so
-            // decoding is strict: every byte must be accounted for.
-            return Err(NameError::TrailingBytes(buf.len() - pos));
-        }
-        Ok(Message { header, questions, answers, authorities, additionals })
+        let mut message = Message {
+            header: Header::query(0),
+            questions: Vec::with_capacity(count(4, 5)),
+            answers: Vec::with_capacity(count(6, 11)),
+            authorities: Vec::with_capacity(count(8, 11)),
+            additionals: Vec::with_capacity(count(10, 11)),
+        };
+        message.header = MessageView::walk(buf, Some(&mut message))?.header;
+        Ok(message)
     }
 
     /// The encoded size of this message in bytes. The scratch encoding goes
@@ -406,6 +386,102 @@ impl Message {
         let size = wire.len();
         netsim::pool::give(wire);
         size
+    }
+}
+
+/// A received DNS message read in place, through the one message parser.
+///
+/// [`MessageView::parse`] checks everything [`Message::decode`] rejects on:
+/// the 12-byte header, every question and record with the name rules of the
+/// one name walker, each record's RDATA against its RDLENGTH and type, and
+/// no byte after the last counted record. It allocates nothing: a view is
+/// the bytes, the header and where the first question starts.
+/// [`MessageView::question`] gathers that question's name on the stack,
+/// and [`MessageView::to_owned`] is [`Message::decode`] of the same bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageView<'a> {
+    buf: &'a [u8],
+    header: Header,
+    question: Option<(usize, RecordType)>,
+}
+
+impl<'a> MessageView<'a> {
+    /// Checks `buf` as one whole DNS message; see [`MessageView`].
+    pub fn parse(buf: &'a [u8]) -> Result<Self, NameError> {
+        Self::walk(buf, None)
+    }
+
+    /// The header.
+    pub fn header(&self) -> &Header {
+        &self.header
+    }
+
+    /// The first question, its name as sent (case kept) on the stack.
+    pub fn question(&self) -> Option<Question<NameBuf>> {
+        let (at, qtype) = self.question?;
+        let (name, _) = NameBuf::decode(self.buf, at).expect("the parse checked this name");
+        Some(Question { name, qtype })
+    }
+
+    /// The message, owned: [`Message::decode`] of the same bytes.
+    pub fn to_owned(&self) -> Message {
+        Message::decode(self.buf).expect("a parsed message decodes")
+    }
+
+    /// The one message walker. It checks all of `buf` and, given `out`,
+    /// appends every question and record to it, owned. Inlined, so that
+    /// `parse` and `decode` each get a walk of their own (see the record
+    /// walkers in `rdata`).
+    #[inline(always)]
+    fn walk(buf: &'a [u8], mut out: Option<&mut Message>) -> Result<Self, NameError> {
+        if buf.len() < 12 {
+            return Err(NameError::Truncated);
+        }
+        let flags = u16::from_be_bytes([buf[2], buf[3]]);
+        let header = Header {
+            id: u16::from_be_bytes([buf[0], buf[1]]),
+            is_response: flags & 0x8000 != 0,
+            authoritative: flags & 0x0400 != 0,
+            truncated: flags & 0x0200 != 0,
+            recursion_desired: flags & 0x0100 != 0,
+            recursion_available: flags & 0x0080 != 0,
+            authenticated_data: flags & 0x0020 != 0,
+            rcode: Rcode::from_u4((flags & 0x000F) as u8),
+        };
+        let count = |at: usize| u16::from_be_bytes([buf[at], buf[at + 1]]);
+        let build = out.is_some();
+        let mut pos = 12;
+        let mut question = None;
+        for _ in 0..count(4) {
+            let (name, next) = DomainName::walk(buf, pos, build)?;
+            let fixed = buf.get(next..next + 4).ok_or(NameError::Truncated)?;
+            let qtype = RecordType::from_number(u16::from_be_bytes([fixed[0], fixed[1]]));
+            if let Some(message) = out.as_deref_mut() {
+                message.questions.push(Question { name, qtype });
+            }
+            question.get_or_insert((pos, qtype));
+            pos = next + 4;
+        }
+        for at in [6, 8, 10] {
+            for _ in 0..count(at) {
+                let (rr, next) = ResourceRecord::walk(buf, pos, build)?;
+                if let (Some(message), Some(rr)) = (out.as_deref_mut(), rr) {
+                    match at {
+                        6 => message.answers.push(rr),
+                        8 => message.authorities.push(rr),
+                        _ => message.additionals.push(rr),
+                    }
+                }
+                pos = next;
+            }
+        }
+        if pos != buf.len() {
+            // Bytes after the last counted record are a smuggling vector
+            // (two parsers can disagree about what the message "is"), so
+            // parsing is strict: every byte must be accounted for.
+            return Err(NameError::TrailingBytes(buf.len() - pos));
+        }
+        Ok(MessageView { buf, header, question })
     }
 }
 
@@ -427,6 +503,35 @@ impl fmt::Display for Message {
             self.header.rcode
         )
     }
+}
+
+/// Four malformed copies of `message`'s wire form, each a shape the parser
+/// rejects: the fuzz corpus's `count_balloon.bin` and `trailing_byte.bin`
+/// edits, a question name that is a forward pointer, and an `A` record (put
+/// last in the additional section) whose RDLENGTH is 5.
+#[cfg(test)]
+pub(crate) fn malformed(message: &Message) -> [(&'static str, Vec<u8>); 4] {
+    let wire = message.encode();
+    let mut count_balloon = wire.clone();
+    count_balloon[4..6].copy_from_slice(&[0xff, 0xff]);
+    let mut trailing_byte = wire.clone();
+    trailing_byte.push(0x00);
+    // One question, its name a pointer to offset 16, past itself.
+    let mut forward_pointer = wire[..12].to_vec();
+    forward_pointer[4..12].copy_from_slice(&[0, 1, 0, 0, 0, 0, 0, 0]);
+    forward_pointer.extend_from_slice(&[0xC0, 16, 0, 1, 0, 1]);
+    let mut with_a = message.clone();
+    with_a.additionals.push(ResourceRecord::new(DomainName::root(), 300, RData::A([192, 0, 2, 1].into())));
+    let mut a_rdlength_5 = with_a.encode();
+    let rdlength_at = a_rdlength_5.len() - 6;
+    a_rdlength_5[rdlength_at..rdlength_at + 2].copy_from_slice(&5u16.to_be_bytes());
+    a_rdlength_5.push(0xaa);
+    [
+        ("count_balloon", count_balloon),
+        ("trailing_byte", trailing_byte),
+        ("forward_pointer", forward_pointer),
+        ("a_rdlength_5", a_rdlength_5),
+    ]
 }
 
 #[cfg(test)]
@@ -496,6 +601,37 @@ mod tests {
         let mut buf = Message::query(1, n("vict.im"), RecordType::A).encode();
         buf[4] = 0xff; // QDCOUNT = 0xffXX
         assert!(Message::decode(&buf).is_err(), "claimed-but-absent questions rejected");
+    }
+
+    #[test]
+    fn every_malformed_copy_is_rejected_by_both_readers() {
+        let query = Message::query(1, n("vict.im"), RecordType::A);
+        let mut answer = Message::response_for(&query);
+        answer.answers.push(ResourceRecord::new(n("vict.im"), 300, RData::A(Ipv4Addr::new(30, 0, 0, 25))));
+        for message in [query, answer] {
+            assert!(MessageView::parse(&message.encode()).is_ok());
+            for (what, bytes) in malformed(&message) {
+                let view = MessageView::parse(&bytes).map(|_| ());
+                assert!(view.is_err(), "{what}: the view rejects it");
+                assert_eq!(view.err(), Message::decode(&bytes).err(), "{what}: both readers give the same error");
+            }
+        }
+    }
+
+    #[test]
+    fn view_reads_header_and_question_in_place() {
+        let name = DomainName::from_labels(vec!["WwW", "vict", "IM"]).unwrap();
+        let mut m = Message::query(0xBEEF, name.clone(), RecordType::TXT).with_edns(1232);
+        m.header.rcode = Rcode::Refused;
+        let wire = m.encode();
+        let view = MessageView::parse(&wire).unwrap();
+        assert_eq!(*view.header(), m.header);
+        let question = view.question().unwrap();
+        assert_eq!(question.name.wire(), name.wire(), "the name keeps its case");
+        assert_eq!(question.qtype, RecordType::TXT);
+        assert_eq!(view.to_owned(), m);
+        let empty = Message { questions: Vec::new(), ..m };
+        assert!(MessageView::parse(&empty.encode()).unwrap().question().is_none());
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub const MAX_NAME_LEN: usize = 255;
 
 /// The label alphabet this workspace accepts: LDH (RFC 1035 §2.3.1) plus
 /// `_` (service labels like `_acme-challenge`) and `*` (wildcards). Both
-/// [`DomainName::from_labels`] and [`DomainName::decode`] enforce it, so a
+/// [`DomainName::from_labels`] and the name walker enforce it, so a
 /// name can never enter the system through the wire that the builder API
 /// would have rejected.
 fn is_label_byte(b: u8) -> bool {
@@ -244,101 +244,223 @@ impl DomainName {
     /// (offsets must fit in 14 bits). One table serves one buffer, from the
     /// start of the message.
     pub fn encode(&self, buf: &mut Vec<u8>, compression: Option<&mut CompressionTable>) {
-        let Some(table) = compression else {
-            buf.extend_from_slice(&self.wire);
-            buf.push(0);
-            return;
-        };
-        let mut pos = 0;
-        while pos < self.wire.len() {
-            let suffix = &self.wire[pos..];
-            if let Some(offset) = table.find(buf, suffix) {
-                buf.extend_from_slice(&(0xC000u16 | offset).to_be_bytes());
-                return;
-            }
-            let here = buf.len();
-            if here <= 0x3FFF {
-                table.suffixes.push((here as u16, suffix.len() as u8));
-            }
-            let end = pos + 1 + usize::from(self.wire[pos]);
-            buf.extend_from_slice(&self.wire[pos..end]);
-            pos = end;
-        }
-        buf.push(0);
+        encode_wire(&self.wire, buf, compression);
     }
 
     /// Decodes a name starting at `offset` within `msg`, following
-    /// compression pointers. Returns the name and the offset just past it.
+    /// compression pointers: the name walker gathers the labels on the
+    /// stack, as [`NameBuf::decode`] does, and one copy moves them to the
+    /// heap. Returns the name and the offset just past it.
     pub fn decode(msg: &[u8], offset: usize) -> Result<(DomainName, usize), NameError> {
-        // Labels are gathered on the stack; bytes past the size limit are
-        // only counted, so an overlong name reports its full length.
         let mut wire = [0u8; MAX_NAME_LEN];
-        let mut len = 0;
-        let mut pos = offset;
-        let mut jumped = false;
-        let mut end = offset;
-        let mut hops = 0;
-        loop {
-            let label_len = *msg.get(pos).ok_or(NameError::Truncated)? as usize;
-            if label_len & 0xC0 == 0xC0 {
-                // Compression pointer.
-                let second = *msg.get(pos + 1).ok_or(NameError::Truncated)? as usize;
-                let target = ((label_len & 0x3F) << 8) | second;
-                if !jumped {
-                    end = pos + 2;
-                    jumped = true;
-                }
-                hops += 1;
-                if hops > 32 {
-                    return Err(NameError::PointerLoop);
-                }
-                if target >= pos {
-                    return Err(NameError::ForwardPointer);
-                }
-                pos = target;
-                continue;
-            }
-            if label_len == 0 {
-                if !jumped {
-                    end = pos + 1;
-                }
-                break;
-            }
-            if label_len > MAX_LABEL_LEN {
-                return Err(NameError::LabelTooLong(label_len));
-            }
-            let bytes = msg.get(pos + 1..pos + 1 + label_len).ok_or(NameError::Truncated)?;
-            // Same alphabet as the builder: wire decoding must not smuggle in
-            // labels (embedded dots, control bytes, non-ASCII) that
-            // `from_labels` rejects — they would corrupt display/parse
-            // roundtrips and case-insensitive comparison of the buffer.
-            if !bytes.iter().copied().all(is_label_byte) {
-                return Err(NameError::InvalidCharacter);
-            }
-            let next = len + 1 + label_len;
-            if next < MAX_NAME_LEN {
-                wire[len] = label_len as u8;
-                wire[len + 1..next].copy_from_slice(bytes);
-            }
-            len = next;
-            pos += label_len + 1;
-        }
-        if len + 1 > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong(len + 1));
-        }
+        let (len, end) = walk_name(msg, offset, Some(&mut wire))?;
         Ok((DomainName { wire: wire[..len].to_vec() }, end))
+    }
+
+    /// The name at `offset` when `build` is set. Otherwise the name is only
+    /// checked, and the root, which does not allocate, stands in for it.
+    pub(crate) fn walk(msg: &[u8], offset: usize, build: bool) -> Result<(DomainName, usize), NameError> {
+        if build {
+            Self::decode(msg, offset)
+        } else {
+            walk_name(msg, offset, None).map(|(_, end)| (DomainName::root(), end))
+        }
     }
 }
 
+/// A name's uncompressed wire labels without the root octet (the layout of
+/// [`DomainName`]'s buffer): what the encoder writes and the cache hashes,
+/// for an owned name and for one gathered on the stack alike.
+pub trait WireName {
+    /// The wire labels, each prefixed by its length octet.
+    fn wire(&self) -> &[u8];
+}
+
+impl WireName for DomainName {
+    fn wire(&self) -> &[u8] {
+        &self.wire
+    }
+}
+
+/// Encodes the wire labels `wire` (see [`WireName`]), appending to `buf`,
+/// as [`DomainName::encode`] describes.
+pub(crate) fn encode_wire(wire: &[u8], buf: &mut Vec<u8>, compression: Option<&mut CompressionTable>) {
+    let Some(table) = compression else {
+        buf.extend_from_slice(wire);
+        buf.push(0);
+        return;
+    };
+    let mut pos = 0;
+    while pos < wire.len() {
+        let suffix = &wire[pos..];
+        if let Some(offset) = table.find(buf, suffix) {
+            buf.extend_from_slice(&(0xC000u16 | offset).to_be_bytes());
+            return;
+        }
+        let here = buf.len();
+        if here <= 0x3FFF {
+            table.push((here as u16, suffix.len() as u8));
+        }
+        let end = pos + 1 + usize::from(wire[pos]);
+        buf.extend_from_slice(&wire[pos..end]);
+        pos = end;
+    }
+    buf.push(0);
+}
+
+/// Hashes wire labels case-insensitively: the hash of a [`DomainName`] with
+/// these labels.
+pub(crate) fn hash_wire<H: Hasher>(wire: &[u8], state: &mut H) {
+    let mut lower = [0u8; MAX_NAME_LEN];
+    let lower = &mut lower[..wire.len()];
+    lower.copy_from_slice(wire);
+    lower.make_ascii_lowercase();
+    state.write(lower);
+}
+
+/// The one name walker: checks the name starting at `offset` within `msg`,
+/// following compression pointers, and returns the length of its wire
+/// labels and the offset just past the name (past the first pointer, if
+/// any). Given `wire`, it gathers the labels there, as in a
+/// [`DomainName`]'s buffer.
+///
+/// A name is rejected for a label byte outside the alphabet, a label
+/// longer than 63 bytes, a pointer that does not point backwards, more
+/// than 32 pointer hops, more than 255 bytes, or a buffer that ends inside
+/// it. Bytes past the size limit are only counted, so an overlong name
+/// reports its full length.
+pub(crate) fn walk_name(
+    msg: &[u8],
+    offset: usize,
+    mut wire: Option<&mut [u8; MAX_NAME_LEN]>,
+) -> Result<(usize, usize), NameError> {
+    let mut len = 0;
+    let mut pos = offset;
+    let mut jumped = false;
+    let mut end = offset;
+    let mut hops = 0;
+    loop {
+        let label_len = *msg.get(pos).ok_or(NameError::Truncated)? as usize;
+        if label_len & 0xC0 == 0xC0 {
+            // Compression pointer.
+            let second = *msg.get(pos + 1).ok_or(NameError::Truncated)? as usize;
+            let target = ((label_len & 0x3F) << 8) | second;
+            if !jumped {
+                end = pos + 2;
+                jumped = true;
+            }
+            hops += 1;
+            if hops > 32 {
+                return Err(NameError::PointerLoop);
+            }
+            if target >= pos {
+                return Err(NameError::ForwardPointer);
+            }
+            pos = target;
+            continue;
+        }
+        if label_len == 0 {
+            if !jumped {
+                end = pos + 1;
+            }
+            break;
+        }
+        if label_len > MAX_LABEL_LEN {
+            return Err(NameError::LabelTooLong(label_len));
+        }
+        let bytes = msg.get(pos + 1..pos + 1 + label_len).ok_or(NameError::Truncated)?;
+        // Same alphabet as the builder: wire decoding must not smuggle in
+        // labels (embedded dots, control bytes, non-ASCII) that
+        // `from_labels` rejects — they would corrupt display/parse
+        // roundtrips and case-insensitive comparison of the buffer.
+        if !bytes.iter().copied().all(is_label_byte) {
+            return Err(NameError::InvalidCharacter);
+        }
+        let next = len + 1 + label_len;
+        if let Some(wire) = wire.as_deref_mut().filter(|_| next < MAX_NAME_LEN) {
+            wire[len] = label_len as u8;
+            wire[len + 1..next].copy_from_slice(bytes);
+        }
+        len = next;
+        pos += label_len + 1;
+    }
+    if len + 1 > MAX_NAME_LEN {
+        return Err(NameError::NameTooLong(len + 1));
+    }
+    Ok((len, end))
+}
+
+/// A name gathered on the stack by [`NameBuf::decode`]: its wire labels, as
+/// in a [`DomainName`]'s buffer, with the same three invariants. A message
+/// view hands out its question's name this way, so reading a received
+/// message allocates nothing; [`NameBuf::to_name`] copies it to the heap.
+#[derive(Clone)]
+pub struct NameBuf {
+    len: u8,
+    wire: [u8; MAX_NAME_LEN],
+}
+
+impl NameBuf {
+    /// Decodes the name starting at `offset` within `msg`, following
+    /// compression pointers, and gathers its labels here. Returns the name
+    /// and the offset just past it.
+    pub fn decode(msg: &[u8], offset: usize) -> Result<(NameBuf, usize), NameError> {
+        let mut wire = [0u8; MAX_NAME_LEN];
+        let (len, end) = walk_name(msg, offset, Some(&mut wire))?;
+        Ok((NameBuf { len: len as u8, wire }, end))
+    }
+
+    /// The name on the heap.
+    pub fn to_name(&self) -> DomainName {
+        DomainName { wire: self.wire().to_vec() }
+    }
+}
+
+impl WireName for NameBuf {
+    fn wire(&self) -> &[u8] {
+        &self.wire[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for NameBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "NameBuf({})", self.to_name())
+    }
+}
+
+/// Suffix entries a [`CompressionTable`] holds inline; a message that
+/// writes more spills the rest to the heap.
+const INLINE_SUFFIXES: usize = 16;
+
 /// The suffixes already written into one message buffer, for RFC 1035
 /// §4.1.4 name compression: each entry is the offset of a written suffix and
-/// its uncompressed wire length without the root octet.
-#[derive(Debug, Default)]
+/// its uncompressed wire length without the root octet. The first 16
+/// entries live in the table itself, so encoding a message of normal size
+/// allocates nothing for it.
+#[derive(Debug)]
 pub struct CompressionTable {
-    suffixes: Vec<(u16, u8)>,
+    inline: [(u16, u8); INLINE_SUFFIXES],
+    len: usize,
+    spill: Vec<(u16, u8)>,
+}
+
+impl Default for CompressionTable {
+    fn default() -> Self {
+        CompressionTable { inline: [(0, 0); INLINE_SUFFIXES], len: 0, spill: Vec::new() }
+    }
 }
 
 impl CompressionTable {
+    fn push(&mut self, entry: (u16, u8)) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                *slot = entry;
+                self.len += 1;
+            }
+            None => self.spill.push(entry),
+        }
+    }
+
     /// The offset of the recorded suffix that spells `suffix`
     /// case-insensitively. No two entries spell the same suffix: an entry is
     /// recorded only where no earlier one matched.
@@ -348,8 +470,9 @@ impl CompressionTable {
     /// are all longer than `suffix`, and the bytes behind them are not
     /// written yet.
     fn find(&self, msg: &[u8], suffix: &[u8]) -> Option<u16> {
-        self.suffixes
+        self.inline[..self.len]
             .iter()
+            .chain(&self.spill)
             .find(|&&(offset, len)| usize::from(len) == suffix.len() && spells(msg, usize::from(offset), suffix))
             .map(|&(offset, _)| offset)
     }
@@ -385,11 +508,7 @@ impl PartialEq for DomainName {
 
 impl Hash for DomainName {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let mut lower = [0u8; MAX_NAME_LEN];
-        let lower = &mut lower[..self.wire.len()];
-        lower.copy_from_slice(&self.wire);
-        lower.make_ascii_lowercase();
-        state.write(lower);
+        hash_wire(&self.wire, state);
     }
 }
 

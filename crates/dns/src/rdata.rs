@@ -394,7 +394,17 @@ impl RData {
         }
     }
 
-    /// Decodes RDATA of the given type from `msg[offset..offset+len]`.
+    /// Decodes RDATA of the given type from `msg[offset..offset+len]`. Every
+    /// read stays inside that RDLENGTH window, and typed content must fill
+    /// it exactly.
+    pub fn decode(rtype: RecordType, msg: &[u8], offset: usize, len: usize) -> Result<RData, NameError> {
+        Ok(Self::walk(rtype, msg, offset, len, true)?.expect("a building walk returns the data"))
+    }
+
+    /// The one RDATA parser: checks the RDATA of the given type in
+    /// `msg[offset..offset+len]` and, when `build` is set, returns it owned.
+    /// Without `build` it allocates nothing and returns `None`, which is how
+    /// a borrowed message view checks its records in place.
     ///
     /// Every read is confined to the claimed RDLENGTH window: names and
     /// strings inside RDATA may *point* backwards (compression) but their
@@ -404,35 +414,48 @@ impl RData {
     /// reading its neighbours' bytes and resyncing — two parsers must never
     /// disagree about where a record ends.
     /// Regression (fuzz: dns_rr/rdlen_escape.bin, dns_rr/rdlen_slack.bin).
-    pub fn decode(rtype: RecordType, msg: &[u8], offset: usize, len: usize) -> Result<RData, NameError> {
+    //
+    // The walkers are inlined into their callers, where `build` is a
+    // constant: the checking and the building walk then compile apart, each
+    // as fast as a parser of its own. Called, the owned decode of a signed
+    // answer took a quarter longer than before the view existed.
+    #[inline(always)]
+    pub(crate) fn walk(
+        rtype: RecordType,
+        msg: &[u8],
+        offset: usize,
+        len: usize,
+        build: bool,
+    ) -> Result<Option<RData>, NameError> {
         let end = offset.checked_add(len).ok_or(NameError::Truncated)?;
         let slice = msg.get(offset..end).ok_or(NameError::Truncated)?;
         // Names inside RDATA decode against the message clipped at the
         // window's end: backward compression pointers still resolve, but
         // inline labels cannot escape the RDLENGTH.
         let view = &msg[..end];
+        let name = |at: usize| DomainName::walk(view, at, build);
         let (out, consumed) = match rtype {
             RecordType::A => {
                 if slice.len() < 4 {
                     return Err(NameError::Truncated);
                 }
-                (RData::A(Ipv4Addr::new(slice[0], slice[1], slice[2], slice[3])), 4)
+                (build.then(|| RData::A(Ipv4Addr::new(slice[0], slice[1], slice[2], slice[3]))), 4)
             }
             RecordType::NS => {
-                let (name, pos) = DomainName::decode(view, offset)?;
-                (RData::Ns(name), pos - offset)
+                let (name, pos) = name(offset)?;
+                (build.then_some(RData::Ns(name)), pos - offset)
             }
             RecordType::CNAME => {
-                let (name, pos) = DomainName::decode(view, offset)?;
-                (RData::Cname(name), pos - offset)
+                let (name, pos) = name(offset)?;
+                (build.then_some(RData::Cname(name)), pos - offset)
             }
             RecordType::SOA => {
-                let (mname, pos) = DomainName::decode(view, offset)?;
-                let (rname, pos) = DomainName::decode(view, pos)?;
+                let (mname, pos) = name(offset)?;
+                let (rname, pos) = name(pos)?;
                 let ints = view.get(pos..pos + 20).ok_or(NameError::Truncated)?;
                 let g = |i: usize| u32::from_be_bytes([ints[i], ints[i + 1], ints[i + 2], ints[i + 3]]);
                 (
-                    RData::Soa {
+                    build.then(|| RData::Soa {
                         mname,
                         rname,
                         serial: g(0),
@@ -440,7 +463,7 @@ impl RData {
                         retry: g(8),
                         expire: g(12),
                         minimum: g(16),
-                    },
+                    }),
                     pos + 20 - offset,
                 )
             }
@@ -449,8 +472,8 @@ impl RData {
                     return Err(NameError::Truncated);
                 }
                 let preference = u16::from_be_bytes([slice[0], slice[1]]);
-                let (exchange, pos) = DomainName::decode(view, offset + 2)?;
-                (RData::Mx { preference, exchange }, pos - offset)
+                let (exchange, pos) = name(offset + 2)?;
+                (build.then_some(RData::Mx { preference, exchange }), pos - offset)
             }
             RecordType::TXT => {
                 let mut text = String::new();
@@ -458,14 +481,16 @@ impl RData {
                 while pos < slice.len() {
                     let l = slice[pos] as usize;
                     let chunk = slice.get(pos + 1..pos + 1 + l).ok_or(NameError::Truncated)?;
-                    text.push_str(&String::from_utf8_lossy(chunk));
+                    if build {
+                        text.push_str(&String::from_utf8_lossy(chunk));
+                    }
                     pos += 1 + l;
                 }
-                (RData::Txt(text), pos)
+                (build.then_some(RData::Txt(text)), pos)
             }
             RecordType::AAAA => {
                 let bytes: [u8; 16] = slice.try_into().map_err(|_| NameError::Truncated)?;
-                (RData::Aaaa(bytes), 16)
+                (build.then_some(RData::Aaaa(bytes)), 16)
             }
             RecordType::SRV => {
                 if slice.len() < 6 {
@@ -474,8 +499,8 @@ impl RData {
                 let priority = u16::from_be_bytes([slice[0], slice[1]]);
                 let weight = u16::from_be_bytes([slice[2], slice[3]]);
                 let port = u16::from_be_bytes([slice[4], slice[5]]);
-                let (target, pos) = DomainName::decode(view, offset + 6)?;
-                (RData::Srv { priority, weight, port, target }, pos - offset)
+                let (target, pos) = name(offset + 6)?;
+                (build.then_some(RData::Srv { priority, weight, port, target }), pos - offset)
             }
             RecordType::NAPTR => {
                 if slice.len() < 4 {
@@ -484,23 +509,23 @@ impl RData {
                 let order = u16::from_be_bytes([slice[0], slice[1]]);
                 let preference = u16::from_be_bytes([slice[2], slice[3]]);
                 let mut pos = offset + 4;
-                let mut strings = Vec::new();
-                for _ in 0..3 {
+                let mut strings: [&[u8]; 3] = [&[]; 3];
+                for s in &mut strings {
                     let l = *view.get(pos).ok_or(NameError::Truncated)? as usize;
-                    let s = view.get(pos + 1..pos + 1 + l).ok_or(NameError::Truncated)?;
-                    strings.push(String::from_utf8_lossy(s).to_string());
+                    *s = view.get(pos + 1..pos + 1 + l).ok_or(NameError::Truncated)?;
                     pos += 1 + l;
                 }
-                let (replacement, pos) = DomainName::decode(view, pos)?;
+                let (replacement, pos) = name(pos)?;
+                let text = |s: &[u8]| String::from_utf8_lossy(s).to_string();
                 (
-                    RData::Naptr {
+                    build.then(|| RData::Naptr {
                         order,
                         preference,
-                        flags: strings[0].clone(),
-                        service: strings[1].clone(),
-                        regexp: strings[2].clone(),
+                        flags: text(strings[0]),
+                        service: text(strings[1]),
+                        regexp: text(strings[2]),
                         replacement,
-                    },
+                    }),
                     pos - offset,
                 )
             }
@@ -510,7 +535,7 @@ impl RData {
                 }
                 let precedence = slice[0];
                 let gateway = Ipv4Addr::new(slice[3], slice[4], slice[5], slice[6]);
-                (RData::IpsecKey { precedence, gateway, public_key: slice[7..].to_vec() }, slice.len())
+                (build.then(|| RData::IpsecKey { precedence, gateway, public_key: slice[7..].to_vec() }), slice.len())
             }
             RecordType::DNSKEY => {
                 if slice.len() < 4 {
@@ -520,7 +545,7 @@ impl RData {
                 // slice[2] is the protocol octet; RFC 4034 fixes it at 3 and
                 // the canonical encoder always writes 3.
                 let algorithm = slice[3];
-                (RData::Dnskey { flags, algorithm, public_key: slice[4..].to_vec() }, slice.len())
+                (build.then(|| RData::Dnskey { flags, algorithm, public_key: slice[4..].to_vec() }), slice.len())
             }
             RecordType::DS => {
                 if slice.len() < 4 {
@@ -528,7 +553,12 @@ impl RData {
                 }
                 let key_tag = u16::from_be_bytes([slice[0], slice[1]]);
                 (
-                    RData::Ds { key_tag, algorithm: slice[2], digest_type: slice[3], digest: slice[4..].to_vec() },
+                    build.then(|| RData::Ds {
+                        key_tag,
+                        algorithm: slice[2],
+                        digest_type: slice[3],
+                        digest: slice[4..].to_vec(),
+                    }),
                     slice.len(),
                 )
             }
@@ -538,9 +568,9 @@ impl RData {
                 }
                 let type_covered = RecordType::from_number(u16::from_be_bytes([slice[0], slice[1]]));
                 let g = |i: usize| u32::from_be_bytes([slice[i], slice[i + 1], slice[i + 2], slice[i + 3]]);
-                let (signer, pos) = DomainName::decode(view, offset + 18)?;
+                let (signer, pos) = name(offset + 18)?;
                 (
-                    RData::Rrsig {
+                    build.then(|| RData::Rrsig {
                         type_covered,
                         algorithm: slice[2],
                         labels: slice[3],
@@ -550,43 +580,42 @@ impl RData {
                         key_tag: u16::from_be_bytes([slice[16], slice[17]]),
                         signer,
                         signature: view[pos..end].to_vec(),
-                    },
+                    }),
                     end - offset,
                 )
             }
             RecordType::NSEC => {
-                let (next, pos) = DomainName::decode(view, offset)?;
-                let types = decode_type_bitmap(&view[pos..end])?;
-                (RData::Nsec { next, types }, end - offset)
+                let (next, pos) = name(offset)?;
+                let types = walk_type_bitmap(&view[pos..end], build)?;
+                (build.then_some(RData::Nsec { next, types }), end - offset)
             }
             RecordType::NSEC3 => {
                 if slice.len() < 5 {
                     return Err(NameError::Truncated);
                 }
                 let salt_len = slice[4] as usize;
-                let salt = slice.get(5..5 + salt_len).ok_or(NameError::Truncated)?.to_vec();
+                let salt = slice.get(5..5 + salt_len).ok_or(NameError::Truncated)?;
                 let hash_pos = 5 + salt_len;
                 let hash_len = *slice.get(hash_pos).ok_or(NameError::Truncated)? as usize;
-                let next_hashed =
-                    slice.get(hash_pos + 1..hash_pos + 1 + hash_len).ok_or(NameError::Truncated)?.to_vec();
-                let types = decode_type_bitmap(&slice[hash_pos + 1 + hash_len..])?;
+                let next_hashed = slice.get(hash_pos + 1..hash_pos + 1 + hash_len).ok_or(NameError::Truncated)?;
+                let types = walk_type_bitmap(&slice[hash_pos + 1 + hash_len..], build)?;
                 (
-                    RData::Nsec3 {
+                    build.then(|| RData::Nsec3 {
                         hash_algorithm: slice[0],
                         flags: slice[1],
                         iterations: u16::from_be_bytes([slice[2], slice[3]]),
-                        salt,
-                        next_hashed,
+                        salt: salt.to_vec(),
+                        next_hashed: next_hashed.to_vec(),
                         types,
-                    },
+                    }),
                     slice.len(),
                 )
             }
             RecordType::OPT => {
                 let size = if slice.len() >= 2 { u16::from_be_bytes([slice[0], slice[1]]) } else { 512 };
-                (RData::Opt { udp_payload_size: size }, slice.len())
+                (build.then_some(RData::Opt { udp_payload_size: size }), slice.len())
             }
-            _ => (RData::Raw(slice.to_vec()), slice.len()),
+            _ => (build.then(|| RData::Raw(slice.to_vec())), slice.len()),
         };
         if consumed != len {
             return Err(NameError::RdataLengthMismatch);
@@ -637,10 +666,12 @@ fn encode_type_bitmap(types: &[RecordType], buf: &mut Vec<u8>) {
     }
 }
 
-/// Decodes an NSEC/NSEC3 type bitmap. Lenient about window ordering and
-/// non-minimal octet counts (the result is re-encoded canonically), strict
-/// about structure: each block must declare 1..=32 octets and contain them.
-fn decode_type_bitmap(bytes: &[u8]) -> Result<Vec<RecordType>, NameError> {
+/// Checks an NSEC/NSEC3 type bitmap and, when `build` is set, returns its
+/// types (an empty `Vec`, which does not allocate, otherwise). Lenient
+/// about window ordering and non-minimal octet counts (the result is
+/// re-encoded canonically), strict about structure: each block must declare
+/// 1..=32 octets and contain them.
+fn walk_type_bitmap(bytes: &[u8], build: bool) -> Result<Vec<RecordType>, NameError> {
     let mut numbers = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
@@ -650,10 +681,12 @@ fn decode_type_bitmap(bytes: &[u8]) -> Result<Vec<RecordType>, NameError> {
             return Err(NameError::Truncated);
         }
         let octets = bytes.get(pos + 2..pos + 2 + count).ok_or(NameError::Truncated)?;
-        for (i, octet) in octets.iter().enumerate() {
-            for bit in 0..8u16 {
-                if octet & (0x80 >> bit) != 0 {
-                    numbers.push((window << 8) | (i as u16 * 8) | bit);
+        if build {
+            for (i, octet) in octets.iter().enumerate() {
+                for bit in 0..8u16 {
+                    if octet & (0x80 >> bit) != 0 {
+                        numbers.push((window << 8) | (i as u16 * 8) | bit);
+                    }
                 }
             }
         }
@@ -711,7 +744,17 @@ impl ResourceRecord {
 
     /// Decodes a record starting at `offset`; returns it and the next offset.
     pub fn decode(msg: &[u8], offset: usize) -> Result<(ResourceRecord, usize), NameError> {
-        let (name, pos) = DomainName::decode(msg, offset)?;
+        let (rr, end) = Self::walk(msg, offset, true)?;
+        Ok((rr.expect("a building walk returns the record"), end))
+    }
+
+    /// The one record parser: checks the record starting at `offset` (owner
+    /// name, the fixed fields, the RDATA of [`RData::walk`]) and returns the
+    /// next offset, with the record itself, owned, when `build` is set.
+    /// Inlined for the reason [`RData::walk`] is.
+    #[inline(always)]
+    pub(crate) fn walk(msg: &[u8], offset: usize, build: bool) -> Result<(Option<ResourceRecord>, usize), NameError> {
+        let (name, pos) = DomainName::walk(msg, offset, build)?;
         let fixed = msg.get(pos..pos + 10).ok_or(NameError::Truncated)?;
         let rtype = RecordType::from_number(u16::from_be_bytes([fixed[0], fixed[1]]));
         let class = u16::from_be_bytes([fixed[2], fixed[3]]);
@@ -722,11 +765,12 @@ impl ResourceRecord {
             return Err(NameError::Truncated);
         }
         let rdata = if rtype == RecordType::OPT {
-            RData::Opt { udp_payload_size: class }
+            build.then_some(RData::Opt { udp_payload_size: class })
         } else {
-            RData::decode(rtype, msg, rdata_start, rdlen)?
+            RData::walk(rtype, msg, rdata_start, rdlen, build)?
         };
-        Ok((ResourceRecord { name, ttl, rdata }, rdata_start + rdlen))
+        let rr = rdata.map(|rdata| ResourceRecord { name, ttl, rdata });
+        Ok((rr, rdata_start + rdlen))
     }
 }
 

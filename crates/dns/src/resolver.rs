@@ -27,8 +27,8 @@
 //! when an attacker mounts a DoS through the cache.
 
 use crate::cache::{AnyCachingPolicy, Cache, SharedCache};
-use crate::message::{frame_tcp, Message, Question, Rcode, TcpFrameBuffer};
-use crate::name::DomainName;
+use crate::message::{frame_tcp, Message, MessageView, Question, Rcode, TcpFrameBuffer};
+use crate::name::{DomainName, WireName};
 use crate::rdata::{RData, RecordType, ResourceRecord};
 use crate::well_known_ports::RESOLVER_TCP;
 use netsim::fasthash::FastHashMap;
@@ -485,9 +485,9 @@ impl Resolver {
 
     /// The wire answer to `client`: its question echoed, `records` as the
     /// answer section, encoded straight from the borrowed records.
-    fn client_answer(
+    fn client_answer<N: WireName>(
         client: ClientRef,
-        question: &Question,
+        question: &Question<N>,
         rcode: Rcode,
         truncated: bool,
         records: &[ResourceRecord],
@@ -506,7 +506,7 @@ impl Resolver {
     }
 
     /// The answer carrying `records` (NXDOMAIN when there are none).
-    fn records_answer(client: ClientRef, question: &Question, records: &[ResourceRecord]) -> Vec<u8> {
+    fn records_answer<N: WireName>(client: ClientRef, question: &Question<N>, records: &[ResourceRecord]) -> Vec<u8> {
         let rcode = if records.is_empty() { Rcode::NxDomain } else { Rcode::NoError };
         Self::client_answer(client, question, rcode, false, records)
     }
@@ -516,9 +516,9 @@ impl Resolver {
         with_io(&mut self.stack, ctx, |io| io.send_udp(dgram));
     }
 
-    fn answer_client_error(
+    fn answer_client_error<N: WireName>(
         &mut self,
-        question: &Question,
+        question: &Question<N>,
         client: ClientRef,
         rcode: Rcode,
         truncated: bool,
@@ -528,14 +528,14 @@ impl Resolver {
         self.send_to_client(client, payload, ctx);
     }
 
+    /// Answers a client query from the view of the received bytes: a cache
+    /// hit is encoded straight from the received question and the cached
+    /// records, and only a miss copies the question to the heap.
     fn handle_client_query(&mut self, dgram: UdpView<'_>, ctx: &mut Ctx<'_>) {
-        let Ok(mut query) = Message::decode(dgram.payload) else { return };
-        if query.header.is_response || query.questions.is_empty() {
-            return;
-        }
-        let question = query.questions.swap_remove(0);
+        let Ok(query) = MessageView::parse(dgram.payload) else { return };
+        let Some(question) = query.question().filter(|_| !query.header().is_response) else { return };
         self.stats.client_queries += 1;
-        let client = ClientRef { addr: dgram.src, port: dgram.src_port, txid: query.header.id };
+        let client = ClientRef { addr: dgram.src, port: dgram.src_port, txid: query.header().id };
 
         // ANY handling per implementation profile.
         if question.qtype == RecordType::ANY && self.config.any_caching == AnyCachingPolicy::Unsupported {
@@ -543,7 +543,7 @@ impl Resolver {
             return;
         }
 
-        // Cache lookup: a hit is encoded straight from the cached records.
+        // Cache lookup, keyed by the received name in place.
         let allow_any_derived = self.config.any_caching == AnyCachingPolicy::CacheAndUse;
         let now = ctx.now();
         let cached = self
@@ -556,6 +556,7 @@ impl Resolver {
             self.send_to_client(client, payload, ctx);
             return;
         }
+        let question = Question { name: question.name.to_name(), qtype: question.qtype };
 
         // Join an identical outstanding query if one exists.
         if let Some((_, entry)) = self
@@ -958,6 +959,31 @@ mod tests {
         let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
         assert_eq!(r.stats.upstream_queries, 1);
         assert_eq!(r.stats.cache_answers, 1);
+    }
+
+    #[test]
+    fn malformed_client_queries_get_no_answer() {
+        // The cache-hit path reads queries through the view: a malformed
+        // query for a cached name is still dropped unanswered and uncounted.
+        let mut s = setup(resolver_config(), victim_zone());
+        s.sim.inject(s.client, client_query("www.vict.im", RecordType::A, 77));
+        s.sim.run();
+        let answered = s.sim.stats(s.client).packets_received;
+        let sent = s.sim.stats(s.resolver).packets_sent;
+        assert_eq!(answered, 1);
+        let query = Message::query(78, n("www.vict.im"), RecordType::A);
+        for (what, bytes) in crate::message::malformed(&query) {
+            s.sim.inject(s.client, UdpDatagram::new(CLIENT_ADDR, RESOLVER_ADDR, 5353, 53, bytes).into_packet(1, 64));
+            s.sim.run();
+            let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
+            assert_eq!(r.stats.client_queries, 1, "{what}: not counted as a client query");
+            assert_eq!(s.sim.stats(s.resolver).packets_sent, sent, "{what}: the resolver sends nothing");
+            assert_eq!(s.sim.stats(s.client).packets_received, answered, "{what}: the client gets no answer");
+        }
+        s.sim.inject(s.client, client_query("www.vict.im", RecordType::A, 79));
+        s.sim.run();
+        assert_eq!(s.sim.node_ref::<Resolver>(s.resolver).unwrap().stats.cache_answers, 1);
+        assert_eq!(s.sim.stats(s.client).packets_received, answered + 1, "a well-formed query is still answered");
     }
 
     #[test]

@@ -47,8 +47,11 @@ const DST: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 53);
 /// valid encoding, and a run function that asserts totality and fixed-point
 /// invariants over one arbitrary input.
 pub struct Target {
-    /// Stable target name; also the corpus subdirectory.
+    /// Stable target name.
     pub name: &'static str,
+    /// The corpus subdirectory it replays: its own name, or the name of the
+    /// target whose inputs it checks another way.
+    pub corpus: &'static str,
     /// Produces one valid wire encoding to mutate.
     pub seed: fn(&mut ChaCha20Rng) -> Vec<u8>,
     /// Exercises the codec on one input, panicking on any violated invariant.
@@ -58,18 +61,19 @@ pub struct Target {
 /// Every registered fuzz target.
 pub fn targets() -> Vec<Target> {
     vec![
-        Target { name: "dns_message", seed: seed_message, run: run_dns_message },
-        Target { name: "dns_name", seed: seed_name, run: run_dns_name },
-        Target { name: "dns_rr", seed: seed_rr, run: run_dns_rr },
-        Target { name: "dns_rr_dnssec", seed: seed_rr_dnssec, run: run_dns_rr },
-        Target { name: "tcp_frame", seed: seed_tcp_frame, run: run_tcp_frame },
-        Target { name: "tcp_segment", seed: seed_tcp_segment, run: run_tcp_segment },
-        Target { name: "ipv4", seed: seed_ipv4, run: run_ipv4 },
-        Target { name: "udp", seed: seed_udp, run: run_udp },
-        Target { name: "icmp", seed: seed_icmp, run: run_icmp },
-        Target { name: "http_request", seed: seed_http_request, run: run_http_request },
-        Target { name: "http_response", seed: seed_http_response, run: run_http_response },
-        Target { name: "zone", seed: seed_zone, run: run_zone },
+        Target { name: "dns_message", corpus: "dns_message", seed: seed_message, run: run_dns_message },
+        Target { name: "dns_message_view", corpus: "dns_message", seed: seed_message, run: run_dns_message_view },
+        Target { name: "dns_name", corpus: "dns_name", seed: seed_name, run: run_dns_name },
+        Target { name: "dns_rr", corpus: "dns_rr", seed: seed_rr, run: run_dns_rr },
+        Target { name: "dns_rr_dnssec", corpus: "dns_rr_dnssec", seed: seed_rr_dnssec, run: run_dns_rr },
+        Target { name: "tcp_frame", corpus: "tcp_frame", seed: seed_tcp_frame, run: run_tcp_frame },
+        Target { name: "tcp_segment", corpus: "tcp_segment", seed: seed_tcp_segment, run: run_tcp_segment },
+        Target { name: "ipv4", corpus: "ipv4", seed: seed_ipv4, run: run_ipv4 },
+        Target { name: "udp", corpus: "udp", seed: seed_udp, run: run_udp },
+        Target { name: "icmp", corpus: "icmp", seed: seed_icmp, run: run_icmp },
+        Target { name: "http_request", corpus: "http_request", seed: seed_http_request, run: run_http_request },
+        Target { name: "http_response", corpus: "http_response", seed: seed_http_response, run: run_http_response },
+        Target { name: "zone", corpus: "zone", seed: seed_zone, run: run_zone },
     ]
 }
 
@@ -167,7 +171,7 @@ pub fn corpus_dir() -> PathBuf {
 /// Replays every committed corpus entry of one target, in file-name order.
 /// Returns the number of entries executed.
 pub fn replay_corpus(target: &Target) -> usize {
-    let dir = corpus_dir().join(target.name);
+    let dir = corpus_dir().join(target.corpus);
     let Ok(entries) = std::fs::read_dir(&dir) else {
         return 0;
     };
@@ -526,6 +530,22 @@ fn run_dns_message(bytes: &[u8]) {
     let m2 = Message::decode(&b1).expect("re-decoding an encoded message succeeds");
     assert_eq!(m2, m1, "message decode/encode fixed point");
     assert_eq!(m2.encode(), b1, "message encoding is stable");
+}
+
+/// Differential: the borrowed view and the owned decode accept the same
+/// inputs with the same error, and agree on the header, the first question
+/// (its name's wire bytes, case kept) and the rcode; the view's owned copy
+/// is the owned decode.
+fn run_dns_message_view(bytes: &[u8]) {
+    let (view, owned) = (MessageView::parse(bytes), Message::decode(bytes));
+    assert_eq!(view.as_ref().err(), owned.as_ref().err(), "the view rejects exactly what owned decode rejects");
+    let (Ok(view), Ok(owned)) = (view, owned) else { return };
+    assert_eq!(*view.header(), owned.header, "view header");
+    assert_eq!(view.header().rcode, owned.header.rcode, "view rcode");
+    let question = view.question().map(|q| (q.name.wire().to_vec(), q.qtype));
+    let owned_question = owned.question().map(|q| (q.name.wire().to_vec(), q.qtype));
+    assert_eq!(question, owned_question, "view first question");
+    assert_eq!(view.to_owned(), owned, "the view's owned copy");
 }
 
 fn run_dns_name(bytes: &[u8]) {

@@ -32,7 +32,7 @@ fn main() -> ExitCode {
     for target in targets.iter().filter(|t| args.target.as_deref().is_none_or(|name| name == t.name)) {
         let replayed = fuzz::replay_corpus(target);
         let executed = fuzz::run_target(target, args.seed, args.iters);
-        println!("{:14} corpus={replayed:3} fuzzed={executed} seed={:#x} ok", target.name, args.seed);
+        println!("{:16} corpus={replayed:3} fuzzed={executed} seed={:#x} ok", target.name, args.seed);
     }
     ExitCode::SUCCESS
 }

@@ -29,7 +29,7 @@ fn main() {
         args.runs,
         campaign.methods.len(),
         campaign.defences.len(),
-        campaign.population(),
+        campaign.population().expect("the parser bounds --runs"),
         args.workers,
         available_workers()
     );

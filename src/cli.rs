@@ -9,7 +9,7 @@ use netsim::prelude::Duration;
 use std::fmt::Display;
 use std::ops::RangeInclusive;
 use std::str::FromStr;
-use xlayer_core::prelude::{available_workers, CampaignConfig, FarmCampaignConfig};
+use xlayer_core::prelude::{available_workers, CampaignConfig, FarmCampaignConfig, ScenarioCampaign};
 
 /// A well-formed argv: the config to run, or `--help` with the usage line.
 #[derive(Debug)]
@@ -145,17 +145,31 @@ pub struct MatrixArgs {
     pub metrics: bool,
 }
 
-/// Parses `scenario_matrix`'s flags.
+/// Parses `scenario_matrix`'s flags. A `--runs` for which either grid has
+/// more simulations than `usize` can count is a usage error.
 pub fn scenario_matrix(args: impl IntoIterator<Item = String>) -> Result<Parsed<MatrixArgs>, UsageError> {
     let defaults = MatrixArgs { seed: 2021, runs: 3, workers: available_workers(), metrics: false };
     let usage = "usage: scenario_matrix [--seed N] [--runs N] [--workers N] [--metrics]";
-    parse(args, usage, defaults, |a, flag, rest| match flag {
+    let parsed = parse(args, usage, defaults, |a, flag, rest| match flag {
         "--seed" => set(&mut a.seed, value(rest, flag, 0..=u64::MAX)),
         "--runs" => set(&mut a.runs, value(rest, flag, 1..=u64::MAX)),
         "--workers" => set(&mut a.workers, workers(rest, flag)),
         "--metrics" => set(&mut a.metrics, Ok(true)),
         _ => Ok(false),
-    })
+    })?;
+    match &parsed {
+        Parsed::Run(MatrixArgs { seed, runs, .. })
+            if [ScenarioCampaign::full_grid, ScenarioCampaign::dnssec_grid]
+                .iter()
+                .any(|grid| grid(*seed, *runs).population().is_none()) =>
+        {
+            Err(UsageError {
+                message: format!("--runs {runs} makes a grid of more than {} simulations", usize::MAX),
+                usage,
+            })
+        }
+        _ => Ok(parsed),
+    }
 }
 
 /// Parses `ca_issuance`'s one flag, `--seed`.

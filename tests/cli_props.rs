@@ -5,7 +5,7 @@
 
 use cross_layer_attacks::cli::{self, Parsed, UsageError};
 use cross_layer_attacks::netsim::prelude::Duration;
-use cross_layer_attacks::xlayer_core::prelude::available_workers;
+use cross_layer_attacks::xlayer_core::prelude::{available_workers, ScenarioCampaign};
 use proptest::prelude::*;
 
 /// Each binary's flags, as its usage line lists them; `true` marks a flag
@@ -103,7 +103,13 @@ fn parse(binary: &str, args: Vec<String>) -> (Result<Parsed<()>, UsageError>, Re
                 && in_ms(a.cfg.shard.duration)
                 && in_ms(a.cfg.shard.mean_think)
         }),
-        "scenario_matrix" => split(cli::scenario_matrix(args), |a| in_pool(a.workers) && a.runs >= 1),
+        "scenario_matrix" => split(cli::scenario_matrix(args), |a| {
+            let fits = |grid: fn(u64, u64) -> ScenarioCampaign| grid(a.seed, a.runs).population().is_some();
+            in_pool(a.workers)
+                && a.runs >= 1
+                && fits(ScenarioCampaign::full_grid)
+                && fits(ScenarioCampaign::dnssec_grid)
+        }),
         "ca_issuance" => split(cli::ca_issuance(args), |_| true),
         "measurement_campaign" => split(cli::measurement_campaign(args), |a| {
             in_pool(a.cfg.workers) && a.cfg.sample_cap >= 1 && a.saddns_runs >= 1
@@ -208,6 +214,25 @@ fn out_of_range_values_are_usage_errors() {
     expect_error("engine_farm", &["--hosts", "0", "--shards", "1"], "--hosts must be in 1..=4294967295, got 0");
     expect_error("scenario_matrix", &["--runs", "0"], "--runs must be in 1..=18446744073709551615, got 0");
     expect_error("measurement_campaign", &["--cap", "0"], "--cap must be in 1..=18446744073709551615, got 0");
+    expect_error(
+        "scenario_matrix",
+        &["--runs", "18446744073709551615"],
+        "--runs 18446744073709551615 makes a grid of more than 18446744073709551615 simulations",
+    );
+}
+
+#[test]
+fn the_largest_grid_that_fits_is_accepted_and_one_more_run_is_not() {
+    let cells = [ScenarioCampaign::full_grid(0, 1), ScenarioCampaign::dnssec_grid(0, 1)]
+        .map(|grid| grid.population().expect("one run per cell fits"));
+    let largest = (usize::MAX / cells.into_iter().max().expect("two grids")) as u64;
+    let Ok(Parsed::Run(matrix)) = cli::scenario_matrix(argv(&["--runs", &largest.to_string()])) else {
+        panic!("--runs {largest} fits both grids")
+    };
+    assert_eq!(matrix.runs, largest);
+    let one_more = (largest + 1).to_string();
+    let message = format!("--runs {one_more} makes a grid of more than {} simulations", usize::MAX);
+    expect_error("scenario_matrix", &["--runs", &one_more], &message);
 }
 
 #[test]

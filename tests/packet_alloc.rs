@@ -1,5 +1,7 @@
 //! One buffer per packet: a farm_hit-shaped shard (12,500 clients, 512
-//! names) delivers each packet with a bounded number of heap allocations,
+//! names) delivers its packets with at most one heap allocation per packet
+//! (after the warm-up it makes 38 in 112,858 packets, on the cache-miss
+//! path: the DNS codec reads and writes a cache hit without allocating),
 //! and the packet-buffer pool serves almost every buffer it hands out. A
 //! packet train does better: it writes all its packets into one buffer and
 //! the engine lends that buffer to the receiver, so a 2¹⁶-packet TXID spray
@@ -62,7 +64,7 @@ fn farm_packets_allocate_within_budget_and_hit_the_pool() {
 
     assert!(delivered > 100_000, "the measured run delivers the shard's traffic ({delivered} packets)");
     let per_packet = allocated as f64 / delivered as f64;
-    assert!(per_packet <= 6.0, "{per_packet:.2} heap allocations per delivered packet ({allocated} / {delivered})");
+    assert!(per_packet <= 1.0, "{per_packet:.3} heap allocations per delivered packet ({allocated} / {delivered})");
 
     let misses = pool_after.misses - pool_before.misses;
     let takes = pool_after.hits - pool_before.hits + misses;
