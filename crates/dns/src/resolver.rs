@@ -266,10 +266,12 @@ pub struct Resolver {
     /// Per-nameserver reassembly of length-prefixed TCP answers.
     tcp_rx: HashMap<Endpoint, TcpFrameBuffer>,
     outstanding: FastHashMap<u64, Outstanding>,
-    /// The outstanding UDP query each ephemeral port belongs to. Every port
-    /// here is open on `stack`, whose port table (port 53 plus these) is
-    /// what the SadDNS scan probes.
-    port_to_token: FastHashMap<u16, u64>,
+    /// The outstanding UDP query each ephemeral port belongs to, and that
+    /// query's TXID. Every port here is open on `stack`, whose port table
+    /// (port 53 plus these) is what the SadDNS scan probes. An entry changes
+    /// only when its port is mapped anew: a retry maps its new port with its
+    /// new TXID, and TC fallback unmaps the port before it draws one.
+    port_to_token: FastHashMap<u16, (u64, u16)>,
     next_token: u64,
     next_sequential_port: u16,
     /// Counters.
@@ -460,7 +462,7 @@ impl Resolver {
         self.next_token += 1;
         if transport == Protocol::Udp {
             self.stack.open_port(port);
-            self.port_to_token.insert(port, token);
+            self.port_to_token.insert(port, (token, txid));
         }
         self.outstanding.insert(
             token,
@@ -582,12 +584,13 @@ impl Resolver {
     /// The outstanding query an upstream datagram answers, and its decoded
     /// response, unless the datagram is rejected first.
     fn decode_upstream(&mut self, dgram: UdpView<'_>) -> Option<(u64, Message)> {
-        let &token = self.port_to_token.get(&dgram.dst_port)?;
+        let &(token, txid) = self.port_to_token.get(&dgram.dst_port)?;
         // Fast header peek before the full parse: the TXID and QR bit sit at
-        // fixed offsets, so off-path floods sweeping the TXID space (SadDNS
-        // sprays 2^16 responses per round) are rejected without decoding
-        // names and records. Anything that passes the peek takes the
-        // identical full-decode path as before.
+        // fixed offsets, and the port's entry holds the query's TXID, so
+        // off-path floods sweeping the TXID space (SadDNS sprays 2^16
+        // responses per round) are rejected with this one map probe, without
+        // decoding names and records. Anything that passes the peek is
+        // decoded in full.
         match dgram.payload.get(..3) {
             Some(&[id_hi, id_lo, flags_hi]) => {
                 if flags_hi & 0x80 == 0 {
@@ -595,11 +598,9 @@ impl Resolver {
                     // exactly like the decoded `!is_response` path.
                     return None;
                 }
-                if let Some(entry) = self.outstanding.get(&token) {
-                    if u16::from_be_bytes([id_hi, id_lo]) != entry.txid {
-                        self.stats.rejected_txid += 1;
-                        return None;
-                    }
+                if u16::from_be_bytes([id_hi, id_lo]) != txid {
+                    self.stats.rejected_txid += 1;
+                    return None;
                 }
             }
             _ => return None, // shorter than a header: Message::decode would fail
@@ -846,7 +847,7 @@ impl Resolver {
                     if let Some(entry) = self.outstanding.get_mut(&token) {
                         entry.port = new_port;
                     }
-                    self.port_to_token.insert(new_port, token);
+                    self.port_to_token.insert(new_port, (token, new_txid));
                 }
             }
             self.send_upstream(token, ctx);
@@ -1071,6 +1072,62 @@ mod tests {
         sim.inject(attacker, pkt);
         sim.run_until(sim.now() + Duration::from_millis(10));
         let r = sim.node_ref::<Resolver>(resolver).unwrap();
+        assert!(r.is_poisoned_with(&n("www.vict.im"), ATTACKER, sim.now()));
+    }
+
+    /// A spoofed answer to the outstanding query's port with `txid`.
+    fn spoofed_answer(port: u16, txid: u16) -> Ipv4Packet {
+        let mut forged = Message::query(txid, n("www.vict.im"), RecordType::A);
+        forged.header.is_response = true;
+        forged.answers.push(ResourceRecord::new(n("www.vict.im"), 300, RData::A(ATTACKER)));
+        UdpDatagram::new(NS_ADDR, RESOLVER_ADDR, 53, port, forged.encode()).into_packet(3, 64)
+    }
+
+    /// The outstanding query's UDP port and TXID.
+    fn only_query(sim: &Simulator, resolver: NodeId) -> (u16, u16) {
+        let r = sim.node_ref::<Resolver>(resolver).unwrap();
+        assert_eq!(r.outstanding_count(), 1);
+        let entry = r.outstanding.values().next().unwrap();
+        (entry.port, entry.txid)
+    }
+
+    #[test]
+    fn a_retry_rejects_the_old_txid_and_accepts_the_new_one() {
+        // The nameserver never answers, so the first attempt times out and
+        // the retry goes out from a new port with a new TXID.
+        let mut sim = Simulator::new(5);
+        let resolver = sim.add_node("resolver", vec![RESOLVER_ADDR], Resolver::new(resolver_config()));
+        let ns = sim.add_node("ns", vec![NS_ADDR], SinkNode::default());
+        let client = sim.add_node("client", vec![CLIENT_ADDR], SinkNode::default());
+        let attacker = sim.add_node("attacker", vec![ATTACKER], SinkNode::default());
+        sim.connect(resolver, ns, Link::default());
+        sim.connect(resolver, client, Link::default());
+        sim.connect(attacker, resolver, Link::with_latency(Duration::from_millis(1)));
+        sim.inject(client, client_query("www.vict.im", RecordType::A, 9));
+        sim.run_until(SimTime::ZERO + Duration::from_millis(50));
+        let (old_port, old_txid) = only_query(&sim, resolver);
+        sim.run_until(SimTime::ZERO + Duration::from_millis(2050));
+        let (new_port, new_txid) = only_query(&sim, resolver);
+        let r = sim.node_ref::<Resolver>(resolver).unwrap();
+        assert_eq!(r.stats.timeouts, 1);
+        assert_ne!(old_txid, new_txid, "the retry draws a new TXID");
+        assert!(!r.stack().is_port_open(old_port) || old_port == new_port, "the first attempt's port is closed");
+        assert!(r.stack().is_port_open(new_port));
+
+        // The old TXID at the retry's port: rejected by the TXID peek.
+        sim.inject(attacker, spoofed_answer(new_port, old_txid));
+        sim.run_until(sim.now() + Duration::from_millis(10));
+        let r = sim.node_ref::<Resolver>(resolver).unwrap();
+        assert_eq!(r.stats.rejected_txid, 1);
+        assert_eq!(r.stats.responses_accepted, 0);
+        assert!(!r.is_poisoned_with(&n("www.vict.im"), ATTACKER, sim.now()));
+
+        // The new TXID: accepted.
+        sim.inject(attacker, spoofed_answer(new_port, new_txid));
+        sim.run_until(sim.now() + Duration::from_millis(10));
+        let r = sim.node_ref::<Resolver>(resolver).unwrap();
+        assert_eq!(r.stats.rejected_txid, 1);
+        assert_eq!(r.stats.responses_accepted, 1);
         assert!(r.is_poisoned_with(&n("www.vict.im"), ATTACKER, sim.now()));
     }
 
@@ -1324,6 +1381,35 @@ mod tests {
         let ns = s.sim.node_ref::<Nameserver>(s.ns).unwrap();
         assert_eq!(ns.stats.responses_truncated, 1);
         assert_eq!(ns.stats.tcp_queries, 1);
+    }
+
+    #[test]
+    fn tc_fallback_closes_the_old_udp_port() {
+        // Timing: UDP query at t=1ms, TC=1 back at t=41ms, TCP answer at
+        // t=121ms; at t=60ms the query is mid-way through its TCP re-query.
+        let cfg =
+            ResolverConfig { edns_size: 512, ..resolver_config() }.with_transport(UpstreamTransport::UdpTcFallback);
+        let mut s = setup_with_ns(cfg, truncating_ns_config(), victim_zone());
+        let attacker = s.sim.add_node("attacker", vec![ATTACKER], SinkNode::default());
+        s.sim.connect(attacker, s.resolver, Link::with_latency(Duration::from_millis(1)));
+        s.sim.inject(s.client, client_query("www.vict.im", RecordType::A, 42));
+        s.sim.run_until(SimTime::ZERO + Duration::from_millis(10));
+        let (udp_port, udp_txid) = only_query(&s.sim, s.resolver);
+        assert!(s.sim.node_ref::<Resolver>(s.resolver).unwrap().stack().is_port_open(udp_port));
+        s.sim.run_until(SimTime::ZERO + Duration::from_millis(60));
+        let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
+        assert_eq!(r.stats.tcp_fallbacks, 1);
+        assert!(!r.stack().is_port_open(udp_port), "the UDP port is closed once the query moves to TCP");
+        assert_eq!(r.stack().open_port_count(), 1, "only port 53 stays open");
+
+        // A spoofed answer to the old port with the old TXID meets a closed
+        // port: neither TXID-checked nor accepted.
+        s.sim.inject(attacker, spoofed_answer(udp_port, udp_txid));
+        s.sim.run();
+        let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
+        assert_eq!(r.stats.rejected_txid, 0);
+        assert_eq!(r.stats.responses_accepted, 1, "only the TCP answer");
+        assert!(!r.is_poisoned_with(&n("www.vict.im"), ATTACKER, s.sim.now()));
     }
 
     #[test]

@@ -4,14 +4,22 @@
 //! reassembling into a datagram whose **UDP checksum still verifies** at the
 //! victim resolver; the checksum arithmetic here is therefore implemented
 //! exactly (one's-complement sum over 16-bit words) so the attack code can
-//! compute the compensation words the same way a real exploit would.
+//! solve for its compensation word the same way a real exploit would.
+//!
+//! Every received UDP datagram, each of SadDNS's 2¹⁶ spoofed answers
+//! included, is verified here, so [`Checksum::add_bytes`] sums in 8-byte
+//! words in the machine's native byte order and swaps the folded result into
+//! network order once (RFC 1071 §2(B)).
 
 /// Running one's-complement sum used to compute RFC 1071 checksums over
 /// multiple buffers (e.g. a pseudo-header followed by a payload).
 ///
 /// Bytes are summed in 8-byte machine words (RFC 1071 §2's "sum in larger
-/// units" trick): each chunk contributes its two 32-bit halves to a 64-bit
-/// accumulator, and all carries are folded once at [`finish`](Self::finish).
+/// units" trick), read in the machine's native byte order (§2(B): the sum
+/// is byte-order independent). Each word contributes its two 32-bit halves
+/// to a 64-bit accumulator; that sum is folded to 16 bits, byte-swapped
+/// once into network order (a no-op on a big-endian machine) and added to
+/// the running sum, whose carries fold once at [`finish`](Self::finish).
 /// A 64-bit accumulator absorbs over 2³² halves before it could wrap, far
 /// beyond any 64 KiB datagram.
 ///
@@ -52,12 +60,17 @@ impl Checksum {
             data = rest;
         }
         let mut wide = data.chunks_exact(8);
+        let mut native = 0u64;
         for chunk in &mut wide {
-            let v = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
-            // Two 32-bit halves, each a pair of big-endian 16-bit words;
-            // carries accumulate in the upper bits and fold at `finish`.
-            self.sum += (v >> 32) + (v & 0xffff_ffff);
+            let v = u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk"));
+            // Two 32-bit halves, each a pair of native-order 16-bit words;
+            // carries accumulate in the upper bits.
+            native += (v >> 32) + (v & 0xffff_ffff);
         }
+        // The bytes start on a word boundary, so the folded native-order sum
+        // is the network-order sum with its two bytes swapped (RFC 1071
+        // §2(B)).
+        self.sum += u64::from(u16::from_be_bytes(fold(native).to_ne_bytes()));
         let mut rest = wide.remainder();
         if rest.len() >= 4 {
             let v = u32::from_be_bytes(rest[..4].try_into().expect("4-byte chunk"));
@@ -90,11 +103,7 @@ impl Checksum {
 
     /// Finalises the checksum: folds carries and takes the one's complement.
     pub fn finish(self) -> u16 {
-        let mut sum = self.sum;
-        while sum >> 16 != 0 {
-            sum = (sum & 0xffff) + (sum >> 16);
-        }
-        !(sum as u16)
+        !fold(self.sum)
     }
 
     /// Returns the folded sum *without* complementing — useful for verifying
@@ -102,6 +111,15 @@ impl Checksum {
     pub fn folded(self) -> u16 {
         !self.finish()
     }
+}
+
+/// Folds the carries of a one's-complement sum into 16 bits (end-around
+/// carry). Only a zero sum folds to zero.
+pub(crate) fn fold(mut sum: u64) -> u16 {
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    sum as u16
 }
 
 /// Computes the RFC 1071 checksum of a single buffer.
@@ -341,6 +359,21 @@ mod tests {
             assert_eq!(to_zero, 0, "{other:#06x} -> {zero:#06x} computes zero");
             assert_eq!(udp_rule(to_zero), 0xffff);
         }
+    }
+
+    #[test]
+    fn folded_sums_are_additive_on_word_boundaries() {
+        let folded = |data: &[u8]| {
+            let mut c = Checksum::new();
+            c.add_bytes(data);
+            c.folded()
+        };
+        let a = [0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0];
+        let b = [0x9a, 0xbc];
+        let whole = folded(&[&a[..], &b[..]].concat());
+        let mut c = Checksum::new();
+        c.add_u16(folded(&a)).add_u16(folded(&b));
+        assert_eq!(c.folded(), whole);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! [`HostStack::handle_packet`]. The port table is the one record of bound
 //! ports; TCP connection state above it lives in [`crate::tcp::TcpSocket`].
 
-use crate::fasthash::FastHasher;
 use crate::frag::fragment_packet;
 use crate::frag::{ReassemblyBuffer, ReassemblyConfig, ReassemblyResult};
 use crate::icmp::{IcmpMessage, Unreachable};
@@ -23,13 +22,54 @@ use crate::tcp::{rst_reply, TcpSegment, TCP_HEADER_LEN};
 use crate::time::SimTime;
 use crate::udp::{UdpDatagram, UdpView};
 use rand::Rng;
-use std::collections::HashSet;
-use std::hash::BuildHasherDefault;
 use std::net::Ipv4Addr;
 
-/// A port table probed once per received packet. Nothing iterates it, so the
-/// deterministic [`FastHasher`] replaces SipHash at no risk to output.
-type PortSet = HashSet<u16, BuildHasherDefault<FastHasher>>;
+/// The open ports of one transport: one bit per port and a count of the set
+/// bits. Every received packet tests its destination port here, and an
+/// off-path flood (SadDNS sprays 2¹⁶ datagrams per round) tests it once per
+/// packet, so the test is a shift and a mask with no hashing. The bitmap is
+/// 8 KiB, zeroed on allocation.
+struct PortSet {
+    bits: Box<[u64; PortSet::WORDS]>,
+    len: usize,
+}
+
+impl PortSet {
+    const WORDS: usize = (u16::MAX as usize + 1) / 64;
+
+    fn new() -> Self {
+        let bits = vec![0u64; Self::WORDS].into_boxed_slice().try_into().expect("exactly WORDS words");
+        PortSet { bits, len: 0 }
+    }
+
+    /// The word holding `port`'s bit, and the bit's mask within it.
+    fn slot(port: u16) -> (usize, u64) {
+        (usize::from(port >> 6), 1 << (port & 63))
+    }
+
+    fn contains(&self, port: u16) -> bool {
+        let (word, mask) = Self::slot(port);
+        self.bits[word] & mask != 0
+    }
+
+    fn insert(&mut self, port: u16) {
+        let (word, mask) = Self::slot(port);
+        self.len += usize::from(self.bits[word] & mask == 0);
+        self.bits[word] |= mask;
+    }
+
+    fn remove(&mut self, port: u16) {
+        let (word, mask) = Self::slot(port);
+        self.len -= usize::from(self.bits[word] & mask != 0);
+        self.bits[word] &= !mask;
+    }
+}
+
+impl std::fmt::Debug for PortSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries((0..=u16::MAX).filter(|&port| self.contains(port))).finish()
+    }
+}
 
 /// How a host assigns IPv4 identification values to outgoing packets.
 ///
@@ -176,8 +216,8 @@ impl HostStack {
             icmp_limiter: IcmpRateLimiter::new(config.icmp_rate_limit),
             reassembly: ReassemblyBuffer::new(config.reassembly),
             pmtu,
-            open_ports: PortSet::default(),
-            open_tcp_ports: PortSet::default(),
+            open_ports: PortSet::new(),
+            open_tcp_ports: PortSet::new(),
             global_ipid: 1,
             per_dest_ipid: std::collections::HashMap::new(),
             config,
@@ -207,17 +247,17 @@ impl HostStack {
 
     /// Closes a UDP port.
     pub fn close_port(&mut self, port: u16) {
-        self.open_ports.remove(&port);
+        self.open_ports.remove(port);
     }
 
     /// Whether a port is currently open.
     pub fn is_port_open(&self, port: u16) -> bool {
-        self.open_ports.contains(&port)
+        self.open_ports.contains(port)
     }
 
     /// Number of currently open ports.
     pub fn open_port_count(&self) -> usize {
-        self.open_ports.len()
+        self.open_ports.len
     }
 
     /// Opens a TCP port (53 on a nameserver, the client port of a resolver's
@@ -228,7 +268,7 @@ impl HostStack {
 
     /// Whether a TCP port is currently open.
     pub fn is_tcp_port_open(&self, port: u16) -> bool {
-        self.open_tcp_ports.contains(&port)
+        self.open_tcp_ports.contains(port)
     }
 
     /// Read access to the stack configuration.
@@ -354,7 +394,7 @@ impl HostStack {
         let Ok(seg) = TcpSegment::take_from_packet(pkt) else {
             return StackEvent::Dropped("tcp checksum/format error");
         };
-        if self.open_tcp_ports.contains(&seg.dst_port) {
+        if self.open_tcp_ports.contains(seg.dst_port) {
             return StackEvent::Tcp(seg);
         }
         // RFC 793 §3.4: segments to closed ports are reset (RSTs are not
@@ -379,7 +419,7 @@ impl HostStack {
         replies: &mut Vec<Ipv4Packet>,
     ) -> StackEvent<'p> {
         match UdpDatagram::parse(pkt) {
-            Ok(view) if self.open_ports.contains(&view.dst_port) => StackEvent::Udp(view),
+            Ok(view) if self.open_ports.contains(view.dst_port) => StackEvent::Udp(view),
             Ok(view) => {
                 let from = pkt.header.src;
                 let allowed = self.icmp_limiter.allow(from, now);

@@ -6,7 +6,7 @@
 //! via the ICMP side channel, while FragDNS sidesteps both because they are
 //! carried in the first fragment.
 
-use crate::checksum::{self, Checksum};
+use crate::checksum;
 use crate::ipv4::{Ipv4Header, Ipv4Packet, Protocol};
 use crate::pool;
 use std::fmt;
@@ -280,7 +280,7 @@ impl UdpTemplate {
                 new += u64::from(byte) << shift;
                 *slot = byte;
             }
-            ck = checksum::update(ck, fold(old), fold(new));
+            ck = checksum::update(ck, checksum::fold(old), checksum::fold(new));
         }
         // A computed zero goes on the wire as all ones (RFC 768).
         let ck = if ck == 0 { 0xffff } else { ck };
@@ -293,24 +293,6 @@ impl Drop for UdpTemplate {
     fn drop(&mut self) {
         pool::give(std::mem::take(&mut self.pkt.payload));
     }
-}
-
-/// Folds a sum of 16-bit words to one word with end-around carry (RFC 1071).
-fn fold(mut sum: u64) -> u16 {
-    while sum >> 16 != 0 {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    sum as u16
-}
-
-/// Computes the *partial* (non-complemented, folded) checksum contribution of
-/// a byte slice. FragDNS uses this to predict the contribution of the second
-/// fragment of the genuine response so that its spoofed replacement can carry
-/// compensating bytes and keep the overall UDP checksum valid.
-pub fn partial_sum(data: &[u8]) -> u16 {
-    let mut c = Checksum::new();
-    c.add_bytes(data);
-    c.folded()
 }
 
 /// Errors returned by the UDP codec.
@@ -460,16 +442,5 @@ mod tests {
         let pkt = written(&template, 5, &[(UDP_HEADER_LEN + 2, b"z"), (0, &[])]);
         let full = dgram(b"odz").into_packet(5, 64);
         assert_eq!((pkt.header, &pkt.payload), (full.header, &full.payload));
-    }
-
-    #[test]
-    fn partial_sum_is_additive_on_word_boundaries() {
-        let a = [0x12, 0x34, 0x56, 0x78];
-        let b = [0x9a, 0xbc];
-        let whole = partial_sum(&[&a[..], &b[..]].concat());
-        let mut c = Checksum::new();
-        c.add_u16(partial_sum(&a));
-        c.add_u16(partial_sum(&b));
-        assert_eq!(c.folded(), whole);
     }
 }

@@ -362,3 +362,51 @@ proptest! {
         prop_assert_eq!(c.finish(), scalar_checksum(&flat));
     }
 }
+
+/// A port that lands on the edges of the stack's port bitmap: port 0, port
+/// 65535, one of the ports either side of the first 64-bit word boundary,
+/// or any port.
+fn arb_port() -> impl Strategy<Value = u16> {
+    (0u8..4, 62u16..66, any::<u16>()).prop_map(|(kind, near_boundary, port)| match kind {
+        0 => 0,
+        1 => u16::MAX,
+        2 => near_boundary,
+        _ => port,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The stack's UDP and TCP port tables agree with a `HashSet` model
+    /// under any sequence of opens and closes: membership, the open-port
+    /// count, and the independence of the two tables.
+    #[test]
+    fn port_tables_match_a_set_model(ops in proptest::collection::vec((0u8..3, arb_port()), 0..300)) {
+        let mut stack = HostStack::with_defaults(vec![std::net::Ipv4Addr::new(10, 0, 0, 1)]);
+        let mut udp = std::collections::HashSet::new();
+        let mut tcp = std::collections::HashSet::new();
+        for &(op, port) in &ops {
+            match op {
+                0 => {
+                    stack.open_port(port);
+                    udp.insert(port);
+                }
+                1 => {
+                    stack.close_port(port);
+                    udp.remove(&port);
+                }
+                _ => {
+                    stack.open_tcp_port(port);
+                    tcp.insert(port);
+                }
+            }
+            prop_assert_eq!(stack.open_port_count(), udp.len());
+        }
+        let edges = [0, 1, 62, 63, 64, 65, 65534, u16::MAX];
+        for port in ops.iter().map(|&(_, port)| port).chain(edges) {
+            prop_assert_eq!(stack.is_port_open(port), udp.contains(&port), "udp port {}", port);
+            prop_assert_eq!(stack.is_tcp_port_open(port), tcp.contains(&port), "tcp port {}", port);
+        }
+    }
+}
