@@ -266,12 +266,14 @@ pub struct Resolver {
     /// Per-nameserver reassembly of length-prefixed TCP answers.
     tcp_rx: HashMap<Endpoint, TcpFrameBuffer>,
     outstanding: FastHashMap<u64, Outstanding>,
-    /// The outstanding UDP query each ephemeral port belongs to, and that
-    /// query's TXID. Every port here is open on `stack`, whose port table
-    /// (port 53 plus these) is what the SadDNS scan probes. An entry changes
-    /// only when its port is mapped anew: a retry maps its new port with its
-    /// new TXID, and TC fallback unmaps the port before it draws one.
-    port_to_token: FastHashMap<u16, (u64, u16)>,
+    /// The outstanding UDP queries on each ephemeral port, as `(token,
+    /// txid)` pairs: one per port unless the port policy is fixed. Every
+    /// port here is open on `stack`, whose port table (port 53 plus these)
+    /// is what the SadDNS scan probes. A query's pair changes only through
+    /// `map_port` and `unmap_port`: a retry unmaps its old port and maps its
+    /// new one with the new TXID, TC fallback unmaps the port before it
+    /// draws one, and a port closes when its last query is unmapped.
+    port_to_token: FastHashMap<u16, Vec<(u64, u16)>>,
     next_token: u64,
     next_sequential_port: u16,
     /// Counters.
@@ -375,6 +377,24 @@ impl Resolver {
         self.cache.borrow().is_poisoned_with(name, addr, now)
     }
 
+    /// Opens `port` for `token`'s UDP query with TXID `txid`, beside any
+    /// other query that uses it already.
+    fn map_port(&mut self, port: u16, token: u64, txid: u16) {
+        self.stack.open_port(port);
+        self.port_to_token.entry(port).or_default().push((token, txid));
+    }
+
+    /// Releases `token`'s use of `port`, and closes the port when no other
+    /// query uses it.
+    fn unmap_port(&mut self, port: u16, token: u64) {
+        let Some(queries) = self.port_to_token.get_mut(&port) else { return };
+        queries.retain(|&(t, _)| t != token);
+        if queries.is_empty() {
+            self.port_to_token.remove(&port);
+            self.stack.close_port(port);
+        }
+    }
+
     fn allocate_port(&mut self, rng: &mut impl Rng) -> u16 {
         match self.config.port_policy {
             PortPolicy::Random => loop {
@@ -461,8 +481,7 @@ impl Resolver {
         let token = self.next_token;
         self.next_token += 1;
         if transport == Protocol::Udp {
-            self.stack.open_port(port);
-            self.port_to_token.insert(port, (token, txid));
+            self.map_port(port, token, txid);
         }
         self.outstanding.insert(
             token,
@@ -584,27 +603,29 @@ impl Resolver {
     /// The outstanding query an upstream datagram answers, and its decoded
     /// response, unless the datagram is rejected first.
     fn decode_upstream(&mut self, dgram: UdpView<'_>) -> Option<(u64, Message)> {
-        let &(token, txid) = self.port_to_token.get(&dgram.dst_port)?;
+        let queries = self.port_to_token.get(&dgram.dst_port)?;
         // Fast header peek before the full parse: the TXID and QR bit sit at
-        // fixed offsets, and the port's entry holds the query's TXID, so
+        // fixed offsets, and the port's entry holds its queries' TXIDs, so
         // off-path floods sweeping the TXID space (SadDNS sprays 2^16
         // responses per round) are rejected with this one map probe, without
         // decoding names and records. Anything that passes the peek is
         // decoded in full.
-        match dgram.payload.get(..3) {
+        let token = match dgram.payload.get(..3) {
             Some(&[id_hi, id_lo, flags_hi]) => {
                 if flags_hi & 0x80 == 0 {
                     // QR clear: a query, not a response. Silently ignored,
                     // exactly like the decoded `!is_response` path.
                     return None;
                 }
-                if u16::from_be_bytes([id_hi, id_lo]) != txid {
+                let id = u16::from_be_bytes([id_hi, id_lo]);
+                let Some(&(token, _)) = queries.iter().find(|&&(_, txid)| txid == id) else {
                     self.stats.rejected_txid += 1;
                     return None;
-                }
+                };
+                token
             }
             _ => return None, // shorter than a header: Message::decode would fail
-        }
+        };
         let response = Message::decode(dgram.payload).ok()?;
         response.header.is_response.then_some((token, response))
     }
@@ -644,8 +665,7 @@ impl Resolver {
                 // RFC 7766: re-query the same question over TCP with a
                 // fresh TXID; the UDP side of the query is torn down.
                 self.stats.tcp_fallbacks += 1;
-                self.port_to_token.remove(&entry.port);
-                self.stack.close_port(entry.port);
+                self.unmap_port(entry.port, token);
                 let new_txid: u16 = ctx.rng().gen();
                 if let Some(e) = self.outstanding.get_mut(&token) {
                     e.transport = Protocol::Tcp;
@@ -761,12 +781,9 @@ impl Resolver {
     /// Tears down the transport side of a finished query. For TCP the
     /// connection is closed once no other outstanding query shares it
     /// (RFC 7766 connection reuse).
-    fn release_transport(&mut self, entry: &Outstanding, ctx: &mut Ctx<'_>) {
+    fn release_transport(&mut self, token: u64, entry: &Outstanding, ctx: &mut Ctx<'_>) {
         match entry.transport {
-            Protocol::Udp => {
-                self.port_to_token.remove(&entry.port);
-                self.stack.close_port(entry.port);
-            }
+            Protocol::Udp => self.unmap_port(entry.port, token),
             Protocol::Tcp => {
                 let still_used =
                     self.outstanding.values().any(|o| o.transport == Protocol::Tcp && o.nameserver == entry.nameserver);
@@ -783,7 +800,7 @@ impl Resolver {
 
     fn finish_query(&mut self, token: u64, answers: &[ResourceRecord], ctx: &mut Ctx<'_>) {
         if let Some(entry) = self.outstanding.remove(&token) {
-            self.release_transport(&entry, ctx);
+            self.release_transport(token, &entry, ctx);
             for &client in &entry.clients {
                 let payload = Self::records_answer(client, &entry.question, answers);
                 self.send_to_client(client, payload, ctx);
@@ -796,7 +813,7 @@ impl Resolver {
     /// client, nothing cached.
     fn finish_query_truncated(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         if let Some(entry) = self.outstanding.remove(&token) {
-            self.release_transport(&entry, ctx);
+            self.release_transport(token, &entry, ctx);
             self.stats.servfails += entry.clients.len() as u64;
             for &client in &entry.clients {
                 self.answer_client_error(&entry.question, client, Rcode::ServFail, true, ctx);
@@ -840,14 +857,12 @@ impl Resolver {
                 }
                 _ => {
                     // New port per retry.
-                    self.port_to_token.remove(&old_port);
-                    self.stack.close_port(old_port);
+                    self.unmap_port(old_port, token);
                     let new_port = self.allocate_port(ctx.rng());
-                    self.stack.open_port(new_port);
                     if let Some(entry) = self.outstanding.get_mut(&token) {
                         entry.port = new_port;
                     }
-                    self.port_to_token.insert(new_port, (token, new_txid));
+                    self.map_port(new_port, token, new_txid);
                 }
             }
             self.send_upstream(token, ctx);
@@ -855,7 +870,7 @@ impl Resolver {
             let entry = self.outstanding.get(&token).cloned().expect("checked above");
             self.stats.servfails += entry.clients.len() as u64;
             self.outstanding.remove(&token);
-            self.release_transport(&entry, ctx);
+            self.release_transport(token, &entry, ctx);
             for client in entry.clients {
                 self.answer_client_error(&entry.question, client, Rcode::ServFail, false, ctx);
             }
@@ -1129,6 +1144,35 @@ mod tests {
         assert_eq!(r.stats.rejected_txid, 1);
         assert_eq!(r.stats.responses_accepted, 1);
         assert!(r.is_poisoned_with(&n("www.vict.im"), ATTACKER, sim.now()));
+    }
+
+    #[test]
+    fn concurrent_queries_share_a_fixed_port_until_the_last_answer() {
+        // Two client queries go upstream at once from the one fixed port.
+        // The nameserver answers each (at t=41ms) with its own TXID: both
+        // answers are accepted, and the port stays open until the second.
+        let cfg = ResolverConfig { port_policy: PortPolicy::Fixed(33333), ..resolver_config() };
+        let mut s = setup(cfg, victim_zone());
+        s.sim.inject(s.client, client_query("www.vict.im", RecordType::A, 1));
+        s.sim.inject(s.client, client_query("vict.im", RecordType::TXT, 2));
+        s.sim.run_until(SimTime::ZERO + Duration::from_millis(5));
+        let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
+        assert_eq!((r.outstanding_count(), r.outstanding_ports()), (2, vec![33333]));
+        s.sim.run_until(SimTime::ZERO + Duration::from_millis(50));
+        let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
+        assert_eq!((r.stats.responses_accepted, r.stats.rejected_txid), (2, 0));
+        assert_eq!(s.sim.stats(s.client).udp_received, 2, "both clients are answered by t=50ms");
+        assert!(!r.stack().is_port_open(33333), "the port closes with its last query");
+        assert_eq!(r.stack().open_port_count(), 1, "only port 53 stays open");
+        // The answered queries' timers are stale: nothing times out or retries.
+        s.sim.run();
+        let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
+        let stats = &r.stats;
+        assert_eq!(
+            (stats.responses_accepted, stats.rejected_txid, stats.timeouts, stats.upstream_queries),
+            (2, 0, 0, 2)
+        );
+        assert_eq!(s.sim.stats(s.client).udp_received, 2);
     }
 
     #[test]

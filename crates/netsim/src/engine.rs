@@ -12,7 +12,7 @@
 //! ties between simultaneous events are broken by insertion order, so a given
 //! seed always reproduces the same packet interleaving.
 //!
-//! ## Scale: the arena host table and the time wheel
+//! ## Scale: the arena host table, link lanes and the time wheel
 //!
 //! Full [`Node`]s are boxed trait objects with their own stacks — ideal for
 //! resolvers and attackers, far too heavy for a million background clients.
@@ -22,10 +22,27 @@
 //! stub is arithmetic on the block base rather than a hash probe, stub
 //! timers carry a typed [`StubTimer`] token namespaced by [`StubId`] (two
 //! clients can never alias each other's retransmit timers), and delivered
-//! packet buffers are recycled through [`crate::pool`]. The event queue
-//! itself is a hierarchical [`TimeWheel`] keyed by
-//! `(SimTime, seq)` — identical pop order to the old binary heap, `O(1)`
-//! scheduling.
+//! packet buffers are recycled through [`crate::pool`].
+//!
+//! Every event is keyed by `(SimTime, seq)`, `seq` counting up from the
+//! first event scheduled, and the engine pops events in exactly that order.
+//! They wait in two kinds of queue:
+//!
+//! - **Lanes** hold packets in flight. A link's latency is constant, so a
+//!   packet sent at `now` over a link of latency `d` arrives at `now + d`,
+//!   and packets sent over links of one latency arrive in the order they
+//!   were sent. Each distinct latency therefore has one FIFO lane that is
+//!   already sorted by `(time, seq)`: scheduling a packet is a push to the
+//!   back of a `VecDeque`, and popping one takes a lane head. A link whose
+//!   latency varied from packet to packet (jitter) would break that order
+//!   and must not send into a lane; a debug assertion guards it.
+//! - **The [`TimeWheel`]** holds node and stub timers, whose delays vary,
+//!   as a compact two-variant entry: `O(1)` scheduling, the same pop order
+//!   as a binary heap.
+//!
+//! Each step serves whichever of the lane heads and the wheel head sorts
+//! first, asking the wheel only whether a timer is due by the earliest lane
+//! head.
 //!
 //! ## The engine owns every packet in flight
 //!
@@ -37,7 +54,7 @@
 //!
 //! An attacker flood (SadDNS sends 2,000 spoofed mute queries, batches of 50
 //! scan probes and 2¹⁶ spoofed responses) is one [`Simulator::inject_train`]
-//! call per run of same-shape packets: a single wheel entry that stands for
+//! call per run of same-shape packets: a single lane entry that stands for
 //! the whole burst and writes each packet only when it is delivered, into
 //! **one** buffer the train keeps from its first packet to its last, so the
 //! burst's working set is one packet rather than thousands. The packets are
@@ -48,8 +65,9 @@
 //! Once a train's first packet is popped, no event can sort before its
 //! remaining packets: their seqs were reserved at inject time, and anything
 //! scheduled later gets a higher seq at a time no earlier than now. So the
-//! popped train leaves the wheel for good and is **held** in one slot beside
-//! it, which every step serves before the wheel until the train is spent.
+//! popped train leaves its lane for good and is **held** in one slot beside
+//! the queues, which every step serves before any lane or the wheel until
+//! the train is spent.
 //!
 //! A full [`Node`] receives a held train through one loop: it writes the
 //! train's packets, one after another, into the train's buffer, records
@@ -82,6 +100,7 @@ use crate::{frag, icmp::IcmpMessage};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 use std::any::Any;
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// Identifier of a node registered with a [`Simulator`].
@@ -393,11 +412,30 @@ pub enum Origin {
     Router,
 }
 
-enum EventKind {
-    Deliver { to: Origin, from: Origin, pkt: Ipv4Packet },
-    Timer { node: NodeId, token: u64 },
-    StubTimer { stub: StubId, timer: StubTimer },
+/// A timer in the wheel, the only events it holds.
+enum Timer {
+    Node { node: NodeId, token: u64 },
+    Stub { stub: StubId, timer: StubTimer },
+}
+
+/// What a link carries: one packet, or a packet train.
+enum Flight {
+    Packet { to: Origin, from: Origin, pkt: Ipv4Packet },
     Train(Box<Train>),
+}
+
+/// A [`Flight`] with its arrival time and seq (a train's first seq).
+struct InFlight {
+    time: SimTime,
+    seq: u64,
+    flight: Flight,
+}
+
+/// The flights over links of one latency, in arrival order, which is the
+/// order they were sent in (see the [module documentation](self)).
+struct Lane {
+    latency: Duration,
+    queue: VecDeque<InFlight>,
 }
 
 /// The fields every packet of a train shares with packet 0: everything the
@@ -424,7 +462,7 @@ impl TrainShape {
 }
 
 /// The undelivered tail of a packet train (see [`Simulator::inject_train`]).
-/// It sits in the wheel until its first packet is popped, then in the
+/// It sits in its lane until its first packet is popped, then in the
 /// simulator's held slot until its last packet is delivered.
 struct Train {
     to: Origin,
@@ -475,7 +513,8 @@ telemetry::counters! {
     /// `engine.*`.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct EngineCounters {
-        /// Events popped from the time wheel by [`Simulator::step`].
+        /// Events served: timers popped from the time wheel, packets popped
+        /// from a lane, and every packet of a train.
         pub events_popped: u64 => "events.popped",
         /// Packets delivered to a node or stub client.
         pub delivered: u64 => "packets.delivered",
@@ -506,11 +545,15 @@ pub struct Simulator {
     out_scratch: Vec<Ipv4Packet>,
     timer_scratch: Vec<(Duration, u64)>,
     stub_timer_scratch: Vec<(Duration, StubTimer)>,
-    events: TimeWheel<EventKind>,
-    /// The popped train whose packets are delivered before any wheel event
+    /// Node and stub timers.
+    events: TimeWheel<Timer>,
+    /// Packets in flight, one lane per distinct link latency, in the order
+    /// the latencies were first used. Lanes are never dropped.
+    lanes: Vec<Lane>,
+    /// The popped train whose packets are delivered before any other event
     /// (see the [module documentation](self)); its time is `now`.
     held: Option<Box<Train>>,
-    /// Undelivered train packets not standing as a wheel entry: all but one
+    /// Undelivered train packets not standing as a lane entry: all but one
     /// per queued train, plus all of the held train's, so
     /// [`Simulator::pending_events`] counts packets.
     train_backlog: usize,
@@ -537,6 +580,7 @@ impl Simulator {
             timer_scratch: Vec::new(),
             stub_timer_scratch: Vec::new(),
             events: TimeWheel::new(),
+            lanes: Vec::new(),
             held: None,
             train_backlog: 0,
             now: SimTime::ZERO,
@@ -805,8 +849,7 @@ impl Simulator {
 
     /// Schedules a timer for a node, from outside the node itself.
     pub fn schedule_timer(&mut self, node: NodeId, delay: Duration, token: u64) {
-        let time = self.now + delay;
-        self.push_event(time, EventKind::Timer { node, token });
+        self.push_timer(delay, Timer::Node { node, token });
     }
 
     /// Injects a packet as if `from` had sent it right now.
@@ -822,10 +865,10 @@ impl Simulator {
     /// previous packet of the train).
     ///
     /// When packet 0 would be delivered as-is (routable, not egress-filtered,
-    /// lossless link, within the MTU) the train is one wheel entry holding
+    /// lossless link, within the MTU) the train is one lane entry holding
     /// `count` consecutive seqs and one buffer: packet `i` is written into it
     /// only when it is delivered. Once packet 0 is popped the train is held
-    /// beside the wheel and [`run`](Self::run) may deliver a run of its
+    /// beside the queues and [`run`](Self::run) may deliver a run of its
     /// packets to a full node in one callback context, traced or not (see the
     /// [module documentation](self)).
     /// Otherwise every packet is filled into its own pooled buffer and takes
@@ -861,17 +904,34 @@ impl Simulator {
             return;
         };
         self.nodes[from.0].stats.record_sent(shape.protocol, shape.wire_len, u64::from(count));
-        let seq = self.seq;
-        self.seq += u64::from(count);
         self.train_backlog += count as usize - 1;
         let train = Train { to, from: origin, shape, pkt: first, next: 0, count, fill: Box::new(fill) };
-        self.events.push(self.now + link.latency, seq, EventKind::Train(Box::new(train)));
+        self.send_flight(link.latency, count, Flight::Train(Box::new(train)));
     }
 
-    fn push_event(&mut self, time: SimTime, kind: EventKind) {
+    fn push_timer(&mut self, delay: Duration, timer: Timer) {
         let seq = self.seq;
         self.seq += 1;
-        self.events.push(time, seq, kind);
+        self.events.push(self.now + delay, seq, timer);
+    }
+
+    /// Queues a flight that reserves `seqs` consecutive seqs on the lane of
+    /// `latency`, opening the lane on first use.
+    fn send_flight(&mut self, latency: Duration, seqs: u32, flight: Flight) {
+        let (time, seq) = (self.now + latency, self.seq);
+        self.seq += u64::from(seqs);
+        let lane = match self.lanes.iter().position(|lane| lane.latency == latency) {
+            Some(i) => &mut self.lanes[i],
+            None => {
+                self.lanes.push(Lane { latency, queue: VecDeque::new() });
+                self.lanes.last_mut().expect("just pushed")
+            }
+        };
+        debug_assert!(
+            lane.queue.back().is_none_or(|last| (last.time, last.seq) < (time, seq)),
+            "lane of latency {latency} out of order: a flight at {time} queued behind a later one"
+        );
+        lane.queue.push_back(InFlight { time, seq, flight });
     }
 
     /// Routes and schedules one packet sent by a node or a stub client.
@@ -928,21 +988,18 @@ impl Simulator {
                     64,
                 );
                 pool::give(pkt.payload);
-                let time = self.now + link.latency;
-                self.push_event(time, EventKind::Deliver { to: from, from: Origin::Router, pkt: ptb });
+                self.send_flight(link.latency, 1, Flight::Packet { to: from, from: Origin::Router, pkt: ptb });
                 return;
             }
             // Fragment in transit.
             for frag in frag::fragment_packet(&pkt, link.mtu) {
-                let time = self.now + link.latency;
-                self.push_event(time, EventKind::Deliver { to, from, pkt: frag });
+                self.send_flight(link.latency, 1, Flight::Packet { to, from, pkt: frag });
             }
             pool::give(pkt.payload);
             return;
         }
 
-        let time = self.now + link.latency;
-        self.push_event(time, EventKind::Deliver { to, from, pkt });
+        self.send_flight(link.latency, 1, Flight::Packet { to, from, pkt });
     }
 
     /// Attributes a transit drop to the sender's stats, broken down by the
@@ -1030,8 +1087,7 @@ impl Simulator {
             self.dispatch(Origin::Node(id), pkt);
         }
         for (delay, token) in timers.drain(..) {
-            let time = self.now + delay;
-            self.push_event(time, EventKind::Timer { node: id, token });
+            self.push_timer(delay, Timer::Node { node: id, token });
         }
         self.out_scratch = outgoing;
         self.timer_scratch = timers;
@@ -1059,8 +1115,7 @@ impl Simulator {
             self.dispatch(Origin::Stub(id), pkt);
         }
         for (delay, timer) in timers.drain(..) {
-            let time = self.now + delay;
-            self.push_event(time, EventKind::StubTimer { stub: id, timer });
+            self.push_timer(delay, Timer::Stub { stub: id, timer });
         }
         self.out_scratch = outgoing;
         self.stub_timer_scratch = timers;
@@ -1086,8 +1141,8 @@ impl Simulator {
     }
 
     /// Processes a single event: the held train's next packet if a train is
-    /// held, else the wheel's earliest event. A train delivers exactly one
-    /// packet per call. Returns `false` when the event queue is empty.
+    /// held, else the earliest lane head or timer. A train delivers exactly
+    /// one packet per call. Returns `false` when no event is queued.
     pub fn step(&mut self) -> bool {
         self.start_nodes();
         self.serve(SimTime::from_nanos(u64::MAX), 1)
@@ -1104,27 +1159,48 @@ impl Simulator {
             self.deliver_held(limit);
             return true;
         }
-        let Some((time, _, kind)) = self.events.pop_until(deadline) else {
+        // The earliest lane head, then whether a timer sorts before it: the
+        // wheel is asked no further than that head (or the deadline).
+        let mut head: Option<(SimTime, u64, usize)> = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(f) = lane.queue.front() {
+                if head.is_none_or(|(time, seq, _)| (f.time, f.seq) < (time, seq)) {
+                    head = Some((f.time, f.seq, i));
+                }
+            }
+        }
+        let wheel_limit = head.map_or(deadline, |(time, ..)| time.min(deadline));
+        if let Some(key) = self.events.peek_until(wheel_limit) {
+            if head.is_none_or(|(time, seq, _)| key < (time, seq)) {
+                let (time, _, timer) = self.events.pop_until(key.0).expect("the peeked timer");
+                self.now = time;
+                match timer {
+                    Timer::Node { node, token } => self.with_node_ctx(node, |n, ctx, _| n.on_timer(ctx, token)),
+                    Timer::Stub { stub, timer } => self.with_stub_ctx(stub, |h, ctx| h.on_timer(ctx, timer)),
+                }
+                self.counters.events_popped += 1;
+                return true;
+            }
+        }
+        let Some((time, _, i)) = head.filter(|&(time, ..)| time <= deadline) else {
             return false;
         };
+        let InFlight { flight, .. } = self.lanes[i].queue.pop_front().expect("the lane head");
         self.now = time;
-        match kind {
-            EventKind::Deliver { to, from, mut pkt } => {
+        match flight {
+            Flight::Packet { to, from, mut pkt } => {
                 self.deliver(to, from, &mut pkt);
                 pool::give(pkt.payload);
+                self.counters.events_popped += 1;
             }
-            EventKind::Timer { node, token } => self.with_node_ctx(node, |n, ctx, _| n.on_timer(ctx, token)),
-            EventKind::StubTimer { stub, timer } => self.with_stub_ctx(stub, |h, ctx| h.on_timer(ctx, timer)),
-            EventKind::Train(train) => {
-                // The train leaves the wheel for good: nothing can sort
+            Flight::Train(train) => {
+                // The train leaves its lane for good: nothing can sort
                 // before its remaining packets, so they wait in the slot.
                 self.train_backlog += 1;
                 self.held = Some(train);
                 self.deliver_held(limit);
-                return true;
             }
         }
-        self.counters.events_popped += 1;
         true
     }
 
@@ -1190,10 +1266,15 @@ impl Simulator {
         self.run_until(deadline);
     }
 
-    /// Number of events still queued, counting every undelivered packet of a
-    /// train.
+    /// Number of events still queued, timers and packets in flight alike,
+    /// counting every undelivered packet of a train.
     pub fn pending_events(&self) -> usize {
-        self.events.len() + self.train_backlog
+        self.events.len() + self.in_flight() + self.train_backlog
+    }
+
+    /// Lane entries: packets in flight, a queued train counting once.
+    fn in_flight(&self) -> usize {
+        self.lanes.iter().map(|lane| lane.queue.len()).sum()
     }
 }
 
@@ -1708,9 +1789,12 @@ mod tests {
         let link = Link::with_latency(Duration::from_millis(5));
         let (looped, _) = spray_world(link, A, false, None, false);
         let (mut train, _) = spray_world(link, A, false, None, true);
-        // One wheel entry stands for the whole burst, but it counts as SPRAY.
-        assert_eq!(train.events.len(), 4);
-        assert_eq!(looped.events.len() as u32, SPRAY + 3);
+        // One lane entry stands for the whole burst, but it counts as SPRAY:
+        // c's two packets and the train, against c's two and SPRAY packets.
+        // b's timer is the one wheel entry either way.
+        assert_eq!(train.in_flight(), 3);
+        assert_eq!(looped.in_flight() as u32, SPRAY + 2);
+        assert_eq!((train.events.len(), looped.events.len()), (1, 1));
         assert_eq!(train.pending_events(), looped.pending_events());
         train.run();
         assert_eq!(train.counters().delivered, 2 * u64::from(SPRAY) + 4, "spray, echoes, and c's two packets");

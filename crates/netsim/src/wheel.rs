@@ -1,4 +1,4 @@
-//! A hierarchical time wheel for the discrete-event scheduler.
+//! A hierarchical time wheel for the discrete-event scheduler's timers.
 //!
 //! The engine used to keep every future event in one
 //! `BinaryHeap<Reverse<Event>>`: `O(log n)` per push/pop with poor cache
@@ -9,6 +9,16 @@
 //! the ~3.2-day horizon. Insertion is `O(1)`; popping scans per-level
 //! occupancy bitmaps (one `u64` per level) to jump straight to the next
 //! non-empty slot.
+//!
+//! The engine keeps only node and stub **timers** here. Packets in flight do
+//! not pass through the wheel: a link's latency is constant, so the packets
+//! sent over links of one latency already arrive in `(time, seq)` order and
+//! wait in one FIFO lane per latency (see [`crate::engine`]). The engine
+//! pops whichever of the lane heads and the wheel head sorts first, so it
+//! asks the wheel, with a bounded `peek_until`, only whether a timer is due
+//! by the earliest lane head. The wheel caches a lower bound on the window
+//! base of its next occupied slot, so that question does not rescan the six
+//! levels while the wheel holds only far-off timers.
 //!
 //! **Ordering contract:** events are keyed by `(SimTime, seq)` and pop in
 //! exactly the order the old binary heap produced — strictly increasing
@@ -90,6 +100,13 @@ pub struct TimeWheel<T> {
     len: usize,
     /// Recycled slot vectors, so steady-state operation does not allocate.
     spare: Vec<Vec<Entry<T>>>,
+    /// A lower bound on the window base tick of every occupied slot:
+    /// `place` lowers it and a scan that finds nothing due sets it to the
+    /// exact next base. A scan that does find a slot left it at or below
+    /// that slot's base, the clock after the cascade, so the next settle
+    /// scans again. A bounded settle whose limit lies below it skips the
+    /// scan.
+    next_base: u64,
 }
 
 fn tick_of(time: SimTime) -> u64 {
@@ -113,6 +130,7 @@ impl<T> TimeWheel<T> {
             now_tick: 0,
             len: 0,
             spare: Vec::new(),
+            next_base: u64::MAX,
         }
     }
 
@@ -160,14 +178,16 @@ impl<T> TimeWheel<T> {
             return;
         }
         // The smallest level whose span covers the delta. Level l spans
-        // 64^(l+1) ticks and indexes by bits [6l, 6l+6) of the absolute tick.
-        let mut level = 0;
-        while delta >> (LEVEL_BITS * (level as u32 + 1)) != 0 {
-            level += 1;
-        }
-        let slot = ((tick >> (LEVEL_BITS * level as u32)) & SLOT_MASK) as usize;
+        // 64^(l+1) ticks and indexes by bits [6l, 6l+6) of the absolute tick,
+        // so it is the delta's highest set bit (delta >= 1) divided by 6.
+        let level = ((u64::BITS - 1 - delta.leading_zeros()) / LEVEL_BITS) as usize;
+        let shift = LEVEL_BITS * level as u32;
+        let slot = ((tick >> shift) & SLOT_MASK) as usize;
         self.slots[level][slot].push(entry);
         self.occupied[level] |= 1 << slot;
+        // The slot's window base: the scan in `settle` finds exactly this
+        // base for it, since the delta bounds its window to the next wrap.
+        self.next_base = self.next_base.min((tick >> shift) << shift);
     }
 
     /// Removes and returns the earliest event by `(time, seq)`.
@@ -180,13 +200,19 @@ impl<T> TimeWheel<T> {
     /// bounded run leaves later events in their slots: events pushed after
     /// it still land in the wheel, not in the ready heap.
     pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, u64, T)> {
-        self.settle(tick_of(limit));
-        if self.ready.peek().is_none_or(|Reverse(Key(e))| e.time > limit) {
-            return None;
-        }
+        self.peek_until(limit)?;
         let Reverse(Key(e)) = self.ready.pop()?;
         self.len -= 1;
         Some((e.time, e.seq, e.value))
+    }
+
+    /// The key `(time, seq)` of the earliest event if its time is at most
+    /// `limit`, or `None`; the event stays queued. It moves the clock like
+    /// [`pop_until`](Self::pop_until), never past `limit`'s tick.
+    pub(crate) fn peek_until(&mut self, limit: SimTime) -> Option<(SimTime, u64)> {
+        self.settle(tick_of(limit));
+        let Reverse(Key(e)) = self.ready.peek()?;
+        (e.time <= limit).then_some((e.time, e.seq))
     }
 
     /// Advances the wheel until the globally earliest event sits in `ready`,
@@ -216,7 +242,7 @@ impl<T> TimeWheel<T> {
                     }
                 }
             }
-            if !self.ready.is_empty() {
+            if !self.ready.is_empty() || self.next_base > limit_tick {
                 return;
             }
             // Find the occupied slot with the smallest window-base tick
@@ -249,9 +275,11 @@ impl<T> TimeWheel<T> {
                 }
             }
             let Some((base, _)) = best else {
+                self.next_base = u64::MAX;
                 return; // wheel empty (overflow handled above)
             };
             if base > limit_tick {
+                self.next_base = base;
                 return;
             }
             self.now_tick = base;
@@ -396,6 +424,24 @@ mod tests {
         w.push(SimTime::from_nanos(1_005_000_000), 1, 1);
         assert_eq!(w.level_occupancy().iter().sum::<u32>(), 2);
         assert_eq!(drain(&mut w).into_iter().map(|(_, _, v)| v).collect::<Vec<_>>(), vec![1, 0]);
+    }
+
+    #[test]
+    fn a_push_below_the_cached_bound_still_pops_first() {
+        // A bounded peek that finds nothing due caches the base of the 30 s
+        // timer's slot (about 29.1 s). A push at 1.5 s lands in a slot below
+        // that base and must lower the bound, or the next bounded peek
+        // skips the scan and misses it.
+        let mut w = TimeWheel::new();
+        w.push(SimTime::from_secs(30), 0, 0);
+        assert_eq!(w.peek_until(SimTime::from_secs(1)), None);
+        let early = SimTime::from_nanos(1_500_000_000);
+        w.push(early, 1, 1);
+        assert_eq!(w.peek_until(SimTime::from_secs(1)), None, "still nothing due by 1 s");
+        assert_eq!(w.peek_until(SimTime::from_secs(2)), Some((early, 1)));
+        assert_eq!(w.pop_until(SimTime::from_secs(2)).map(|e| e.2), Some(1));
+        assert_eq!(w.peek_until(SimTime::from_secs(2)), None);
+        assert_eq!(drain(&mut w).into_iter().map(|(_, _, v)| v).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

@@ -410,3 +410,178 @@ proptest! {
         }
     }
 }
+
+/// What the order-contract hosts share with the test that builds them: every
+/// event takes the next index when it is scheduled, which is the order the
+/// engine assigns seqs in, and records when it is due and when it fired.
+#[derive(Default)]
+struct OrderLedger {
+    due: Vec<SimTime>,
+    fired: Vec<(SimTime, u64)>,
+    /// Timer delays in microseconds; a host picks one by event index.
+    delays_us: Vec<u64>,
+}
+
+impl OrderLedger {
+    fn schedule(&mut self, due: SimTime) -> u64 {
+        self.due.push(due);
+        self.due.len() as u64 - 1
+    }
+}
+
+type Ledger = std::rc::Rc<std::cell::RefCell<OrderLedger>>;
+
+const ORDER_HOSTS: usize = 4;
+
+fn order_addr(host: usize) -> std::net::Ipv4Addr {
+    std::net::Ipv4Addr::new(10, 7, 0, 1 + host as u8)
+}
+
+/// The latency between two order hosts: 1, 3 or 7 ms over an installed link,
+/// the default link's 10 ms between the pairs that have none.
+fn order_latency(a: usize, b: usize) -> Duration {
+    match (a.min(b), a.max(b)) {
+        (0, 1) => Duration::from_millis(1),
+        (1, 2) => Duration::from_millis(3),
+        (0, 2) | (2, 3) => Duration::from_millis(7),
+        _ => Link::default().latency,
+    }
+}
+
+/// A datagram carrying event `index`, to be followed by `hops` more sends.
+fn order_packet(from: usize, to: usize, index: u64, hops: u8) -> Ipv4Packet {
+    let mut payload = index.to_le_bytes().to_vec();
+    payload.push(hops);
+    UdpDatagram::new(order_addr(from), order_addr(to), 7000, 7000, payload).into_packet(0, 64)
+}
+
+/// Logs every packet and timer it receives. A packet with hops left makes
+/// it send one packet on to another host and arm one timer, in that order:
+/// the engine queues a callback's packets before its timers.
+struct OrderHost {
+    me: usize,
+    ledger: Ledger,
+}
+
+impl Node for OrderHost {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Ipv4Packet) {
+        let payload = UdpDatagram::from_packet(pkt).expect("an order datagram").payload;
+        let index = u64::from_le_bytes(payload[..8].try_into().expect("eight index bytes"));
+        let mut ledger = self.ledger.borrow_mut();
+        ledger.fired.push((ctx.now(), index));
+        if let Some(hops) = payload[8].checked_sub(1) {
+            let to = (self.me + 1 + index as usize % (ORDER_HOSTS - 1)) % ORDER_HOSTS;
+            let next = ledger.schedule(ctx.now() + order_latency(self.me, to));
+            ctx.send(order_packet(self.me, to, next, hops));
+            let delay = Duration::from_micros(ledger.delays_us[index as usize % ledger.delays_us.len()]);
+            let timer = ledger.schedule(ctx.now() + delay);
+            ctx.set_timer(delay, timer);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.ledger.borrow_mut().fired.push((ctx.now(), token));
+    }
+}
+
+/// One event the test schedules before the run: `(kind, from, to, amount,
+/// hops)`. Kind 0 arms a timer of `amount` half-milliseconds at `from`,
+/// kind 1 sends one packet from `from` to `to`, and kind 2 a train of
+/// `amount % 40 + 1` packets.
+type OrderOp = (u8, usize, usize, u64, u8);
+
+fn order_world(ops: &[OrderOp], delays_us: &[u64]) -> (Simulator, Ledger) {
+    let ledger = Ledger::default();
+    ledger.borrow_mut().delays_us = delays_us.to_vec();
+    let mut sim = Simulator::new(2021);
+    let hosts: Vec<NodeId> = (0..ORDER_HOSTS)
+        .map(|me| sim.add_node(&format!("h{me}"), vec![order_addr(me)], OrderHost { me, ledger: ledger.clone() }))
+        .collect();
+    for a in 0..ORDER_HOSTS {
+        for b in a + 1..ORDER_HOSTS {
+            let latency = order_latency(a, b);
+            if latency != Link::default().latency {
+                sim.connect(hosts[a], hosts[b], Link::with_latency(latency));
+            }
+        }
+    }
+    let mut l = ledger.borrow_mut();
+    for &(kind, from, to, amount, hops) in ops {
+        let to = if to == from { (to + 1) % ORDER_HOSTS } else { to };
+        let arrival = sim.now() + order_latency(from, to);
+        match kind {
+            0 => {
+                let delay = Duration::from_micros(amount * 500);
+                let index = l.schedule(sim.now() + delay);
+                sim.schedule_timer(hosts[from], delay, index);
+            }
+            1 => {
+                let index = l.schedule(arrival);
+                sim.inject(hosts[from], order_packet(from, to, index, hops));
+            }
+            _ => {
+                let count = (amount % 40 + 1) as u32;
+                let first = l.schedule(arrival);
+                for _ in 1..count {
+                    l.schedule(arrival);
+                }
+                sim.inject_train(hosts[from], count, move |k, pkt| {
+                    *pkt = order_packet(from, to, first + u64::from(k), hops);
+                });
+            }
+        }
+    }
+    drop(l);
+    (sim, ledger)
+}
+
+/// Every scheduled event fired exactly once, at the time it was due, and
+/// the events fired in strictly increasing `(time, index)` order.
+fn check_fire_order(ledger: &OrderLedger) -> TestCaseResult {
+    prop_assert_eq!(ledger.fired.len(), ledger.due.len(), "every scheduled event fires once");
+    for pair in ledger.fired.windows(2) {
+        prop_assert!(pair[0] < pair[1], "{:?} fired before {:?}", pair[0], pair[1]);
+    }
+    for &(time, index) in &ledger.fired {
+        prop_assert_eq!(time, ledger.due[index as usize], "event {} fired off its due time", index);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The engine's order contract over packets in flight on links of four
+    /// latencies (packet trains included), timers of generated delays, and
+    /// the packets and timers hosts schedule as they go: events fire in
+    /// `(time, scheduling index)` order, at their due time, whether the
+    /// simulation steps, runs, or runs to a series of deadlines; a bounded
+    /// run fires nothing past its deadline. All three fire the same events.
+    #[test]
+    fn events_fire_in_time_then_scheduling_order(
+        ops in proptest::collection::vec((0u8..3, 0usize..ORDER_HOSTS, 0usize..ORDER_HOSTS, 0u64..60, 0u8..4), 1..30),
+        delays_us in proptest::collection::vec((0u64..40).prop_map(|half_ms| half_ms * 500), 1..6),
+        chunk_us in 100u64..15_000,
+    ) {
+        let (mut stepped, stepped_ledger) = order_world(&ops, &delays_us);
+        while stepped.step() {}
+        check_fire_order(&stepped_ledger.borrow())?;
+
+        let (mut run, run_ledger) = order_world(&ops, &delays_us);
+        run.run();
+        check_fire_order(&run_ledger.borrow())?;
+        prop_assert_eq!(&run_ledger.borrow().fired, &stepped_ledger.borrow().fired);
+
+        let (mut bounded, bounded_ledger) = order_world(&ops, &delays_us);
+        let mut deadline = SimTime::ZERO;
+        while bounded.pending_events() > 0 {
+            deadline = deadline + Duration::from_micros(chunk_us);
+            bounded.run_until(deadline);
+            prop_assert_eq!(bounded.now(), deadline);
+            let last = bounded_ledger.borrow().fired.last().copied();
+            prop_assert!(last.is_none_or(|(time, _)| time <= deadline), "{:?} fired past {}", last, deadline);
+        }
+        check_fire_order(&bounded_ledger.borrow())?;
+        prop_assert_eq!(&bounded_ledger.borrow().fired, &stepped_ledger.borrow().fired);
+    }
+}
