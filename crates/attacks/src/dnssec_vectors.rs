@@ -434,17 +434,17 @@ pub fn downgrade() -> DowngradeToInsecureAttack {
 }
 
 /// The reference Nsec3OptOutAbuse vector.
-pub fn optout_abuse() -> Nsec3OptOutAbuseAttack {
+pub(crate) fn optout_abuse() -> Nsec3OptOutAbuseAttack {
     Nsec3OptOutAbuseAttack::new(crate::env::addrs::ATTACKER)
 }
 
 /// The reference RolloverForgery vector.
-pub fn rollover_forgery() -> RolloverForgeryAttack {
+pub(crate) fn rollover_forgery() -> RolloverForgeryAttack {
     RolloverForgeryAttack::new(crate::env::addrs::ATTACKER)
 }
 
 /// The reference ZoneWalking vector.
-pub fn zone_walking() -> ZoneWalkingAttack {
+pub(crate) fn zone_walking() -> ZoneWalkingAttack {
     ZoneWalkingAttack::new()
 }
 

@@ -165,7 +165,7 @@ pub mod addrs {
     /// The victim resolver (`30.0.0.1` in the paper's figures).
     pub const RESOLVER: Ipv4Addr = Ipv4Addr::new(30, 0, 0, 1);
     /// The victim-side client/service (`30.0.0.25`).
-    pub const CLIENT: Ipv4Addr = Ipv4Addr::new(30, 0, 0, 25);
+    pub(crate) const CLIENT: Ipv4Addr = Ipv4Addr::new(30, 0, 0, 25);
     /// The genuine service address records point at.
     pub const SERVICE: Ipv4Addr = Ipv4Addr::new(30, 0, 0, 80);
     /// The target domain's nameserver (`123.0.0.53`).

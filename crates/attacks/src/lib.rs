@@ -8,7 +8,8 @@
 //! * [`saddns`] — source-port inference through the global ICMP rate-limit
 //!   side channel plus TXID brute force;
 //! * [`fragdns`] — spoofed second fragments injected into the victim's IP
-//!   defragmentation cache, with exact UDP-checksum compensation ([`craft`]);
+//!   defragmentation cache, with exact UDP-checksum compensation (the
+//!   crate-internal `craft`);
 //! * [`attacker`] — the off-path attacker host model (spoofing, recording,
 //!   optional impersonation);
 //! * [`env`](mod@env) — the standard victim environment (resolver, nameserver,
@@ -28,7 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod attacker;
-pub mod craft;
+mod craft;
 pub mod dnssec_vectors;
 pub mod env;
 pub mod fragdns;
@@ -39,19 +40,13 @@ pub mod vectors;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::attacker::{AttackerNode, ObservedIcmp, ObservedUdp};
-    pub use crate::craft::{craft_malicious_tail, fragment_layout, record_spans, CraftedTail, RecordSpan};
     pub use crate::dnssec_vectors::{
         DowngradeToInsecureAttack, Nsec3OptOutAbuseAttack, RolloverForgeryAttack, ZoneWalkingAttack,
     };
-    pub use crate::env::{
-        addrs, EnvTemplate, QueryTrigger, SignedZoneProfile, VictimEnv, VictimEnvConfig, ZoneSecurity,
-    };
+    pub use crate::env::{addrs, EnvTemplate, QueryTrigger, VictimEnv, VictimEnvConfig, ZoneSecurity};
     pub use crate::fragdns::{FragDnsAttack, FragDnsConfig};
-    pub use crate::hijackdns::{HijackDnsAttack, HijackDnsConfig, HijackForgery, HijackKind};
+    pub use crate::hijackdns::{HijackDnsAttack, HijackDnsConfig, HijackForgery};
     pub use crate::outcome::{AttackAggregate, AttackReport, FailureReason, PoisonMethod, Stealth};
     pub use crate::saddns::{SadDnsAttack, SadDnsConfig, CLOSED_PORT_PROBE_BASE, ICMP_PROBE_BATCH};
     pub use crate::vectors::{self, AttackVector};
 }
-
-pub use prelude::*;

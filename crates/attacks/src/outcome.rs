@@ -177,7 +177,7 @@ impl AttackReport {
     }
 
     /// Records the attacker's traffic counters (delta between two snapshots).
-    pub fn record_traffic(&mut self, before: &TrafficStats, after: &TrafficStats) {
+    pub(crate) fn record_traffic(&mut self, before: &TrafficStats, after: &TrafficStats) {
         self.attacker_packets += after.packets_sent.saturating_sub(before.packets_sent);
         self.attacker_bytes += after.bytes_sent.saturating_sub(before.bytes_sent);
     }

@@ -1,9 +1,9 @@
 //! # bgp — inter-domain routing substrate
 //!
-//! AS-level topology ([`topology`]), Gao-Rexford route propagation
-//! ([`propagation`]), per-AS RIBs with longest-prefix-match and ROV filtering
-//! ([`rib`]), BGP prefix hijack evaluation ([`hijack`]) and RPKI — ROAs,
-//! repositories, relying parties and route-origin validation ([`rpki`]).
+//! AS-level topology ([`topology`]), Gao-Rexford route propagation (the
+//! crate-internal `propagation`), BGP prefix hijack evaluation ([`hijack`])
+//! and RPKI — ROAs, repositories, relying parties and route-origin
+//! validation ([`rpki`]).
 //!
 //! Together these provide the control-plane half of the HijackDNS poisoning
 //! methodology and the RPKI security mechanism that the paper's headline
@@ -29,8 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod hijack;
-pub mod propagation;
-pub mod rib;
+mod propagation;
 pub mod rpki;
 pub mod topology;
 
@@ -38,13 +37,9 @@ pub mod topology;
 pub mod prelude {
     pub use crate::hijack::{
         same_prefix_hijack, same_prefix_success_rate, sub_prefix_hijack, subprefix_hijackable, Announcement,
-        HijackOutcome, MAX_ACCEPTED_PREFIX_LEN,
+        MAX_ACCEPTED_PREFIX_LEN,
     };
-    pub use crate::propagation::{compare_origins, routes_to_origin, RouteClass, RouteInfo};
-    pub use crate::rib::{Rib, RibEntry};
-    pub use crate::rpki::{validate, RelyingParty, Roa, RovPolicy, RpkiRepository, SyncOutcome, Validity};
-    pub use crate::topology::{AsId, AsTier, AsTopology, Relationship};
+    pub use crate::rpki::{validate, RelyingParty, Roa, RovPolicy, RpkiRepository, Validity};
+    pub use crate::topology::{AsId, AsTier, AsTopology};
     pub use netsim::prefix::Prefix;
 }
-
-pub use prelude::*;

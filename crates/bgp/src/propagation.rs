@@ -21,7 +21,7 @@ use std::collections::{HashMap, VecDeque};
 /// The relationship class through which a route was learned.
 /// Ordering: `Customer` is most preferred, `Provider` least.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RouteClass {
+pub(crate) enum RouteClass {
     /// Route learned from a provider (least preferred).
     Provider,
     /// Route learned from a peer.
@@ -34,7 +34,7 @@ pub enum RouteClass {
 
 /// A best route from one AS towards an origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouteInfo {
+pub(crate) struct RouteInfo {
     /// How the route was learned.
     pub class: RouteClass,
     /// AS-path length (origin = 0).
@@ -46,7 +46,7 @@ pub struct RouteInfo {
 impl RouteInfo {
     /// Whether `self` is preferred over `other` under Gao-Rexford policy
     /// (class first, then shorter path, then lower next-hop ASN).
-    pub fn better_than(&self, other: &RouteInfo) -> bool {
+    pub(crate) fn better_than(&self, other: &RouteInfo) -> bool {
         (self.class, std::cmp::Reverse(self.path_len), std::cmp::Reverse(self.next_hop.0))
             > (other.class, std::cmp::Reverse(other.path_len), std::cmp::Reverse(other.next_hop.0))
     }
@@ -55,7 +55,7 @@ impl RouteInfo {
 /// Computes the best Gao-Rexford-compliant route from every AS to `origin`.
 ///
 /// ASes with no policy-compliant route do not appear in the result.
-pub fn routes_to_origin(topo: &AsTopology, origin: AsId) -> HashMap<AsId, RouteInfo> {
+pub(crate) fn routes_to_origin(topo: &AsTopology, origin: AsId) -> HashMap<AsId, RouteInfo> {
     let mut best: HashMap<AsId, RouteInfo> = HashMap::new();
     best.insert(origin, RouteInfo { class: RouteClass::Origin, path_len: 0, next_hop: origin });
 
@@ -125,7 +125,7 @@ pub fn routes_to_origin(topo: &AsTopology, origin: AsId) -> HashMap<AsId, RouteI
 /// For two competing origins announcing the *same* prefix, decides which
 /// origin each AS routes towards. Returns a map from AS to the preferred
 /// origin (ASes that can reach neither are absent).
-pub fn compare_origins(topo: &AsTopology, origin_a: AsId, origin_b: AsId) -> HashMap<AsId, AsId> {
+pub(crate) fn compare_origins(topo: &AsTopology, origin_a: AsId, origin_b: AsId) -> HashMap<AsId, AsId> {
     let routes_a = routes_to_origin(topo, origin_a);
     let routes_b = routes_to_origin(topo, origin_b);
     let mut decision = HashMap::new();

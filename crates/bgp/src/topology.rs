@@ -42,7 +42,7 @@ pub enum AsTier {
 /// Business relationship between two adjacent ASes, from the perspective of
 /// the first AS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Relationship {
+pub(crate) enum Relationship {
     /// The neighbour is a customer (we provide transit to them).
     Customer,
     /// The neighbour is a settlement-free peer.
@@ -72,19 +72,19 @@ impl AsTopology {
     }
 
     /// Adds an AS with the given tier.
-    pub fn add_as(&mut self, id: AsId, tier: AsTier) {
+    pub(crate) fn add_as(&mut self, id: AsId, tier: AsTier) {
         self.tiers.insert(id, tier);
         self.neighbors.entry(id).or_default();
     }
 
     /// Adds a customer-provider edge: `provider` provides transit to `customer`.
-    pub fn add_provider_customer(&mut self, provider: AsId, customer: AsId) {
+    pub(crate) fn add_provider_customer(&mut self, provider: AsId, customer: AsId) {
         self.neighbors.entry(provider).or_default().push((customer, Relationship::Customer));
         self.neighbors.entry(customer).or_default().push((provider, Relationship::Provider));
     }
 
     /// Adds a settlement-free peering edge.
-    pub fn add_peering(&mut self, a: AsId, b: AsId) {
+    pub(crate) fn add_peering(&mut self, a: AsId, b: AsId) {
         self.neighbors.entry(a).or_default().push((b, Relationship::Peer));
         self.neighbors.entry(b).or_default().push((a, Relationship::Peer));
     }
@@ -110,7 +110,7 @@ impl AsTopology {
     }
 
     /// Neighbours of an AS with their relationship to it.
-    pub fn neighbors(&self, id: AsId) -> &[(AsId, Relationship)] {
+    pub(crate) fn neighbors(&self, id: AsId) -> &[(AsId, Relationship)] {
         self.neighbors.get(&id).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -126,19 +126,9 @@ impl AsTopology {
         self.neighbors(id).iter().filter(|(_, r)| *r == Relationship::Provider).map(|(n, _)| *n).collect()
     }
 
-    /// Customers of an AS.
-    pub fn customers(&self, id: AsId) -> Vec<AsId> {
-        self.neighbors(id).iter().filter(|(_, r)| *r == Relationship::Customer).map(|(n, _)| *n).collect()
-    }
-
     /// Peers of an AS.
     pub fn peers(&self, id: AsId) -> Vec<AsId> {
         self.neighbors(id).iter().filter(|(_, r)| *r == Relationship::Peer).map(|(n, _)| *n).collect()
-    }
-
-    /// Number of edges (counted once per adjacency pair).
-    pub fn edge_count(&self) -> usize {
-        self.neighbors.values().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Generates a synthetic Internet-like topology.
@@ -296,7 +286,7 @@ mod tests {
     fn stubs_have_no_customers() {
         let topo = AsTopology::generate(4, 15, 200, 7);
         for id in topo.ases_of_tier(AsTier::Stub) {
-            assert!(topo.customers(id).is_empty());
+            assert!(!topo.neighbors(id).iter().any(|(_, r)| *r == Relationship::Customer));
         }
     }
 
@@ -320,7 +310,8 @@ mod tests {
     fn deterministic_for_seed() {
         let a = AsTopology::generate(4, 10, 50, 99);
         let b = AsTopology::generate(4, 10, 50, 99);
-        assert_eq!(a.edge_count(), b.edge_count());
+        let edge_count = |t: &AsTopology| t.neighbors.values().map(Vec::len).sum::<usize>() / 2;
+        assert_eq!(edge_count(&a), edge_count(&b));
         for id in a.ases() {
             assert_eq!(a.neighbors(id), b.neighbors(id));
         }
@@ -332,6 +323,6 @@ mod tests {
         assert_eq!(topo.len(), 9);
         assert_eq!(topo.peers(map["t1a"]), vec![map["t1b"]]);
         assert_eq!(topo.providers(map["stub1"]), vec![map["tr1"]]);
-        assert_eq!(topo.customers(map["tr1"]).len(), 2);
+        assert_eq!(topo.neighbors(map["tr1"]).iter().filter(|(_, r)| *r == Relationship::Customer).count(), 2);
     }
 }

@@ -72,12 +72,12 @@ impl AcmeAccount {
 }
 
 /// The TXT owner name a DNS-01 challenge is served under (RFC 8555 §8.4).
-pub fn challenge_name(domain: &DomainName) -> DomainName {
+pub(crate) fn challenge_name(domain: &DomainName) -> DomainName {
     domain.prepend("_acme-challenge").expect("challenge label fits")
 }
 
 /// The HTTP-01 challenge URL path for a token (RFC 8555 §8.3).
-pub fn http_challenge_path(token: &str) -> String {
+pub(crate) fn http_challenge_path(token: &str) -> String {
     format!("/.well-known/acme-challenge/{token}")
 }
 

@@ -32,10 +32,10 @@ use xlayer_core::prelude::derive_seed;
 
 /// Stream salt separating per-order simulation seeds from every other
 /// campaign derived from the same master seed.
-pub const CA_ISSUANCE_SALT: u64 = 0x0ca1_55ce_ba51_c0de;
+pub(crate) const CA_ISSUANCE_SALT: u64 = 0x0ca1_55ce_ba51_c0de;
 
 /// Address of the CA's validation host.
-pub const CA_ADDR: Ipv4Addr = Ipv4Addr::new(45, 0, 0, 10);
+pub(crate) const CA_ADDR: Ipv4Addr = Ipv4Addr::new(45, 0, 0, 10);
 
 /// Number of vantage points a quorum deployment runs (the Let's Encrypt
 /// shape: primary + 3 remote perspectives, at most one disagreement).
@@ -90,7 +90,7 @@ impl CaConfig {
     /// *is* the resolver the attacks poison), the nameserver and zone are
     /// the environment's, and the vantage quorum comes from
     /// `cfg.vantage_quorum` — i.e. from `Defence::apply`.
-    pub fn from_env_config(cfg: &VictimEnvConfig, seed: u64) -> Self {
+    pub(crate) fn from_env_config(cfg: &VictimEnvConfig, seed: u64) -> Self {
         CaConfig {
             seed,
             resolver: cfg.resolver.clone(),

@@ -1,5 +1,5 @@
 //! A minimal, deterministic HTTP/1.0 layer over the simulated TCP stack,
-//! plus the [`ChallengeHost`] node that serves HTTP-01 challenge documents.
+//! plus the `ChallengeHost` node that serves HTTP-01 challenge documents.
 //!
 //! The exchange is the smallest thing that still exercises real transport:
 //! one request line with headers, one response with `Content-Length` and
@@ -38,7 +38,7 @@ pub fn http_response(status: u16, reason: &str, body: &str) -> Vec<u8> {
 pub const MAX_HTTP_HEAD: usize = 4096;
 
 /// Upper bound on a response body the parser is willing to buffer.
-pub const MAX_HTTP_BODY: usize = 64 * 1024;
+pub(crate) const MAX_HTTP_BODY: usize = 64 * 1024;
 
 /// Outcome of incrementally parsing a request head.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,15 +80,6 @@ pub fn parse_request(bytes: &[u8]) -> RequestParse {
     match parts.next() {
         Some(path) if method == "GET" && !path.is_empty() => RequestParse::Get(path.to_string()),
         _ => RequestParse::Bad,
-    }
-}
-
-/// Extracts the request path once a full request head has arrived (returns
-/// `None` while incomplete or on malformed input).
-pub fn parse_request_path(bytes: &[u8]) -> Option<String> {
-    match parse_request(bytes) {
-        RequestParse::Get(path) => Some(path),
-        RequestParse::Pending | RequestParse::Bad => None,
     }
 }
 
@@ -134,7 +125,7 @@ fn parse_response_head(buf: &[u8]) -> Head {
 /// Incremental parser for one HTTP/1.0 response: feed stream chunks with
 /// [`push`](HttpResponseParser::push), read the `(status, body)` once the
 /// `Content-Length` worth of body has arrived. Memory is bounded: heads
-/// over [`MAX_HTTP_HEAD`] and bodies over [`MAX_HTTP_BODY`] flip the parser
+/// over [`MAX_HTTP_HEAD`] and bodies over `MAX_HTTP_BODY` flip the parser
 /// into a permanent [`failed`](HttpResponseParser::failed) state that drops
 /// further input.
 #[derive(Debug, Clone, Default)]
@@ -190,7 +181,7 @@ impl HttpResponseParser {
 /// [`dns_a`](ChallengeHost::dns_a), TXT records carrying
 /// [`dns_txt`](ChallengeHost::dns_txt)) with the source address spoofed to
 /// the queried nameserver.
-pub struct ChallengeHost {
+pub(crate) struct ChallengeHost {
     stack: HostStack,
     listener: TcpSocket,
     intercept: TcpSocket,
@@ -233,13 +224,13 @@ impl ChallengeHost {
 
     /// Provisions a challenge document: `GET /.well-known/acme-challenge/
     /// <token>` will answer 200 with `key_authorization`.
-    pub fn with_token(mut self, token: &str, key_authorization: &str) -> Self {
+    pub(crate) fn with_token(mut self, token: &str, key_authorization: &str) -> Self {
         self.tokens.insert(token.to_string(), key_authorization.to_string());
         self
     }
 
     /// Enables attacker-mode impersonation of hijacked traffic.
-    pub fn impersonating(mut self) -> Self {
+    pub(crate) fn impersonating(mut self) -> Self {
         self.impersonate = true;
         self
     }
@@ -395,9 +386,9 @@ mod tests {
     #[test]
     fn request_and_response_codec_roundtrip() {
         let req = http_get("www.vict.im", "/.well-known/acme-challenge/tok1");
-        assert_eq!(parse_request_path(&req).as_deref(), Some("/.well-known/acme-challenge/tok1"));
-        assert_eq!(parse_request_path(b"GET /x HTTP/1.0\r\n"), None, "incomplete head");
-        assert_eq!(parse_request_path(b"POST /x HTTP/1.0\r\n\r\n"), None, "only GET supported");
+        assert_eq!(parse_request(&req), RequestParse::Get("/.well-known/acme-challenge/tok1".to_string()));
+        assert_eq!(parse_request(b"GET /x HTTP/1.0\r\n"), RequestParse::Pending, "incomplete head");
+        assert_eq!(parse_request(b"POST /x HTTP/1.0\r\n\r\n"), RequestParse::Bad, "only GET supported");
 
         let resp = http_response(200, "OK", "tok1.abcd");
         let mut parser = HttpResponseParser::new();

@@ -6,10 +6,12 @@
 //! else's domain (Table 1, "Hijack: fraudulent certificate"). This crate
 //! makes that a first-class subsystem instead of a taxonomy row:
 //!
-//! * [`acme`] — accounts, orders, challenges, the [`Certificate`] artifact
-//!   and the [`IssuanceReport`] with full packet/byte accounting;
+//! * [`acme`] — accounts, orders, challenges, the
+//!   [`Certificate`](acme::Certificate) artifact and the
+//!   [`IssuanceReport`](acme::IssuanceReport) with full packet/byte
+//!   accounting;
 //! * [`http`] — a minimal HTTP/1.0 exchange over the deterministic TCP
-//!   stack, plus the [`ChallengeHost`] serving HTTP-01 documents (genuine
+//!   stack, plus the `ChallengeHost` node serving HTTP-01 documents (genuine
 //!   or attacker-operated, including impersonation of hijacked prefixes);
 //! * [`validator`] — the validation host: DNS-01 TXT lookups and HTTP-01
 //!   fetches through a recursive resolver;
@@ -17,9 +19,9 @@
 //!   the `bgp` topology, and the quorum rule;
 //! * [`authority`] — the `order → challenge → validate → issue` pipeline,
 //!   one deterministic simulation per order;
-//! * [`exploit`] — the [`CertIssuanceExploit`] scenario stage, the
-//!   per-vector instantiations and the issuance ablation/matrix grids on
-//!   the sharded campaign engine.
+//! * [`exploit`] — the [`CertIssuanceExploit`](exploit::CertIssuanceExploit)
+//!   scenario stage, the per-vector instantiations and the issuance
+//!   ablation/matrix grids on the sharded campaign engine.
 //!
 //! The CA *owns a validating resolver*: its configuration — transport
 //! policy, DNSSEC validation, everything `Defence::apply` touches — is the
@@ -58,21 +60,12 @@ pub mod vantage;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::acme::{
-        challenge_name, http_challenge_path, AcmeAccount, Certificate, ChallengeType, IssuanceOutcome, IssuanceReport,
-        Order, RefusalReason, ValidationResult,
-    };
-    pub use crate::authority::{
-        AttackerPresence, CaConfig, CertificateAuthority, CA_ADDR, CA_ISSUANCE_SALT, VANTAGE_COUNT,
-    };
+    pub use crate::acme::{AcmeAccount, ChallengeType, IssuanceReport, ValidationResult};
+    pub use crate::authority::{CaConfig, CertificateAuthority, VANTAGE_COUNT};
     pub use crate::exploit::{
-        attacker_account, ca_defences, ca_vector_for, render_issuance_ablation, render_issuance_matrix,
-        run_issuance_ablation, run_issuance_cell, CertIssuanceExploit, IssuanceAggregate, IssuanceCampaign,
-        IssuanceCell, IssuanceMatrix, IssuanceRun, IssuanceTally, PreparedIssuanceCell, CA_GRID_SALT,
+        ca_defences, render_issuance_ablation, render_issuance_matrix, run_issuance_ablation, run_issuance_cell,
+        CertIssuanceExploit, IssuanceCampaign, PreparedIssuanceCell,
     };
-    pub use crate::http::{http_get, http_response, ChallengeHost, HttpResponseParser};
-    pub use crate::validator::ValidatorNode;
-    pub use crate::vantage::{agreed_count, place_vantage_points, quorum_met, VantagePoint};
+    pub use crate::http::{http_get, http_response, HttpResponseParser};
+    pub use crate::vantage::{agreed_count, place_vantage_points, quorum_met};
 }
-
-pub use prelude::*;

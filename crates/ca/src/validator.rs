@@ -22,7 +22,7 @@ const TIMER_SEND_QUERY: u64 = 0;
 const TIMER_DEADLINE: u64 = 1;
 
 /// A validation host bound to one challenge attempt.
-pub struct ValidatorNode {
+pub(crate) struct ValidatorNode {
     stack: HostStack,
     http_sock: TcpSocket,
     resolver: Ipv4Addr,
@@ -90,7 +90,7 @@ impl ValidatorNode {
 
     /// Per-connection statistics of the HTTP-01 fetch socket (the live
     /// connection while it exists, the final pre-teardown snapshot after).
-    pub fn http_flows(&self) -> Vec<FlowStats> {
+    pub(crate) fn http_flows(&self) -> Vec<FlowStats> {
         let live = self.http_sock.flows();
         if live.is_empty() {
             self.flows_seen.clone()

@@ -31,7 +31,7 @@ pub struct AnyCachingResult {
 /// so the evaluation runs with that fallback enabled; vulnerability is judged
 /// by whether the later `A` query causes *any additional* upstream traffic,
 /// not by an absolute query count (a TC fallback legitimately re-queries).
-pub fn evaluate_implementation(imp: dns::profiles::ResolverImplementation, seed: u64) -> AnyCachingResult {
+pub(crate) fn evaluate_implementation(imp: dns::profiles::ResolverImplementation, seed: u64) -> AnyCachingResult {
     let mut env_cfg = VictimEnvConfig { seed, ..Default::default() };
     env_cfg.resolver.any_caching = imp.any_caching();
     env_cfg.resolver.edns_size = imp.default_edns_size();

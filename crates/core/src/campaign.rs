@@ -395,7 +395,7 @@ impl Histogram {
 
     /// Records `count` observations of `value` in one tree probe — the bulk
     /// entry point for columnar folds that pre-count a shard's column.
-    pub fn add_many(&mut self, value: u32, count: u64) {
+    pub(crate) fn add_many(&mut self, value: u32, count: u64) {
         if count == 0 {
             return;
         }
@@ -412,8 +412,8 @@ impl Histogram {
     }
 
     /// The empirical CDF at `threshold`: fraction of observations `≤ t`
-    /// (0 when the histogram is empty, matching `Cdf::at_thresholds`).
-    pub fn cdf_at(&self, threshold: u32) -> f64 {
+    /// (0 when the histogram is empty).
+    pub(crate) fn cdf_at(&self, threshold: u32) -> f64 {
         let below: u64 = self.counts.range(..=threshold).map(|(_, c)| c).sum();
         below as f64 / self.total.max(1) as f64
     }

@@ -11,7 +11,7 @@
 use crate::campaign::{derive_seed, run_shards};
 use attacks::env::addrs;
 use attacks::prelude::{SadDnsAttack, SadDnsConfig};
-use dns::farm::{run_farm_shard, FarmClientHandler, FarmConfig, FarmStats};
+use dns::farm::{run_farm_shard, FarmClientHandler, FarmConfig, FarmStats, FARM_CLIENT_BASE};
 use dns::prelude::*;
 use netsim::prelude::*;
 
@@ -93,11 +93,11 @@ pub struct LoadedSadDnsReport {
     pub background_queries: u64,
     /// Queries the resolver answered from cache during the attack, the
     /// attacker's included (a resolver-wide delta).
-    pub background_cache_answers: u64,
+    pub resolver_cache_answers: u64,
     /// Upstream queries the resolver sent during the attack: background cache
     /// misses (the port noise the scan contends with) and the attacker's
     /// trigger query, so the idle baseline reads 1 (a resolver-wide delta).
-    pub background_upstream: u64,
+    pub resolver_upstream: u64,
     /// Total packets delivered in the simulation.
     pub packets_delivered: u64,
     /// The trace's last 64 packets and phase spans, present only when the
@@ -127,7 +127,7 @@ pub fn saddns_under_load(seed: u64, clients: u32) -> LoadedSadDnsReport {
 /// attack against a cold cache: background misses race the attacker's own
 /// trigger for ephemeral ports, and the scan's 1-bit oracle cannot tell them
 /// apart — the scale-dependent noise floor the paper's threat model implies.
-pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) -> LoadedSadDnsReport {
+pub(crate) fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) -> LoadedSadDnsReport {
     let mut cfg = attacks::env::VictimEnvConfig {
         seed,
         resolver: ResolverConfig::new(addrs::RESOLVER).with_delegation("vict.im", vec![addrs::NAMESERVER], false),
@@ -153,7 +153,7 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
     // open the ephemeral port the attack races for. With no clients the run
     // is the idle baseline, and there is no block at all.
     if clients > 0 {
-        sim.add_stub_block("bg", "100.64.0.0".parse().expect("addr"), clients);
+        sim.add_stub_block("bg", FARM_CLIENT_BASE, clients);
         sim.set_stub_handler(FarmClientHandler {
             targets: vec![addrs::RESOLVER],
             questions: ["vict.im", "login.vict.im", "ntp.vict.im", "rpki.vict.im"]
@@ -195,8 +195,8 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
         report,
         background_clients: clients,
         background_queries: background_sent(&sim) - baseline_sent,
-        background_cache_answers: rs.cache_answers - baseline.cache_answers,
-        background_upstream: rs.upstream_queries - baseline.upstream_queries,
+        resolver_cache_answers: rs.cache_answers - baseline.cache_answers,
+        resolver_upstream: rs.upstream_queries - baseline.upstream_queries,
         packets_delivered: sim.counters().delivered,
         post_mortem,
         metrics,
@@ -262,7 +262,7 @@ mod tests {
         // the noise itself — upstream queries with open ports during the scan
         // window — must be present, unlike in the warmed run.
         let loaded = saddns_under_load_with_warmup(21, 300, Duration::ZERO);
-        assert!(loaded.background_upstream > 0, "background cache misses open competing ephemeral ports");
+        assert!(loaded.resolver_upstream > 0, "background cache misses open competing ephemeral ports");
         assert_eq!(
             loaded.post_mortem.is_some(),
             !loaded.report.success,
@@ -282,7 +282,7 @@ mod tests {
         let loaded = saddns_under_load(21, 300);
         assert!(loaded.report.success, "SadDNS under load failed: {:?}", loaded.report.notes);
         assert!(loaded.background_queries > 0, "the resolver actually served load");
-        assert!(loaded.background_cache_answers > 0, "warm cache serves the background stream");
+        assert!(loaded.resolver_cache_answers > 0, "warm cache serves the background stream");
         assert!(loaded.packets_delivered > loaded.report.attacker_packets, "load adds traffic beyond the attack");
         assert!(loaded.post_mortem.is_none(), "a successful chain leaves no post-mortem dump");
         assert!(loaded.metrics.counter("engine.events.popped") > 0, "engine counters exported");

@@ -23,15 +23,8 @@ pub struct Cdf {
 }
 
 impl Cdf {
-    /// Builds a CDF of `values` evaluated at the given thresholds.
-    pub fn at_thresholds(label: &str, values: &[u32], thresholds: &[u32]) -> Cdf {
-        let n = values.len().max(1) as f64;
-        let points = thresholds.iter().map(|&t| (t, values.iter().filter(|&&v| v <= t).count() as f64 / n)).collect();
-        Cdf { label: label.to_string(), points }
-    }
-
     /// Builds a CDF from a campaign histogram evaluated at the thresholds.
-    pub fn from_histogram(label: &str, hist: &Histogram, thresholds: &[u32]) -> Cdf {
+    pub(crate) fn from_histogram(label: &str, hist: &Histogram, thresholds: &[u32]) -> Cdf {
         Cdf { label: label.to_string(), points: thresholds.iter().map(|&t| (t, hist.cdf_at(t))).collect() }
     }
 
@@ -43,7 +36,7 @@ impl Cdf {
 
 /// Which scalar a resolver CDF scan extracts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolverMetric {
+pub(crate) enum ResolverMetric {
     /// Announced BGP prefix length (Figure 3).
     PrefixLen,
     /// Advertised EDNS UDP payload size (Figure 4).
@@ -52,7 +45,7 @@ pub enum ResolverMetric {
 
 /// Histogram tally over one resolver metric.
 #[derive(Debug, Clone)]
-pub struct ResolverHist {
+pub(crate) struct ResolverHist {
     metric: ResolverMetric,
     /// The accumulated histogram.
     pub hist: Histogram,
@@ -98,7 +91,7 @@ impl Tally for ResolverHist {
 }
 
 /// A Figure 3/4 CDF scan over one resolver dataset.
-pub struct ResolverScan<'a> {
+pub(crate) struct ResolverScan<'a> {
     /// Dataset whose population is scanned.
     pub spec: &'a DatasetSpec,
     /// Metric extracted per resolver.
@@ -130,7 +123,7 @@ impl Campaign for ResolverScan<'_> {
 
 /// Which scalar a domain CDF scan extracts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DomainMetric {
+pub(crate) enum DomainMetric {
     /// Announced BGP prefix length of the nameservers (Figure 3).
     PrefixLen,
     /// Minimum fragment size — observed only for fragmenting nameservers
@@ -140,7 +133,7 @@ pub enum DomainMetric {
 
 /// Histogram tally over one domain metric.
 #[derive(Debug, Clone)]
-pub struct DomainHist {
+pub(crate) struct DomainHist {
     metric: DomainMetric,
     /// The accumulated histogram.
     pub hist: Histogram,
@@ -190,7 +183,7 @@ impl Tally for DomainHist {
 }
 
 /// A Figure 3/4 CDF scan over one domain dataset.
-pub struct DomainScan<'a> {
+pub(crate) struct DomainScan<'a> {
     /// Dataset whose population is scanned.
     pub spec: &'a DatasetSpec,
     /// Metric extracted per domain.
@@ -293,11 +286,6 @@ impl VennCounts {
         self.only_saddns + self.hijack_saddns + self.saddns_frag + self.all_three
     }
 
-    /// Elements vulnerable to FragDNS (any combination).
-    pub fn frag_total(&self) -> u64 {
-        self.only_frag + self.hijack_frag + self.saddns_frag + self.all_three
-    }
-
     /// Classifies one element into its overlap region.
     pub fn add(&mut self, hijack: bool, saddns: bool, frag: bool) {
         match (hijack, saddns, frag) {
@@ -315,7 +303,7 @@ impl VennCounts {
 
 /// Venn tally over resolver profiles.
 #[derive(Debug, Clone, Default)]
-pub struct ResolverVennTally(pub VennCounts);
+pub(crate) struct ResolverVennTally(pub VennCounts);
 
 impl ResolverVennTally {
     /// Folds a columnar block by scanning the three predicate columns in one
@@ -350,7 +338,7 @@ impl Tally for ResolverVennTally {
 
 /// Venn tally over domain profiles.
 #[derive(Debug, Clone, Default)]
-pub struct DomainVennTally(pub VennCounts);
+pub(crate) struct DomainVennTally(pub VennCounts);
 
 impl DomainVennTally {
     /// Columnar sibling of [`ResolverVennTally::observe_block`].
@@ -378,7 +366,7 @@ impl Tally for DomainVennTally {
 }
 
 /// The Figure 5a overlap campaign over one resolver dataset.
-pub struct ResolverOverlap<'a>(pub &'a DatasetSpec);
+pub(crate) struct ResolverOverlap<'a>(pub &'a DatasetSpec);
 
 impl Campaign for ResolverOverlap<'_> {
     type Profile = ResolverProfile;
@@ -404,7 +392,7 @@ impl Campaign for ResolverOverlap<'_> {
 }
 
 /// The Figure 5b overlap campaign over one domain dataset.
-pub struct DomainOverlap<'a>(pub &'a DatasetSpec);
+pub(crate) struct DomainOverlap<'a>(pub &'a DatasetSpec);
 
 impl Campaign for DomainOverlap<'_> {
     type Profile = DomainProfile;
@@ -508,11 +496,16 @@ mod tests {
         assert!(frag.at(292) < 0.15);
     }
 
+    /// Elements vulnerable to FragDNS (any combination).
+    fn frag_total(v: &VennCounts) -> u64 {
+        v.only_frag + v.hijack_frag + v.saddns_frag + v.all_three
+    }
+
     #[test]
     fn figure5_hijack_dominates() {
         let resolvers = figure5_resolver_overlap_with(&CampaignConfig::new(11, 3_000));
         assert!(resolvers.hijack_total() > resolvers.saddns_total());
-        assert!(resolvers.hijack_total() > resolvers.frag_total());
+        assert!(resolvers.hijack_total() > frag_total(&resolvers));
         // Vulnerable to at least one method: the hijackable set plus the rest of the union.
         assert!(resolvers.hijack_total() + resolvers.only_saddns + resolvers.only_frag + resolvers.saddns_frag > 0);
         // SadDNS and FragDNS overlap mostly *inside* the hijackable set.
@@ -520,7 +513,7 @@ mod tests {
 
         let domains = figure5_domain_overlap_with(&CampaignConfig::new(11, 3_000));
         assert!(domains.hijack_total() > domains.saddns_total());
-        assert!(domains.saddns_total() > domains.frag_total() / 2, "domains: SadDNS and FragDNS are the small sets");
+        assert!(domains.saddns_total() > frag_total(&domains) / 2, "domains: SadDNS and FragDNS are the small sets");
     }
 
     #[test]
@@ -541,11 +534,11 @@ mod tests {
         let specs = population::table3_datasets();
         let pop = population::generate_resolvers_with(&specs[7], &cfg);
         let thresholds: Vec<u32> = (11..=24).collect();
-        let from_pop = Cdf::at_thresholds(
-            "Resolvers: Open resolver",
-            &pop.iter().map(|r| u32::from(r.announced_prefix_len)).collect::<Vec<_>>(),
-            &thresholds,
-        );
+        // The CDF of the materialised values, evaluated at the thresholds.
+        let values: Vec<u32> = pop.iter().map(|r| u32::from(r.announced_prefix_len)).collect();
+        let n = values.len().max(1) as f64;
+        let points = thresholds.iter().map(|&t| (t, values.iter().filter(|&&v| v <= t).count() as f64 / n)).collect();
+        let from_pop = Cdf { label: "Resolvers: Open resolver".to_string(), points };
         let from_scan = Cdf::from_histogram(
             "Resolvers: Open resolver",
             &scan_resolvers(&specs[7], ResolverMetric::PrefixLen, &cfg),

@@ -58,10 +58,6 @@ pub struct DomainDatasetResult {
     pub sample_size: usize,
 }
 
-/// Default cap on generated sample sizes (keeps the campaigns fast while
-/// retaining tight confidence intervals).
-pub const DEFAULT_SAMPLE_CAP: u64 = 20_000;
-
 telemetry::counters! {
     /// Per-shard classification counts of one resolver dataset — the mergeable
     /// tally behind Table 3.
@@ -222,7 +218,7 @@ impl Campaign for DomainCampaign<'_> {
 /// A campaign bound to one dataset. The population size is derived from the
 /// campaign's **own** spec, so the profiles drawn and the sample size
 /// counted can never refer to different datasets.
-pub trait DatasetCampaign: Campaign {
+pub(crate) trait DatasetCampaign: Campaign {
     /// The dataset this campaign runs over.
     fn spec(&self) -> &DatasetSpec;
 }
@@ -242,7 +238,7 @@ impl DatasetCampaign for DomainCampaign<'_> {
 /// Runs one dataset's classification campaign on the sharded engine — the
 /// single generic loop both Table 3 and Table 4 (and every future dataset
 /// kind) flow through.
-pub fn classify_dataset<C: DatasetCampaign>(campaign: &C, cfg: &CampaignConfig) -> C::Tally {
+pub(crate) fn classify_dataset<C: DatasetCampaign>(campaign: &C, cfg: &CampaignConfig) -> C::Tally {
     campaign::run_campaign(campaign, campaign.spec().sample_size(cfg.sample_cap), cfg)
 }
 

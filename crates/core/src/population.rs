@@ -7,8 +7,8 @@
 //! replaced by a *generator* that draws per-resolver / per-domain security
 //! properties from distributions calibrated to the marginals the paper
 //! reports (Tables 3 and 4, Figures 3 and 4). Every property is an explicit
-//! field, the vulnerability scanners in [`crate::vulnscan`] re-derive the
-//! table columns from the properties (they are not hard-coded percentages),
+//! field, the crate-internal `vulnscan` rules re-derive the table columns
+//! from the properties (they are not hard-coded percentages),
 //! and the same profiles drive full packet-level attack simulations for
 //! spot-check samples.
 
@@ -340,7 +340,7 @@ fn draw_prefix_len<R: Rng>(rng: &mut R, hijackable: bool) -> u8 {
 
 /// Draws an EDNS buffer size following the bimodal distribution of Figure 4:
 /// ~40 % at (or below) 512 bytes, ~10 % between 1232 and 2048, ~50 % at 4096.
-pub fn draw_edns_size<R: Rng>(rng: &mut R) -> u16 {
+pub(crate) fn draw_edns_size<R: Rng>(rng: &mut R) -> u16 {
     let p: f64 = rng.gen();
     if p < 0.40 {
         512
@@ -353,7 +353,7 @@ pub fn draw_edns_size<R: Rng>(rng: &mut R) -> u16 {
 
 /// Draws a minimum fragment size for a fragmenting nameserver: 83 % can be
 /// pushed to 548 bytes, ~7 % all the way to 292, the rest stop at 1280/1500.
-pub fn draw_min_fragment_size<R: Rng>(rng: &mut R, fragments: bool) -> u16 {
+pub(crate) fn draw_min_fragment_size<R: Rng>(rng: &mut R, fragments: bool) -> u16 {
     if !fragments {
         return 1500;
     }

@@ -63,7 +63,7 @@ impl TextTable {
 }
 
 /// Formats a fraction as a percentage string like the paper's tables.
-pub fn pct(fraction: f64) -> String {
+pub(crate) fn pct(fraction: f64) -> String {
     format!("{:.0}%", fraction * 100.0)
 }
 

@@ -192,35 +192,6 @@ impl ExploitStage for PasswordRecoveryExploit {
     }
 }
 
-/// Table 1 "Email": an outgoing message is delivered to whatever address the
-/// MX/A resolution produced.
-pub struct MailInterceptExploit {
-    mail_name: DomainName,
-    genuine_mx: Ipv4Addr,
-}
-
-impl MailInterceptExploit {
-    /// Delivery to the domain whose mail host is `mail_name`.
-    pub fn new(mail_name: &str, genuine_mx: Ipv4Addr) -> Self {
-        MailInterceptExploit { mail_name: mail_name.parse().expect("valid domain"), genuine_mx }
-    }
-}
-
-impl ExploitStage for MailInterceptExploit {
-    fn name(&self) -> &'static str {
-        "Email interception"
-    }
-
-    fn lookup(&self) -> (DomainName, RecordType) {
-        (self.mail_name.clone(), RecordType::A)
-    }
-
-    fn observe(&mut self, sim: &Simulator, env: &VictimEnv) -> ExploitVerdict {
-        let resolved = env.resolver(sim).cache().cached_a(&self.mail_name, sim.now());
-        ExploitVerdict::Mail(deliver_mail(resolved, self.genuine_mx, env.attacker_addr))
-    }
-}
-
 /// Table 1 "Web": the victim's HTTP(S) connection lands on whatever address
 /// the site's A record resolves to.
 pub struct WebRedirectExploit {
@@ -942,6 +913,35 @@ mod tests {
         assert_eq!(outcome.before, Some(ExploitVerdict::Web(WebAccess::Genuine)));
         assert_eq!(outcome.exploit, Some(ExploitVerdict::Web(WebAccess::AttackerSite)));
         assert!(outcome.chain_succeeded());
+    }
+
+    /// Table 1 "Email": an outgoing message is delivered to whatever address the
+    /// MX/A resolution produced.
+    struct MailInterceptExploit {
+        mail_name: DomainName,
+        genuine_mx: Ipv4Addr,
+    }
+
+    impl MailInterceptExploit {
+        /// Delivery to the domain whose mail host is `mail_name`.
+        fn new(mail_name: &str, genuine_mx: Ipv4Addr) -> Self {
+            MailInterceptExploit { mail_name: mail_name.parse().expect("valid domain"), genuine_mx }
+        }
+    }
+
+    impl ExploitStage for MailInterceptExploit {
+        fn name(&self) -> &'static str {
+            "Email interception"
+        }
+
+        fn lookup(&self) -> (DomainName, RecordType) {
+            (self.mail_name.clone(), RecordType::A)
+        }
+
+        fn observe(&mut self, sim: &Simulator, env: &VictimEnv) -> ExploitVerdict {
+            let resolved = env.resolver(sim).cache().cached_a(&self.mail_name, sim.now());
+            ExploitVerdict::Mail(deliver_mail(resolved, self.genuine_mx, env.attacker_addr))
+        }
     }
 
     #[test]

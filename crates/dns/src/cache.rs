@@ -156,7 +156,7 @@ impl Cache {
     /// Looks up a record set, borrowed from the cache. `allow_any_derived`
     /// controls whether entries that were inserted from an `ANY` response
     /// may satisfy the lookup.
-    pub fn lookup_with_policy(
+    pub(crate) fn lookup_with_policy(
         &mut self,
         name: &impl WireName,
         rtype: RecordType,
@@ -200,16 +200,6 @@ impl Cache {
     /// "is the cache poisoned with the attacker's address?" check.
     pub fn is_poisoned_with(&self, name: &DomainName, addr: Ipv4Addr, now: SimTime) -> bool {
         self.cached_a(name, now) == Some(addr)
-    }
-
-    /// Removes everything (the operator's "flush the cache" remediation).
-    pub fn flush(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Number of live entries at `now`.
-    pub fn len_at(&self, now: SimTime) -> usize {
-        self.entries.values().filter(|e| e.expires > now).count()
     }
 
     /// Total number of entries including expired ones not yet evicted.
@@ -258,11 +248,6 @@ impl SharedCache {
     pub fn borrow_mut(&self) -> std::cell::RefMut<'_, Cache> {
         self.0.borrow_mut()
     }
-
-    /// Number of frontends sharing this cache (including this handle).
-    pub fn handles(&self) -> usize {
-        std::rc::Rc::strong_count(&self.0)
-    }
 }
 
 #[cfg(test)]
@@ -281,11 +266,11 @@ mod tests {
     fn shared_cache_aliases_one_store() {
         let h1 = SharedCache::new();
         let h2 = h1.clone();
-        assert_eq!(h1.handles(), 2);
+        assert_eq!(std::rc::Rc::strong_count(&h1.0), 2);
         h1.borrow_mut().insert_records(&[a("vict.im", 300, "30.0.0.25")], SimTime::ZERO, false);
         // The sibling handle sees the insertion: one store, two frontends.
         assert_eq!(h2.borrow().cached_a(&n("vict.im"), SimTime::ZERO), Some("30.0.0.25".parse().unwrap()));
-        h2.borrow_mut().flush();
+        h2.borrow_mut().entries.clear();
         assert!(h1.borrow().is_empty());
     }
 
@@ -331,7 +316,7 @@ mod tests {
         assert!(c.lookup(&n("other.example"), RecordType::A, after).is_none());
         assert_eq!(c.expired, 1, "a plain absent-key miss is not an expired miss");
         assert_eq!(c.misses, 2);
-        assert_eq!(c.len_at(after), 0);
+        assert!(c.entries.values().all(|e| e.expires <= after));
         c.entries.retain(|_, e| e.expires > after);
         assert!(c.is_empty());
     }
@@ -383,7 +368,7 @@ mod tests {
             300,
             RData::Rrsig {
                 type_covered: covered,
-                algorithm: crate::dnssec::SIM_ALGORITHM,
+                algorithm: crate::dnssec::keys::SIM_ALGORITHM,
                 labels: 2,
                 original_ttl: 300,
                 expiration,
@@ -423,14 +408,5 @@ mod tests {
         c.insert_records(&[a("vict.im", 10, "30.0.0.25"), a("vict.im", 300, "30.0.0.26")], SimTime::ZERO, false);
         let after = SimTime::ZERO + Duration::from_secs(11);
         assert!(c.lookup(&n("vict.im"), RecordType::A, after).is_none());
-    }
-
-    #[test]
-    fn flush_clears_everything() {
-        let mut c = Cache::new();
-        c.insert_records(&[a("vict.im", 300, "30.0.0.25")], SimTime::ZERO, false);
-        c.flush();
-        assert!(c.is_empty());
-        assert_eq!(c.iter().count(), 0);
     }
 }

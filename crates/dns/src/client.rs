@@ -70,7 +70,7 @@ impl StubClient {
     }
 
     /// Queues a lookup to be issued `delay` after simulation start.
-    pub fn query_after(&mut self, delay: Duration, name: &str, qtype: RecordType) -> &mut Self {
+    pub(crate) fn query_after(&mut self, delay: Duration, name: &str, qtype: RecordType) -> &mut Self {
         self.queue.push_back(PendingQuery { name: name.parse().expect("valid name"), qtype, delay });
         self
     }

@@ -58,7 +58,7 @@ const BASE32HEX: &[u8; 32] = b"0123456789abcdefghijklmnopqrstuv";
 
 /// Encodes bytes in base32hex without padding (RFC 4648 §7), lowercased as
 /// NSEC3 owner labels conventionally are.
-pub fn base32hex_encode(bytes: &[u8]) -> String {
+pub(crate) fn base32hex_encode(bytes: &[u8]) -> String {
     let mut out = String::new();
     let mut acc: u32 = 0;
     let mut bits = 0u32;
@@ -78,7 +78,7 @@ pub fn base32hex_encode(bytes: &[u8]) -> String {
 
 /// Decodes a base32hex string (case-insensitive, no padding); `None` on any
 /// character outside the alphabet.
-pub fn base32hex_decode(s: &str) -> Option<Vec<u8>> {
+pub(crate) fn base32hex_decode(s: &str) -> Option<Vec<u8>> {
     let mut out = Vec::new();
     let mut acc: u32 = 0;
     let mut bits = 0u32;

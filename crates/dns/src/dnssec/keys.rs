@@ -8,23 +8,23 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 
 /// The private algorithm number the simulation signs with (PRIVATEDNS).
-pub const SIM_ALGORITHM: u8 = 253;
+pub(crate) const SIM_ALGORITHM: u8 = 253;
 
 /// The digest algorithm number DS records carry (the keyed-hash stand-in).
-pub const SIM_DIGEST: u8 = 1;
+pub(crate) const SIM_DIGEST: u8 = 1;
 
 /// DNSKEY flags value of a zone-signing key.
-pub const ZSK_FLAGS: u16 = 256;
+pub(crate) const ZSK_FLAGS: u16 = 256;
 
 /// DNSKEY flags value of a key-signing key (zone key + SEP bit).
-pub const KSK_FLAGS: u16 = 257;
+pub(crate) const KSK_FLAGS: u16 = 257;
 
 /// One signing keypair. The "public key" bytes double as the keyed-hash MAC
 /// key (see the module docs on the crypto stand-in), so holding a `KeyPair`
 /// is what grants the ability to sign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyPair {
-    /// DNSKEY flags: [`ZSK_FLAGS`] or [`KSK_FLAGS`].
+    /// DNSKEY flags: `ZSK_FLAGS` or `KSK_FLAGS`.
     pub flags: u16,
     /// Signing algorithm number.
     pub algorithm: u8,
@@ -70,7 +70,7 @@ impl KeyPair {
 }
 
 /// Computes the RFC 4034 Appendix B key tag over encoded DNSKEY rdata.
-pub fn key_tag_of(dnskey_rdata: &[u8]) -> u16 {
+pub(crate) fn key_tag_of(dnskey_rdata: &[u8]) -> u16 {
     let mut acc: u32 = 0;
     for (i, &b) in dnskey_rdata.iter().enumerate() {
         acc += if i % 2 == 0 { u32::from(b) << 8 } else { u32::from(b) };
@@ -80,7 +80,7 @@ pub fn key_tag_of(dnskey_rdata: &[u8]) -> u16 {
 }
 
 /// Computes the DS digest of a DNSKEY at `owner`.
-pub fn ds_digest(owner: &DomainName, dnskey: &RData) -> Vec<u8> {
+pub(crate) fn ds_digest(owner: &DomainName, dnskey: &RData) -> Vec<u8> {
     let mut owner_wire = Vec::new();
     owner.to_lowercase().encode(&mut owner_wire, None);
     let mut rdata = Vec::new();
@@ -100,7 +100,7 @@ pub struct DsAnchor {
 
 impl DsAnchor {
     /// Builds an anchor from DS rdata; `None` for any other rdata type.
-    pub fn from_ds(rdata: &RData) -> Option<DsAnchor> {
+    pub(crate) fn from_ds(rdata: &RData) -> Option<DsAnchor> {
         match rdata {
             RData::Ds { key_tag, digest, .. } => Some(DsAnchor { key_tag: *key_tag, digest: digest.clone() }),
             _ => None,

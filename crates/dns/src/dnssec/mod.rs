@@ -32,8 +32,8 @@ pub mod sign;
 pub mod verify;
 
 pub use denial::{nsec3_hash, Nsec3Params};
-pub use keys::{DsAnchor, KeyManager, KeyPair, RolloverState, SIM_ALGORITHM, SIM_DIGEST};
-pub use sign::{canonical_cmp, canonical_rrset_bytes, DenialConfig, Signer, SigningPolicy};
+pub use keys::{DsAnchor, KeyManager, KeyPair, RolloverState};
+pub use sign::{canonical_cmp, DenialConfig, Signer, SigningPolicy};
 pub use verify::{Validation, Validator};
 
 use netsim::prelude::SimTime;
@@ -42,7 +42,7 @@ use netsim::prelude::SimTime;
 /// lanes over length-prefixed parts, folded into 16 bytes. Deterministic,
 /// dependency-free, and sensitive to every input bit — which is all the
 /// simulation needs from it.
-pub fn keyed_hash(parts: &[&[u8]]) -> [u8; 16] {
+pub(crate) fn keyed_hash(parts: &[&[u8]]) -> [u8; 16] {
     fn mix(h: u64, b: u8) -> u64 {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     }

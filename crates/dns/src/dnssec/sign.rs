@@ -76,11 +76,6 @@ impl Default for SigningPolicy {
 }
 
 impl SigningPolicy {
-    /// A policy proving denial with NSEC3.
-    pub fn nsec3(opt_out: bool) -> Self {
-        SigningPolicy { denial: DenialConfig::Nsec3(Nsec3Params::standard(opt_out)), ..Default::default() }
-    }
-
     /// The signature window `[inception, expiration]` for a signature made
     /// at `now`, in whole simulated seconds.
     pub fn window(&self, now: SimTime) -> (u32, u32) {
@@ -135,7 +130,7 @@ fn canonical_rdata(rdata: &RData) -> RData {
 /// `owner | type | class | original_ttl | rdlen | canonical rdata`, with
 /// records sorted by their canonical rdata bytes. Both signing and
 /// verification hash exactly these bytes.
-pub fn canonical_rrset_bytes(rrset: &[ResourceRecord], original_ttl: u32) -> Vec<u8> {
+pub(crate) fn canonical_rrset_bytes(rrset: &[ResourceRecord], original_ttl: u32) -> Vec<u8> {
     let Some(first) = rrset.first() else { return Vec::new() };
     let mut owner_wire = Vec::new();
     first.name.to_lowercase().encode(&mut owner_wire, None);
@@ -237,7 +232,7 @@ impl<'a> Signer<'a> {
 
     /// Signs one RRset with an explicit key. Attack drivers use this to
     /// model a compromised ZSK forging data inside a rollover window.
-    pub fn sign_rrset_with(&self, key: &KeyPair, rrset: &[ResourceRecord], now: SimTime) -> ResourceRecord {
+    pub(crate) fn sign_rrset_with(&self, key: &KeyPair, rrset: &[ResourceRecord], now: SimTime) -> ResourceRecord {
         let (inception, expiration) = self.policy.window(now);
         sign_rrset_with_window(key, rrset, &self.origin, inception, expiration)
     }

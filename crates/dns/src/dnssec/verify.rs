@@ -288,7 +288,7 @@ mod tests {
     use super::*;
     use crate::dnssec::denial::{nsec3_chain, nsec_chain};
     use crate::dnssec::keys::KeyManager;
-    use crate::dnssec::sign::{Signer, SigningPolicy};
+    use crate::dnssec::sign::{DenialConfig, Signer, SigningPolicy};
     use netsim::prelude::SimTime;
 
     fn n(s: &str) -> DomainName {
@@ -422,7 +422,7 @@ mod tests {
             })
             .expect("one span covers the rogue name")
             .clone();
-        let policy = SigningPolicy::nsec3(true);
+        let policy = SigningPolicy { denial: DenialConfig::Nsec3(Nsec3Params::standard(true)), ..Default::default() };
         let signer = Signer::new(&keys, &policy, n("vict.im"));
         let mut response = signed_response(&keys, &[]);
         response.push(signer.sign_rrset(std::slice::from_ref(&covering), SimTime::ZERO));

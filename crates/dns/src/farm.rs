@@ -34,7 +34,7 @@ pub const FARM_RESOLVER_BASE: Ipv4Addr = Ipv4Addr::new(30, 0, 1, 1);
 pub const FARM_CLIENT_BASE: Ipv4Addr = Ipv4Addr::new(100, 64, 0, 0);
 
 /// Timer kind used by [`FarmClientHandler`] for the next background query.
-pub const TIMER_NEXT_QUERY: u8 = 1;
+pub(crate) const TIMER_NEXT_QUERY: u8 = 1;
 
 /// Configuration of one farm simulation (one shard of the big population).
 #[derive(Debug, Clone)]
@@ -121,7 +121,7 @@ telemetry::counters! {
 /// query a random name at the nearest anycast frontend, count the answer.
 ///
 /// Once the packet pool is warm a client makes no heap allocation per
-/// query: it encodes a prebuilt question through [`Message::encode_parts`]
+/// query: it encodes a prebuilt question through `Message::encode_parts`
 /// into a pooled buffer, and reads the
 /// answer's rcode from a [`MessageView`] over the received bytes. The view
 /// checks the whole answer, so a malformed one is not counted.
@@ -192,7 +192,7 @@ impl StubHandler for FarmClientHandler {
 
 /// Draws an exponentially distributed duration with the given mean, capped at
 /// ten means so one unlucky draw cannot idle a client past the whole run.
-pub fn exp_sample(rng: &mut impl Rng, mean: Duration) -> Duration {
+pub(crate) fn exp_sample(rng: &mut impl Rng, mean: Duration) -> Duration {
     let u: f64 = rng.gen();
     let secs = -(1.0 - u).ln() * mean.as_secs_f64();
     let cap = mean.as_secs_f64() * 10.0;

@@ -75,19 +75,15 @@ pub mod zone;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::cache::{AnyCachingPolicy, Cache, CacheEntry, SharedCache};
-    pub use crate::client::{CompletedLookup, StubClient};
-    pub use crate::dnssec::{
-        DenialConfig, DsAnchor, KeyManager, KeyPair, RolloverState, Signer, SigningPolicy, Validation, Validator,
-    };
-    pub use crate::message::{frame_tcp, Header, Message, MessageView, Question, Rcode, TcpFrameBuffer};
-    pub use crate::name::{CompressionTable, DomainName, NameBuf, WireName};
-    pub use crate::nameserver::{Nameserver, NameserverConfig, NameserverStats};
+    pub use crate::cache::{AnyCachingPolicy, Cache};
+    pub use crate::client::StubClient;
+    pub use crate::dnssec::{DenialConfig, KeyManager, RolloverState, Signer, SigningPolicy, Validation, Validator};
+    pub use crate::message::{frame_tcp, Message, MessageView, Question, Rcode, TcpFrameBuffer};
+    pub use crate::name::{CompressionTable, DomainName, WireName};
+    pub use crate::nameserver::{Nameserver, NameserverConfig};
     pub use crate::profiles::ResolverImplementation;
     pub use crate::rdata::{RData, RecordType, ResourceRecord};
-    pub use crate::resolver::{Delegation, PortPolicy, Resolver, ResolverConfig, ResolverStats, UpstreamTransport};
+    pub use crate::resolver::{Resolver, ResolverConfig, ResolverStats, UpstreamTransport};
     pub use crate::well_known_ports;
     pub use crate::zone::{LookupResult, Zone};
 }
-
-pub use prelude::*;

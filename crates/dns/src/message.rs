@@ -274,7 +274,7 @@ impl Message {
     }
 
     /// The EDNS-advertised UDP payload size, or the 512-byte classic default.
-    pub fn edns_udp_size(&self) -> u16 {
+    pub(crate) fn edns_udp_size(&self) -> u16 {
         self.additionals
             .iter()
             .find_map(|rr| match rr.rdata {
@@ -285,12 +285,12 @@ impl Message {
     }
 
     /// All records in the answer + authority + additional sections.
-    pub fn all_records(&self) -> impl Iterator<Item = &ResourceRecord> {
+    pub(crate) fn all_records(&self) -> impl Iterator<Item = &ResourceRecord> {
         self.answers.iter().chain(self.authorities.iter()).chain(self.additionals.iter())
     }
 
     /// Serialises the message (with name compression in owner names); see
-    /// [`Message::encode_parts`].
+    /// `Message::encode_parts`.
     pub fn encode(&self) -> Vec<u8> {
         Self::encode_parts(&self.header, &self.questions, [&self.answers, &self.authorities, &self.additionals])
     }
@@ -306,7 +306,7 @@ impl Message {
     /// it until it dies. The size counts owner names uncompressed, which
     /// covers the record data of small answers; a larger message grows the
     /// buffer.
-    pub fn encode_parts<N: WireName>(
+    pub(crate) fn encode_parts<N: WireName>(
         header: &Header,
         questions: &[Question<N>],
         sections: [&[ResourceRecord]; 3],

@@ -15,9 +15,9 @@ use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// Maximum length of a single label (RFC 1035).
-pub const MAX_LABEL_LEN: usize = 63;
+pub(crate) const MAX_LABEL_LEN: usize = 63;
 /// Maximum total length of a domain name on the wire (RFC 1035).
-pub const MAX_NAME_LEN: usize = 255;
+pub(crate) const MAX_NAME_LEN: usize = 255;
 
 /// The label alphabet this workspace accepts: LDH (RFC 1035 §2.3.1) plus
 /// `_` (service labels like `_acme-challenge`) and `*` (wildcards). Both
@@ -160,12 +160,12 @@ impl DomainName {
     }
 
     /// Number of labels.
-    pub fn label_count(&self) -> usize {
+    pub(crate) fn label_count(&self) -> usize {
         self.raw_labels().count()
     }
 
     /// Whether this is the root name.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.wire.is_empty()
     }
 
@@ -393,7 +393,7 @@ pub(crate) fn walk_name(
 /// A name gathered on the stack by [`NameBuf::decode`]: its wire labels, as
 /// in a [`DomainName`]'s buffer, with the same three invariants. A message
 /// view hands out its question's name this way, so reading a received
-/// message allocates nothing; [`NameBuf::to_name`] copies it to the heap.
+/// message allocates nothing; `NameBuf::to_name` copies it to the heap.
 #[derive(Clone)]
 pub struct NameBuf {
     len: u8,
@@ -411,7 +411,7 @@ impl NameBuf {
     }
 
     /// The name on the heap.
-    pub fn to_name(&self) -> DomainName {
+    pub(crate) fn to_name(&self) -> DomainName {
         DomainName { wire: self.wire().to_vec() }
     }
 }

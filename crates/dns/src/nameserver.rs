@@ -174,7 +174,7 @@ impl Nameserver {
 
     /// Builds the response message for a query, without transmitting it.
     /// Public so vulnerability scanners can reason about response sizes.
-    pub fn answer_query(&self, query: &Message, rng: &mut impl Rng) -> Message {
+    pub(crate) fn answer_query(&self, query: &Message, rng: &mut impl Rng) -> Message {
         let mut response = Message::response_for(query);
         response.header.authoritative = true;
         let Some(question) = query.question() else {

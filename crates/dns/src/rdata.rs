@@ -263,7 +263,7 @@ pub enum RData {
 
 impl RData {
     /// The record type this data belongs to.
-    pub fn record_type(&self) -> RecordType {
+    pub(crate) fn record_type(&self) -> RecordType {
         match self {
             RData::A(_) => RecordType::A,
             RData::Ns(_) => RecordType::NS,

@@ -289,7 +289,7 @@ impl Resolver {
     /// Creates a resolver answering from (and feeding) a [`SharedCache`] —
     /// one frontend of an anycast fleet. Every resolver built from a clone of
     /// the same handle shares cache contents, hits, and poisoning state.
-    pub fn with_shared_cache(config: ResolverConfig, cache: SharedCache) -> Self {
+    pub(crate) fn with_shared_cache(config: ResolverConfig, cache: SharedCache) -> Self {
         let stack_cfg = StackConfig {
             icmp_rate_limit: config.icmp_rate_limit,
             accept_fragments: config.accept_fragments,
@@ -359,16 +359,6 @@ impl Resolver {
     /// over TCP, which is exactly why that policy closes the side channel.
     pub fn outstanding_ports(&self) -> Vec<u16> {
         self.port_to_token.keys().copied().collect()
-    }
-
-    /// Number of outstanding upstream queries.
-    pub fn outstanding_count(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Per-connection statistics of the upstream TCP socket.
-    pub fn tcp_flows(&self) -> Vec<FlowStats> {
-        self.tcp.flows()
     }
 
     /// Whether the resolver's cache maps `name` to `addr` — the canonical
@@ -1026,7 +1016,7 @@ mod tests {
         let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
         assert!(r.stats.timeouts >= 1);
         assert_eq!(r.stats.servfails, 1);
-        assert_eq!(r.outstanding_count(), 0);
+        assert_eq!(r.outstanding.len(), 0);
         assert!(r.cache().cached_a(&n("www.vict.im"), s.sim.now()).is_none());
     }
 
@@ -1101,7 +1091,7 @@ mod tests {
     /// The outstanding query's UDP port and TXID.
     fn only_query(sim: &Simulator, resolver: NodeId) -> (u16, u16) {
         let r = sim.node_ref::<Resolver>(resolver).unwrap();
-        assert_eq!(r.outstanding_count(), 1);
+        assert_eq!(r.outstanding.len(), 1);
         let entry = r.outstanding.values().next().unwrap();
         (entry.port, entry.txid)
     }
@@ -1157,7 +1147,7 @@ mod tests {
         s.sim.inject(s.client, client_query("vict.im", RecordType::TXT, 2));
         s.sim.run_until(SimTime::ZERO + Duration::from_millis(5));
         let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
-        assert_eq!((r.outstanding_count(), r.outstanding_ports()), (2, vec![33333]));
+        assert_eq!((r.outstanding.len(), r.outstanding_ports()), (2, vec![33333]));
         s.sim.run_until(SimTime::ZERO + Duration::from_millis(50));
         let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
         assert_eq!((r.stats.responses_accepted, r.stats.rejected_txid), (2, 0));
@@ -1377,7 +1367,7 @@ mod tests {
         // Either it eventually succeeded or exhausted retries; with seed 33
         // at 60% loss and 3 attempts, we expect progress beyond one attempt.
         assert!(r.stats.upstream_queries >= 1);
-        assert_eq!(r.outstanding_count(), 0, "no query left dangling");
+        assert_eq!(r.outstanding.len(), 0, "no query left dangling");
     }
 
     /// A nameserver that pads answers past a small EDNS buffer: the UDP
@@ -1398,7 +1388,7 @@ mod tests {
         assert_eq!(r.stats.truncated_responses, 1);
         assert_eq!(r.stats.tcp_fallbacks, 0);
         assert_eq!(r.stats.servfails, 1, "the TC=1 answer fails the lookup visibly, it does not vanish");
-        assert_eq!(r.outstanding_count(), 0);
+        assert_eq!(r.outstanding.len(), 0);
         assert!(r.cache().cached_a(&n("vict.im"), s.sim.now()).is_none(), "truncated answers are never cached");
         assert!(s.sim.stats(s.client).udp_received >= 1, "the client got the SERVFAIL answer");
     }
@@ -1488,7 +1478,7 @@ mod tests {
         s.sim.run_until(SimTime::ZERO + Duration::from_millis(25));
         // Mid-flight: the query is outstanding but exposes no UDP port.
         let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
-        assert_eq!(r.outstanding_count(), 1);
+        assert_eq!(r.outstanding.len(), 1);
         assert!(r.outstanding_ports().is_empty(), "nothing for a SadDNS port scan to find");
         s.sim.run();
         let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
@@ -1507,9 +1497,9 @@ mod tests {
         s.sim.run();
         let r = s.sim.node_ref::<Resolver>(s.resolver).unwrap();
         assert!(
-            r.tcp_flows().is_empty() || r.tcp_flows().iter().all(|f| f.state != "established"),
+            r.tcp.flows().is_empty() || r.tcp.flows().iter().all(|f| f.state != "established"),
             "connection released once no query needs it: {:?}",
-            r.tcp_flows()
+            r.tcp.flows()
         );
     }
 
@@ -1530,7 +1520,7 @@ mod tests {
         sim.inject(client, client_query("www.vict.im", RecordType::A, 7));
         sim.run();
         let r = sim.node_ref::<Resolver>(resolver).unwrap();
-        assert_eq!(r.outstanding_count(), 0, "no query left dangling");
+        assert_eq!(r.outstanding.len(), 0, "no query left dangling");
         assert!(r.stats.tcp_upstream_queries >= 1);
     }
 
@@ -1564,7 +1554,7 @@ mod tests {
         assert!(r.stats.timeouts > 1, "the dead nameserver's query was retried");
         assert_eq!(r.stats.tcp_fallbacks, 1, "the truncated answer fell back to TCP");
         assert_eq!(r.stats.responses_accepted, 2);
-        assert_eq!(r.outstanding_count(), 0);
+        assert_eq!(r.outstanding.len(), 0);
         assert_eq!(r.stack().open_port_count(), 1, "drained: only port 53 stays open");
         assert!(r.stack().is_port_open(crate::well_known_ports::DNS));
     }

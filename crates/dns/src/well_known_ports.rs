@@ -29,7 +29,7 @@ pub const STUB_CLIENT: u16 = 5353;
 /// 32-bit sequence number, not port secrecy, and a constant keeps the UDP
 /// paths' RNG draw order byte-identical to the pre-TCP engine. Shared by the
 /// victim resolver and every CA vantage resolver.
-pub const RESOLVER_TCP: u16 = 49152;
+pub(crate) const RESOLVER_TCP: u16 = 49152;
 
 /// Fixed DNS query port of a CA validation host (the CA asks its resolver
 /// from here; one port per vantage keeps validator traffic separable).

@@ -26,7 +26,7 @@
 /// Feeding is byte-exact across calls: an odd-length `add_bytes` leaves the
 /// accumulator mid-word, and the next `add_bytes` completes that word, so
 /// chunked feeding at *any* split point equals a single-shot sum over the
-/// concatenated bytes. [`add_u16`](Self::add_u16)/[`add_u32`](Self::add_u32)
+/// concatenated bytes. The crate-internal `add_u16`/`add_u32`
 /// feed word-aligned values regardless of the current byte phase (one's
 /// complement addition is commutative, so an aligned word can join the sum
 /// at any point).
@@ -90,13 +90,13 @@ impl Checksum {
 
     /// Feeds a single big-endian 16-bit word (always word-aligned,
     /// independent of the current byte phase).
-    pub fn add_u16(&mut self, word: u16) -> &mut Self {
+    pub(crate) fn add_u16(&mut self, word: u16) -> &mut Self {
         self.sum += u64::from(word);
         self
     }
 
     /// Feeds a 32-bit value as two 16-bit words (e.g. an IPv4 address).
-    pub fn add_u32(&mut self, value: u32) -> &mut Self {
+    pub(crate) fn add_u32(&mut self, value: u32) -> &mut Self {
         self.sum += u64::from(value >> 16) + u64::from(value & 0xffff);
         self
     }

@@ -165,7 +165,6 @@ pub trait Node: AsAny + 'static {
 /// Side-effect collector handed to [`Node`] callbacks.
 pub struct Ctx<'a> {
     now: SimTime,
-    self_id: NodeId,
     addrs: &'a [Ipv4Addr],
     rng: &'a mut ChaCha20Rng,
     outgoing: &'a mut Vec<Ipv4Packet>,
@@ -176,11 +175,6 @@ impl<'a> Ctx<'a> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The node's own identifier.
-    pub fn self_id(&self) -> NodeId {
-        self.self_id
     }
 
     /// Addresses owned by this node.
@@ -679,11 +673,6 @@ impl Simulator {
         self.stub_handler = Some(Box::new(handler));
     }
 
-    /// State of one stub client.
-    pub fn stub_state(&self, id: StubId) -> &StubState {
-        &self.stubs[id.0 as usize]
-    }
-
     /// All stub states, in arena order.
     pub fn stub_states(&self) -> &[StubState] {
         &self.stubs
@@ -695,7 +684,7 @@ impl Simulator {
     }
 
     /// The stub client owning `addr`, if any.
-    pub fn stub_lookup(&self, addr: Ipv4Addr) -> Option<StubId> {
+    pub(crate) fn stub_lookup(&self, addr: Ipv4Addr) -> Option<StubId> {
         let a = u32::from(addr);
         // A simulation holds a handful of blocks at most: a linear scan beats
         // a hash probe and needs no ordering invariant.
@@ -721,11 +710,6 @@ impl Simulator {
     pub fn connect(&mut self, a: NodeId, b: NodeId, link: Link) {
         self.links.insert((a, b), link);
         self.links.insert((b, a), link);
-    }
-
-    /// Installs an asymmetric link from `a` to `b` only.
-    pub fn connect_directed(&mut self, a: NodeId, b: NodeId, link: Link) {
-        self.links.insert((a, b), link);
     }
 
     /// Installs a data-plane route override: traffic destined to `prefix` is
@@ -821,7 +805,7 @@ impl Simulator {
 
     /// Which node currently receives traffic for `addr`, considering route
     /// overrides first and address ownership second. Stub clients are not
-    /// visible here; use [`Simulator::stub_lookup`] for them.
+    /// visible here.
     pub fn route_lookup(&self, addr: Ipv4Addr) -> Option<NodeId> {
         let mut best: Option<(u8, usize, NodeId)> = None;
         for (idx, (prefix, node)) in self.route_overrides.iter().enumerate() {
@@ -1079,8 +1063,7 @@ impl Simulator {
         {
             let Simulator { nodes, rng, now, trace, .. } = self;
             let slot = &mut nodes[id.0];
-            let mut ctx =
-                Ctx { now: *now, self_id: id, addrs: &slot.addrs, rng, outgoing: &mut outgoing, timers: &mut timers };
+            let mut ctx = Ctx { now: *now, addrs: &slot.addrs, rng, outgoing: &mut outgoing, timers: &mut timers };
             f(slot.node.as_mut(), &mut ctx, trace);
         }
         for pkt in outgoing.drain(..) {
@@ -1914,8 +1897,8 @@ mod tests {
         let b = sim.add_node("b", vec![B], receiver);
         let c = sim.add_node("c", vec![C], SinkNode::default());
         let link = Link::with_latency(Duration::from_millis(5));
-        sim.connect_directed(a, b, link);
-        sim.connect_directed(b, a, link.loss(0.5));
+        sim.links.insert((a, b), link);
+        sim.links.insert((b, a), link.loss(0.5));
         sim.connect(c, b, link);
         sim.inject(c, udp(C, B, 10));
         let template = UdpTemplate::new(UdpDatagram::new(A, B, 1111, 2222, vec![0; 12]), 64);
@@ -2108,7 +2091,7 @@ mod tests {
         assert_eq!(sim.stats(server).udp_sent, 100);
         // Every stub sent one query and got one reply back.
         for i in 0..100 {
-            let st = sim.stub_state(StubId(first.0 + i));
+            let st = sim.stub_states()[(first.0 + i) as usize];
             assert_eq!((st.sent, st.received, st.data), (1, 1, 1), "stub {i}");
         }
         assert_eq!(sim.stub_block_stats(first).udp_sent, 100);
@@ -2163,7 +2146,7 @@ mod tests {
         sim.set_stub_handler(SameToken);
         sim.run();
         for i in 0..8 {
-            assert_eq!(sim.stub_state(StubId(first.0 + i)).data, 1, "stub {i} got exactly its own timer");
+            assert_eq!(sim.stub_states()[(first.0 + i) as usize].data, 1, "stub {i} got exactly its own timer");
         }
     }
 }

@@ -116,7 +116,7 @@ pub enum DropReason {
 
 /// Key identifying a datagram under reassembly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FragKey {
+pub(crate) struct FragKey {
     /// IPv4 source address of the fragments.
     pub src: Ipv4Addr,
     /// IPv4 destination address of the fragments.
@@ -203,17 +203,6 @@ impl ReassemblyBuffer {
     /// Creates a buffer with the given configuration.
     pub fn new(config: ReassemblyConfig) -> Self {
         ReassemblyBuffer { config, pending: HashMap::new(), completed: 0, dropped: 0 }
-    }
-
-    /// Number of datagrams currently pending.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether a datagram with this key is currently pending — used by tests
-    /// and by the FragDNS attacker model to reason about planted fragments.
-    pub fn has_pending(&self, src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, identification: u16) -> bool {
-        self.pending.contains_key(&FragKey { src, dst, protocol, identification })
     }
 
     /// Discards pending datagrams older than the configured timeout.
@@ -403,7 +392,7 @@ mod tests {
         let reassembled = result.expect("datagram completed");
         assert_eq!(reassembled.payload, pkt.payload);
         assert_eq!(buf.completed, 1);
-        assert_eq!(buf.pending_count(), 0);
+        assert_eq!(buf.pending.len(), 0);
     }
 
     #[test]
@@ -458,7 +447,7 @@ mod tests {
         let mut buf = ReassemblyBuffer::new(ReassemblyConfig { overlap: OverlapPolicy::Reject, ..Default::default() });
         assert_eq!(buf.push(&frags[1], SimTime::ZERO), ReassemblyResult::Pending);
         assert_eq!(buf.push(&spoof, SimTime::ZERO), ReassemblyResult::Dropped(DropReason::Overlap));
-        assert_eq!(buf.pending_count(), 0);
+        assert_eq!(buf.pending.len(), 0);
     }
 
     #[test]
@@ -472,7 +461,7 @@ mod tests {
         let pkt = big_udp_packet(1200, 99);
         let frags = fragment_packet(&pkt, 576);
         assert_eq!(buf.push(&frags[1], SimTime::ZERO), ReassemblyResult::Dropped(DropReason::BufferFull));
-        assert_eq!(buf.pending_count(), 4);
+        assert_eq!(buf.pending.len(), 4);
     }
 
     #[test]
@@ -481,9 +470,9 @@ mod tests {
         let frags = fragment_packet(&pkt, 576);
         let mut buf = ReassemblyBuffer::default();
         buf.push(&frags[1], SimTime::ZERO);
-        assert_eq!(buf.pending_count(), 1);
+        assert_eq!(buf.pending.len(), 1);
         buf.expire(SimTime::ZERO + Duration::from_secs(31));
-        assert_eq!(buf.pending_count(), 0);
+        assert_eq!(buf.pending.len(), 0);
     }
 
     #[test]
@@ -498,9 +487,19 @@ mod tests {
         for f in &fb[1..] {
             assert!(matches!(buf.push(f, SimTime::ZERO), ReassemblyResult::Pending));
         }
-        assert_eq!(buf.pending_count(), 2);
-        assert!(buf.has_pending(a.header.src, a.header.dst, Protocol::Udp.number(), 100));
-        assert!(buf.has_pending(b.header.src, b.header.dst, Protocol::Udp.number(), 200));
+        assert_eq!(buf.pending.len(), 2);
+        assert!(buf.pending.contains_key(&FragKey {
+            src: a.header.src,
+            dst: a.header.dst,
+            protocol: Protocol::Udp.number(),
+            identification: 100
+        }));
+        assert!(buf.pending.contains_key(&FragKey {
+            src: b.header.src,
+            dst: b.header.dst,
+            protocol: Protocol::Udp.number(),
+            identification: 200
+        }));
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl IcmpMessage {
     /// For destination-unreachable errors: parses the quoted original IPv4
     /// header so the receiver can identify which of its packets triggered the
     /// error (source port demultiplexing for PMTUD and for SadDNS probing).
-    pub fn quoted_header(&self) -> Option<Ipv4Header> {
+    pub(crate) fn quoted_header(&self) -> Option<Ipv4Header> {
         match self {
             IcmpMessage::DestinationUnreachable { original, .. } => Ipv4Header::decode(original).ok(),
             _ => None,
@@ -175,7 +175,7 @@ impl IcmpMessage {
 
     /// For destination-unreachable errors quoting a UDP datagram: the quoted
     /// (source port, destination port) pair.
-    pub fn quoted_udp_ports(&self) -> Option<(u16, u16)> {
+    pub(crate) fn quoted_udp_ports(&self) -> Option<(u16, u16)> {
         match self {
             IcmpMessage::DestinationUnreachable { original, .. } => {
                 if original.len() < IPV4_HEADER_LEN + 4 {
@@ -189,20 +189,6 @@ impl IcmpMessage {
                 Some((u16::from_be_bytes([p[0], p[1]]), u16::from_be_bytes([p[2], p[3]])))
             }
             _ => None,
-        }
-    }
-
-    /// A compact human-readable summary for traces.
-    pub fn summary(&self) -> String {
-        match self {
-            IcmpMessage::EchoRequest { id, seq, .. } => format!("echo-request id={id} seq={seq}"),
-            IcmpMessage::EchoReply { id, seq, .. } => format!("echo-reply id={id} seq={seq}"),
-            IcmpMessage::DestinationUnreachable { kind, .. } => match kind {
-                Unreachable::Port => "dest-unreachable(port)".to_string(),
-                Unreachable::FragmentationNeeded { mtu } => format!("frag-needed(mtu={mtu})"),
-                Unreachable::Network => "dest-unreachable(net)".to_string(),
-                Unreachable::Host => "dest-unreachable(host)".to_string(),
-            },
         }
     }
 }

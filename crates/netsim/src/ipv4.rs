@@ -17,10 +17,10 @@ pub const IPV4_HEADER_LEN: usize = 20;
 /// The minimum MTU every IPv4 link must support (RFC 791). The FragDNS
 /// attacker advertises this value in its spoofed ICMP "fragmentation needed"
 /// messages to force the nameserver to emit the smallest possible fragments.
-pub const MIN_IPV4_MTU: u16 = 68;
+pub(crate) const MIN_IPV4_MTU: u16 = 68;
 
 /// The conventional Ethernet MTU used as the default link MTU.
-pub const DEFAULT_MTU: u16 = 1500;
+pub(crate) const DEFAULT_MTU: u16 = 1500;
 
 /// IP protocol numbers used by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,12 +116,12 @@ impl Ipv4Header {
 
     /// True when this header belongs to a fragment (either a non-zero offset
     /// or the "more fragments" flag set).
-    pub fn is_fragment(&self) -> bool {
+    pub(crate) fn is_fragment(&self) -> bool {
         self.more_fragments || self.fragment_offset != 0
     }
 
     /// The byte offset of this fragment's payload within the original datagram.
-    pub fn payload_byte_offset(&self) -> usize {
+    pub(crate) fn payload_byte_offset(&self) -> usize {
         usize::from(self.fragment_offset) * 8
     }
 
@@ -246,7 +246,7 @@ impl Ipv4Packet {
     /// when displayed. TCP segments include their flags and
     /// sequence/acknowledgment numbers, so a trace records handshake
     /// interleavings (and seeded ISNs) exactly.
-    pub fn summary(&self) -> PacketSummary {
+    pub(crate) fn summary(&self) -> PacketSummary {
         let h = &self.header;
         let tcp = (h.protocol == Protocol::Tcp && !h.is_fragment() && self.payload.len() >= crate::tcp::TCP_HEADER_LEN)
             .then(|| {

@@ -78,24 +78,20 @@ pub mod wheel;
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::engine::{
-        Ctx, EchoNode, EngineCounters, Node, NodeId, Simulator, SinkNode, StubCtx, StubHandler, StubId, StubState,
-        StubTimer,
+        Ctx, EchoNode, EngineCounters, Node, NodeId, Simulator, SinkNode, StubCtx, StubHandler, StubId, StubTimer,
     };
     pub use crate::frag::{fragment_packet, ReassemblyBuffer, ReassemblyConfig};
     pub use crate::icmp::{IcmpMessage, Unreachable};
     pub use crate::ipv4::{Ipv4Header, Ipv4Packet, Protocol};
     pub use crate::link::Link;
-    pub use crate::pmtud::PathMtuCache;
     pub use crate::prefix::Prefix;
-    pub use crate::ratelimit::{IcmpRateLimitPolicy, IcmpRateLimiter, ResponseRateLimiter, TokenBucket};
+    pub use crate::ratelimit::{IcmpRateLimitPolicy, IcmpRateLimiter, ResponseRateLimiter};
     pub use crate::stack::{HostStack, IpIdPolicy, StackConfig, StackEvent};
     pub use crate::stats::TrafficStats;
     pub use crate::tcp::{TcpConnection, TcpFlags, TcpSegment, TcpSocket, TcpState};
     pub use crate::time::{Duration, SimTime};
-    pub use crate::trace::{Trace, TraceEntry};
+    pub use crate::trace::TraceEntry;
     pub use crate::transport::{with_io, Endpoint, FlowStats, SocketEvent, StackIo};
-    pub use crate::udp::{UdpDatagram, UdpHeader, UdpTemplate, UdpView};
+    pub use crate::udp::{UdpDatagram, UdpTemplate, UdpView};
     pub use std::net::Ipv4Addr;
 }
-
-pub use prelude::*;

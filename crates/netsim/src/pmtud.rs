@@ -45,13 +45,13 @@ impl PathMtuCache {
 
     /// A hardened cache that refuses to lower the path MTU below `threshold`
     /// (models operators that filter small fragments / ignore tiny PTBs).
-    pub fn with_min_accepted(threshold: u16) -> Self {
+    pub(crate) fn with_min_accepted(threshold: u16) -> Self {
         PathMtuCache { min_accepted_mtu: threshold, ..PathMtuCache::new() }
     }
 
     /// Handles an ICMP fragmentation-needed signal for `dst` advertising
     /// `mtu`. Returns `true` when the cache accepted (and lowered) the entry.
-    pub fn on_fragmentation_needed(&mut self, dst: Ipv4Addr, mtu: u16, now: SimTime) -> bool {
+    pub(crate) fn on_fragmentation_needed(&mut self, dst: Ipv4Addr, mtu: u16, now: SimTime) -> bool {
         let clamped = mtu.max(MIN_IPV4_MTU);
         if clamped < self.min_accepted_mtu {
             return false;

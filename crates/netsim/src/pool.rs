@@ -144,12 +144,6 @@ pub(crate) fn prepend(mut payload: Vec<u8>, header: &[u8]) -> Vec<u8> {
     payload
 }
 
-/// Number of buffers currently pooled on this thread (for tests and
-/// instrumentation).
-pub fn pooled() -> usize {
-    POOL.with(|p| p.borrow().free.len())
-}
-
 /// This thread's pool counters since the last [`reset_counters`]. Because
 /// the pool is thread-local and campaign workers reuse threads across
 /// shards, only reset/read deltas around a single-threaded run are
@@ -166,6 +160,10 @@ pub fn reset_counters() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn pooled() -> usize {
+        POOL.with(|p| p.borrow().free.len())
+    }
 
     #[test]
     fn buffers_round_trip_cleared() {

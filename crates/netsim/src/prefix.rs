@@ -2,8 +2,8 @@
 //!
 //! Prefixes appear in two places in the workspace: in the data plane of the
 //! network simulator (route overrides installed by a successful BGP hijack)
-//! and in the control plane of the `bgp` crate (announcements, ROAs,
-//! longest-prefix-match RIBs). Both use this type.
+//! and in the control plane of the `bgp` crate (announcements and ROAs).
+//! Both use this type.
 //!
 //! The paper's HijackDNS analysis hinges on prefix lengths: announcements
 //! more specific than /24 are filtered by most networks, so an address is
@@ -29,11 +29,6 @@ impl Prefix {
         let len = len.min(32);
         let masked = u32::from(addr) & Self::mask(len);
         Prefix { addr: Ipv4Addr::from(masked), len }
-    }
-
-    /// The default route `0.0.0.0/0`.
-    pub fn default_route() -> Self {
-        Prefix { addr: Ipv4Addr::UNSPECIFIED, len: 0 }
     }
 
     /// The /32 host prefix of an address.
@@ -150,7 +145,7 @@ mod tests {
     fn sizes() {
         assert_eq!(Prefix::from_str("10.0.0.0/24").unwrap().size(), 256);
         assert_eq!(Prefix::from_str("10.0.0.0/22").unwrap().size(), 1024);
-        assert_eq!(Prefix::default_route().size(), 1 << 32);
+        assert_eq!(Prefix::new(Ipv4Addr::UNSPECIFIED, 0).size(), 1 << 32);
     }
 
     #[test]
@@ -162,7 +157,7 @@ mod tests {
 
     #[test]
     fn default_route_contains_everything() {
-        let d = Prefix::default_route();
+        let d = Prefix::new(Ipv4Addr::UNSPECIFIED, 0);
         assert!(d.contains("255.255.255.255".parse().unwrap()));
         assert!(d.contains("0.0.0.1".parse().unwrap()));
     }

@@ -16,7 +16,7 @@ use crate::time::SimTime;
 
 /// A classic token bucket.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     capacity: u32,
     tokens: f64,
     /// Tokens added per second.
@@ -32,7 +32,7 @@ impl TokenBucket {
     }
 
     /// Refills according to elapsed time and attempts to take one token.
-    pub fn try_take(&mut self, now: SimTime) -> bool {
+    pub(crate) fn try_take(&mut self, now: SimTime) -> bool {
         self.refill(now);
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
@@ -40,12 +40,6 @@ impl TokenBucket {
         } else {
             false
         }
-    }
-
-    /// Current (refilled) token count, rounded down.
-    pub fn available(&mut self, now: SimTime) -> u32 {
-        self.refill(now);
-        self.tokens as u32
     }
 
     fn refill(&mut self, now: SimTime) {
@@ -216,7 +210,8 @@ mod tests {
         assert!(b.try_take(t(20)));
         assert!(!b.try_take(t(20)));
         // A long idle period refills to capacity, never beyond it.
-        assert_eq!(b.available(t(10_000)), 50);
+        b.refill(t(10_000));
+        assert_eq!(b.tokens as u32, 50);
         for _ in 0..50 {
             assert!(b.try_take(t(10_000)));
         }
@@ -239,7 +234,8 @@ mod tests {
     #[test]
     fn token_bucket_caps_at_capacity() {
         let mut b = TokenBucket::new(2, 100.0);
-        assert_eq!(b.available(t(10_000)), 2);
+        b.refill(t(10_000));
+        assert_eq!(b.tokens as u32, 2);
     }
 
     #[test]

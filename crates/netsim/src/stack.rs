@@ -330,14 +330,14 @@ impl HostStack {
     /// minus the IPv4 and TCP headers. TCP sets DF, so sizing segments to
     /// the path MTU is what keeps the stream unfragmentable — the structural
     /// reason DNS over TCP defeats fragmentation-based poisoning.
-    pub fn tcp_mss_for(&self, dst: Ipv4Addr, now: SimTime) -> u16 {
+    pub(crate) fn tcp_mss_for(&self, dst: Ipv4Addr, now: SimTime) -> u16 {
         let mtu = if self.config.pmtud_enabled { self.pmtu.mtu_for(dst, now) } else { DEFAULT_MTU };
         mtu.saturating_sub((crate::ipv4::IPV4_HEADER_LEN + TCP_HEADER_LEN) as u16).max(1)
     }
 
     /// Builds the IPv4 packet for a TCP segment originating from this host
     /// (IP-ID per policy, DF always set).
-    pub fn send_tcp<R: Rng>(&mut self, seg: TcpSegment, _now: SimTime, rng: &mut R) -> Ipv4Packet {
+    pub(crate) fn send_tcp<R: Rng>(&mut self, seg: TcpSegment, _now: SimTime, rng: &mut R) -> Ipv4Packet {
         let dst = seg.dst;
         let ipid = self.next_ipid(dst, rng);
         seg.into_packet(ipid, self.config.ttl)

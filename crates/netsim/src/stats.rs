@@ -68,7 +68,7 @@ impl TrafficStats {
 
     /// Records `n` received packets of the same protocol and wire length,
     /// exactly as `n` calls with `n = 1` would.
-    pub fn record_received(&mut self, protocol: Protocol, wire_len: usize, n: u64) {
+    pub(crate) fn record_received(&mut self, protocol: Protocol, wire_len: usize, n: u64) {
         self.packets_received += n;
         self.bytes_received += wire_len as u64 * n;
         match protocol {

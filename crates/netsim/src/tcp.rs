@@ -69,7 +69,7 @@ impl TcpFlags {
     }
 
     /// FIN|ACK (active close).
-    pub fn fin_ack() -> Self {
+    pub(crate) fn fin_ack() -> Self {
         TcpFlags { fin: true, ack: true, ..Default::default() }
     }
 
@@ -131,7 +131,7 @@ pub struct TcpSegment {
 impl TcpSegment {
     /// The amount of sequence space this segment consumes (payload plus one
     /// for SYN and one for FIN).
-    pub fn seq_len(&self) -> u32 {
+    pub(crate) fn seq_len(&self) -> u32 {
         self.payload.len() as u32 + u32::from(self.flags.syn) + u32::from(self.flags.fin)
     }
 
@@ -140,7 +140,7 @@ impl TcpSegment {
     /// RFC 793: the computed value is transmitted verbatim — TCP has **no**
     /// equivalent of UDP's "0x0000 means no checksum, send 0xFFFF instead"
     /// rule, and receivers must always verify.
-    pub fn compute_checksum(&self) -> u16 {
+    pub(crate) fn compute_checksum(&self) -> u16 {
         let length = (TCP_HEADER_LEN + self.payload.len()) as u16;
         let mut c = checksum::pseudo_header(self.src, self.dst, Protocol::Tcp.number(), length);
         c.add_bytes(&self.header_bytes(0));
@@ -253,7 +253,7 @@ impl TcpSegment {
 /// Builds the RST a host sends in response to a segment that reached a
 /// closed port or a nonexistent connection (RFC 793 §3.4). Returns `None`
 /// for incoming RSTs (never reset a reset).
-pub fn rst_reply(seg: &TcpSegment) -> Option<TcpSegment> {
+pub(crate) fn rst_reply(seg: &TcpSegment) -> Option<TcpSegment> {
     if seg.flags.rst {
         return None;
     }

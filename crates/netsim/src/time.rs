@@ -46,11 +46,6 @@ impl Duration {
         self.0
     }
 
-    /// The duration expressed in whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// The duration expressed in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -166,8 +161,8 @@ mod tests {
     fn duration_arithmetic() {
         let a = Duration::from_millis(10);
         let b = Duration::from_millis(4);
-        assert_eq!((a + b).as_millis(), 14);
-        assert_eq!((a - b).as_millis(), 6);
+        assert_eq!(a + b, Duration::from_millis(14));
+        assert_eq!(a - b, Duration::from_millis(6));
         // Subtraction saturates instead of panicking.
         assert_eq!((b - a).as_nanos(), 0);
         assert_eq!(b.checked_sub(a), None);
@@ -185,7 +180,7 @@ mod tests {
 
     #[test]
     fn from_secs_f64_rounds() {
-        assert_eq!(Duration::from_secs_f64(0.5).as_millis(), 500);
+        assert_eq!(Duration::from_secs_f64(0.5), Duration::from_millis(500));
         assert_eq!(Duration::from_secs_f64(-1.0), Duration::ZERO);
     }
 

@@ -65,8 +65,7 @@ impl fmt::Display for TraceVerdict {
     }
 }
 
-/// The header fields of one packet that a trace line shows (see
-/// [`Ipv4Packet::summary`]).
+/// The header fields of one packet that a trace line shows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketSummary {
     /// IP protocol.

@@ -190,7 +190,7 @@ impl<'a> StackIo<'a> {
 
     /// Builds a TCP segment packet (DF set, IP-ID per host policy) and
     /// queues it.
-    pub fn send_tcp(&mut self, seg: TcpSegment) {
+    pub(crate) fn send_tcp(&mut self, seg: TcpSegment) {
         let pkt = self.stack.send_tcp(seg, self.now, self.rng);
         self.out.push(pkt);
     }

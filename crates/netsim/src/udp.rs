@@ -17,7 +17,7 @@ pub const UDP_HEADER_LEN: usize = 8;
 
 /// A decoded UDP header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UdpHeader {
+pub(crate) struct UdpHeader {
     /// Source port (the resolver's randomised ephemeral port for queries).
     pub src_port: u16,
     /// Destination port (53 for DNS servers).
@@ -76,12 +76,12 @@ impl UdpDatagram {
     }
 
     /// The UDP length field (header + payload).
-    pub fn udp_length(&self) -> u16 {
+    pub(crate) fn udp_length(&self) -> u16 {
         (UDP_HEADER_LEN + self.payload.len()) as u16
     }
 
     /// Computes the UDP checksum over pseudo-header, header and payload.
-    pub fn compute_checksum(&self) -> u16 {
+    pub(crate) fn compute_checksum(&self) -> u16 {
         let length = self.udp_length();
         let mut c = checksum::pseudo_header(self.src, self.dst, Protocol::Udp.number(), length);
         let header = UdpHeader { src_port: self.src_port, dst_port: self.dst_port, length, checksum: 0 };

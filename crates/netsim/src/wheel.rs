@@ -49,7 +49,7 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// Slot-index mask.
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 /// Number of levels. Level `l` spans `64^(l+1)` ticks.
-pub const LEVELS: usize = 6;
+pub(crate) const LEVELS: usize = 6;
 /// Ticks covered by the whole wheel; events further out go to the overflow
 /// heap (2^36 ticks × 4096 ns ≈ 3.2 days of simulated time).
 const HORIZON_TICKS: u64 = 1 << (LEVEL_BITS * LEVELS as u32);
@@ -147,7 +147,7 @@ impl<T> TimeWheel<T> {
     /// Number of occupied slots per level (popcount of each occupancy word).
     /// A cheap structural gauge for telemetry: how spread out the pending
     /// events are across the hierarchy.
-    pub fn level_occupancy(&self) -> [u32; LEVELS] {
+    pub(crate) fn level_occupancy(&self) -> [u32; LEVELS] {
         let mut out = [0u32; LEVELS];
         for (o, word) in out.iter_mut().zip(self.occupied.iter()) {
             *o = word.count_ones();

@@ -69,5 +69,5 @@ pub use metrics::{MetricsSnapshot, SimTimeHistogram};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::metrics::{MetricsSnapshot, SimTimeHistogram};
+    pub use crate::metrics::MetricsSnapshot;
 }

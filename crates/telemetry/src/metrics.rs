@@ -58,7 +58,7 @@ impl SimTimeHistogram {
     /// The upper bound (in nanoseconds) of the bucket containing quantile
     /// `q` (0.0..=1.0), or 0 when the histogram is empty. A conservative
     /// quantile: the true value is at most this bound.
-    pub fn quantile_bound_ns(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_bound_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }

@@ -77,12 +77,12 @@ fn main() {
         let loaded = saddns_under_load(cfg.seed, clients);
         println!(
             "  saddns under load: success={} background-clients={} background-queries={} \
-             cache-answers={} upstream={}",
+             resolver-cache-answers={} resolver-upstream={}",
             loaded.report.success,
             loaded.background_clients,
             loaded.background_queries,
-            loaded.background_cache_answers,
-            loaded.background_upstream,
+            loaded.resolver_cache_answers,
+            loaded.resolver_upstream,
         );
         if let Some(log) = &loaded.post_mortem {
             print!("{log}");

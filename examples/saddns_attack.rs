@@ -46,7 +46,7 @@ fn main() {
         println!("note: {note}");
     }
     println!();
-    let target: cross_layer_attacks::dns::DomainName = "www.vict.im".parse().unwrap();
+    let target: cross_layer_attacks::dns::prelude::DomainName = "www.vict.im".parse().unwrap();
     println!(
         "cache entry for {target}: {:?} (attacker is {})",
         env.resolver(&sim).cache().cached_a(&target, sim.now()),

@@ -5,6 +5,8 @@
 //! value at most `u64::MAX / 1_000_000` (the nanosecond clock's limit), and
 //! a worker count is clamped to `1..=available_workers()`.
 
+use attacks::env::addrs;
+use dns::farm::{FARM_CLIENT_BASE, FARM_NAMESERVER, FARM_RESOLVER_BASE};
 use netsim::prelude::Duration;
 use std::fmt::Display;
 use std::ops::RangeInclusive;
@@ -106,10 +108,23 @@ pub struct FarmArgs {
 }
 
 const ENGINE_FARM_USAGE: &str = "usage: engine_farm [--seed N] [--hosts N] [--shards N] [--workers N] [--duration-ms N]
-       [--think-ms N] [--names N] [--resolvers N] [--check-workers N] [--loaded-saddns N] [--metrics]";
+       [--think-ms N] [--names N] [--resolvers N] [--check-workers N] [--loaded-saddns N] [--metrics]
+The address plan bounds a shard's clients (--hosts / --shards, rounded up), --loaded-saddns and --resolvers;
+memory, not addresses, bounds smaller values: --hosts 381681973 --shards 1 tries to allocate 9.2 GB.";
+
+/// The most clients one farm shard holds: its stub block counts up from
+/// `FARM_CLIENT_BASE` and must end below the farm's nameserver.
+const MAX_SHARD_CLIENTS: u32 = FARM_NAMESERVER.to_bits() - FARM_CLIENT_BASE.to_bits();
+/// The most background clients of `--loaded-saddns`: their block counts up
+/// from `FARM_CLIENT_BASE` and must end below the victim's nameserver.
+const MAX_LOADED_CLIENTS: u32 = addrs::NAMESERVER.to_bits() - FARM_CLIENT_BASE.to_bits();
+/// The most resolver frontends: they count up from `FARM_RESOLVER_BASE` and
+/// must end below the client block.
+const MAX_RESOLVERS: u32 = FARM_CLIENT_BASE.to_bits() - FARM_RESOLVER_BASE.to_bits();
 
 /// Parses `engine_farm`'s flags. More shards than hosts is a usage error: a
-/// shard needs a host.
+/// shard needs a host. So is a shard, a `--loaded-saddns` block or a
+/// frontend range that would run into another host's address.
 pub fn engine_farm(args: impl IntoIterator<Item = String>) -> Result<Parsed<FarmArgs>, UsageError> {
     let cfg = FarmCampaignConfig { workers: available_workers(), ..Default::default() };
     let defaults = FarmArgs { cfg, check_workers: None, loaded_saddns: None, metrics: false };
@@ -121,15 +136,24 @@ pub fn engine_farm(args: impl IntoIterator<Item = String>) -> Result<Parsed<Farm
         "--duration-ms" => set(&mut a.cfg.shard.duration, millis(rest, flag)),
         "--think-ms" => set(&mut a.cfg.shard.mean_think, millis(rest, flag)),
         "--names" => set(&mut a.cfg.shard.names, value(rest, flag, 1..=u32::MAX)),
-        "--resolvers" => set(&mut a.cfg.shard.resolvers, value(rest, flag, 1..=u32::MAX)),
+        "--resolvers" => set(&mut a.cfg.shard.resolvers, value(rest, flag, 1..=MAX_RESOLVERS)),
         "--check-workers" => set(&mut a.check_workers, workers(rest, flag).map(Some)),
-        "--loaded-saddns" => set(&mut a.loaded_saddns, value(rest, flag, 0..=u32::MAX).map(Some)),
+        "--loaded-saddns" => set(&mut a.loaded_saddns, value(rest, flag, 0..=MAX_LOADED_CLIENTS).map(Some)),
         "--metrics" => set(&mut a.metrics, Ok(true)),
         _ => Ok(false),
     })?;
     match &parsed {
         Parsed::Run(FarmArgs { cfg, .. }) if cfg.shards > cfg.hosts => Err(UsageError {
             message: format!("--shards {} exceeds --hosts {}: a shard needs a host", cfg.shards, cfg.hosts),
+            usage: ENGINE_FARM_USAGE,
+        }),
+        Parsed::Run(FarmArgs { cfg, .. }) if cfg.hosts.div_ceil(cfg.shards) > MAX_SHARD_CLIENTS => Err(UsageError {
+            message: format!(
+                "--hosts {} over --shards {} puts {} clients in one shard; a shard holds at most {MAX_SHARD_CLIENTS}",
+                cfg.hosts,
+                cfg.shards,
+                cfg.hosts.div_ceil(cfg.shards)
+            ),
             usage: ENGINE_FARM_USAGE,
         }),
         _ => Ok(parsed),

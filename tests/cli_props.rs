@@ -3,7 +3,9 @@
 //! returns a config, `Help` or a `UsageError` and never panics, and every
 //! config it returns is inside the range policy. No parsed config is run.
 
+use cross_layer_attacks::attacks::env::addrs;
 use cross_layer_attacks::cli::{self, Parsed, UsageError};
+use cross_layer_attacks::dns::farm::{FARM_CLIENT_BASE, FARM_NAMESERVER, FARM_RESOLVER_BASE};
 use cross_layer_attacks::netsim::prelude::Duration;
 use cross_layer_attacks::xlayer_core::prelude::{available_workers, ScenarioCampaign};
 use proptest::prelude::*;
@@ -83,6 +85,18 @@ fn argv_for(flags: &[(&str, bool)], steps: &[(usize, usize, bool)]) -> Vec<Strin
     args.into_iter().map(String::from).collect()
 }
 
+/// What the farm's address plan holds: clients in one shard (up to the
+/// farm's nameserver), `--loaded-saddns` clients (up to the victim's
+/// nameserver) and resolver frontends (up to the client block).
+fn address_plan() -> (u32, u32, u32) {
+    let bits = u32::from;
+    (
+        bits(FARM_NAMESERVER) - bits(FARM_CLIENT_BASE),
+        bits(addrs::NAMESERVER) - bits(FARM_CLIENT_BASE),
+        bits(FARM_CLIENT_BASE) - bits(FARM_RESOLVER_BASE),
+    )
+}
+
 fn argv(tokens: &[&str]) -> Vec<String> {
     tokens.iter().map(|t| t.to_string()).collect()
 }
@@ -93,13 +107,16 @@ fn argv(tokens: &[&str]) -> Vec<String> {
 fn parse(binary: &str, args: Vec<String>) -> (Result<Parsed<()>, UsageError>, Result<(), String>) {
     let in_pool = |w: usize| (1..=available_workers()).contains(&w);
     let in_ms = |d: Duration| (Duration::from_millis(1)..=Duration::from_millis(u64::MAX / 1_000_000)).contains(&d);
+    let (shard_clients, loaded_clients, resolvers) = address_plan();
     match binary {
         "engine_farm" => split(cli::engine_farm(args), |a| {
             in_pool(a.cfg.workers)
                 && a.check_workers.is_none_or(in_pool)
                 && (1..=a.cfg.hosts).contains(&a.cfg.shards)
+                && a.cfg.hosts.div_ceil(a.cfg.shards) <= shard_clients
+                && a.loaded_saddns.is_none_or(|n| n <= loaded_clients)
                 && a.cfg.shard.names >= 1
-                && a.cfg.shard.resolvers >= 1
+                && (1..=resolvers).contains(&a.cfg.shard.resolvers)
                 && in_ms(a.cfg.shard.duration)
                 && in_ms(a.cfg.shard.mean_think)
         }),
@@ -219,6 +236,41 @@ fn out_of_range_values_are_usage_errors() {
         &["--runs", "18446744073709551615"],
         "--runs 18446744073709551615 makes a grid of more than 18446744073709551615 simulations",
     );
+}
+
+#[test]
+fn the_farm_address_plan_bounds_shards_background_clients_and_frontends() {
+    assert_eq!(address_plan(), (381_681_973, 381_681_717, 1_178_599_167));
+    expect_error(
+        "engine_farm",
+        &["--hosts", "381681974", "--shards", "1"],
+        "--hosts 381681974 over --shards 1 puts 381681974 clients in one shard; a shard holds at most 381681973",
+    );
+    expect_error(
+        "engine_farm",
+        &["--hosts", "763363947", "--shards", "2"],
+        "--hosts 763363947 over --shards 2 puts 381681974 clients in one shard; a shard holds at most 381681973",
+    );
+    expect_error(
+        "engine_farm",
+        &["--loaded-saddns", "381681718"],
+        "--loaded-saddns must be in 0..=381681717, got 381681718",
+    );
+    expect_error(
+        "engine_farm",
+        &["--resolvers", "1178599168"],
+        "--resolvers must be in 1..=1178599167, got 1178599168",
+    );
+    // The largest values that fit parse; nothing here is run.
+    for (tokens, hosts, loaded, resolvers) in [
+        (&["--hosts", "381681973", "--shards", "1"][..], 381_681_973, None, 4),
+        (&["--hosts", "763363946", "--shards", "2"][..], 763_363_946, None, 4),
+        (&["--loaded-saddns", "381681717"][..], 100_000, Some(381_681_717), 4),
+        (&["--resolvers", "1178599167"][..], 100_000, None, 1_178_599_167),
+    ] {
+        let Ok(Parsed::Run(farm)) = cli::engine_farm(argv(tokens)) else { panic!("{tokens:?} fits the address plan") };
+        assert_eq!((farm.cfg.hosts, farm.loaded_saddns, farm.cfg.shard.resolvers), (hosts, loaded, resolvers));
+    }
 }
 
 #[test]

@@ -153,8 +153,8 @@ fn golden_scenario_matrix() {
     let matrix = ScenarioCampaign::full_grid(GOLDEN_SEED, 2).run(golden_workers());
     let mut out = render_scenario_matrix(&matrix);
     out.push('\n');
-    let issuance = cross_layer_attacks::ca::IssuanceCampaign::standard(GOLDEN_SEED, 2).run(golden_workers());
-    out.push_str(&cross_layer_attacks::ca::render_issuance_matrix(&issuance));
+    let issuance = cross_layer_attacks::ca::prelude::IssuanceCampaign::standard(GOLDEN_SEED, 2).run(golden_workers());
+    out.push_str(&cross_layer_attacks::ca::prelude::render_issuance_matrix(&issuance));
     out.push('\n');
     // The DNSSEC deployment matrix rides in the same fixture: the four
     // attacks against the DNSSEC pipeline itself across the four deployment
@@ -181,7 +181,7 @@ fn golden_ca_ablation() {
     // The CA-layer acceptance rows: multi-vantage validation refuses the
     // off-path chains but not the interception hijack; DNSSEC (with the
     // CA's validating re-fetch) refuses all three.
-    use cross_layer_attacks::ca::{ca_defences, render_issuance_ablation, run_issuance_ablation};
+    use cross_layer_attacks::ca::prelude::{ca_defences, render_issuance_ablation, run_issuance_ablation};
     check("ca_ablation", &render_issuance_ablation(&run_issuance_ablation(&ca_defences(), GOLDEN_SEED)));
 }
 
@@ -200,7 +200,7 @@ fn golden_saddns_trace() {
     // ICMP side-channel scan, 2^16 TXID spray) with the packet trace on.
     // The trace holds ~70 000 entries, so the fixture keeps its size, the
     // FNV-1a digest of the full rendering, and the first and last 20 lines.
-    use cross_layer_attacks::attacks::{vectors, PoisonMethod, VictimEnvConfig};
+    use cross_layer_attacks::attacks::prelude::{vectors, PoisonMethod, VictimEnvConfig};
     let vector = vectors::quick_for(PoisonMethod::SadDns);
     let mut cfg = VictimEnvConfig { seed: GOLDEN_SEED, ..Default::default() };
     vector.prepare_env(&mut cfg);
